@@ -177,11 +177,6 @@ def classify_fattened(r1, r2, tol=1e-9):
     return FattenedStratum.OUTSIDE
 
 
-def fattened_vertex_points():
-    """The two 0-strata of the fattened discriminant in face coordinates."""
-    return ((1.0, 0.0), (0.0, 1.0))
-
-
 def mirror_involution(label):
     """Complement involution on face labels and graph vertices."""
     if isinstance(label, FaceLabel):

@@ -9,12 +9,24 @@ surface at the solutions of
 over the two vertex points (where the fiber is a circle and the equation
 is one dimensional).
 
-Localization is a uniform phase grid whose sign-change cells seed a Newton
-polish; boundary-curve solutions are tangential (the real part does not
-change sign there), so a second pass solves the reduced triangle identity
-cos b = (R1^2 - 1 - R2^2)/(2 R2) constructively and merges any roots the
-grid pass cannot see.  All roots are verified against the defining
-equation and deduplicated on the torus.
+Two independent passes find the roots, and each is one array computation:
+
+* the grid pass evaluates the equation on a uniform grid_n x grid_n phase
+  grid (separable: one length-grid_n exponential, broadcast), seeds a
+  Newton polish at the centre of every cell where both the real and the
+  imaginary part change sign, and polishes all seeds at once with a
+  closed-form 2x2 solve, each row stopping when it converges or fails;
+* the constructive pass solves the reduced triangle identity
+  cos b = (R1^2 - 1 - R2^2)/(2 R2) and lifts each (a, b) solution to its
+  25 fifth-root phases.
+
+Over the interior the two passes find the same 50 roots.  Over the boundary
+curves the roots are tangential (the real part does not change sign there),
+so the grid pass sees them only where rounding puts grid samples on both
+sides of zero, and may see none (at (0.86, 0.881) it finds 0 of 25): the
+boundary counts rest on the constructive pass.  The answer is the union of
+both passes, deduplicated greedily on the torus (the first root of a
+cluster is kept).
 """
 
 import warnings
@@ -24,62 +36,74 @@ import numpy as np
 from ..basecomplex import FattenedStratum, classify_fattened
 
 
-def _torus_dist(a, b):
-    d = np.abs(np.asarray(a) - np.asarray(b))
-    d = np.minimum(d, 2.0 * np.pi - d)
-    return float(np.hypot(*d))
-
-
 def _dedupe(roots, tol):
-    out = []
-    for r in roots:
-        if all(_torus_dist(r, q) > tol for q in out):
-            out.append(r)
-    return out
+    """Greedy torus dedupe: keep a root unless it lies within tol of a kept one.
+
+    Each kept root drops the later roots near it in one array step; only
+    kept rows get distances, so memory stays linear in the candidates.
+    """
+    x = np.asarray(roots).reshape(-1, 2)
+    keep = np.ones(len(x), dtype=bool)
+    for n in range(len(x)):
+        if keep[n]:
+            d = np.abs(x[n + 1:] - x[n])
+            d = np.minimum(d, 2.0 * np.pi - d)
+            keep[n + 1:] &= np.hypot(d[:, 0], d[:, 1]) > tol
+    return [r for r, k in zip(roots, keep) if k]
+
+
+def _newton_polish(R1, R2, x, h, newton_tol):
+    """Newton on every seed row of x (n, 2) at once; returns the converged rows.
+
+    Per row: stop when |f| < newton_tol (tested before each of at most 60
+    steps), give up on a non-finite step, and clip each step to length h.
+    """
+    ok = np.zeros(len(x), dtype=bool)
+    alive = np.arange(len(x))
+    for _ in range(60):
+        e = np.exp(5j * x[alive])
+        e1, e2 = e[:, 0], e[:, 1]
+        f = R1 * e1 + R2 * e2 + 1.0
+        conv = np.abs(f) < newton_tol
+        ok[alive[conv]] = True
+        alive, e1, e2, f = alive[~conv], e1[~conv], e2[~conv], f[~conv]
+        if not len(alive):
+            break
+        a, b = -5 * R1 * e1.imag, -5 * R2 * e2.imag
+        c, d = 5 * R1 * e1.real, 5 * R2 * e2.real
+        det = a * d - b * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.stack([(b * f.imag - d * f.real) / det,
+                             (c * f.real - a * f.imag) / det], axis=1)
+        for n in np.flatnonzero(det == 0.0):
+            jac = np.array([[a[n], b[n]], [c[n], d[n]]])
+            step[n], *_ = np.linalg.lstsq(jac, -np.array([f[n].real, f[n].imag]),
+                                          rcond=None)
+        finite = np.all(np.isfinite(step), axis=1)
+        alive, step = alive[finite], step[finite]
+        nrm = np.hypot(step[:, 0], step[:, 1])
+        long = nrm > h
+        step[long] *= (h / nrm[long])[:, None]
+        x[alive] = np.mod(x[alive] + step, 2.0 * np.pi)
+    return x[ok]
 
 
 def _grid_roots(R1, R2, grid_n, newton_tol):
     th = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
-    t1, t2 = np.meshgrid(th, th, indexing="ij")
-    g = R1 * np.exp(5j * t1) + R2 * np.exp(5j * t2) + 1.0
-    re, im = g.real, g.imag
+    e = np.exp(5j * th)
+    g = R1 * e[:, None] + R2 * e[None, :] + 1.0
 
-    def rolls(a):
-        return a, np.roll(a, -1, 0), np.roll(a, -1, 1), np.roll(np.roll(a, -1, 0), -1, 1)
+    def any_corner(b):
+        """Whether b holds at any of the four corners of each (periodic) cell."""
+        b = b | np.roll(b, -1, 0)
+        return b | np.roll(b, -1, 1)
 
-    re4 = rolls(re)
-    im4 = rolls(im)
-    sign_change = (np.minimum.reduce(re4) <= 0) & (np.maximum.reduce(re4) >= 0) \
-        & (np.minimum.reduce(im4) <= 0) & (np.maximum.reduce(im4) >= 0)
-    cells = np.argwhere(sign_change)
+    sign_change = any_corner(g.real <= 0) & any_corner(g.real >= 0) \
+        & any_corner(g.imag <= 0) & any_corner(g.imag >= 0)
     h = 2.0 * np.pi / grid_n
-    roots = []
-    for a, b in cells:
-        x = np.array([th[a] + 0.5 * h, th[b] + 0.5 * h])
-        ok = False
-        for _ in range(60):
-            e1 = np.exp(5j * x[0])
-            e2 = np.exp(5j * x[1])
-            f = R1 * e1 + R2 * e2 + 1.0
-            if abs(f) < newton_tol:
-                ok = True
-                break
-            jac = np.array([[-5 * R1 * e1.imag, -5 * R2 * e2.imag],
-                            [5 * R1 * e1.real, 5 * R2 * e2.real]])
-            rhs = np.array([f.real, f.imag])
-            try:
-                step = np.linalg.solve(jac, -rhs)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jac, -rhs, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            nrm = np.linalg.norm(step)
-            if nrm > h:
-                step *= h / nrm
-            x = np.mod(x + step, 2.0 * np.pi)
-        if ok:
-            roots.append((float(x[0]), float(x[1])))
-    return roots
+    seeds = th[np.argwhere(sign_change)] + 0.5 * h
+    return [(float(t1), float(t2))
+            for t1, t2 in _newton_polish(R1, R2, seeds, h, newton_tol)]
 
 
 def _reduced_roots(R1, R2, verify_tol):
@@ -103,13 +127,19 @@ def _reduced_roots(R1, R2, verify_tol):
     return out
 
 
+def _tolerances(R1, R2, tol):
+    """(newton_tol, verify_tol, dedupe_tol), scaled with the equation's size."""
+    scale = R1 + R2 + 1.0
+    newton_tol = max(1e-12, 10.0 * tol * scale)
+    return newton_tol, 1e-7 * scale, max(1e-6, 2.0 * np.sqrt(newton_tol))
+
+
 def covering_roots(r1, r2, tol=1e-9, grid_n=400):
     """All torus solutions over a fattened-interior or boundary point."""
     R1, R2 = float(r1) ** 5, float(r2) ** 5
-    newton_tol = max(1e-12, 10.0 * tol * (R1 + R2 + 1.0))
+    newton_tol, verify_tol, dedupe_tol = _tolerances(R1, R2, tol)
     roots = _grid_roots(R1, R2, grid_n, newton_tol)
-    roots += _reduced_roots(R1, R2, verify_tol=1e-7 * (R1 + R2 + 1.0))
-    dedupe_tol = max(1e-6, 2.0 * np.sqrt(newton_tol))
+    roots += _reduced_roots(R1, R2, verify_tol)
     return _dedupe(roots, dedupe_tol)
 
 

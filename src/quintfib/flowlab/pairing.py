@@ -5,7 +5,16 @@ circle on the member inside the chart where z_j dominates and z_i is small:
 the dominant coordinate is normalized to 1, the spectator coordinates are
 frozen at a common radius with generic phases, the k-th coordinate sweeps
 a circle of that radius, and z_i rides along as the small root of the
-defining quintic (tracked by continuation, so its winding is exact).
+defining quintic.
+
+The quintic's coefficients along the loop do not involve z_i, so all of
+them are built as arrays and the roots at every loop step come from one
+batched eigenvalue call on the companion matrices.  z_i is then tracked by
+continuation: the smallest root at the first step, and at each later step
+(closing back onto the first) the root nearest the previous one.  Each step
+is certified: the tracked root moves less than STEP_FRACTION of its distance
+to the nearest other root, so the nearest root is the continuation and no
+root jump can go unnoticed; an uncertified step raises ArithmeticError.
 
 Pairing against the logarithmic form d log(z_l / z_m) is the winding
 number of z_l / z_m around the loop, accumulated from phase increments.
@@ -14,6 +23,8 @@ number of z_l / z_m around the loop, accumulated from phase increments.
 from dataclasses import dataclass
 
 import numpy as np
+
+STEP_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -25,11 +36,50 @@ class PairingResult:
     min_coordinate: float
 
 
-def _small_root_track(prev, coeff_pairs):
-    roots = np.roots(coeff_pairs)
-    if prev is None:
-        return roots[np.argmin(np.abs(roots))]
-    return roots[np.argmin(np.abs(roots - prev))]
+def _track_small_root(eigs):
+    """Continue the smallest root through the rows of eigs, closing the loop.
+
+    `eigs` is (n_steps, 5): the quintic's roots at each loop step.  Returns
+    the tracked root per step and the worst step ratio |step| / gap, where
+    gap is the new root's distance to the nearest other root of its row.
+    """
+    n = len(eigs)
+    rows = np.arange(n + 1) % n
+    idx = np.empty(n + 1, dtype=int)
+    idx[0] = np.argmin(np.abs(eigs[0]))
+    for s in range(1, n + 1):
+        idx[s] = np.argmin(np.abs(eigs[rows[s]] - eigs[rows[s - 1], idx[s - 1]]))
+    track = eigs[rows, idx]
+    gaps = np.abs(eigs[rows] - track[:, None])
+    gaps[np.arange(n + 1), idx] = np.inf
+    ratios = np.abs(np.diff(track)) / gaps.min(axis=1)[1:]
+    bad = np.flatnonzero(~(ratios < STEP_FRACTION))
+    if bad.size:
+        raise ArithmeticError(
+            f"root continuation uncertified at step {bad[0] + 1}: the tracked "
+            f"root moved {ratios[bad[0]]:.2e} of its gap to the nearest other root")
+    if idx[n] != idx[0]:
+        raise ArithmeticError("the tracked root does not close up around the loop")
+    return track[:n], float(ratios.max())
+
+
+def _loop_coordinates(i, j, k, psi, n_steps, radius):
+    """(n_steps, 5) coordinates along the (i, j, k) loop, and its worst step ratio."""
+    spectators = sorted(set(range(1, 6)) - {i, j, k})
+    z = np.zeros((n_steps, 5), dtype=complex)
+    z[:, j - 1] = 1.0
+    for t, sp in enumerate(spectators):
+        z[:, sp - 1] = radius * np.exp(1j * (0.4 + 0.9 * t))
+    phis = np.linspace(0.0, 2.0 * np.pi, n_steps, endpoint=False)
+    z[:, k - 1] = radius * np.exp(1j * phis)
+    others = np.delete(z, i - 1, axis=1)
+    # z_i^5 - 5 psi (prod others) z_i + (sum others^5) = 0, as a companion matrix
+    companion = np.zeros((n_steps, 5, 5), dtype=complex)
+    companion[:, 0, 3] = 5.0 * psi * np.prod(others, axis=1)
+    companion[:, 0, 4] = -np.sum(others ** 5, axis=1)
+    companion[:, np.arange(1, 5), np.arange(4)] = 1.0
+    z[:, i - 1], worst = _track_small_root(np.linalg.eigvals(companion))
+    return z, worst
 
 
 def loop_pairing_detailed(loop, form, psi=10.0, n_steps=400, radius=0.75,
@@ -45,31 +95,13 @@ def loop_pairing_detailed(loop, form, psi=10.0, n_steps=400, radius=0.75,
         raise ValueError("loop indices must be distinct")
     if l == m:
         raise ValueError("form indices must be distinct")
-    spectators = sorted(set(range(1, 6)) - {i, j, k})
-    z = np.zeros(5, dtype=complex)
-    z[j - 1] = 1.0
-    for t, sp in enumerate(spectators):
-        z[sp - 1] = radius * np.exp(1j * (0.4 + 0.9 * t))
-    phis = np.linspace(0.0, 2.0 * np.pi, n_steps, endpoint=False)
-    ratio_args = []
-    min_coord = np.inf
-    root = None
-    for phi in phis:
-        z[k - 1] = radius * np.exp(1j * phi)
-        others = np.delete(z, i - 1)
-        prod_others = np.prod(others)
-        sum_others = np.sum(others ** 5)
-        # z_i^5 - 5 psi (prod others) z_i + (sum others^5) = 0
-        coeffs = [1.0, 0.0, 0.0, 0.0, -5.0 * psi * prod_others, sum_others]
-        root = _small_root_track(root, coeffs)
-        z[i - 1] = root
-        for idx in (l, m):
-            min_coord = min(min_coord, abs(z[idx - 1]))
-        ratio_args.append(np.angle(z[l - 1] / z[m - 1]))
+    z, _ = _loop_coordinates(i, j, k, psi, n_steps, radius)
+    min_coord = np.min(np.abs(z[:, [l - 1, m - 1]]))
     if min_coord < pole_tol:
         raise ArithmeticError(
             f"loop passes within {min_coord:.2e} of a pole of the form")
-    closed = np.unwrap(np.array(ratio_args + [ratio_args[0]]))
+    ratio_args = np.angle(z[:, l - 1] / z[:, m - 1])
+    closed = np.unwrap(np.append(ratio_args, ratio_args[0]))
     winding = (closed[-1] - closed[0]) / (2.0 * np.pi)
     value = int(np.rint(winding))
     return PairingResult(value, float(abs(winding - value)), (i, j, k),

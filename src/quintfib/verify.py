@@ -302,10 +302,9 @@ def check_pairing_matrix(cfg):
             "verified" if ok else "violated", ok, "; ".join(detail))
 
 
-def check_covering_counts(cfg):
-    rng = np.random.default_rng(cfg.seed + 2)
-    ok = True
-    detail = []
+def covering_sample_points(seed):
+    """c10's sample points: 20 seeded fattened-interior points and 5 edge points."""
+    rng = np.random.default_rng(seed + 2)
     interior = []
     while len(interior) < 20:
         r1, r2 = rng.uniform(0.7, 1.6, 2)
@@ -316,6 +315,13 @@ def check_covering_counts(cfg):
         edge.append((r1, (1.0 - r1 ** 5) ** 0.2))        # r1^5 + r2^5 = 1
     for r2 in (1.05, 1.12):
         edge.append(((r2 ** 5 - 1.0) ** 0.2, r2))        # r1^5 + 1 = r2^5
+    return interior, edge
+
+
+def check_covering_counts(cfg):
+    ok = True
+    detail = []
+    interior, edge = covering_sample_points(cfg.seed)
     for pts, want in ((interior, 50), (edge, 25),
                       ([(1.0, 0.0), (0.0, 1.0)], 5)):
         for r1, r2 in pts:
@@ -440,14 +446,14 @@ def verify_all(config=None, _inject=None):
                 check_id, criterion, kind, label, "-", "-", "skipped",
                 f"skipped by config ({config.skip})", 0.0))
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 expected, computed, ok, detail = fn(config)
         except Exception as err:  # a crash is a failure, not an abort
             expected, computed, ok, detail = "-", "-", False, f"error: {err!r}"
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         if _inject and check_id in _inject:
             computed = _inject[check_id]
             ok = computed == expected

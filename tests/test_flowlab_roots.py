@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from quintfib import flowlab as fl
+from quintfib import verify
 from quintfib.basecomplex import FattenedStratum, classify_fattened
+from quintfib.flowlab import covering, pairing
 
 
 # ------------------------------------------------------------------ pairings
@@ -47,6 +49,50 @@ def test_pairing_near_pole_reported():
     # a huge pencil parameter drives the tracked root onto the form's pole
     with pytest.raises(ArithmeticError, match="pole"):
         fl.loop_pairing((1, 2, 3), (1, 2), psi=1e7)
+
+
+C09_LOOPS = [(i, j, k) for (i, j) in ((1, 2), (5, 4))
+             for k in sorted(set(range(1, 6)) - {i, j})]
+
+
+def test_pairing_continuation_certified_on_c09_loops():
+    # every c09 loop is tracked with a wide margin (worst step ratio 7.5e-4)
+    for i, j, k in C09_LOOPS:
+        _, worst = pairing._loop_coordinates(i, j, k, psi=10.0, n_steps=400,
+                                             radius=0.75)
+        assert worst < pairing.STEP_FRACTION
+
+
+def _loop_roots(small, other):
+    """(n, 5) roots along a loop: two moving columns and three fixed far roots."""
+    n = len(small)
+    return np.column_stack([small, other, np.full(n, 5.0), np.full(n, 6j),
+                            np.full(n, -7.0)])
+
+
+CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)
+
+
+def test_pairing_continuation_accepts_smooth_track():
+    eigs = _loop_roots(0.1 * CIRCLE, np.full(64, -2.0))
+    track, worst = pairing._track_small_root(eigs)
+    assert np.array_equal(track, eigs[:, 0])
+    assert worst < pairing.STEP_FRACTION
+
+
+def test_pairing_continuation_rejects_root_jump():
+    eigs = _loop_roots(0.1 * CIRCLE, np.full(64, -2.0))
+    eigs[20, 0] = 1.5       # one step of 1.4, 3.5 away from the other roots
+    with pytest.raises(ArithmeticError, match="uncertified at step 20"):
+        pairing._track_small_root(eigs)
+
+
+def test_pairing_continuation_rejects_unclosed_loop():
+    # a small pair turning half way round swaps places: every step is
+    # certified, but the tracked root ends on the other one
+    half = 0.1 * np.sqrt(CIRCLE)
+    with pytest.raises(ArithmeticError, match="close up"):
+        pairing._track_small_root(_loop_roots(half, -half))
 
 
 # ------------------------------------------------------------ covering counts
@@ -104,6 +150,48 @@ def test_covering_roots_satisfy_equation():
     for t1, t2 in roots:
         val = 1.0 ** 5 * np.exp(5j * t1) + 1.1 ** 5 * np.exp(5j * t2) + 1.0
         assert abs(val) < 1e-7
+
+
+def _torus_distances(a, b):
+    d = np.abs(np.asarray(a)[:, None, :] - np.asarray(b)[None, :, :])
+    d = np.minimum(d, 2 * np.pi - d)
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _separate_passes(r1, r2, tol=1e-9):
+    """The grid pass (deduped) and the constructive pass, each on its own."""
+    R1, R2 = r1 ** 5, r2 ** 5
+    newton_tol, verify_tol, dedupe_tol = covering._tolerances(R1, R2, tol)
+    grid = covering._dedupe(covering._grid_roots(R1, R2, 400, newton_tol),
+                            dedupe_tol)
+    return grid, covering._reduced_roots(R1, R2, verify_tol), dedupe_tol
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_covering_passes_agree_on_c10_interior(seed):
+    interior, _ = verify.covering_sample_points(seed)
+    for r1, r2 in interior:
+        grid, reduced, dedupe_tol = _separate_passes(r1, r2)
+        assert len(grid) == 50
+        assert len(reduced) == 50
+        close = _torus_distances(reduced, grid) <= dedupe_tol
+        # one to one: every constructive root has exactly one grid partner
+        assert np.all(close.sum(axis=0) == 1)
+        assert np.all(close.sum(axis=1) == 1)
+
+
+def test_covering_edge_counts_rest_on_constructive_pass():
+    _, edge = verify.covering_sample_points(0)
+    for r1, r2 in edge:
+        _, reduced, dedupe_tol = _separate_passes(r1, r2)
+        assert len(covering._dedupe(reduced, dedupe_tol)) == 25
+    # known disagreement: the roots are tangential here and the grid pass
+    # sees none of them
+    r1, r2 = edge[1]
+    assert (round(r1, 3), round(r2, 3)) == (0.86, 0.881)
+    grid, _, _ = _separate_passes(r1, r2)
+    assert len(grid) == 0
+    assert fl.covering_count(r1, r2) == 25
 
 
 def test_covering_roots_respect_phase_translation():
@@ -170,3 +258,16 @@ def test_hl_fiber_samples_satisfy_constraints():
     c = (0.2, 0.8, -0.3)
     for z, _ in fl.sample_hl_fiber(c, 25, rng):
         assert np.allclose(fl.hl_map(z), c, atol=1e-10)
+
+
+# ------------------------------------------------------- verify-all goldens
+
+def test_verify_all_root_rows_golden():
+    # c09 and c10 rows of verify-all at seed 0, byte for byte as captured
+    # before the root-finding layer was batched
+    rows = {c.check_id: (c.expected, c.computed, c.status, c.detail)
+            for c in verify.verify_all(verify.VerifyConfig(seed=0)).checks}
+    assert rows["c09-pairing-matrix"] == (
+        "delta_kl with a -1 column, residues < 1e-6", "verified", "pass", "")
+    assert rows["c10-covering-counts"] == (
+        "50/25/5 stable under tol halving", "verified", "pass", "")
