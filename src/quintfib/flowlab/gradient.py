@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import AffinePoint, PoleError, eval_s, s_gradient
+from .points import AffinePoint, _s_gradient_rows, _sum4, eval_s
 
 
 class SigmaGuardError(ArithmeticError):
@@ -74,10 +74,34 @@ def metric_inverse(p, metric="chart-flat"):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _raw_gradient_norm_sq(p, metric="chart-flat"):
-    ds = s_gradient(p)
-    v = metric_inverse(p, metric) @ ds.conj()
-    return float(np.real(np.sum(ds * v)))
+def _raw_gradient_rows(x, metric):
+    """H^{-1} conj(ds), the squared gradient norm |grad f|^2 and the pole
+    mask on (N, 4) chart rows.
+
+    The inverse metric is applied in closed form: the identity for the
+    chart-flat metric, a (w + x (x^H w)) with a = 1 + |x|^2 for
+    Fubini-Study.
+    """
+    ds, pole = _s_gradient_rows(x)
+    v = ds.conj() + 0.0  # clears the -0 conj gives a zero imaginary part (prints -0j)
+    if metric == "fubini-study":
+        a = 1.0 + _sum4(np.abs(x) ** 2)
+        v = a[:, None] * (v + x * _sum4(x.conj() * v)[:, None])
+    return v, _sum4(ds * v).real, pole
+
+
+def _field_rows(x, cfg):
+    """V, |grad f|^2 and the guard mask on (N, 4) chart rows.
+
+    A row is guarded when it sits at a pole of s (its norm then reads 0) or
+    its squared gradient norm is at most cfg.sigma_guard; guarded rows get
+    V = 0 so that a batch carries on with its other rows.
+    """
+    v, norm_sq, pole = _raw_gradient_rows(x, cfg.metric)
+    norm_sq = np.where(pole, 0.0, norm_sq)
+    guarded = pole | (norm_sq <= cfg.sigma_guard)
+    safe = np.where(guarded, 1.0, norm_sq)[:, None]
+    return np.where(guarded[:, None], 0.0, v / safe), norm_sq, guarded
 
 
 def grad_V(p, cfg=None):
@@ -88,16 +112,10 @@ def grad_V(p, cfg=None):
     singular; a pole of s itself (the surface sits inside the pole set) is
     reported the same way.
     """
-    cfg = cfg or FlowConfig()
-    try:
-        ds = s_gradient(p)
-    except PoleError:
-        raise SigmaGuardError(0.0, p) from None
-    v = metric_inverse(p, cfg.metric) @ ds.conj()
-    norm_sq = float(np.real(np.sum(ds * v)))
-    if norm_sq <= cfg.sigma_guard:
-        raise SigmaGuardError(norm_sq, p)
-    return v / norm_sq
+    v, norm_sq, guarded = _field_rows(p.array()[None], cfg or FlowConfig())
+    if guarded[0]:
+        raise SigmaGuardError(float(norm_sq[0]), p)
+    return v[0]
 
 
 def closed_form_V_D4(p):

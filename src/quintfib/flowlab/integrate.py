@@ -6,20 +6,67 @@ pencil member.  Along the way Im(s) is conserved and df/dt = 1, so both
 drifts measure pure integrator error; the acceptance bar is 1e-8 drift at
 tolerance 1e-10.
 
-Integration runs on the real 8-dimensional form of the chart with an
-adaptive embedded Runge-Kutta 4(5) scheme (scipy's RK45); a terminal event
-halts trajectories that enter the guard zone around the singular surface,
-where the field genuinely blows up and the continuation is out of scope.
+Integration runs on the real 8-dimensional form of the chart, every
+trajectory of a batch at once, with a row-wise replica of scipy's RK45: the
+Dormand-Prince 5(4) pair with local extrapolation (Dormand & Prince,
+J. Comput. Appl. Math. 6, 1980), the initial step of Hairer, Norsett and
+Wanner (Sec. II.4), the RMS error norm and step control of scipy, and the
+quartic dense output.  Each row keeps its own time, step size and error
+norm, and every sum over stages runs in a fixed order, so a trajectory's
+bits do not depend on the rows batched with it.  The tests check the
+replica against scipy's solve_ivp.  A terminal event halts trajectories
+that enter the guard zone around the singular surface, where the field
+genuinely blows up and the continuation is out of scope.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .gradient import FlowConfig, SigmaGuardError, grad_V, metric_inverse, omega_value
-from .points import (AffinePoint, coord_indices, eval_s, from_homogeneous,
-                     quintic_gradient, quintic_value, s_gradient)
+from .gradient import FlowConfig, SigmaGuardError, _field_rows, omega_value
+from .points import (AffinePoint, _eval_s_rows, _quintic, _quintic_gradient,
+                     from_homogeneous)
+# perfbench/layers.py traces calls through these names here and requires them
+# to be the same objects as in flowlab
+from .gradient import grad_V
+from .points import eval_s, s_gradient
+
+# The Dormand-Prince 5(4) tableau and its dense output, as in scipy's RK45.
+# The nodes c_i are not needed: V does not depend on t.
+A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1 / 5
+EPS = np.finfo(float).eps
+
+# row states of the batched integrator
+RUNNING, REACHED, GUARD_HIT, UNDERFLOW, GUARDED = range(5)
+REASONS = {REACHED: "reached_target", GUARD_HIT: "sigma_guard_hit",
+           UNDERFLOW: "step_underflow"}
 
 
 @dataclass(frozen=True)
@@ -31,12 +78,268 @@ class FlowDiagnostics:
     n_steps: int
 
 
-def _to_real(x):
-    return np.concatenate([x.real, x.imag])
+def _combine(K, coeffs):
+    """sum_j coeffs[j] K[j] in index order, skipping zero coefficients."""
+    acc = K[0] * coeffs[0]
+    for k, c in zip(K[1:], coeffs[1:]):
+        if c:
+            acc = acc + k * c
+    return acc
 
 
-def _to_complex(y):
-    return y[:4] + 1j * y[4:]
+def _rms(a):
+    """RMS over the last axis of (N, 8) rows, summed in a fixed order."""
+    sq = a * a
+    acc = sq[:, 0]
+    for k in range(1, sq.shape[1]):
+        acc = acc + sq[:, k]
+    return np.sqrt(acc) / sq.shape[1] ** 0.5
+
+
+def _pow(a, e):
+    """a ** e taken on Python floats: scipy raises float64 scalars to these
+    powers with the C library's pow, which numpy's vector loop can miss by
+    one ulp."""
+    return np.array([x ** e for x in a.tolist()])
+
+
+def _rhs(y, cfg):
+    """V as (N, 8) real rows, |grad f|^2 and the guard mask."""
+    if not np.isfinite(y).all():
+        raise ValueError("coordinates must be finite")
+    v, norm_sq, guarded = _field_rows(y[:, :4] + 1j * y[:, 4:], cfg)
+    return np.concatenate([v.real, v.imag], axis=1), norm_sq, guarded
+
+
+def _dense(seg, t):
+    """The quartic dense output of step segments at times t."""
+    t_old, h, y_old, Q = seg
+    x = ((t - t_old) / h)[:, None]
+    x2 = x * x
+    x3 = x2 * x
+    return h[:, None] * (Q[:, 0] * x + Q[:, 1] * x2 + Q[:, 2] * x3
+                         + Q[:, 3] * (x3 * x)) + y_old
+
+
+def _brentq(f, xa, xb, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
+    """Brent's root of f between xa and xb, step for step as scipy's brentq."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("brentq failed to converge")
+
+
+def _integrate(y0, t_bound, cfg):
+    """Integrate (N, 8) rows from t = 0 to t_bound != 0, each on its own.
+
+    Returns per row the state (REACHED, GUARD_HIT, UNDERFLOW or GUARDED),
+    the end time and point, the number of accepted steps and the squared
+    gradient norm at which a GUARDED row's field evaluation stopped; then
+    the accepted steps' dense output, as rows, end times and `_dense`
+    segments, in step order.
+    """
+    n = len(y0)
+    d = 1.0 if t_bound > 0 else -1.0
+    rtol, atol, max_step = max(cfg.rtol, 100 * EPS), cfg.atol, cfg.max_step
+    state = np.full(n, RUNNING)
+    guard_sq = np.zeros(n)
+
+    def evaluate(rows, ys):
+        f, norm_sq, guarded = _rhs(ys, cfg)
+        hit = guarded & (state[rows] == RUNNING)
+        state[rows[hit]] = GUARDED
+        guard_sq[rows[hit]] = norm_sq[hit]
+        return f, norm_sq
+
+    every = np.arange(n)
+    t, y = np.zeros(n), y0.copy()
+    f, norm_sq = evaluate(every, y)
+    g = norm_sq - 2.0 * cfg.sigma_guard
+
+    # Hairer's initial step
+    interval = abs(t_bound)
+    scale = atol + np.abs(y) * rtol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.where(interval < h0, interval, h0)
+        f1, _ = evaluate(every, y + (h0 * d)[:, None] * f)
+        d2 = _rms((f1 - f) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      _pow(0.01 / np.maximum(d1, d2), 1 / 5))
+    h_abs = np.minimum(np.minimum(np.minimum(100 * h0, h1), interval), max_step)
+
+    n_acc = np.zeros(n, dtype=int)
+    rejected = np.zeros(n, dtype=bool)
+    steps = []
+    while True:
+        rows = np.flatnonzero(state == RUNNING)
+        if not rows.size:
+            break
+        tr = t[rows]
+        min_step = 10 * np.abs(np.nextafter(tr, d * np.inf) - tr)
+        h = h_abs[rows]
+        fresh = ~rejected[rows]
+        h = np.where(fresh & (h > max_step), max_step,
+                     np.where(fresh & (h < min_step), min_step, h))
+        under = h < min_step
+        state[rows[under]] = UNDERFLOW
+        keep = ~under
+        rows, tr, h = rows[keep], tr[keep], h[keep]
+        if not rows.size:
+            continue
+        t_new = tr + h * d
+        t_new = np.where(d * (t_new - t_bound) > 0, t_bound, t_new)
+        h = t_new - tr
+        hc = h[:, None]
+        yr = y[rows]
+        K = [f[rows]]
+        for a in A[1:]:
+            K.append(evaluate(rows, yr + _combine(K, a) * hc)[0])
+        y_new = yr + hc * _combine(K, B)
+        f_new, norm_sq = evaluate(rows, y_new)
+        K.append(f_new)
+        scale = atol + np.maximum(np.abs(yr), np.abs(y_new)) * rtol
+        err = _rms(_combine(K, E) * hc / scale)
+
+        ok = err < 1
+        pw = SAFETY * _pow(np.where(err == 0, 1.0, err), ERROR_EXPONENT)
+        grow = np.where(err == 0, MAX_FACTOR, np.where(pw < MAX_FACTOR, pw, MAX_FACTOR))
+        grow = np.where(rejected[rows] & ~(grow < 1), 1.0, grow)
+        shrink = np.where(pw > MIN_FACTOR, pw, MIN_FACTOR)
+        h_abs[rows] = np.abs(h) * np.where(ok, grow, shrink)
+        rejected[rows] = ~ok
+
+        ok &= state[rows] == RUNNING
+        acc = rows[ok]
+        if not acc.size:
+            continue
+        K = [k[ok] for k in K]
+        seg = (tr[ok], h[ok], yr[ok],
+               np.stack([_combine(K, col) for col in zip(*P)], axis=1))
+        steps.append((acc, t_new[ok], seg))
+        t[acc], y[acc], f[acc] = t_new[ok], y_new[ok], f_new[ok]
+        n_acc[acc] += 1
+        state[acc[d * (t_new[ok] - t_bound) >= 0]] = REACHED
+        g_new = norm_sq[ok] - 2.0 * cfg.sigma_guard
+        for k in np.flatnonzero((g[acc] >= 0) & (g_new <= 0)):
+            one = tuple(part[k:k + 1] for part in seg)
+
+            def event(tt):
+                ys = _dense(one, np.array([tt]))
+                return float(_field_rows(ys[:, :4] + 1j * ys[:, 4:], cfg)[1][0]) \
+                    - 2.0 * cfg.sigma_guard
+
+            root = _brentq(event, float(tr[ok][k]), float(t_new[ok][k]))
+            t[acc[k]], y[acc[k]] = root, _dense(one, np.array([root]))[0]
+            state[acc[k]] = GUARD_HIT
+        g[acc] = g_new
+
+    if not steps:
+        return state, t, y, n_acc, guard_sq, None
+    seg_rows = np.concatenate([s[0] for s in steps])
+    order = np.argsort(seg_rows, kind="stable")
+    t1 = np.concatenate([s[1] for s in steps])[order]
+    segs = tuple(np.concatenate([s[2][k] for s in steps])[order] for k in range(4))
+    return state, t, y, n_acc, guard_sq, (seg_rows[order], t1, segs)
+
+
+def _checkpoint_drifts(s0, t_end, rows, steps, n_checkpoints, d):
+    """Largest Im(s) and f drifts at n_checkpoints equally spaced times on
+    [0, t_end] of each of `rows`, read from the dense output.
+
+    Like scipy's OdeSolution, a time on a step boundary reads the earlier
+    step's interpolant.
+    """
+    seg_rows, t1, seg = steps
+    mine = np.isin(seg_rows, rows)
+    at = np.searchsorted(rows, seg_rows[mine])  # position of each step's row
+    t1, seg = t1[mine], tuple(part[mine] for part in seg)
+    counts = np.bincount(at, minlength=len(rows))
+    starts = np.cumsum(counts) - counts
+    # breakpoints per row in the direction of time, padded with +inf
+    bounds = np.full((len(rows), counts.max() + 1), np.inf)
+    bounds[:, 0] = 0.0
+    bounds[at, np.arange(len(at)) - starts[at] + 1] = d * t1
+    bounds[np.arange(len(rows)), counts] = d * t_end[rows]
+
+    # np.linspace(0, t_end, n) row by row, bit for bit
+    ts = np.arange(n_checkpoints) * (t_end[rows] / (n_checkpoints - 1))[:, None]
+    ts[:, -1] = t_end[rows]
+    left = (bounds[:, None, :] < d * ts[:, :, None]).sum(axis=2)
+    which = starts[:, None] + np.clip(left - 1, 0, (counts - 1)[:, None])
+    ys = _dense(tuple(part[which.ravel()] for part in seg), ts.ravel())
+    s = _eval_s_rows(ys[:, :4] + 1j * ys[:, 4:]).reshape(ts.shape)
+    s0 = s0[rows][:, None]
+    im = np.max(np.abs(s.imag - s0.imag), axis=1, initial=0.0)
+    f = np.max(np.abs(s.real - s0.real - ts), axis=1, initial=0.0)
+    return im, f
+
+
+def _flow_rows(points, t_target, cfg, n_checkpoints=33):
+    """Flow every point for time t_target, all in one batch.
+
+    Returns per point what `flow` returns, (endpoint, diagnostics), or the
+    SigmaGuardError it raises.
+    """
+    if t_target == 0.0:
+        return [(p, FlowDiagnostics(0.0, 0.0, "reached_target", 0.0, 0))
+                for p in points]
+    x0 = np.array([p.array() for p in points])
+    s0 = _eval_s_rows(x0)
+    state, t_end, y_end, n_acc, guard_sq, steps = _integrate(
+        np.concatenate([x0.real, x0.imag], axis=1), float(t_target), cfg)
+    im = np.zeros(len(points))
+    f = np.zeros(len(points))
+    # a row with no accepted step has not moved, and its drifts stay 0
+    rows = np.flatnonzero((state != GUARDED) & (n_acc > 0))
+    if rows.size:
+        d = 1.0 if t_target > 0 else -1.0
+        im[rows], f[rows] = _checkpoint_drifts(s0, t_end, rows, steps,
+                                               n_checkpoints, d)
+    out = []
+    for i, p in enumerate(points):
+        if state[i] == GUARDED:
+            out.append(SigmaGuardError(float(guard_sq[i]), p))
+            continue
+        end = AffinePoint(p.chart, tuple(y_end[i, :4] + 1j * y_end[i, 4:]))
+        out.append((end, FlowDiagnostics(im[i], f[i], REASONS[state[i]],
+                                         float(t_end[i]), int(n_acc[i]) + 1)))
+    return out
 
 
 def flow(p0, t_target, cfg=None, n_checkpoints=33):
@@ -46,52 +349,15 @@ def flow(p0, t_target, cfg=None, n_checkpoints=33):
     itself, so f(end) - f(start) = t_target up to integrator error; Im(s)
     drift is monitored at checkpoints along the accepted solution.
     Termination reasons: 'reached_target', 'sigma_guard_hit',
-    'step_underflow'.
+    'step_underflow'.  A field evaluation inside the guard zone raises
+    SigmaGuardError.
     """
-    cfg = cfg or FlowConfig()
-    if t_target == 0.0:
-        return p0, FlowDiagnostics(0.0, 0.0, "reached_target", 0.0, 0)
-    chart = p0.chart
-    s0 = eval_s(p0)
+    result = _flow_rows([p0], t_target, cfg or FlowConfig(), n_checkpoints)[0]
+    if isinstance(result, SigmaGuardError):
+        raise result
+    return result
 
-    def rhs(t, y):
-        p = AffinePoint(chart, tuple(_to_complex(y)))
-        v = grad_V(p, cfg)
-        return _to_real(v)
 
-    def guard_event(t, y):
-        p = AffinePoint(chart, tuple(_to_complex(y)))
-        ds = s_gradient(p)
-        v = metric_inverse(p, cfg.metric) @ ds.conj()
-        return float(np.real(np.sum(ds * v))) - 2.0 * cfg.sigma_guard
-
-    guard_event.terminal = True
-    guard_event.direction = -1
-
-    try:
-        sol = solve_ivp(rhs, (0.0, t_target), _to_real(p0.array()),
-                        method="RK45", rtol=cfg.rtol, atol=cfg.atol,
-                        max_step=cfg.max_step, events=guard_event, dense_output=True)
-    except SigmaGuardError as err:
-        raise SigmaGuardError(err.norm_sq, p0) from err
-    if sol.status == 1:
-        reason = "sigma_guard_hit"
-    elif sol.status == 0:
-        reason = "reached_target"
-    else:
-        reason = "step_underflow"
-    t_end = float(sol.t[-1])
-    endpoint = AffinePoint(chart, tuple(_to_complex(sol.y[:, -1])))
-    ts = np.linspace(0.0, t_end, n_checkpoints)
-    im_drift = 0.0
-    f_drift = 0.0
-    for t in ts:
-        p = AffinePoint(chart, tuple(_to_complex(sol.sol(t))))
-        s = eval_s(p)
-        im_drift = max(im_drift, abs(s.imag - s0.imag))
-        f_drift = max(f_drift, abs(s.real - s0.real - t))
-    return endpoint, FlowDiagnostics(im_drift, f_drift, reason, t_end,
-                                     int(sol.t.size))
 
 
 def newton_project_to_quintic(p, psi, tol=1e-14, max_iter=60):
@@ -104,13 +370,11 @@ def newton_project_to_quintic(p, psi, tol=1e-14, max_iter=60):
     x = p.array()
     moved = 0.0
     for _ in range(max_iter):
-        val = np.sum(x ** 5) + 1.0 - 5.0 * psi * np.prod(x)
+        val = _quintic(x, psi)
         scale = 1.0 + float(np.max(np.abs(x))) ** 5
         if abs(val) <= tol * scale:
             break
-        g = np.empty(4, dtype=complex)
-        for i in range(4):
-            g[i] = 5.0 * x[i] ** 4 - 5.0 * psi * np.prod(np.delete(x, i))
+        g = _quintic_gradient(x, psi)
         gn = float(np.sum(np.abs(g) ** 2))
         if gn == 0.0:
             raise ArithmeticError("vanishing gradient in Newton projection")
@@ -202,42 +466,42 @@ def transport_fiber(fiber, psi, n_samples, cfg=None, seed=0, n_probes=12,
     angle_sets = [tuple(rng.uniform(0.0, 2.0 * np.pi, arity))
                   for _ in range(n_samples)]
 
-    def transport(angles):
-        return flow(fiber.point(angles), t_target, cfg)
+    probes = angle_sets[:n_probes]
+    shifted = []
+    for angles in probes:
+        for a in range(arity):
+            moved = list(angles)
+            moved[a] += fd_angle
+            shifted.append(fiber.point(moved))
+    flows = _flow_rows([fiber.point(angles) for angles in angle_sets] + shifted,
+                       t_target, cfg)
+
+    def reached(result):
+        return not isinstance(result, SigmaGuardError) and result[1].reason == "reached_target"
 
     points = []
     flagged = []
     im_max = 0.0
     f_max = 0.0
     dist_max = 0.0
-    for idx, angles in enumerate(angle_sets):
-        try:
-            q, diag = transport(angles)
-        except SigmaGuardError:
+    for idx, result in enumerate(flows[:n_samples]):
+        if not reached(result):
             flagged.append(idx)
             continue
-        if diag.reason != "reached_target":
-            flagged.append(idx)
-            continue
+        q, diag = result
         points.append(q)
         im_max = max(im_max, diag.im_s_drift, abs(eval_s(q).imag))
         f_max = max(f_max, diag.f_drift)
         dist_max = max(dist_max, distance_to_quintic(q, psi))
 
     defect = 0.0
-    for angles in angle_sets[:n_probes]:
+    for k, base_flow in enumerate(flows[:len(probes)]):
+        moved = flows[n_samples + k * arity:n_samples + (k + 1) * arity]
+        if not reached(base_flow) or not all(map(reached, moved)):
+            continue
+        base = base_flow[0]
+        tangents = [(m[0].array() - base.array()) / fd_angle for m in moved]
         try:
-            base, diag = transport(angles)
-            if diag.reason != "reached_target":
-                continue
-            tangents = []
-            for a in range(arity):
-                shifted = list(angles)
-                shifted[a] += fd_angle
-                moved, d2 = transport(tuple(shifted))
-                if d2.reason != "reached_target":
-                    raise SigmaGuardError(0.0, moved)
-                tangents.append((moved.array() - base.array()) / fd_angle)
             tangents.append(grad_V(base, cfg))
         except SigmaGuardError:
             continue
@@ -271,7 +535,7 @@ def circle_collapse_winding(pair, radii, psi, eps=1e-3, n_phi=48, cfg=None,
     t_target = cfg.flow_target_time
     live = sorted(set(range(1, 6)) - set(pair))
     anchor = live[-1]
-    args = []
+    starts = []
     for phi in np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False):
         z = np.zeros(5, dtype=complex)
         for pos, i in enumerate(live):
@@ -279,8 +543,12 @@ def circle_collapse_winding(pair, radii, psi, eps=1e-3, n_phi=48, cfg=None,
         z[live[0] - 1] *= np.exp(0.37j)  # generic fixed phase
         z[track - 1] = eps * np.exp(1j * phi)
         z[other - 1] = 0.0
-        p = from_homogeneous(z, chart=anchor)
-        q, diag = flow(p, t_target, cfg)
+        starts.append(from_homogeneous(z, chart=anchor))
+    args = []
+    for p, result in zip(starts, _flow_rows(starts, t_target, cfg)):
+        if isinstance(result, SigmaGuardError):
+            raise result
+        q, diag = result
         if diag.reason != "reached_target":
             raise SigmaGuardError(0.0, p)
         zq = q.homogeneous()

@@ -65,9 +65,52 @@ def chart_change(p, new_chart):
     return from_homogeneous(p.homogeneous(), new_chart)
 
 
-def _num_den(p):
-    x = p.array()
-    return np.prod(x), np.sum(x ** 5) + 1.0
+def _sum4(a):
+    """Sum over the last axis of length four, in one fixed order for every
+    row, so a row's bits do not depend on the rows batched with it."""
+    return (a[..., 0] + a[..., 1]) + (a[..., 2] + a[..., 3])
+
+
+def _others(x):
+    """Product of the other three coordinates, slot by slot, on (..., 4)
+    arrays: a prefix product times a suffix product, with no division, so a
+    vanishing coordinate (the starting divisor) stays exact."""
+    x0, x1, x2, x3 = (x[..., k] for k in range(4))
+    x01, x23 = x0 * x1, x2 * x3
+    return np.stack([x1 * x23, x0 * x23, x01 * x3, x01 * x2], axis=-1)
+
+
+def _s_parts(x, pole_tol=1e-13):
+    """(numerator, denominator, product of the others, pole mask) of s on
+    (..., 4) chart coordinates; a row is at a pole when its denominator
+    vanishes relative to 1 + max|x|^5."""
+    others = _others(x)
+    num = others[..., 3] * x[..., 3]
+    den = _sum4(x ** 5) + 1.0
+    scale = 1.0 + np.max(np.abs(x), axis=-1) ** 5
+    return num, den, others, np.abs(den) <= pole_tol * scale
+
+
+def _ds(x, num, den, others):
+    """Holomorphic partials of s from the parts `_s_parts` returns."""
+    den = den[..., None]
+    return (others * den - num[..., None] * 5.0 * x ** 4) / den ** 2
+
+
+def _s_gradient_rows(x, pole_tol=1e-13):
+    """Partials of s on (N, 4) rows and the pole mask; rows at a pole get
+    finite placeholders instead of an error."""
+    num, den, others, pole = _s_parts(x, pole_tol)
+    return _ds(x, num, np.where(pole, 1.0, den), others), pole
+
+
+def _eval_s_rows(x, pole_tol=1e-13):
+    """s on (N, 4) rows; PoleError if any row sits at a pole."""
+    num, den, _, pole = _s_parts(x, pole_tol)
+    if pole.any():
+        k = int(np.argmax(pole))
+        raise PoleError(f"pole of s at {x[k]}: denominator {den[k]}")
+    return num / den
 
 
 def eval_s(p, pole_tol=1e-13):
@@ -76,39 +119,33 @@ def eval_s(p, pole_tol=1e-13):
     The denominator vanishing means the point sits on the pencil's base
     quintic; that is a pole of s and is reported with the location.
     """
-    num, den = _num_den(p)
-    scale = 1.0 + float(np.max(np.abs(p.array()))) ** 5
-    if abs(den) <= pole_tol * scale:
-        raise PoleError(f"pole of s at {p}: denominator {den}")
-    return num / den
+    return _eval_s_rows(p.array()[None], pole_tol)[0]
 
 
 def s_gradient(p, pole_tol=1e-13):
     """Holomorphic partials of s with respect to the chart coordinates."""
-    x = p.array()
-    num, den = _num_den(p)
-    scale = 1.0 + float(np.max(np.abs(x))) ** 5
-    if abs(den) <= pole_tol * scale:
-        raise PoleError(f"pole of s at {p}: denominator {den}")
-    grads = np.empty(4, dtype=complex)
-    for i in range(4):
-        others = np.prod(np.delete(x, i))
-        grads[i] = (others * den - num * 5.0 * x[i] ** 4) / den ** 2
-    return grads
+    x = p.array()[None]
+    num, den, others, pole = _s_parts(x, pole_tol)
+    if pole[0]:
+        raise PoleError(f"pole of s at {p}: denominator {den[0]}")
+    return _ds(x, num, den, others)[0]
+
+
+def _quintic(x, psi):
+    return _sum4(x ** 5) + 1.0 - 5.0 * psi * (_others(x)[..., 3] * x[..., 3])
+
+
+def _quintic_gradient(x, psi):
+    return 5.0 * x ** 4 - 5.0 * psi * _others(x)
 
 
 def quintic_value(p, psi):
     """Defining polynomial of the smooth member, in chart coordinates."""
-    x = p.array()
-    return np.sum(x ** 5) + 1.0 - 5.0 * psi * np.prod(x)
+    return _quintic(p.array(), psi)
 
 
 def quintic_gradient(p, psi):
-    x = p.array()
-    g = np.empty(4, dtype=complex)
-    for i in range(4):
-        g[i] = 5.0 * x[i] ** 4 - 5.0 * psi * np.prod(np.delete(x, i))
-    return g
+    return _quintic_gradient(p.array(), psi)
 
 
 def random_x_infinity_point(rng, grad_floor=1e-3, max_tries=100):
@@ -119,8 +156,6 @@ def random_x_infinity_point(rng, grad_floor=1e-3, max_tries=100):
     chart.  Points too close to the singular surface (tiny gradient of s)
     are rejected.
     """
-    from .gradient import _raw_gradient_norm_sq
-
     for _ in range(max_tries):
         zero_idx = int(rng.integers(1, 6))
         z = np.zeros(5, dtype=complex)
@@ -130,9 +165,7 @@ def random_x_infinity_point(rng, grad_floor=1e-3, max_tries=100):
             r = rng.uniform(0.6, 1.4)
             z[i - 1] = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         p = from_homogeneous(z)
-        try:
-            if _raw_gradient_norm_sq(p) > grad_floor:
-                return p
-        except PoleError:
-            continue
+        ds, pole = _s_gradient_rows(p.array()[None])
+        if not pole[0] and _sum4(ds * ds.conj()).real[0] > grad_floor:
+            return p
     raise RuntimeError("failed to sample a smooth large-complex-limit point")

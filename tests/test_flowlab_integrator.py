@@ -1,0 +1,187 @@
+"""The batched Dormand-Prince 5(4) integrator: scipy's RK45 as an
+independent oracle, the guard paths, and batch independence."""
+
+import numpy as np
+import pytest
+
+from quintfib import flowlab as fl
+from quintfib.flowlab import integrate
+
+# a point near the conifold point (1, 1, 1, 1) of the psi = 1 member, whose
+# flow to f = 0.2 runs into the singular surface
+GUARD_P0 = fl.AffinePoint(5, (0.97 + 0.02j, 1.0, 1.01, 0.99 - 0.01j))
+GUARD_T = 0.2 - fl.eval_s(GUARD_P0).real
+
+
+def _guard_cfg(sigma_guard):
+    return fl.FlowConfig(psi=1.0, sigma_guard=sigma_guard)
+
+
+def _scipy_flow(p0, t_target, cfg, n_checkpoints=33):
+    """`flow` as solve_ivp(RK45) with the one-point field, the reference."""
+    from scipy.integrate import solve_ivp
+
+    def point(y):
+        return fl.AffinePoint(p0.chart, tuple(y[:4] + 1j * y[4:]))
+
+    def rhs(t, y):
+        v = fl.grad_V(point(y), cfg)
+        return np.concatenate([v.real, v.imag])
+
+    def guard_event(t, y):
+        ds = fl.s_gradient(point(y))
+        v = fl.gradient.metric_inverse(point(y), cfg.metric) @ ds.conj()
+        return float(np.real(np.sum(ds * v))) - 2.0 * cfg.sigma_guard
+
+    guard_event.terminal = True
+    guard_event.direction = -1
+    s0 = fl.eval_s(p0)
+    x0 = p0.array()
+    try:
+        sol = solve_ivp(rhs, (0.0, t_target), np.concatenate([x0.real, x0.imag]),
+                        method="RK45", rtol=cfg.rtol, atol=cfg.atol,
+                        max_step=cfg.max_step, events=guard_event, dense_output=True)
+    except fl.SigmaGuardError as err:
+        raise fl.SigmaGuardError(err.norm_sq, p0) from err
+    reason = {0: "reached_target", 1: "sigma_guard_hit"}.get(sol.status, "step_underflow")
+    t_end = float(sol.t[-1])
+    im_drift = f_drift = 0.0
+    for t in np.linspace(0.0, t_end, n_checkpoints):
+        s = fl.eval_s(point(sol.sol(t)))
+        im_drift = max(im_drift, abs(s.imag - s0.imag))
+        f_drift = max(f_drift, abs(s.real - s0.real - t))
+    return point(sol.y[:, -1]), fl.FlowDiagnostics(im_drift, f_drift, reason, t_end,
+                                                   int(sol.t.size))
+
+
+def _oracle_cases():
+    cases = []
+    c07 = fl.FlowConfig(psi=10.0, rtol=1e-10, atol=1e-10)
+    rng = np.random.default_rng(0)  # verify-all's c07 points at seed 0
+    cases += [(fl.random_x_infinity_point(rng), c07.flow_target_time, c07)
+              for _ in range(100)]
+    fs = fl.FlowConfig(psi=10.0, metric="fubini-study")
+    fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
+    rng = np.random.default_rng(0)  # transport_fiber's samples at seed 0
+    cases += [(fiber.point(tuple(rng.uniform(0.0, 2.0 * np.pi, 3))),
+               fs.flow_target_time, fs) for _ in range(64)]
+    rng = np.random.default_rng([0, 1])
+    for psi in (2.0, 5.0, 50.0):
+        cfg = fl.FlowConfig(psi=psi)
+        cases += [(fl.random_x_infinity_point(rng), cfg.flow_target_time, cfg)
+                  for _ in range(8)]
+    # steps get rejected here, which exercises the step control after a rejection
+    loose = fl.FlowConfig(psi=2.0, rtol=1e-8, atol=1e-8)
+    cases += [(fl.random_x_infinity_point(rng), loose.flow_target_time, loose)
+              for _ in range(8)]
+    cases += [(fl.random_x_infinity_point(rng), -0.02, c07) for _ in range(4)]
+    cases += [(GUARD_P0, GUARD_T, _guard_cfg(s)) for s in (1e-8, 6.6e-4, 1.4e-3)]
+    return cases
+
+
+def _outcome(flow, p0, t, cfg):
+    try:
+        return flow(p0, t, cfg)
+    except fl.SigmaGuardError as err:
+        return err
+
+
+def test_flow_matches_scipy_rk45():
+    pytest.importorskip("scipy")
+    cases = _oracle_cases()
+    guarded = 0
+    for p0, t, cfg in cases:
+        ours, ref = _outcome(fl.flow, p0, t, cfg), _outcome(_scipy_flow, p0, t, cfg)
+        if isinstance(ref, fl.SigmaGuardError):
+            guarded += 1
+            assert isinstance(ours, fl.SigmaGuardError), (p0, cfg)
+            assert ours.norm_sq == pytest.approx(ref.norm_sq, rel=1e-12)
+            assert ours.where == ref.where == p0
+            continue
+        (end, diag), (ref_end, ref_diag) = ours, ref
+        assert end.chart == ref_end.chart
+        assert np.max(np.abs(end.array() - ref_end.array())) < 1e-12, (p0, cfg)
+        assert (diag.reason, diag.n_steps) == (ref_diag.reason, ref_diag.n_steps), (p0, cfg)
+        assert diag.t_reached == pytest.approx(ref_diag.t_reached, rel=1e-12, abs=1e-15)
+        assert abs(diag.f_drift - ref_diag.f_drift) < 1e-13
+        assert abs(diag.im_s_drift - ref_diag.im_s_drift) < 1e-13
+    assert guarded == 1
+
+
+def test_brentq_replica_matches_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    eps4 = 4 * np.finfo(float).eps
+    for f, a, b in ((lambda x: x ** 3 - 2.0, 0.0, 2.0),
+                    (lambda x: np.cos(x) - x, 0.0, 1.0),
+                    (lambda x: np.exp(-x) - 0.3, 0.0, 5.0),
+                    (lambda x: 1e-4 - x * x, 0.0, 7.2e-5)):
+        try:
+            want = optimize.brentq(f, a, b, xtol=eps4, rtol=eps4)
+        except ValueError:
+            with pytest.raises(ValueError):
+                integrate._brentq(f, a, b)
+            continue
+        assert integrate._brentq(f, a, b) == want
+
+
+def test_guard_event_stops_the_flow():
+    end, diag = fl.flow(GUARD_P0, GUARD_T, _guard_cfg(6.6e-4))
+    assert diag.reason == "sigma_guard_hit"
+    assert diag.n_steps == 2
+    assert diag.t_reached == pytest.approx(7.1783295e-05, rel=1e-7)
+    assert diag.f_drift < 1e-9 and diag.im_s_drift < 1e-9
+    # the event sits where |grad f|^2 = 2 sigma, on the step's dense output
+    norm_sq = fl.gradient._raw_gradient_rows(end.array()[None], "chart-flat")[1][0]
+    assert norm_sq == pytest.approx(2 * 6.6e-4, rel=1e-6)
+    # without the guard the same flow reaches its target
+    _, free = fl.flow(GUARD_P0, GUARD_T, _guard_cfg(1e-8))
+    assert (free.reason, free.n_steps) == ("reached_target", 3)
+
+
+def test_guard_zone_raises_with_the_start_point():
+    with pytest.raises(fl.SigmaGuardError) as info:
+        fl.flow(GUARD_P0, GUARD_T, _guard_cfg(1.4e-3))
+    assert info.value.where == GUARD_P0
+    assert info.value.norm_sq == pytest.approx(1.35633e-3, rel=1e-5)
+
+
+def test_transport_flags_guarded_samples_and_keeps_the_others():
+    fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
+    cfg = fl.FlowConfig(psi=10.0, metric="fubini-study", sigma_guard=0.5)
+    res = fl.transport_fiber(fiber, 10.0, n_samples=16, cfg=cfg, seed=0, n_probes=4)
+    rng = np.random.default_rng(0)
+    alone = [_outcome(fl.flow, fiber.point(tuple(rng.uniform(0.0, 2.0 * np.pi, 3))),
+                      cfg.flow_target_time, cfg) for _ in range(16)]
+    flagged = [i for i, r in enumerate(alone) if isinstance(r, fl.SigmaGuardError)
+               or r[1].reason != "reached_target"]
+    assert res.flagged == tuple(flagged) == (0, 8, 14)
+    kept = [r[0] for i, r in enumerate(alone) if i not in flagged]
+    assert res.points == tuple(kept)
+
+
+def test_a_row_is_bit_identical_alone_and_in_a_batch():
+    rng = np.random.default_rng(7)
+    cfg = _guard_cfg(6.6e-4)
+    points = [GUARD_P0] + [fl.random_x_infinity_point(rng) for _ in range(511)]
+    batch = integrate._flow_rows(points, GUARD_T, cfg)
+    assert batch[0][1].reason == "sigma_guard_hit"
+    for k in (0, 1, 100, 257, 511):
+        assert fl.flow(points[k], GUARD_T, cfg) == batch[k]
+
+    fs = fl.FlowConfig(psi=10.0, metric="fubini-study")
+    fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
+    points = [fiber.point(tuple(rng.uniform(0.0, 2.0 * np.pi, 3))) for _ in range(512)]
+    batch = integrate._flow_rows(points, fs.flow_target_time, fs)
+    for k in (0, 3, 200, 511):
+        assert fl.flow(points[k], fs.flow_target_time, fs) == batch[k]
+
+    batch = integrate._flow_rows([GUARD_P0] * 3, GUARD_T, _guard_cfg(1.4e-3))
+    alone = _outcome(fl.flow, GUARD_P0, GUARD_T, _guard_cfg(1.4e-3))
+    assert all(e.norm_sq == alone.norm_sq and e.where == GUARD_P0 for e in batch)
+
+
+def test_backward_flow_lowers_f():
+    p0 = fl.random_x_infinity_point(np.random.default_rng(3))
+    end, diag = fl.flow(p0, -0.02, fl.FlowConfig())
+    assert diag.reason == "reached_target" and diag.t_reached == -0.02
+    assert fl.eval_s(end).real == pytest.approx(fl.eval_s(p0).real - 0.02, abs=1e-8)
