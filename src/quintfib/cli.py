@@ -22,8 +22,6 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from . import basecomplex, fibercensus, flowlab, sheafcoh, toriccrepant, verify
 from .basecomplex import GraphEdge
 from .monodromy import ChartId, leg_monodromy

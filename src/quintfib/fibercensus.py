@@ -21,7 +21,7 @@ stated ones with the flag raised.
 from dataclasses import dataclass
 from typing import Optional
 
-from .basecomplex import GraphVertex, enumerate_graph
+from .basecomplex import enumerate_graph
 
 
 @dataclass(frozen=True)

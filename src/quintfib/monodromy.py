@@ -31,7 +31,7 @@ from math import lcm
 import numpy as np
 
 from . import ratkernel
-from .basecomplex import INDEX_SET, GraphEdge, GraphVertex, edges_at, enumerate_graph
+from .basecomplex import INDEX_SET, edges_at
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,17 @@ Everything here is exact: matrices are numpy object arrays whose entries are
 Python ints or fractions.Fraction (arbitrary precision, always in lowest
 terms, positive denominators).  No floating point enters any code path.
 
-Rank and kernels use Gaussian elimination with exact pivoting; lattice
-saturation goes through Smith normal form.  Matrices in this problem are at
-most a few hundred rows/columns, so asymptotics are irrelevant and
-correctness is everything.
+Rank, determinant and reduced row echelon form (and through it kernels,
+solutions and inverses) share one fraction-free elimination on integer
+rows, `_echelon`, whose entries stay within Hadamard's bound on the minors
+instead of growing exponentially on dense input.  Lattice saturation goes
+through Smith normal form, with unimodular integer operations.
 
 All functions are pure and re-entrant; results are bit-identical across runs.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -54,67 +55,73 @@ def _as_object(m):
     return a.copy()
 
 
-def rref(m):
-    """Reduced row echelon form over Q.
+def _combine(p, row, f, pivot_row):
+    """Primitive part of p*row - f*pivot_row, and the content divided out."""
+    out = [p * x - f * y for x, y in zip(row, pivot_row)]
+    g = gcd(*out)
+    return ([x // g for x in out] if g > 1 else out), g
 
-    Returns (R, pivots) where pivots is the tuple of pivot column indices.
-    Pivot choice: in each column, the entry of smallest nonzero absolute
-    value (exact pivoting keeps intermediate entries small on the
-    incidence-type matrices this package produces).
+
+def _echelon(a):
+    """Fraction-free forward elimination: (rows, pivots, scale).
+
+    Each row of `a` is scaled by the lcm of its denominators.  The pivot of
+    a column is its entry of smallest nonzero absolute value; each row with
+    a nonzero entry below it is replaced by `_combine`, other rows are left
+    alone.  So every row is its Bareiss row or that row's primitive part,
+    and entries stay within Hadamard's bound.  The echelon rows are lists
+    of ints; det(a) = scale * (product of the pivots) for square nonsingular a.
+    """
+    num, den = 1, 1
+    rows = a.tolist()
+    for i, row in enumerate(rows):
+        if set(map(type, row)) != {int}:  # int rows skip the slow Fraction path
+            row = [Fraction(x) for x in row]
+            d = lcm(*(x.denominator for x in row))
+            rows[i] = [x.numerator * (d // x.denominator) for x in row]
+            num *= d
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        nonzero = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not nonzero:
+            continue
+        best = min(nonzero, key=lambda i: abs(rows[i][c]))
+        if best != r:
+            rows[r], rows[best] = rows[best], rows[r]
+            num = -num
+        pivot_row, p = rows[r], rows[r][c]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                rows[i], g = _combine(p, rows[i], rows[i][c], pivot_row)
+                num *= p
+                den *= g
+        pivots.append(c)
+    return rows, tuple(pivots), Fraction(den, num)
+
+
+def rref(m):
+    """Reduced row echelon form over Q: (R, pivot columns), R of Fractions.
+
+    The rows of `_echelon` are reduced upward with the same row operation,
+    then divided by their pivots; the result is canonical.
     """
     a = _as_object(m)
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        best = None
-        for i in range(r, rows):
-            v = a[i, c]
-            if v != 0 and (best is None or abs(v) < abs(a[best, c])):
-                best = i
-        if best is None:
-            continue
-        if best != r:
-            a[[r, best]] = a[[best, r]]
-        piv = a[r, c]
-        if piv != 1:
-            a[r] = a[r] * Fraction(1, 1) / piv
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
+    rows, pivots, _ = _echelon(a)
+    for k in range(len(pivots) - 1, 0, -1):
+        c, pivot_row = pivots[k], rows[k]
+        for i in range(k):
+            if rows[i][c]:
+                rows[i], _ = _combine(pivot_row[c], rows[i], rows[i][c], pivot_row)
+    out = np.full(a.shape, Fraction(0), dtype=object)
+    for i, c in enumerate(pivots):
+        out[i] = [Fraction(x, rows[i][c]) for x in rows[i]]
+    return out, pivots
 
 
 def rank(m):
     """Exact rank over Q."""
-    a = _as_object(m)
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return 0
-    # plain forward elimination; no back substitution needed for rank
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        best = None
-        for i in range(r, rows):
-            v = a[i, c]
-            if v != 0 and (best is None or abs(v) < abs(a[best, c])):
-                best = i
-        if best is None:
-            continue
-        if best != r:
-            a[[r, best]] = a[[best, r]]
-        piv = a[r, c]
-        for i in range(r + 1, rows):
-            if a[i, c] != 0:
-                a[i] = a[i] * piv - a[i, c] * a[r]
-        r += 1
-    return r
+    return len(_echelon(_as_object(m))[1])
 
 
 def kernel_basis(m):
@@ -176,30 +183,14 @@ def inverse(m):
 
 
 def det(m):
-    """Exact determinant via fraction-free-ish elimination."""
+    """Exact determinant over Q, as a Fraction."""
     a = _as_object(m)
-    n, nc = a.shape
-    if n != nc:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        best = None
-        for i in range(c, n):
-            v = a[i, c]
-            if v != 0 and (best is None or abs(v) < abs(a[best, c])):
-                best = i
-        if best is None:
-            return Fraction(0)
-        if best != c:
-            a[[c, best]] = a[[best, c]]
-            sign = -sign
-        piv = a[c, c]
-        d *= piv
-        for i in range(c + 1, n):
-            if a[i, c] != 0:
-                a[i] = a[i] - Fraction(a[i, c], 1) / piv * a[c]
-    return sign * d
+    rows, pivots, scale = _echelon(a)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return scale * prod(row[i] for i, row in enumerate(rows))
 
 
 def int_det(m):
@@ -208,10 +199,6 @@ def int_det(m):
     if d.denominator != 1:
         raise ValueError("matrix is not integral")
     return int(d)
-
-
-def is_unimodular(m):
-    return abs(int_det(m)) == 1
 
 
 def _vec_gcd(v):

@@ -24,27 +24,17 @@ Everything in this module is exact rational linear algebra.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import monodromy, ratkernel
-from .basecomplex import INDEX_SET, GraphVertex, enumerate_graph
+from .basecomplex import INDEX_SET, enumerate_graph
 
 
-def _triples():
-    verts, _ = enumerate_graph()
-    return [tuple(sorted(v.indices)) for v in verts if v.kind == "triple"]
-
-
-def _pairs():
-    verts, _ = enumerate_graph()
-    return [tuple(sorted(v.indices)) for v in verts if v.kind == "pair"]
-
-
-def _legs():
-    _, edges = enumerate_graph()
-    return edges
+# the graph is constant, so it is enumerated once
+_VERTICES, _LEGS = map(tuple, enumerate_graph())
+_TRIPLES = tuple(tuple(sorted(v.indices)) for v in _VERTICES if v.kind == "triple")
+_PAIRS = tuple(tuple(sorted(v.indices)) for v in _VERTICES if v.kind == "pair")
 
 
 def leg_roles(triple):
@@ -105,11 +95,11 @@ class Relabeling:
 def random_relabeling(rng):
     """A random relabeling consistent with the antidiagonal index rule."""
     tri = {}
-    for t in _triples():
+    for t in _TRIPLES:
         unit = int(rng.choice([1, 2, 3, 4]))
         tri[t] = (unit, int(rng.integers(5)), int(rng.integers(5)))
     perms = {}
-    for leg in _legs():
+    for leg in _LEGS:
         pair = tuple(sorted(leg.pair))
         perms[(pair, leg.apex)] = tuple(int(x) for x in rng.permutation(5))
     return Relabeling(tri, perms)
@@ -209,14 +199,11 @@ def build_K3(relabeling=None):
     minus (restriction from the triple barycenter); legs are oriented from
     the triple to the pair end.
     """
-    triples = _triples()
-    pairs = _pairs()
-    legs = _legs()
-    tri_offset = {t: 24 * i for i, t in enumerate(triples)}
-    pair_offset = {p: 24 * len(triples) + 4 * i for i, p in enumerate(pairs)}
-    n0 = 24 * len(triples) + 4 * len(pairs)
-    d = ratkernel.zeros(4 * len(legs), n0)
-    for e_idx, leg in enumerate(legs):
+    tri_offset = {t: 24 * i for i, t in enumerate(_TRIPLES)}
+    pair_offset = {p: 24 * len(_TRIPLES) + 4 * i for i, p in enumerate(_PAIRS)}
+    n0 = 24 * len(_TRIPLES) + 4 * len(_PAIRS)
+    d = ratkernel.zeros(4 * len(_LEGS), n0)
+    for e_idx, leg in enumerate(_LEGS):
         pair = tuple(sorted(leg.pair))
         triple = tuple(sorted(leg.pair | {leg.apex}))
         rt = triple_restriction(triple, leg.apex, relabeling)
@@ -231,9 +218,9 @@ def build_K3(relabeling=None):
             for c in range(4):
                 if rp[r, c] != 0:
                     d[r0 + r, cp + c] = rp[r, c]
-    c0_blocks = [("triple", t, 24) for t in triples] + \
-                [("pair", p, 4) for p in pairs]
-    c1_blocks = [("leg", (tuple(sorted(leg.pair)), leg.apex), 4) for leg in legs]
+    c0_blocks = [("triple", t, 24) for t in _TRIPLES] + \
+                [("pair", p, 4) for p in _PAIRS]
+    c1_blocks = [("leg", (tuple(sorted(leg.pair)), leg.apex), 4) for leg in _LEGS]
     return CechComplex(d, c0_blocks, c1_blocks)
 
 
@@ -432,15 +419,14 @@ def ic_chain_dims():
     one fan per leg with leg-invariant coefficients.  3-chains: one fan per
     graph vertex with coefficients invariant under its monodromy group.
     """
-    verts, legs = enumerate_graph()
     leg_dims = {}
-    for leg in legs:
+    for leg in _LEGS:
         op = monodromy.leg_monodromy(leg)
         inv = monodromy.common_invariants([op], dual=True)
         leg_dims[(tuple(sorted(leg.pair)), leg.apex)] = len(inv)
     pair_dims = {}
     triple_dims = {}
-    for v in verts:
+    for v in _VERTICES:
         ops = monodromy.vertex_monodromies(v)
         inv = monodromy.common_invariants(ops, dual=True)
         if v.kind == "pair":

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -125,3 +126,133 @@ def test_determinism():
     k1 = rk.kernel_basis(m)
     k2 = rk.kernel_basis(m)
     assert [list(v) for v in k1] == [list(v) for v in k2]
+
+
+# -- sympy as an independent oracle, on hypothesis-drawn matrices up to 7x7 --
+
+def _oracle():
+    return pytest.importorskip("hypothesis"), pytest.importorskip("sympy")
+
+
+def _settings(hyp, max_examples):
+    return hyp.settings(max_examples=max_examples, deadline=None, derandomize=True)
+
+
+def _matrices(st, square=False, integer=False):
+    """Integer or Fraction matrices, with empty shapes, zero rows and
+    columns and rank-deficient cases drawn on purpose."""
+    entries = st.integers(-9, 9)
+    if not integer:
+        entries = st.one_of(entries, st.fractions(-9, 9, max_denominator=6))
+
+    @st.composite
+    def matrices(draw):
+        rows = draw(st.integers(0, 7))
+        cols = rows if square else draw(st.integers(0, 7))
+        m = np.array([[draw(entries) for _ in range(cols)] for _ in range(rows)],
+                     dtype=object).reshape(rows, cols)
+        if rows and draw(st.booleans()):  # later rows combine the first k
+            k = draw(st.integers(0, rows - 1))
+            for i in range(k, rows):
+                m[i] = 0
+                for j in range(k):
+                    m[i] = m[i] + draw(st.integers(-2, 2)) * m[j]
+        if cols:
+            for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+                m[:, j] = 0
+        return m
+
+    return matrices()
+
+
+def _sym(sympy, m):
+    return sympy.Matrix(*m.shape, [sympy.Rational(x.numerator, x.denominator)
+                                   for x in map(Fraction, m.flat)])
+
+
+def _frac(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _fracs(s):
+    return [[_frac(x) for x in row] for row in s.tolist()]
+
+
+def test_rank_rref_kernel_solve_match_sympy():
+    hyp, sympy = _oracle()
+    st = hyp.strategies
+
+    @_settings(hyp, 40)
+    @hyp.given(_matrices(st), st.data())
+    def check(m, data):
+        s = _sym(sympy, m)
+        assert rk.rank(m) == s.rank()
+        red, pivots = rk.rref(m)
+        s_red, s_pivots = s.rref()
+        assert pivots == tuple(s_pivots)
+        assert red.tolist() == _fracs(s_red)
+        assert all(type(x) is Fraction for x in red.flat)
+        basis = rk.kernel_basis(m)
+        assert len(basis) == len(s.nullspace())
+        assert all(not any(m.dot(v)) for v in basis)
+        b = data.draw(st.lists(st.integers(-5, 5), min_size=m.shape[0],
+                               max_size=m.shape[0]))
+        x = rk.solve(m, b)
+        try:
+            sol, params = s.gauss_jordan_solve(sympy.Matrix(len(b), 1, b))
+        except ValueError:  # sympy's signal for an inconsistent system
+            assert x is None
+        else:
+            sol = sol.subs({p: 0 for p in params})
+            assert list(x) == [_frac(v) for v in sol]
+
+    check()
+
+
+def test_det_and_inverse_match_sympy():
+    hyp, sympy = _oracle()
+
+    @_settings(hyp, 40)
+    @hyp.given(_matrices(hyp.strategies, square=True))
+    def check(m):
+        s = _sym(sympy, m)
+        d = rk.det(m)
+        assert type(d) is Fraction and d == _frac(s.det())
+        if d == 0:
+            with pytest.raises(ValueError):
+                rk.inverse(m)
+        else:
+            assert rk.inverse(m).tolist() == _fracs(s.inv())
+
+    check()
+
+
+def test_smith_form_and_lattice_index_match_sympy():
+    hyp, sympy = _oracle()
+    from sympy.matrices.normalforms import smith_normal_form
+
+    @_settings(hyp, 40)
+    @hyp.given(_matrices(hyp.strategies, integer=True))
+    def check(m):
+        rows, cols = m.shape
+        s = smith_normal_form(_sym(sympy, m), domain=sympy.ZZ)
+        want = [abs(int(s[i, i])) for i in range(min(rows, cols))]
+        d, _, _ = rk.smith_normal_form(m)
+        assert [d[i, i] for i in range(min(rows, cols))] == want
+        if rows:
+            full = _sym(sympy, m).rank() == cols
+            index = math.prod(want) if full else None
+            assert rk.sublattice_index(m.tolist()) == index
+
+    check()
+
+
+def test_dense_20x20_rank_and_det_match_sympy():
+    _, sympy = _oracle()
+    m = rk.imat(np.random.default_rng(20).integers(-9, 10, (20, 20)).tolist())
+    singular = m.copy()
+    singular[19] = singular[0] - singular[7]
+    for a in (m, singular):
+        dm = _sym(sympy, a).to_DM()
+        assert rk.rank(a) == dm.convert_to(sympy.QQ).rank()
+        assert rk.det(a) == dm.det()
