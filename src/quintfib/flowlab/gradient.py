@@ -37,7 +37,6 @@ class FlowConfig:
     psi: float = 10.0
     rtol: float = 1e-10
     atol: float = 1e-10
-    max_step: float = np.inf
     sigma_guard: float = 1e-8
     metric: str = "chart-flat"
 

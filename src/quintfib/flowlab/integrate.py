@@ -174,7 +174,7 @@ def _integrate(y0, t_bound, cfg):
     """
     n = len(y0)
     d = 1.0 if t_bound > 0 else -1.0
-    rtol, atol, max_step = max(cfg.rtol, 100 * EPS), cfg.atol, cfg.max_step
+    rtol, atol = max(cfg.rtol, 100 * EPS), cfg.atol
     state = np.full(n, RUNNING)
     guard_sq = np.zeros(n)
 
@@ -201,7 +201,7 @@ def _integrate(y0, t_bound, cfg):
         d2 = _rms((f1 - f) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       _pow(0.01 / np.maximum(d1, d2), 1 / 5))
-    h_abs = np.minimum(np.minimum(np.minimum(100 * h0, h1), interval), max_step)
+    h_abs = np.minimum(np.minimum(100 * h0, h1), interval)
 
     n_acc = np.zeros(n, dtype=int)
     rejected = np.zeros(n, dtype=bool)
@@ -214,8 +214,7 @@ def _integrate(y0, t_bound, cfg):
         min_step = 10 * np.abs(np.nextafter(tr, d * np.inf) - tr)
         h = h_abs[rows]
         fresh = ~rejected[rows]
-        h = np.where(fresh & (h > max_step), max_step,
-                     np.where(fresh & (h < min_step), min_step, h))
+        h = np.where(fresh & (h < min_step), min_step, h)
         under = h < min_step
         state[rows[under]] = UNDERFLOW
         keep = ~under

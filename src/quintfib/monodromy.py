@@ -178,14 +178,9 @@ class MonodromyOperator:
     def basis(self):
         return self.basepoint.basis
 
-    def inverse(self):
-        inv = ratkernel.inverse(self.matrix)
-        return MonodromyOperator(_to_int(inv), self.basepoint, self.label, -self.sign)
-
     def dual(self):
         """Operator induced on the dual lattice (inverse transpose)."""
-        inv = ratkernel.inverse(self.matrix)
-        return MonodromyOperator(_to_int(inv).T.copy(), self.basepoint,
+        return MonodromyOperator(_inverse_transpose(self.matrix), self.basepoint,
                                  self.label + " (dual)", self.sign)
 
     def __repr__(self):
@@ -203,12 +198,21 @@ def _to_int(m):
     return out
 
 
-def path_product(path):
-    """Product of step transitions along a chart path (last step leftmost)."""
+def _inverse_transpose(m):
+    return _to_int(ratkernel.inverse(m)).T.copy()
+
+
+def _fold(path, step):
+    """Product of step(a, b) over the path's steps, last step leftmost."""
     m = ratkernel.identity(3)
     for a, b in zip(path.charts, path.charts[1:]):
-        m = transition(a, b) @ m
+        m = step(a, b) @ m
     return m
+
+
+def path_product(path):
+    """Product of step transitions along a chart path (last step leftmost)."""
+    return _fold(path, transition)
 
 
 def monodromy_along(path, label=None):
@@ -220,17 +224,9 @@ def monodromy_along(path, label=None):
     return MonodromyOperator(m, path.charts[0], label or f"loop {path}")
 
 
-def _inversions(seq):
-    n = 0
-    for x in range(len(seq)):
-        for y in range(x + 1, len(seq)):
-            if seq[x] > seq[y]:
-                n += 1
-    return n
-
-
 def _is_even(seq):
-    return _inversions(seq) % 2 == 0
+    """True when the sequence has an even number of inversions."""
+    return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:]) % 2 == 0
 
 
 def oriented_leg_frame(leg, base_divisor=None):
@@ -351,9 +347,6 @@ def in_basis(op, symbols):
     return _to_int(ratkernel.inverse(b) @ op.matrix @ b)
 
 
-STANDARD_SHEAR = ratkernel.imat([[1, -5, 0], [0, 1, 0], [0, 0, 1]])
-
-
 def standard_shear_basis(leg, base_divisor=None):
     """Symbol basis (gamma_m^l, gamma_m^i, gamma_m^k) of the shear form."""
     i, _, k, l, m = oriented_leg_frame(leg, base_divisor)
@@ -432,15 +425,11 @@ class LocalSystem:
         return self.transitions[(a, b)]
 
     def loop_monodromy(self, path):
-        m = ratkernel.identity(3)
-        for a, b in zip(path.charts, path.charts[1:]):
-            m = self.transitions[(a, b)] @ m
-        return m
+        return _fold(path, self.transition)
 
     def dual(self):
         """The dual local system; its matrices are the inverse transposes."""
-        dual_tr = {key: _to_int(ratkernel.inverse(m)).T.copy()
-                   for key, m in self.transitions.items()}
+        dual_tr = {key: _inverse_transpose(m) for key, m in self.transitions.items()}
         return LocalSystem(self.charts, dual_tr,
                            name="E2" if self.name == "E1" else self.name + "^")
 
@@ -476,24 +465,11 @@ def mirror_dual_conjugator(pair_vertex, search_range=3):
     mirror_vertex = pair_vertex.mirror()
     a_ops = vertex_monodromies(mirror_vertex)
     b_ops = [o.dual() for o in vertex_monodromies(pair_vertex)]
-    # C A = B C is linear in the 9 entries of C
-    rows = []
-    for a_op, b_op in zip(a_ops, b_ops):
-        a, b = a_op.matrix, b_op.matrix
-        for r in range(3):
-            for c in range(3):
-                # coefficient of C[p, q] in (C A - B C)[r, c]
-                row = []
-                for p in range(3):
-                    for q in range(3):
-                        coef = 0
-                        if p == r:
-                            coef += int(a[q, c])
-                        if q == c:
-                            coef -= int(b[r, p])
-                        row.append(coef)
-                rows.append(row)
-    ker = ratkernel.kernel_basis(ratkernel.imat(rows))
+    # C A - B C is linear in the row-major entries of C: kron(I, A^T) - kron(B, I)
+    eye = ratkernel.identity(3)
+    rows = np.concatenate([np.kron(eye, a.matrix.T) - np.kron(b.matrix, eye)
+                           for a, b in zip(a_ops, b_ops)])
+    ker = ratkernel.kernel_basis(rows)
     if not ker:
         return None
     # clear denominators to get integer generators of the solution space

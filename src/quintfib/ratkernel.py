@@ -52,7 +52,7 @@ def _as_object(m):
     a = np.asarray(m, dtype=object)
     if a.ndim != 2:
         raise ValueError("expected a matrix (2-d array)")
-    return a.copy()
+    return a
 
 
 def _combine(p, row, f, pivot_row):
@@ -131,10 +131,7 @@ def kernel_basis(m):
     cols - rank(m).
     """
     a = _as_object(m)
-    rows, cols = a.shape
-    if rows == 0:
-        return [np.array([Fraction(int(i == j)) for j in range(cols)],
-                         dtype=object) for i in range(cols)]
+    cols = a.shape[1]
     red, pivots = rref(a)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
@@ -201,27 +198,19 @@ def int_det(m):
     return int(d)
 
 
-def _vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
-
-
 def is_primitive(v):
     """True when the integer vector has coordinate gcd 1."""
-    return _vec_gcd(v) == 1
+    return gcd(*map(int, v)) == 1
 
 
 def smith_normal_form(m):
     """Smith normal form of an integer matrix.
 
     Returns (D, L, Rinv) with D = L @ m @ R diagonal, L and R unimodular,
-    and Rinv = R^{-1} (tracked directly; the inverse is what lattice
-    saturation consumes).  Diagonal entries are nonnegative with each
-    dividing the next.
+    and Rinv = R^{-1} (tracked directly, so L @ m = D @ Rinv).  Diagonal
+    entries are nonnegative with each dividing the next.
     """
-    a = _as_object(m)
+    a = _as_object(m).copy()
     rows, cols = a.shape
     for i in range(rows):
         for j in range(cols):
@@ -313,20 +302,17 @@ def elementary_divisors(m):
 def sublattice_index(gens, ambient_dim=None):
     """Index in Z^n of the lattice spanned by the integer row vectors.
 
-    Returns None when the span is not of full rank in the ambient lattice.
+    The index is the product of the Hermite normal form's pivots.  Returns
+    None when the span is not of full rank in the ambient lattice.
     """
     gens = list(gens)
     if not gens:
         return None
     n = ambient_dim if ambient_dim is not None else len(gens[0])
-    a = imat(gens)
-    divs = elementary_divisors(a)
-    if len(divs) < n:
+    h = row_hermite_form(imat(gens))
+    if len(h) < n:
         return None
-    idx = 1
-    for d in divs:
-        idx *= d
-    return idx
+    return prod(next(x for x in row if x) for row in h)
 
 
 def row_hermite_form(rows):
@@ -370,23 +356,31 @@ def row_hermite_form(rows):
     return [row for row in a[:r]]
 
 
+def _integer_kernel(rows, n):
+    """Hermite basis of {x in Z^n : r . x = 0 for every row r}.
+
+    Row-reducing [rows^T | I_n] is unimodular, so the identity parts of the
+    reduced rows whose first part vanishes are a basis of that lattice.
+    """
+    m = len(rows)
+    aug = [[r[i] for r in rows] + [int(i == j) for j in range(n)] for i in range(n)]
+    return [row[m:] for row in row_hermite_form(aug) if not any(row[:m])]
+
+
 def saturate(vectors):
     """Primitive basis of the saturation of the span of integer vectors.
 
     The saturation is the largest sublattice of Z^n with the same rational
-    span; computed from the Smith normal form D = L A R (the first
-    rank-many rows of R^{-1} span it) and returned in Hermite normal form,
-    so the operation is literally idempotent.  Every basis vector of a
-    saturated lattice is automatically primitive.
+    span, Z^n intersected with that span: the integer kernel of the integer
+    kernel.  It is returned in Hermite normal form, so the operation is
+    literally idempotent.  Every basis vector of a saturated lattice is
+    automatically primitive.
     """
-    vectors = [np.array([int(x) for x in v], dtype=object) for v in vectors]
+    vectors = [[int(x) for x in v] for v in vectors]
     if not vectors:
         return []
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ValueError("vectors of unequal length")
-    a = imat(vectors)
-    d, _, rinv = smith_normal_form(a)
-    r = sum(1 for i in range(min(d.shape)) if d[i, i] != 0)
-    basis = row_hermite_form([list(rinv[i]) for i in range(r)])
+    basis = _integer_kernel(_integer_kernel(vectors, n), n)
     return [np.array(row, dtype=object) for row in basis]

@@ -122,6 +122,21 @@ def _triple_labels(triple, relabeling):
     return lab
 
 
+def _sum_zero_columns(labels, zero_label):
+    """Restriction between sum-zero coordinates: 4 x len(labels).
+
+    Column s is e_{labels[s]} - e_{zero_label}, the image of generator s
+    after the dropped 0-th generator's substitution, on components 1..4.
+    """
+    mat = ratkernel.zeros(4, len(labels))
+    for s, a in enumerate(labels):
+        for t in range(1, 5):
+            v = (a == t) - (zero_label == t)
+            if v:
+                mat[t - 1, s] = v
+    return mat
+
+
 def triple_restriction(triple, apex, relabeling=None):
     """4x24 restriction matrix from a triple stalk to an incident leg stalk.
 
@@ -130,20 +145,8 @@ def triple_restriction(triple, apex, relabeling=None):
     """
     role = leg_roles(triple)[apex]
     lab = _triple_labels(triple, relabeling)
-    zero_class = lab(role, 0, 0)
-    mat = ratkernel.zeros(4, 24)
-    col = 0
-    for l in range(5):
-        for m in range(5):
-            if (l, m) == (0, 0):
-                continue
-            a = lab(role, l, m)
-            for t in range(1, 5):
-                v = (1 if a == t else 0) - (1 if zero_class == t else 0)
-                if v:
-                    mat[t - 1, col] = v
-            col += 1
-    return mat
+    labels = [lab(role, l, m) for l in range(5) for m in range(5) if (l, m) != (0, 0)]
+    return _sum_zero_columns(labels, lab(role, 0, 0))
 
 
 def pair_restriction(pair, apex, relabeling=None):
@@ -151,24 +154,14 @@ def pair_restriction(pair, apex, relabeling=None):
     perm = tuple(range(5))
     if relabeling is not None and (pair, apex) in relabeling.pair_leg_perms:
         perm = relabeling.pair_leg_perms[(pair, apex)]
-    mat = ratkernel.zeros(4, 4)
-    zero_img = perm[0]
-    for s in range(1, 5):
-        a = perm[s]
-        for t in range(1, 5):
-            v = (1 if a == t else 0) - (1 if zero_img == t else 0)
-            if v:
-                mat[t - 1, s - 1] = v
-    return mat
+    return _sum_zero_columns(perm[1:], perm[0])
 
 
 @dataclass
 class CechComplex:
-    """C^0 -> C^1 with block bookkeeping for the sheaf on the graph."""
+    """C^0 -> C^1 for the sheaf on the graph."""
 
     differential: np.ndarray
-    c0_blocks: list
-    c1_blocks: list
 
     @property
     def c0(self):
@@ -206,22 +199,10 @@ def build_K3(relabeling=None):
     for e_idx, leg in enumerate(_LEGS):
         pair = tuple(sorted(leg.pair))
         triple = tuple(sorted(leg.pair | {leg.apex}))
-        rt = triple_restriction(triple, leg.apex, relabeling)
-        rp = pair_restriction(pair, leg.apex, relabeling)
-        r0 = 4 * e_idx
-        ct = tri_offset[triple]
-        cp = pair_offset[pair]
-        for r in range(4):
-            for c in range(24):
-                if rt[r, c] != 0:
-                    d[r0 + r, ct + c] = -rt[r, c]
-            for c in range(4):
-                if rp[r, c] != 0:
-                    d[r0 + r, cp + c] = rp[r, c]
-    c0_blocks = [("triple", t, 24) for t in _TRIPLES] + \
-                [("pair", p, 4) for p in _PAIRS]
-    c1_blocks = [("leg", (tuple(sorted(leg.pair)), leg.apex), 4) for leg in _LEGS]
-    return CechComplex(d, c0_blocks, c1_blocks)
+        r0, ct, cp = 4 * e_idx, tri_offset[triple], pair_offset[pair]
+        d[r0:r0 + 4, ct:ct + 24] = -triple_restriction(triple, leg.apex, relabeling)
+        d[r0:r0 + 4, cp:cp + 4] = pair_restriction(pair, leg.apex, relabeling)
+    return CechComplex(d)
 
 
 def K3_cohomology(relabeling=None):

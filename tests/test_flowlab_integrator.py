@@ -40,7 +40,7 @@ def _scipy_flow(p0, t_target, cfg, n_checkpoints=33):
     try:
         sol = solve_ivp(rhs, (0.0, t_target), np.concatenate([x0.real, x0.imag]),
                         method="RK45", rtol=cfg.rtol, atol=cfg.atol,
-                        max_step=cfg.max_step, events=guard_event, dense_output=True)
+                        events=guard_event, dense_output=True)
     except fl.SigmaGuardError as err:
         raise fl.SigmaGuardError(err.norm_sq, p0) from err
     reason = {0: "reached_target", 1: "sigma_guard_hit"}.get(sol.status, "step_underflow")

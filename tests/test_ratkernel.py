@@ -118,6 +118,8 @@ def test_smith_normal_form_reconstruction():
 def test_sublattice_index():
     assert rk.sublattice_index([[2, 0], [0, 3]]) == 6
     assert rk.sublattice_index([[1, 0]]) is None
+    # full rank in Z^2 is still below full rank in a wider ambient lattice
+    assert rk.sublattice_index([[2, 0], [0, 3]], ambient_dim=3) is None
 
 
 def test_determinism():
@@ -256,3 +258,47 @@ def test_dense_20x20_rank_and_det_match_sympy():
         dm = _sym(sympy, a).to_DM()
         assert rk.rank(a) == dm.convert_to(sympy.QQ).rank()
         assert rk.det(a) == dm.det()
+
+
+def _is_hermite(rows):
+    """Row Hermite shape: leading entries positive in strictly increasing
+    columns, entries above each leading entry in [0, leading entry)."""
+    lead = [next((c for c, x in enumerate(row) if x), None) for row in rows]
+    return (None not in lead and lead == sorted(set(lead))
+            and all(row[c] > 0 for row, c in zip(rows, lead))
+            and all(0 <= rows[i][c] < rows[r][c]
+                    for r, c in enumerate(lead) for i in range(r)))
+
+
+def test_saturate_is_saturated_hermite_with_the_same_span():
+    hyp, sympy = _oracle()
+    from sympy.matrices.normalforms import smith_normal_form
+
+    @_settings(hyp, 60)
+    @hyp.given(_matrices(hyp.strategies, integer=True))
+    def check(m):
+        sat = [[int(x) for x in v] for v in rk.saturate(m.tolist())]
+        r = rk.rank(m)
+        assert len(sat) == r
+        if r:
+            assert rk.rank(rk.imat(sat + m.tolist())) == r
+            s = smith_normal_form(sympy.Matrix(sat), domain=sympy.ZZ)
+            assert [abs(int(s[i, i])) for i in range(r)] == [1] * r
+        assert _is_hermite(sat)
+
+    check()
+
+
+def test_saturate_dense_matches_smith_reference():
+    """Seeded dense cases against the Smith path: the first rank-many rows
+    of R^{-1} (D = L A R) span the saturation; their Hermite form is it."""
+    rng = np.random.default_rng(25)
+    dense = rk.imat(rng.integers(-9, 10, (20, 20)).tolist())
+    singular = rk.imat(rng.integers(-9, 10, (20, 20)).tolist())
+    singular[19] = singular[0]
+    wide = rk.imat(rng.integers(-9, 10, (16, 20)).tolist())
+    for m, r in ((dense, 20), (singular, 19), (wide, 16)):
+        d, _, rinv = rk.smith_normal_form(m)
+        assert sum(1 for i in range(min(d.shape)) if d[i, i] != 0) == r
+        want = rk.row_hermite_form([list(rinv[i]) for i in range(r)])
+        assert [list(v) for v in rk.saturate(m.tolist())] == want

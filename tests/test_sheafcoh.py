@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,22 @@ def test_sparse_triplets_roundtrip():
     for r, c, v in trips:
         dense[r, c] = v
     assert (np.asarray(dense) == np.asarray(cx.differential)).all()
+
+
+def test_differential_triplets_are_pinned():
+    """Count and sha256 of the triplets, plain and under one seeded
+    relabeling: `spectral --explain K3` prints them, so the differential
+    must stay fixed entry for entry."""
+
+    def pin(cx):
+        trips = cx.sparse_triplets()
+        return len(trips), hashlib.sha256(repr(trips).encode()).hexdigest()
+
+    assert pin(sc.build_K3()) == (
+        720, "06b4e1fbfd26d3457509197baee2ef11da2d054c897f1fc67348da16edeb039b")
+    rel = sc.random_relabeling(np.random.default_rng(2024))
+    assert pin(sc.build_K3(rel)) == (
+        1077, "0722cc2c525526cde50ae888fab6577fc2c78e808b718a39c1c1313e5500a6aa")
 
 
 def test_h0_sections_satisfy_all_edge_constraints():
