@@ -9,13 +9,13 @@ discriminant, and the explicit special-Lagrangian fibers in C^3.
 """
 
 from .points import (AffinePoint, PoleError, chart_change, eval_s,
-                     quintic_value, quintic_gradient,
-                     random_x_infinity_point, s_gradient)
+                     quintic_value, random_x_infinity_point, s_gradient)
 from .gradient import (FlowConfig, SigmaGuardError, closed_form_V_D4,
                        finite_difference_gradient, grad_V, metric_matrix,
                        omega_value)
 from .integrate import (FlowDiagnostics, TorusFiber, TransportResult,
-                        circle_collapse_winding, distance_to_quintic, flow,
+                        circle_collapse_winding, distance_to_quintic,
+                        distances_to_quintic, flow, flow_batch,
                         newton_project_to_quintic, transport_fiber)
 from .pairing import PairingResult, loop_pairing, loop_pairing_detailed
 from .covering import covering_count, covering_roots
@@ -25,12 +25,12 @@ from .momentmaps import (kahler_potential, moment_maps, volume_ratio)
 
 __all__ = [
     "AffinePoint", "PoleError", "chart_change", "eval_s", "quintic_value",
-    "quintic_gradient", "random_x_infinity_point", "s_gradient",
+    "random_x_infinity_point", "s_gradient",
     "FlowConfig", "SigmaGuardError", "closed_form_V_D4",
     "finite_difference_gradient", "grad_V", "metric_matrix", "omega_value",
     "FlowDiagnostics", "TorusFiber", "TransportResult",
-    "circle_collapse_winding", "distance_to_quintic", "flow",
-    "newton_project_to_quintic", "transport_fiber",
+    "circle_collapse_winding", "distance_to_quintic", "distances_to_quintic",
+    "flow", "flow_batch", "newton_project_to_quintic", "transport_fiber",
     "PairingResult", "loop_pairing", "loop_pairing_detailed",
     "covering_count", "covering_roots",
     "HLProbeResult", "classify_hl_target", "hl_fiber_probe", "hl_map",

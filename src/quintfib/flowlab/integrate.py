@@ -6,17 +6,22 @@ pencil member.  Along the way Im(s) is conserved and df/dt = 1, so both
 drifts measure pure integrator error; the acceptance bar is 1e-8 drift at
 tolerance 1e-10.
 
-Integration runs on the real 8-dimensional form of the chart, every
-trajectory of a batch at once, with a row-wise replica of scipy's RK45: the
-Dormand-Prince 5(4) pair with local extrapolation (Dormand & Prince,
-J. Comput. Appl. Math. 6, 1980), the initial step of Hairer, Norsett and
-Wanner (Sec. II.4), the RMS error norm and step control of scipy, and the
-quartic dense output.  Each row keeps its own time, step size and error
-norm, and every sum over stages runs in a fixed order, so a trajectory's
-bits do not depend on the rows batched with it.  The tests check the
-replica against scipy's solve_ivp.  A terminal event halts trajectories
-that enter the guard zone around the singular surface, where the field
-genuinely blows up and the continuation is out of scope.
+`flow_batch` integrates a list of points on the real 8-dimensional form of
+the chart, every trajectory at once, with a row-wise replica of scipy's
+RK45: the Dormand-Prince 5(4) pair with local extrapolation (Dormand &
+Prince, J. Comput. Appl. Math. 6, 1980), the initial step of Hairer,
+Norsett and Wanner (Sec. II.4), the RMS error norm and step control of
+scipy, and the quartic dense output.  Each row keeps its own time, step
+size, error norm and work counters (field evaluations, rejected steps), and
+every sum over stages runs in a fixed order, so a trajectory's bits do not
+depend on the rows batched with it; `flow` is the one-row call.  The tests
+check the replica against scipy's solve_ivp.  A terminal event halts
+trajectories that enter the guard zone around the singular surface, where
+the field genuinely blows up and the continuation is out of scope.
+
+The endpoint oracle is batched the same way: `distances_to_quintic` runs
+the Newton projection onto the smooth member on every row at once, each row
+stopping on its own, and `newton_project_to_quintic` is its one-row call.
 """
 
 import math
@@ -26,7 +31,7 @@ import numpy as np
 
 from .gradient import FlowConfig, SigmaGuardError, _field_rows, omega_value
 from .points import (AffinePoint, _eval_s_rows, _quintic, _quintic_gradient,
-                     from_homogeneous)
+                     _sum4, from_homogeneous)
 # perfbench/layers.py traces calls through these names here and requires them
 # to be the same objects as in flowlab
 from .gradient import grad_V
@@ -76,6 +81,8 @@ class FlowDiagnostics:
     reason: str
     t_reached: float
     n_steps: int
+    n_evals: int  # field evaluations of the stepper, as scipy's nfev
+    n_rejected: int
 
 
 def _combine(K, coeffs):
@@ -167,18 +174,22 @@ def _integrate(y0, t_bound, cfg):
     """Integrate (N, 8) rows from t = 0 to t_bound != 0, each on its own.
 
     Returns per row the state (REACHED, GUARD_HIT, UNDERFLOW or GUARDED),
-    the end time and point, the number of accepted steps and the squared
-    gradient norm at which a GUARDED row's field evaluation stopped; then
-    the accepted steps' dense output, as rows, end times and `_dense`
-    segments, in step order.
+    the end time and point, the numbers of accepted steps, field evaluations
+    and rejected steps, and the squared gradient norm at which a GUARDED
+    row's field evaluation stopped; then the accepted steps' dense output,
+    as rows, end times and `_dense` segments, in step order.  The count of
+    evaluations leaves out the guard event's root search, as scipy's nfev
+    does.
     """
     n = len(y0)
     d = 1.0 if t_bound > 0 else -1.0
     rtol, atol = max(cfg.rtol, 100 * EPS), cfg.atol
     state = np.full(n, RUNNING)
     guard_sq = np.zeros(n)
+    n_evals = np.zeros(n, dtype=int)
 
     def evaluate(rows, ys):
+        n_evals[rows] += 1
         f, norm_sq, guarded = _rhs(ys, cfg)
         hit = guarded & (state[rows] == RUNNING)
         state[rows[hit]] = GUARDED
@@ -204,6 +215,7 @@ def _integrate(y0, t_bound, cfg):
     h_abs = np.minimum(np.minimum(100 * h0, h1), interval)
 
     n_acc = np.zeros(n, dtype=int)
+    n_rej = np.zeros(n, dtype=int)
     rejected = np.zeros(n, dtype=bool)
     steps = []
     while True:
@@ -242,6 +254,7 @@ def _integrate(y0, t_bound, cfg):
         shrink = np.where(pw > MIN_FACTOR, pw, MIN_FACTOR)
         h_abs[rows] = np.abs(h) * np.where(ok, grow, shrink)
         rejected[rows] = ~ok
+        n_rej[rows] += ~ok
 
         ok &= state[rows] == RUNNING
         acc = rows[ok]
@@ -268,13 +281,14 @@ def _integrate(y0, t_bound, cfg):
             state[acc[k]] = GUARD_HIT
         g[acc] = g_new
 
+    counts = (n_acc, n_evals, n_rej)
     if not steps:
-        return state, t, y, n_acc, guard_sq, None
+        return state, t, y, counts, guard_sq, None
     seg_rows = np.concatenate([s[0] for s in steps])
     order = np.argsort(seg_rows, kind="stable")
     t1 = np.concatenate([s[1] for s in steps])[order]
     segs = tuple(np.concatenate([s[2][k] for s in steps])[order] for k in range(4))
-    return state, t, y, n_acc, guard_sq, (seg_rows[order], t1, segs)
+    return state, t, y, counts, guard_sq, (seg_rows[order], t1, segs)
 
 
 def _checkpoint_drifts(s0, t_end, rows, steps, n_checkpoints, d):
@@ -309,18 +323,20 @@ def _checkpoint_drifts(s0, t_end, rows, steps, n_checkpoints, d):
     return im, f
 
 
-def _flow_rows(points, t_target, cfg, n_checkpoints=33):
+def flow_batch(points, t_target, cfg=None, n_checkpoints=33):
     """Flow every point for time t_target, all in one batch.
 
     Returns per point what `flow` returns, (endpoint, diagnostics), or the
-    SigmaGuardError it raises.
+    SigmaGuardError it raises; a row's result does not depend on the rows
+    batched with it.
     """
+    cfg = cfg or FlowConfig()
     if t_target == 0.0:
-        return [(p, FlowDiagnostics(0.0, 0.0, "reached_target", 0.0, 0))
+        return [(p, FlowDiagnostics(0.0, 0.0, "reached_target", 0.0, 0, 0, 0))
                 for p in points]
-    x0 = np.array([p.array() for p in points])
+    x0 = np.array([p.array() for p in points]).reshape(-1, 4)
     s0 = _eval_s_rows(x0)
-    state, t_end, y_end, n_acc, guard_sq, steps = _integrate(
+    state, t_end, y_end, (n_acc, n_evals, n_rej), guard_sq, steps = _integrate(
         np.concatenate([x0.real, x0.imag], axis=1), float(t_target), cfg)
     im = np.zeros(len(points))
     f = np.zeros(len(points))
@@ -337,7 +353,8 @@ def _flow_rows(points, t_target, cfg, n_checkpoints=33):
             continue
         end = AffinePoint(p.chart, tuple(y_end[i, :4] + 1j * y_end[i, 4:]))
         out.append((end, FlowDiagnostics(im[i], f[i], REASONS[state[i]],
-                                         float(t_end[i]), int(n_acc[i]) + 1)))
+                                         float(t_end[i]), int(n_acc[i]) + 1,
+                                         int(n_evals[i]), int(n_rej[i]))))
     return out
 
 
@@ -351,36 +368,56 @@ def flow(p0, t_target, cfg=None, n_checkpoints=33):
     'step_underflow'.  A field evaluation inside the guard zone raises
     SigmaGuardError.
     """
-    result = _flow_rows([p0], t_target, cfg or FlowConfig(), n_checkpoints)[0]
+    result = flow_batch([p0], t_target, cfg, n_checkpoints)[0]
     if isinstance(result, SigmaGuardError):
         raise result
     return result
 
 
+def _newton_rows(x, psi, tol=1e-14, max_iter=60):
+    """Newton projection of (N, 4) rows onto the smooth member, all at once.
+
+    Newton steps for the single defining equation move along the conjugate
+    gradient direction.  A row stops once |value| <= tol (1 + max|x|^5),
+    tested before each of at most max_iter steps; a vanishing gradient on
+    any live row raises ArithmeticError.  Returns the projected rows and
+    their total displacements; a row's bits do not depend on the rows
+    batched with it.
+    """
+    x = x.copy()
+    moved = np.zeros(len(x))
+    alive = np.arange(len(x))
+    for _ in range(max_iter):
+        xa = x[alive]
+        val = _quintic(xa, psi)
+        scale = 1.0 + np.max(np.abs(xa), axis=1) ** 5
+        live = ~(np.abs(val) <= tol * scale)
+        alive, xa, val = alive[live], xa[live], val[live]
+        if not alive.size:
+            break
+        g = _quintic_gradient(xa, psi)
+        gn = _sum4(np.abs(g) ** 2)
+        if (gn == 0.0).any():
+            raise ArithmeticError("vanishing gradient in Newton projection")
+        step = -val[:, None] * g.conj() / gn[:, None]
+        x[alive] = xa + step
+        moved[alive] += np.sqrt(_sum4(np.abs(step) ** 2))
+    return x, moved
+
+
+def distances_to_quintic(points, psi):
+    """Displacements of the Newton projections of all points onto the
+    smooth member, as one array; the independent endpoint oracle."""
+    return _newton_rows(np.array([p.array() for p in points]).reshape(-1, 4),
+                        psi)[1]
 
 
 def newton_project_to_quintic(p, psi, tol=1e-14, max_iter=60):
-    """Project a near-solution onto the smooth member by damped Newton.
-
-    Newton steps for the single defining equation move along the conjugate
-    gradient direction; this is the independent endpoint oracle.  Returns
-    (projected point, total displacement).
-    """
-    x = p.array()
-    moved = 0.0
-    for _ in range(max_iter):
-        val = _quintic(x, psi)
-        scale = 1.0 + float(np.max(np.abs(x))) ** 5
-        if abs(val) <= tol * scale:
-            break
-        g = _quintic_gradient(x, psi)
-        gn = float(np.sum(np.abs(g) ** 2))
-        if gn == 0.0:
-            raise ArithmeticError("vanishing gradient in Newton projection")
-        step = -val * g.conj() / gn
-        x = x + step
-        moved += float(np.linalg.norm(step))
-    return AffinePoint(p.chart, tuple(x)), moved
+    """Project a near-solution onto the smooth member by damped Newton, as
+    one row of `distances_to_quintic`; returns (projected point, total
+    displacement)."""
+    x, moved = _newton_rows(p.array()[None], psi, tol, max_iter)
+    return AffinePoint(p.chart, tuple(x[0])), float(moved[0])
 
 
 def distance_to_quintic(p, psi):
@@ -472,7 +509,7 @@ def transport_fiber(fiber, psi, n_samples, cfg=None, seed=0, n_probes=12,
             moved = list(angles)
             moved[a] += fd_angle
             shifted.append(fiber.point(moved))
-    flows = _flow_rows([fiber.point(angles) for angles in angle_sets] + shifted,
+    flows = flow_batch([fiber.point(angles) for angles in angle_sets] + shifted,
                        t_target, cfg)
 
     def reached(result):
@@ -482,7 +519,6 @@ def transport_fiber(fiber, psi, n_samples, cfg=None, seed=0, n_probes=12,
     flagged = []
     im_max = 0.0
     f_max = 0.0
-    dist_max = 0.0
     for idx, result in enumerate(flows[:n_samples]):
         if not reached(result):
             flagged.append(idx)
@@ -491,7 +527,7 @@ def transport_fiber(fiber, psi, n_samples, cfg=None, seed=0, n_probes=12,
         points.append(q)
         im_max = max(im_max, diag.im_s_drift, abs(eval_s(q).imag))
         f_max = max(f_max, diag.f_drift)
-        dist_max = max(dist_max, distance_to_quintic(q, psi))
+    dist_max = float(np.max(distances_to_quintic(points, psi), initial=0.0))
 
     defect = 0.0
     for k, base_flow in enumerate(flows[:len(probes)]):
@@ -544,7 +580,7 @@ def circle_collapse_winding(pair, radii, psi, eps=1e-3, n_phi=48, cfg=None,
         z[other - 1] = 0.0
         starts.append(from_homogeneous(z, chart=anchor))
     args = []
-    for p, result in zip(starts, _flow_rows(starts, t_target, cfg)):
+    for p, result in zip(starts, flow_batch(starts, t_target, cfg)):
         if isinstance(result, SigmaGuardError):
             raise result
         q, diag = result

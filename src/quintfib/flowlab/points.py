@@ -144,10 +144,6 @@ def quintic_value(p, psi):
     return _quintic(p.array(), psi)
 
 
-def quintic_gradient(p, psi):
-    return _quintic_gradient(p.array(), psi)
-
-
 def random_x_infinity_point(rng, grad_floor=1e-3, max_tries=100):
     """Random point on the smooth part of the large complex limit.
 

@@ -299,18 +299,18 @@ def elementary_divisors(m):
     return out
 
 
-def sublattice_index(gens, ambient_dim=None):
-    """Index in Z^n of the lattice spanned by the integer row vectors.
+def sublattice_index(gens):
+    """Index in Z^n, n the vectors' length, of the lattice spanned by the
+    integer row vectors.
 
     The index is the product of the Hermite normal form's pivots.  Returns
-    None when the span is not of full rank in the ambient lattice.
+    None when the span is not of full rank in Z^n.
     """
     gens = list(gens)
     if not gens:
         return None
-    n = ambient_dim if ambient_dim is not None else len(gens[0])
     h = row_hermite_form(imat(gens))
-    if len(h) < n:
+    if len(h) < len(gens[0]):
         return None
     return prod(next(x for x in row if x) for row in h)
 

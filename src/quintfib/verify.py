@@ -237,22 +237,15 @@ def check_toric(cfg):
 def check_flow_conservation(cfg):
     rng = np.random.default_rng(cfg.seed)
     fcfg = flowlab.FlowConfig(psi=cfg.psi, rtol=1e-10, atol=1e-10)
-    n = cfg.samples
-    im_max = f_max = dist_max = 0.0
-    guarded = 0
-    for _ in range(n):
-        p0 = flowlab.random_x_infinity_point(rng)
-        try:
-            end, diag = flowlab.flow(p0, fcfg.flow_target_time, fcfg)
-        except flowlab.SigmaGuardError:
-            guarded += 1
-            continue
-        if diag.reason != "reached_target":
-            guarded += 1
-            continue
-        im_max = max(im_max, diag.im_s_drift)
-        f_max = max(f_max, diag.f_drift)
-        dist_max = max(dist_max, flowlab.distance_to_quintic(end, cfg.psi))
+    starts = [flowlab.random_x_infinity_point(rng) for _ in range(cfg.samples)]
+    reached = [r for r in flowlab.flow_batch(starts, fcfg.flow_target_time, fcfg)
+               if not isinstance(r, flowlab.SigmaGuardError)
+               and r[1].reason == "reached_target"]
+    guarded = len(starts) - len(reached)
+    im_max = max((d.im_s_drift for _, d in reached), default=0.0)
+    f_max = max((d.f_drift for _, d in reached), default=0.0)
+    dist_max = float(np.max(flowlab.distances_to_quintic(
+        [end for end, _ in reached], cfg.psi), initial=0.0))
     ok = im_max < 1e-8 and f_max < 1e-8 and dist_max < 1e-6 and guarded == 0
     return ("drifts < 1e-8, endpoint < 1e-6",
             f"im {im_max:.1e}, f {f_max:.1e}, dist {dist_max:.1e}, guarded {guarded}",

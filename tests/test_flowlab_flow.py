@@ -132,3 +132,5 @@ def test_flow_diagnostics_fields():
     _, diag = fl.flow(p0, 1.0 / (5 * PSI), _cfg())
     assert diag.t_reached == pytest.approx(1.0 / (5 * PSI))
     assert diag.n_steps >= 2
+    # two evaluations for the initial step, six per attempted step
+    assert diag.n_evals == 2 + 6 * (diag.n_steps - 1 + diag.n_rejected)

@@ -1,5 +1,6 @@
-"""The batched Dormand-Prince 5(4) integrator: scipy's RK45 as an
-independent oracle, the guard paths, and batch independence."""
+"""The batched Dormand-Prince 5(4) integrator and Newton projection: scipy's
+RK45 as an independent oracle, the guard paths, the work counters, and batch
+independence."""
 
 import numpy as np
 import pytest
@@ -45,13 +46,17 @@ def _scipy_flow(p0, t_target, cfg, n_checkpoints=33):
         raise fl.SigmaGuardError(err.norm_sq, p0) from err
     reason = {0: "reached_target", 1: "sigma_guard_hit"}.get(sol.status, "step_underflow")
     t_end = float(sol.t[-1])
+    # two evaluations start the solver, then six per attempted step
+    assert (sol.nfev - 2) % 6 == 0
+    rejected = (sol.nfev - 2) // 6 - (sol.t.size - 1)
     im_drift = f_drift = 0.0
     for t in np.linspace(0.0, t_end, n_checkpoints):
         s = fl.eval_s(point(sol.sol(t)))
         im_drift = max(im_drift, abs(s.imag - s0.imag))
         f_drift = max(f_drift, abs(s.real - s0.real - t))
     return point(sol.y[:, -1]), fl.FlowDiagnostics(im_drift, f_drift, reason, t_end,
-                                                   int(sol.t.size))
+                                                   int(sol.t.size), int(sol.nfev),
+                                                   int(rejected))
 
 
 def _oracle_cases():
@@ -89,7 +94,7 @@ def _outcome(flow, p0, t, cfg):
 def test_flow_matches_scipy_rk45():
     pytest.importorskip("scipy")
     cases = _oracle_cases()
-    guarded = 0
+    guarded = rejected = 0
     for p0, t, cfg in cases:
         ours, ref = _outcome(fl.flow, p0, t, cfg), _outcome(_scipy_flow, p0, t, cfg)
         if isinstance(ref, fl.SigmaGuardError):
@@ -101,11 +106,14 @@ def test_flow_matches_scipy_rk45():
         (end, diag), (ref_end, ref_diag) = ours, ref
         assert end.chart == ref_end.chart
         assert np.max(np.abs(end.array() - ref_end.array())) < 1e-12, (p0, cfg)
-        assert (diag.reason, diag.n_steps) == (ref_diag.reason, ref_diag.n_steps), (p0, cfg)
+        assert (diag.reason, diag.n_steps, diag.n_evals, diag.n_rejected) == (
+            ref_diag.reason, ref_diag.n_steps, ref_diag.n_evals, ref_diag.n_rejected), (p0, cfg)
+        rejected += diag.n_rejected
         assert diag.t_reached == pytest.approx(ref_diag.t_reached, rel=1e-12, abs=1e-15)
         assert abs(diag.f_drift - ref_diag.f_drift) < 1e-13
         assert abs(diag.im_s_drift - ref_diag.im_s_drift) < 1e-13
     assert guarded == 1
+    assert rejected > 0  # the loose cases exercise the rejection count
 
 
 def test_brentq_replica_matches_scipy():
@@ -163,7 +171,7 @@ def test_a_row_is_bit_identical_alone_and_in_a_batch():
     rng = np.random.default_rng(7)
     cfg = _guard_cfg(6.6e-4)
     points = [GUARD_P0] + [fl.random_x_infinity_point(rng) for _ in range(511)]
-    batch = integrate._flow_rows(points, GUARD_T, cfg)
+    batch = fl.flow_batch(points, GUARD_T, cfg)
     assert batch[0][1].reason == "sigma_guard_hit"
     for k in (0, 1, 100, 257, 511):
         assert fl.flow(points[k], GUARD_T, cfg) == batch[k]
@@ -171,11 +179,11 @@ def test_a_row_is_bit_identical_alone_and_in_a_batch():
     fs = fl.FlowConfig(psi=10.0, metric="fubini-study")
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
     points = [fiber.point(tuple(rng.uniform(0.0, 2.0 * np.pi, 3))) for _ in range(512)]
-    batch = integrate._flow_rows(points, fs.flow_target_time, fs)
+    batch = fl.flow_batch(points, fs.flow_target_time, fs)
     for k in (0, 3, 200, 511):
         assert fl.flow(points[k], fs.flow_target_time, fs) == batch[k]
 
-    batch = integrate._flow_rows([GUARD_P0] * 3, GUARD_T, _guard_cfg(1.4e-3))
+    batch = fl.flow_batch([GUARD_P0] * 3, GUARD_T, _guard_cfg(1.4e-3))
     alone = _outcome(fl.flow, GUARD_P0, GUARD_T, _guard_cfg(1.4e-3))
     assert all(e.norm_sq == alone.norm_sq and e.where == GUARD_P0 for e in batch)
 
@@ -185,3 +193,53 @@ def test_backward_flow_lowers_f():
     end, diag = fl.flow(p0, -0.02, fl.FlowConfig())
     assert diag.reason == "reached_target" and diag.t_reached == -0.02
     assert fl.eval_s(end).real == pytest.approx(fl.eval_s(p0).real - 0.02, abs=1e-8)
+
+
+def test_c07_batch_does_the_work_of_its_one_row_flows():
+    cfg = fl.FlowConfig(psi=10.0, rtol=1e-10, atol=1e-10)
+    rng = np.random.default_rng(0)  # verify-all's c07 points at seed 0
+    points = [fl.random_x_infinity_point(rng) for _ in range(100)]
+    batch = fl.flow_batch(points, cfg.flow_target_time, cfg)
+    alone = [fl.flow(p, cfg.flow_target_time, cfg) for p in points]
+    assert batch == alone
+    total = sum(diag.n_evals for _, diag in batch)
+    assert total == sum(diag.n_evals for _, diag in alone) > 0
+    assert total == sum(2 + 6 * (diag.n_steps - 1 + diag.n_rejected)
+                        for _, diag in batch)
+
+
+def _near_member_points(n, seed):
+    """Points at several distances from the psi = 10 member, so the rows of
+    one batch stop after different numbers of Newton steps."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(n):
+        p = fl.random_x_infinity_point(rng)
+        q, _ = fl.newton_project_to_quintic(p, 10.0)
+        x = q.array() * (1.0 + 10.0 ** -(k % 8) * rng.standard_normal(4))
+        points.append(fl.AffinePoint(q.chart, tuple(x)))
+    return points
+
+
+def test_newton_rows_are_bit_identical_alone_and_in_a_batch():
+    points = _near_member_points(512, 11)
+    batch = fl.distances_to_quintic(points, 10.0)
+    alone = np.array([fl.distances_to_quintic([p], 10.0)[0] for p in points])
+    assert np.array_equal(batch, alone)
+    assert len(set(batch.tolist())) == len(points)
+    x, moved = integrate._newton_rows(np.array([p.array() for p in points]), 10.0)
+    assert np.array_equal(moved, batch)
+    for k in (0, 1, 7, 300, 511):
+        q, d = fl.newton_project_to_quintic(points[k], 10.0)
+        assert q == fl.AffinePoint(points[k].chart, tuple(x[k]))
+        assert d == fl.distance_to_quintic(points[k], 10.0) == batch[k]
+
+
+def test_newton_projection_raises_on_a_vanishing_gradient():
+    # at the origin of a chart every partial vanishes, but the value is 1
+    origin = fl.AffinePoint(5, (0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ArithmeticError, match="vanishing gradient"):
+        fl.newton_project_to_quintic(origin, 10.0)
+    with pytest.raises(ArithmeticError, match="vanishing gradient"):
+        fl.distances_to_quintic(_near_member_points(4, 0) + [origin], 10.0)
+    assert fl.distances_to_quintic([], 10.0).shape == (0,)

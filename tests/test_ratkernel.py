@@ -119,7 +119,7 @@ def test_sublattice_index():
     assert rk.sublattice_index([[2, 0], [0, 3]]) == 6
     assert rk.sublattice_index([[1, 0]]) is None
     # full rank in Z^2 is still below full rank in a wider ambient lattice
-    assert rk.sublattice_index([[2, 0], [0, 3]], ambient_dim=3) is None
+    assert rk.sublattice_index([[2, 0, 0], [0, 3, 0]]) is None
 
 
 def test_determinism():
