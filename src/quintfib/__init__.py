@@ -2,12 +2,12 @@
 
 Subpackages and modules:
 
-- ratkernel:    exact rational/integer linear algebra (rank, kernels, Smith
-                normal form, lattice saturation)
+- ratkernel:    exact rational/integer linear algebra (rank, kernels,
+                Hermite normal form, lattice saturation)
 - basecomplex:  the 4-simplex base, discriminant graph, fattened discriminant
                 strata, mirror involution of the base
 - monodromy:    chart/cycle algebra, transition matrices, monodromy operators,
-                vanishing-cycle filtrations, the rank-3 local system
+                vanishing-cycle filtrations, dual operators
 - fibercensus:  catalog of singular fibers and Euler-characteristic ledgers
 - sheafcoh:     Cech cohomology of the constructible sheaves on the base,
                 Leray E2 tables, intersection-chain bookkeeping

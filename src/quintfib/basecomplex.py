@@ -150,12 +150,6 @@ def edges_at(vertex):
     return legs
 
 
-def incidence():
-    """Vertex -> incident legs map for the whole graph."""
-    vertices, _ = enumerate_graph()
-    return {v: edges_at(v) for v in vertices}
-
-
 def classify_fattened(r1, r2, tol=1e-9):
     """Stratum of the point (r1, r2) relative to the fattened discriminant.
 
@@ -194,11 +188,11 @@ def standard_anchors():
     return anchors
 
 
-def moment_image(z, anchors=None):
+def moment_image(z):
     """Image of a homogeneous 5-tuple under the moment map.
 
     The weights are |z_k|^2 / sum |z_i|^2, so the image is the convex
-    combination of the anchor points with those weights.
+    combination of the standard anchor points with those weights.
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (5,):
@@ -207,11 +201,7 @@ def moment_image(z, anchors=None):
     total = w.sum()
     if total == 0.0:
         raise ValueError("moment image of the zero vector is undefined")
-    w = w / total
-    anchors = standard_anchors() if anchors is None else np.asarray(anchors, dtype=float)
-    if anchors.shape[0] != 5:
-        raise ValueError("need five anchor points")
-    return w @ anchors
+    return (w / total) @ standard_anchors()
 
 
 def graph_json():

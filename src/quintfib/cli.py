@@ -32,13 +32,10 @@ def _ints(text):
 
 
 def _emit(args, payload, human):
-    if getattr(args, "format", "human") == "json":
-        text = json.dumps(payload, indent=2)
-    else:
-        text = human() if callable(human) else human
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    """Print, or write to --out, the JSON payload or the text `human()` makes."""
+    text = json.dumps(payload, indent=2) if args.format == "json" else human()
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -202,15 +199,7 @@ def cmd_verify_all(args):
                               samples=args.samples, seed=args.seed,
                               skip=args.skip or "")
     report = verify.verify_all(cfg)
-    if args.format == "json":
-        text = report.to_json()
-    else:
-        text = report.render_table()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(args, report.as_dict(), report.render_table)
     return 0 if report.passed else 1
 
 

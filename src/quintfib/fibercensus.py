@@ -209,15 +209,13 @@ def singular_surface(indices, quotient=False):
 QUOTIENT_MAP = {"I5": "I", "II5x5": "II", "III5": "III"}
 
 
-def quotient_fiber(fiber_type, group="Z5^3"):
+def quotient_fiber(fiber_type):
     """Image of an expected-fibration fiber type under the symmetry quotient.
 
     The group is the fiberwise Z_5^3 symmetry; each factor acts along a
     cycle direction, so I5 -> I, II_{5x5} -> II and III_5 -> III with the
     cataloged Euler numbers 0, +1, -1.
     """
-    if group not in ("Z5^3", "Z5xZ5xZ5"):
-        raise ValueError(f"unsupported group action {group!r}")
     name = fiber_type.name if isinstance(fiber_type, FiberType) else str(fiber_type)
     if name not in QUOTIENT_MAP:
         raise ValueError(f"no quotient rule for fiber type {name!r}")

@@ -8,8 +8,8 @@ probes: loop/form pairings, covering counts over the fattened
 discriminant, and the explicit special-Lagrangian fibers in C^3.
 """
 
-from .points import (AffinePoint, PoleError, chart_change, eval_s,
-                     quintic_value, random_x_infinity_point, s_gradient)
+from .points import (AffinePoint, PoleError, eval_s, random_x_infinity_point,
+                     s_gradient)
 from .gradient import (FlowConfig, SigmaGuardError, closed_form_V_D4,
                        finite_difference_gradient, grad_V, metric_matrix,
                        omega_value)
@@ -21,11 +21,11 @@ from .pairing import PairingResult, loop_pairing, loop_pairing_detailed
 from .covering import covering_count, covering_roots
 from .harveylawson import (HLProbeResult, classify_hl_target, hl_fiber_probe,
                            hl_map, hl_jacobian_rank, sample_hl_fiber)
-from .momentmaps import (kahler_potential, moment_maps, volume_ratio)
+from .momentmaps import moment_maps, volume_ratio
 
 __all__ = [
-    "AffinePoint", "PoleError", "chart_change", "eval_s", "quintic_value",
-    "random_x_infinity_point", "s_gradient",
+    "AffinePoint", "PoleError", "eval_s", "random_x_infinity_point",
+    "s_gradient",
     "FlowConfig", "SigmaGuardError", "closed_form_V_D4",
     "finite_difference_gradient", "grad_V", "metric_matrix", "omega_value",
     "FlowDiagnostics", "TorusFiber", "TransportResult",
@@ -35,5 +35,5 @@ __all__ = [
     "covering_count", "covering_roots",
     "HLProbeResult", "classify_hl_target", "hl_fiber_probe", "hl_map",
     "hl_jacobian_rank", "sample_hl_fiber",
-    "kahler_potential", "moment_maps", "volume_ratio",
+    "moment_maps", "volume_ratio",
 ]

@@ -11,8 +11,8 @@ is one dimensional).
 
 Two independent passes find the roots, and each is one array computation:
 
-* the grid pass evaluates the equation on a uniform grid_n x grid_n phase
-  grid (separable: one length-grid_n exponential, broadcast), seeds a
+* the grid pass evaluates the equation on a uniform GRID_N x GRID_N phase
+  grid (separable: one length-GRID_N exponential, broadcast), seeds a
   Newton polish at the centre of every cell where both the real and the
   imaginary part change sign, and polishes all seeds at once with a
   closed-form 2x2 solve, each row stopping when it converges or fails;
@@ -34,6 +34,8 @@ import warnings
 import numpy as np
 
 from ..basecomplex import FattenedStratum, classify_fattened
+
+GRID_N = 400  # phase samples per torus direction in the grid pass
 
 
 def _dedupe(roots, tol):
@@ -88,8 +90,8 @@ def _newton_polish(R1, R2, x, h, newton_tol):
     return x[ok]
 
 
-def _grid_roots(R1, R2, grid_n, newton_tol):
-    th = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
+def _grid_roots(R1, R2, newton_tol):
+    th = np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False)
     e = np.exp(5j * th)
     g = R1 * e[:, None] + R2 * e[None, :] + 1.0
 
@@ -100,7 +102,7 @@ def _grid_roots(R1, R2, grid_n, newton_tol):
 
     sign_change = any_corner(g.real <= 0) & any_corner(g.real >= 0) \
         & any_corner(g.imag <= 0) & any_corner(g.imag >= 0)
-    h = 2.0 * np.pi / grid_n
+    h = 2.0 * np.pi / GRID_N
     seeds = th[np.argwhere(sign_change)] + 0.5 * h
     return [(float(t1), float(t2))
             for t1, t2 in _newton_polish(R1, R2, seeds, h, newton_tol)]
@@ -134,16 +136,16 @@ def _tolerances(R1, R2, tol):
     return newton_tol, 1e-7 * scale, max(1e-6, 2.0 * np.sqrt(newton_tol))
 
 
-def covering_roots(r1, r2, tol=1e-9, grid_n=400):
+def covering_roots(r1, r2, tol=1e-9):
     """All torus solutions over a fattened-interior or boundary point."""
     R1, R2 = float(r1) ** 5, float(r2) ** 5
     newton_tol, verify_tol, dedupe_tol = _tolerances(R1, R2, tol)
-    roots = _grid_roots(R1, R2, grid_n, newton_tol)
+    roots = _grid_roots(R1, R2, newton_tol)
     roots += _reduced_roots(R1, R2, verify_tol)
     return _dedupe(roots, dedupe_tol)
 
 
-def covering_count(r1, r2, tol=1e-9, grid_n=400):
+def covering_count(r1, r2, tol=1e-9):
     """Number of intersection points of the fiber with the singular surface.
 
     The stratum of (r1, r2) is classified first: vertex points use the
@@ -157,4 +159,4 @@ def covering_count(r1, r2, tol=1e-9, grid_n=400):
     if stratum == FattenedStratum.VERTEX0:
         # r1^5 e^{5 i theta} = -1 on the unit circle: five phases
         return 5
-    return len(covering_roots(r1, r2, tol=tol, grid_n=grid_n))
+    return len(covering_roots(r1, r2, tol=tol))

@@ -63,16 +63,6 @@ def metric_matrix(p, metric="chart-flat"):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def metric_inverse(p, metric="chart-flat"):
-    if metric == "chart-flat":
-        return np.eye(4, dtype=complex)
-    if metric == "fubini-study":
-        x = p.array()
-        a = 1.0 + float(np.sum(np.abs(x) ** 2))
-        return a * (np.eye(4, dtype=complex) + np.outer(x, x.conj()))
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _raw_gradient_rows(x, metric):
     """H^{-1} conj(ds), the squared gradient norm |grad f|^2 and the pole
     mask on (N, 4) chart rows.
@@ -133,11 +123,14 @@ def closed_form_V_D4(p):
     return np.array([0.0, 0.0, 0.0, v4], dtype=complex)
 
 
-def finite_difference_gradient(p, metric="chart-flat", h=1e-6):
+FD_STEP = 1e-6  # central-difference step of finite_difference_gradient
+
+
+def finite_difference_gradient(p):
     """Central-difference Euclidean gradient of f = Re(s), as the oracle.
 
-    Returns the complex representation (df/du_i + i df/dv_i), transformed
-    by the inverse metric so it is comparable with the analytic gradient.
+    Returns the complex representation (df/du_i + i df/dv_i), which is the
+    gradient of the chart-flat metric and so comparable with conj(ds).
     """
     base = list(p.coords)
     g = np.empty(4, dtype=complex)
@@ -145,16 +138,16 @@ def finite_difference_gradient(p, metric="chart-flat", h=1e-6):
         for part, unit in ((0, 1.0), (1, 1j)):
             plus = list(base)
             minus = list(base)
-            plus[i] = base[i] + h * unit
-            minus[i] = base[i] - h * unit
+            plus[i] = base[i] + FD_STEP * unit
+            minus[i] = base[i] - FD_STEP * unit
             fp = np.real(eval_s(AffinePoint(p.chart, tuple(plus))))
             fm = np.real(eval_s(AffinePoint(p.chart, tuple(minus))))
-            d = (fp - fm) / (2.0 * h)
+            d = (fp - fm) / (2.0 * FD_STEP)
             if part == 0:
                 g[i] = d
             else:
                 g[i] = g[i] + 1j * d
-    return metric_inverse(p, metric) @ g
+    return g
 
 
 def omega_value(p, u, v, metric="chart-flat"):

@@ -23,6 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TARGET_TOL = 1e-12  # classify_hl_target: distance from a singular ray
+# sample_hl_fiber draws |z1|^2 = max(0, c2, c3) + RHO_MARGIN + Exp(RHO_SPREAD)
+RHO_MARGIN = 0.25
+RHO_SPREAD = 1.0
+RANK_TOL = 1e-9  # hl_jacobian_rank: singular values below it, relative, are zero
+FRAME_H = 1e-6  # central-difference step of the tangent frames
+
 
 def hl_map(z):
     z1, z2, z3 = z
@@ -33,8 +40,9 @@ def hl_map(z):
     ])
 
 
-def classify_hl_target(c, tol=1e-12):
+def classify_hl_target(c):
     """('smooth'|'singular', branch) classification of a target value."""
+    tol = TARGET_TOL
     c1, c2, c3 = (float(x) for x in c)
     if abs(c1) <= tol:
         if abs(c2) <= tol and abs(c3) <= tol:
@@ -48,7 +56,7 @@ def classify_hl_target(c, tol=1e-12):
     return ("smooth", None)
 
 
-def sample_hl_fiber(c, n_samples, rng, rho_margin=0.25, rho_spread=1.0):
+def sample_hl_fiber(c, n_samples, rng):
     """Sample points of the fiber via the torus parametrization.
 
     Returns a list of (z, params) with params = (rho1, theta1, theta2,
@@ -59,7 +67,7 @@ def sample_hl_fiber(c, n_samples, rng, rho_margin=0.25, rho_spread=1.0):
     tries = 0
     while len(out) < n_samples and tries < 50 * n_samples:
         tries += 1
-        rho1_sq = max(0.0, c2, c3) + rho_margin + rng.exponential(rho_spread)
+        rho1_sq = max(0.0, c2, c3) + RHO_MARGIN + rng.exponential(RHO_SPREAD)
         rho1 = np.sqrt(rho1_sq)
         rho2 = np.sqrt(rho1_sq - c2)
         rho3 = np.sqrt(rho1_sq - c3)
@@ -90,21 +98,21 @@ def _point_from_params(c, rho1, theta1, theta2, branch):
                      rho3 * np.exp(1j * theta3)])
 
 
-def _tangent_frame(c, params, h=1e-6):
+def _tangent_frame(c, params):
     rho1, theta1, theta2, branch = params
     frame = []
     for slot in range(3):
         plus = [rho1, theta1, theta2]
         minus = [rho1, theta1, theta2]
-        plus[slot] += h
-        minus[slot] -= h
+        plus[slot] += FRAME_H
+        minus[slot] -= FRAME_H
         zp = _point_from_params(c, *plus, branch)
         zm = _point_from_params(c, *minus, branch)
-        frame.append((zp - zm) / (2.0 * h))
+        frame.append((zp - zm) / (2.0 * FRAME_H))
     return frame
 
 
-def hl_jacobian_rank(z, tol=1e-9):
+def hl_jacobian_rank(z):
     """Rank of the real differential of the defining map at a point."""
     z1, z2, z3 = z
     pr = (z2 * z3, z1 * z3, z1 * z2)
@@ -118,7 +126,7 @@ def hl_jacobian_rank(z, tol=1e-9):
     jac[2, 4], jac[2, 5] = -2 * z3.real, -2 * z3.imag
     sv = np.linalg.svd(jac, compute_uv=False)
     scale = sv[0] if sv[0] > 0 else 1.0
-    return int(np.sum(sv > tol * scale))
+    return int(np.sum(sv > RANK_TOL * scale))
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ class HLProbeResult:
     generic_ranks: tuple
 
 
-def hl_fiber_probe(c, n_samples=64, seed=0, frame_h=1e-6):
+def hl_fiber_probe(c, n_samples=64, seed=0):
     """Special-Lagrangian defect and singularity classification of a fiber.
 
     The defect is the larger of the normalized flat symplectic pairings on
@@ -148,7 +156,7 @@ def hl_fiber_probe(c, n_samples=64, seed=0, frame_h=1e-6):
     defect = 0.0
     phase = None
     for z, params in samples:
-        frame = _tangent_frame(c, params, h=frame_h)
+        frame = _tangent_frame(c, params)
         norms = [np.linalg.norm(u) for u in frame]
         for a in range(3):
             for b in range(a + 1, 3):

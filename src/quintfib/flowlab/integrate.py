@@ -67,6 +67,14 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
 EPS = np.finfo(float).eps
+# the guard event's root search: brentq's tolerances and iteration budget
+BRENTQ_XTOL = BRENTQ_RTOL = 4 * EPS
+BRENTQ_MAXITER = 100
+N_CHECKPOINTS = 33  # drift checkpoints along each trajectory
+# Newton projection: stop at |value| <= NEWTON_TOL (1 + max|x|^5)
+NEWTON_TOL = 1e-14
+NEWTON_MAX_ITER = 60
+COLLAPSE_EPS = 1e-3  # modulus of the perturbed coordinate in circle_collapse_winding
 
 # row states of the batched integrator
 RUNNING, REACHED, GUARD_HIT, UNDERFLOW, GUARDED = range(5)
@@ -128,7 +136,7 @@ def _dense(seg, t):
                          + Q[:, 3] * (x3 * x)) + y_old
 
 
-def _brentq(f, xa, xb, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
+def _brentq(f, xa, xb):
     """Brent's root of f between xa and xb, step for step as scipy's brentq."""
     xpre, xcur = xa, xb
     fpre, fcur = f(xpre), f(xcur)
@@ -139,7 +147,7 @@ def _brentq(f, xa, xb, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENTQ_MAXITER):
         if fpre != 0 and fcur != 0 and (
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -147,7 +155,7 @@ def _brentq(f, xa, xb, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENTQ_XTOL + BRENTQ_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -291,8 +299,8 @@ def _integrate(y0, t_bound, cfg):
     return state, t, y, counts, guard_sq, (seg_rows[order], t1, segs)
 
 
-def _checkpoint_drifts(s0, t_end, rows, steps, n_checkpoints, d):
-    """Largest Im(s) and f drifts at n_checkpoints equally spaced times on
+def _checkpoint_drifts(s0, t_end, rows, steps, d):
+    """Largest Im(s) and f drifts at N_CHECKPOINTS equally spaced times on
     [0, t_end] of each of `rows`, read from the dense output.
 
     Like scipy's OdeSolution, a time on a step boundary reads the earlier
@@ -311,7 +319,7 @@ def _checkpoint_drifts(s0, t_end, rows, steps, n_checkpoints, d):
     bounds[np.arange(len(rows)), counts] = d * t_end[rows]
 
     # np.linspace(0, t_end, n) row by row, bit for bit
-    ts = np.arange(n_checkpoints) * (t_end[rows] / (n_checkpoints - 1))[:, None]
+    ts = np.arange(N_CHECKPOINTS) * (t_end[rows] / (N_CHECKPOINTS - 1))[:, None]
     ts[:, -1] = t_end[rows]
     left = (bounds[:, None, :] < d * ts[:, :, None]).sum(axis=2)
     which = starts[:, None] + np.clip(left - 1, 0, (counts - 1)[:, None])
@@ -323,7 +331,7 @@ def _checkpoint_drifts(s0, t_end, rows, steps, n_checkpoints, d):
     return im, f
 
 
-def flow_batch(points, t_target, cfg=None, n_checkpoints=33):
+def flow_batch(points, t_target, cfg=None):
     """Flow every point for time t_target, all in one batch.
 
     Returns per point what `flow` returns, (endpoint, diagnostics), or the
@@ -344,8 +352,7 @@ def flow_batch(points, t_target, cfg=None, n_checkpoints=33):
     rows = np.flatnonzero((state != GUARDED) & (n_acc > 0))
     if rows.size:
         d = 1.0 if t_target > 0 else -1.0
-        im[rows], f[rows] = _checkpoint_drifts(s0, t_end, rows, steps,
-                                               n_checkpoints, d)
+        im[rows], f[rows] = _checkpoint_drifts(s0, t_end, rows, steps, d)
     out = []
     for i, p in enumerate(points):
         if state[i] == GUARDED:
@@ -358,7 +365,7 @@ def flow_batch(points, t_target, cfg=None, n_checkpoints=33):
     return out
 
 
-def flow(p0, t_target, cfg=None, n_checkpoints=33):
+def flow(p0, t_target, cfg=None):
     """Integrate the normalized gradient flow for time t_target.
 
     Returns (endpoint, diagnostics).  The time parameter is the value of f
@@ -368,30 +375,30 @@ def flow(p0, t_target, cfg=None, n_checkpoints=33):
     'step_underflow'.  A field evaluation inside the guard zone raises
     SigmaGuardError.
     """
-    result = flow_batch([p0], t_target, cfg, n_checkpoints)[0]
+    result = flow_batch([p0], t_target, cfg)[0]
     if isinstance(result, SigmaGuardError):
         raise result
     return result
 
 
-def _newton_rows(x, psi, tol=1e-14, max_iter=60):
+def _newton_rows(x, psi):
     """Newton projection of (N, 4) rows onto the smooth member, all at once.
 
     Newton steps for the single defining equation move along the conjugate
-    gradient direction.  A row stops once |value| <= tol (1 + max|x|^5),
-    tested before each of at most max_iter steps; a vanishing gradient on
-    any live row raises ArithmeticError.  Returns the projected rows and
+    gradient direction.  A row stops once |value| <= NEWTON_TOL (1 +
+    max|x|^5), tested before each of at most NEWTON_MAX_ITER steps; a
+    vanishing gradient on any live row raises ArithmeticError.  Returns the projected rows and
     their total displacements; a row's bits do not depend on the rows
     batched with it.
     """
     x = x.copy()
     moved = np.zeros(len(x))
     alive = np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         xa = x[alive]
         val = _quintic(xa, psi)
         scale = 1.0 + np.max(np.abs(xa), axis=1) ** 5
-        live = ~(np.abs(val) <= tol * scale)
+        live = ~(np.abs(val) <= NEWTON_TOL * scale)
         alive, xa, val = alive[live], xa[live], val[live]
         if not alive.size:
             break
@@ -412,11 +419,11 @@ def distances_to_quintic(points, psi):
                         psi)[1]
 
 
-def newton_project_to_quintic(p, psi, tol=1e-14, max_iter=60):
+def newton_project_to_quintic(p, psi):
     """Project a near-solution onto the smooth member by damped Newton, as
     one row of `distances_to_quintic`; returns (projected point, total
     displacement)."""
-    x, moved = _newton_rows(p.array()[None], psi, tol, max_iter)
+    x, moved = _newton_rows(p.array()[None], psi)
     return AffinePoint(p.chart, tuple(x[0])), float(moved[0])
 
 
@@ -551,36 +558,34 @@ def transport_fiber(fiber, psi, n_samples, cfg=None, seed=0, n_probes=12,
                            tuple(flagged), dist_max)
 
 
-def circle_collapse_winding(pair, radii, psi, eps=1e-3, n_phi=48, cfg=None,
-                            track_index=None):
+def circle_collapse_winding(pair, radii, psi, n_phi=48):
     """Winding of the circle swept by one point of a codimension-2 fiber.
 
     For a face with two vanishing coordinates, a point of the 2-torus fiber
-    deforms to a circle: perturb one vanishing coordinate to eps*e^{i phi},
-    flow each perturbed point onto the smooth member, and measure the
-    winding of that coordinate's argument at the endpoints as phi sweeps a
-    full turn.  A unit winding certifies the extra circle.
+    deforms to a circle: perturb the lower vanishing coordinate to
+    COLLAPSE_EPS e^{i phi}, flow each of n_phi perturbed points onto the
+    smooth member with the chart-flat metric, and measure the winding of
+    that coordinate's argument at the endpoints as phi sweeps a full turn.
+    A unit winding certifies the extra circle.
     """
     pair = sorted(pair)
     if len(pair) != 2:
         raise ValueError("expected a face with two vanishing coordinates")
-    track = pair[0] if track_index is None else track_index
-    other = pair[1] if track == pair[0] else pair[0]
-    cfg = cfg or FlowConfig(psi=psi)
-    t_target = cfg.flow_target_time
+    track, other = pair
+    cfg = FlowConfig(psi=psi)
     live = sorted(set(range(1, 6)) - set(pair))
     anchor = live[-1]
     starts = []
     for phi in np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False):
         z = np.zeros(5, dtype=complex)
-        for pos, i in enumerate(live):
+        for i in live:
             z[i - 1] = radii[i] if i in radii else 1.0
         z[live[0] - 1] *= np.exp(0.37j)  # generic fixed phase
-        z[track - 1] = eps * np.exp(1j * phi)
+        z[track - 1] = COLLAPSE_EPS * np.exp(1j * phi)
         z[other - 1] = 0.0
         starts.append(from_homogeneous(z, chart=anchor))
     args = []
-    for p, result in zip(starts, flow_batch(starts, t_target, cfg)):
+    for p, result in zip(starts, flow_batch(starts, cfg.flow_target_time, cfg)):
         if isinstance(result, SigmaGuardError):
             raise result
         q, diag = result

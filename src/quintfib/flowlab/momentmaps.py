@@ -1,4 +1,4 @@
-"""Moment maps and Kahler potentials of the torus action on the chart.
+"""Moment maps and the flat Kahler potential of the torus action on the chart.
 
 Three maps are exposed for the diagonal torus action:
 
@@ -20,6 +20,8 @@ import numpy as np
 
 from .points import AffinePoint
 
+HESSIAN_H = 1e-4  # finite-difference step of the mixed Hessian
+
 
 def moment_maps(p, which="fubini-study"):
     """Value of the named moment map at an affine point (4 real numbers)."""
@@ -37,24 +39,22 @@ def moment_maps(p, which="fubini-study"):
     raise ValueError(f"unknown moment map {which!r}")
 
 
-def kahler_potential(p, kind="fubini-study"):
+def kahler_potential(p):
+    """The flat potential sum (log|x_i|^2)^2 - (sum log|x_i|^2)^2 / 5."""
     x = p.array()
-    if kind == "fubini-study":
-        return float(np.log(1.0 + np.sum(np.abs(x) ** 2)))
-    if kind == "flat":
-        if np.any(np.abs(x) == 0.0):
-            raise ValueError("the flat potential needs nonzero coordinates")
-        t = np.log(np.abs(x) ** 2)
-        return float(np.sum(t ** 2) - np.sum(t) ** 2 / 5.0)
-    raise ValueError(f"unknown potential {kind!r}")
+    if np.any(np.abs(x) == 0.0):
+        raise ValueError("the flat potential needs nonzero coordinates")
+    t = np.log(np.abs(x) ** 2)
+    return float(np.sum(t ** 2) - np.sum(t) ** 2 / 5.0)
 
 
-def _complex_hessian(p, kind, h=1e-4):
-    """Finite-difference mixed Hessian d^2/dx_i dxbar_j of a potential."""
+def _complex_hessian(p):
+    """Finite-difference mixed Hessian d^2/dx_i dxbar_j of the flat potential."""
     base = list(p.coords)
+    h = HESSIAN_H
 
     def pot(coords):
-        return kahler_potential(AffinePoint(p.chart, tuple(coords)), kind)
+        return kahler_potential(AffinePoint(p.chart, tuple(coords)))
 
     def d2(i, ui, j, uj):
         pp = list(base)
@@ -82,7 +82,7 @@ def _complex_hessian(p, kind, h=1e-4):
     return hess
 
 
-def volume_ratio(p, h=1e-4):
+def volume_ratio(p):
     """det(flat mixed Hessian) times prod |x_i|^2 at a point.
 
     Analytically this is det(2 I - (2/5) J) = 16/5 independently of the
@@ -91,5 +91,5 @@ def volume_ratio(p, h=1e-4):
     the holomorphic 4-form.
     """
     x = p.array()
-    hess = _complex_hessian(p, "flat", h=h)
+    hess = _complex_hessian(p)
     return float(np.real(np.linalg.det(hess)) * np.prod(np.abs(x) ** 2))

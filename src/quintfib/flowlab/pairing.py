@@ -25,6 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 STEP_FRACTION = 0.25
+N_STEPS = 400  # loop steps
+RADIUS = 0.75  # common modulus of the spectator and winding coordinates
+POLE_TOL = 1e-6  # least modulus of the form's coordinates along the loop
+RESIDUE_TOL = 1e-6  # largest distance of a winding from its integer
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class PairingResult:
 def _track_small_root(eigs):
     """Continue the smallest root through the rows of eigs, closing the loop.
 
-    `eigs` is (n_steps, 5): the quintic's roots at each loop step.  Returns
+    `eigs` is (N_STEPS, 5): the quintic's roots at each loop step.  Returns
     the tracked root per step and the worst step ratio |step| / gap, where
     gap is the new root's distance to the nearest other root of its row.
     """
@@ -63,18 +67,18 @@ def _track_small_root(eigs):
     return track[:n], float(ratios.max())
 
 
-def _loop_coordinates(i, j, k, psi, n_steps, radius):
-    """(n_steps, 5) coordinates along the (i, j, k) loop, and its worst step ratio."""
+def _loop_coordinates(i, j, k, psi):
+    """(N_STEPS, 5) coordinates along the (i, j, k) loop, and its worst step ratio."""
     spectators = sorted(set(range(1, 6)) - {i, j, k})
-    z = np.zeros((n_steps, 5), dtype=complex)
+    z = np.zeros((N_STEPS, 5), dtype=complex)
     z[:, j - 1] = 1.0
     for t, sp in enumerate(spectators):
-        z[:, sp - 1] = radius * np.exp(1j * (0.4 + 0.9 * t))
-    phis = np.linspace(0.0, 2.0 * np.pi, n_steps, endpoint=False)
-    z[:, k - 1] = radius * np.exp(1j * phis)
+        z[:, sp - 1] = RADIUS * np.exp(1j * (0.4 + 0.9 * t))
+    phis = np.linspace(0.0, 2.0 * np.pi, N_STEPS, endpoint=False)
+    z[:, k - 1] = RADIUS * np.exp(1j * phis)
     others = np.delete(z, i - 1, axis=1)
     # z_i^5 - 5 psi (prod others) z_i + (sum others^5) = 0, as a companion matrix
-    companion = np.zeros((n_steps, 5, 5), dtype=complex)
+    companion = np.zeros((N_STEPS, 5, 5), dtype=complex)
     companion[:, 0, 3] = 5.0 * psi * np.prod(others, axis=1)
     companion[:, 0, 4] = -np.sum(others ** 5, axis=1)
     companion[:, np.arange(1, 5), np.arange(4)] = 1.0
@@ -82,8 +86,7 @@ def _loop_coordinates(i, j, k, psi, n_steps, radius):
     return z, worst
 
 
-def loop_pairing_detailed(loop, form, psi=10.0, n_steps=400, radius=0.75,
-                          pole_tol=1e-6):
+def loop_pairing_detailed(loop, form, psi=10.0):
     """Winding of z_l/z_m along the (i, j, k) cycle, with its residue.
 
     `loop` is (i, j, k): divisor index i, dominant index j, winding index k.
@@ -95,9 +98,9 @@ def loop_pairing_detailed(loop, form, psi=10.0, n_steps=400, radius=0.75,
         raise ValueError("loop indices must be distinct")
     if l == m:
         raise ValueError("form indices must be distinct")
-    z, _ = _loop_coordinates(i, j, k, psi, n_steps, radius)
+    z, _ = _loop_coordinates(i, j, k, psi)
     min_coord = np.min(np.abs(z[:, [l - 1, m - 1]]))
-    if min_coord < pole_tol:
+    if min_coord < POLE_TOL:
         raise ArithmeticError(
             f"loop passes within {min_coord:.2e} of a pole of the form")
     ratio_args = np.angle(z[:, l - 1] / z[:, m - 1])
@@ -108,12 +111,10 @@ def loop_pairing_detailed(loop, form, psi=10.0, n_steps=400, radius=0.75,
                          (l, m), float(min_coord))
 
 
-def loop_pairing(loop, form, psi=10.0, n_steps=400, radius=0.75,
-                 residue_tol=1e-6):
+def loop_pairing(loop, form, psi=10.0):
     """Integer pairing of the (i, j, k) cycle with d log(z_l / z_m)."""
-    res = loop_pairing_detailed(loop, form, psi=psi, n_steps=n_steps,
-                                radius=radius)
-    if res.residue >= residue_tol:
+    res = loop_pairing_detailed(loop, form, psi=psi)
+    if res.residue >= RESIDUE_TOL:
         raise ArithmeticError(
             f"pairing did not converge to an integer: {res.value} + {res.residue:.2e}")
     return res.value

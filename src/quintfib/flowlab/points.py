@@ -11,6 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# a row is at a pole of s when its denominator is at most POLE_TOL (1 + max|x|^5)
+POLE_TOL = 1e-13
+# random_x_infinity_point rejects samples whose |ds|^2 is at most GRAD_FLOOR
+GRAD_FLOOR = 1e-3
+MAX_TRIES = 100
+
+
 class PoleError(ArithmeticError):
     """Raised when evaluating s at (numerically) a pole of the pencil."""
 
@@ -60,11 +67,6 @@ def from_homogeneous(z, chart=None):
     return AffinePoint(chart, tuple(z[i - 1] / zc for i in coord_indices(chart)))
 
 
-def chart_change(p, new_chart):
-    """The same projective point in a different chart."""
-    return from_homogeneous(p.homogeneous(), new_chart)
-
-
 def _sum4(a):
     """Sum over the last axis of length four, in one fixed order for every
     row, so a row's bits do not depend on the rows batched with it."""
@@ -80,7 +82,7 @@ def _others(x):
     return np.stack([x1 * x23, x0 * x23, x01 * x3, x01 * x2], axis=-1)
 
 
-def _s_parts(x, pole_tol=1e-13):
+def _s_parts(x):
     """(numerator, denominator, product of the others, pole mask) of s on
     (..., 4) chart coordinates; a row is at a pole when its denominator
     vanishes relative to 1 + max|x|^5."""
@@ -88,7 +90,7 @@ def _s_parts(x, pole_tol=1e-13):
     num = others[..., 3] * x[..., 3]
     den = _sum4(x ** 5) + 1.0
     scale = 1.0 + np.max(np.abs(x), axis=-1) ** 5
-    return num, den, others, np.abs(den) <= pole_tol * scale
+    return num, den, others, np.abs(den) <= POLE_TOL * scale
 
 
 def _ds(x, num, den, others):
@@ -97,35 +99,35 @@ def _ds(x, num, den, others):
     return (others * den - num[..., None] * 5.0 * x ** 4) / den ** 2
 
 
-def _s_gradient_rows(x, pole_tol=1e-13):
+def _s_gradient_rows(x):
     """Partials of s on (N, 4) rows and the pole mask; rows at a pole get
     finite placeholders instead of an error."""
-    num, den, others, pole = _s_parts(x, pole_tol)
+    num, den, others, pole = _s_parts(x)
     return _ds(x, num, np.where(pole, 1.0, den), others), pole
 
 
-def _eval_s_rows(x, pole_tol=1e-13):
+def _eval_s_rows(x):
     """s on (N, 4) rows; PoleError if any row sits at a pole."""
-    num, den, _, pole = _s_parts(x, pole_tol)
+    num, den, _, pole = _s_parts(x)
     if pole.any():
         k = int(np.argmax(pole))
         raise PoleError(f"pole of s at {x[k]}: denominator {den[k]}")
     return num / den
 
 
-def eval_s(p, pole_tol=1e-13):
+def eval_s(p):
     """Value of the meromorphic ratio at an affine point.
 
     The denominator vanishing means the point sits on the pencil's base
     quintic; that is a pole of s and is reported with the location.
     """
-    return _eval_s_rows(p.array()[None], pole_tol)[0]
+    return _eval_s_rows(p.array()[None])[0]
 
 
-def s_gradient(p, pole_tol=1e-13):
+def s_gradient(p):
     """Holomorphic partials of s with respect to the chart coordinates."""
     x = p.array()[None]
-    num, den, others, pole = _s_parts(x, pole_tol)
+    num, den, others, pole = _s_parts(x)
     if pole[0]:
         raise PoleError(f"pole of s at {p}: denominator {den[0]}")
     return _ds(x, num, den, others)[0]
@@ -139,12 +141,7 @@ def _quintic_gradient(x, psi):
     return 5.0 * x ** 4 - 5.0 * psi * _others(x)
 
 
-def quintic_value(p, psi):
-    """Defining polynomial of the smooth member, in chart coordinates."""
-    return _quintic(p.array(), psi)
-
-
-def random_x_infinity_point(rng, grad_floor=1e-3, max_tries=100):
+def random_x_infinity_point(rng):
     """Random point on the smooth part of the large complex limit.
 
     One homogeneous coordinate is set to zero, the others get moduli in
@@ -152,7 +149,7 @@ def random_x_infinity_point(rng, grad_floor=1e-3, max_tries=100):
     chart.  Points too close to the singular surface (tiny gradient of s)
     are rejected.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         zero_idx = int(rng.integers(1, 6))
         z = np.zeros(5, dtype=complex)
         for i in range(1, 6):
@@ -162,6 +159,6 @@ def random_x_infinity_point(rng, grad_floor=1e-3, max_tries=100):
             z[i - 1] = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         p = from_homogeneous(z)
         ds, pole = _s_gradient_rows(p.array()[None])
-        if not pole[0] and _sum4(ds * ds.conj()).real[0] > grad_floor:
+        if not pole[0] and _sum4(ds * ds.conj()).real[0] > GRAD_FLOOR:
             return p
     raise RuntimeError("failed to sample a smooth large-complex-limit point")

@@ -24,7 +24,7 @@ is an even permutation of (1, 2, 3, 4, 5); this is declared the positive
 orientation, and reversing a loop inverts its operator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 from math import lcm
 
@@ -180,8 +180,8 @@ class MonodromyOperator:
 
     def dual(self):
         """Operator induced on the dual lattice (inverse transpose)."""
-        return MonodromyOperator(_inverse_transpose(self.matrix), self.basepoint,
-                                 self.label + " (dual)", self.sign)
+        return MonodromyOperator(_to_int(ratkernel.inverse(self.matrix)).T.copy(),
+                                 self.basepoint, self.label + " (dual)", self.sign)
 
     def __repr__(self):
         return f"{self.label} @ {self.basepoint}: {self.matrix.tolist()}"
@@ -198,21 +198,12 @@ def _to_int(m):
     return out
 
 
-def _inverse_transpose(m):
-    return _to_int(ratkernel.inverse(m)).T.copy()
-
-
-def _fold(path, step):
-    """Product of step(a, b) over the path's steps, last step leftmost."""
-    m = ratkernel.identity(3)
-    for a, b in zip(path.charts, path.charts[1:]):
-        m = step(a, b) @ m
-    return m
-
-
 def path_product(path):
     """Product of step transitions along a chart path (last step leftmost)."""
-    return _fold(path, transition)
+    m = ratkernel.identity(3)
+    for a, b in zip(path.charts, path.charts[1:]):
+        m = transition(a, b) @ m
+    return m
 
 
 def monodromy_along(path, label=None):
@@ -322,15 +313,15 @@ def vertex_basepoint(vertex):
     return ChartId(max(INDEX_SET - vertex.indices), max(vertex.indices))
 
 
-def vertex_monodromies(vertex, basepoint=None):
-    """The three leg monodromies around a graph vertex in one common basis.
+def vertex_monodromies(vertex):
+    """The three leg monodromies around a graph vertex in the basis of its
+    :func:`vertex_basepoint` chart.
 
     Legs are taken in ascending apex order.  The operators pairwise commute
     and their product is the identity; callers interested in the vanishing
     sublattice feed them to :func:`vanishing_filtration`.
     """
-    if basepoint is None:
-        basepoint = vertex_basepoint(vertex)
+    basepoint = vertex_basepoint(vertex)
     return [leg_monodromy(leg, basepoint) for leg in edges_at(vertex)]
 
 
@@ -413,44 +404,11 @@ def common_invariants(ops, dual=False):
     return ratkernel.kernel_basis(stacked)
 
 
-@dataclass(frozen=True)
-class LocalSystem:
-    """Rank-3 lattice assignment over the chart nerve with transition data."""
-
-    charts: tuple
-    transitions: dict = field(compare=False)
-    name: str = "E1"
-
-    def transition(self, a, b):
-        return self.transitions[(a, b)]
-
-    def loop_monodromy(self, path):
-        return _fold(path, self.transition)
-
-    def dual(self):
-        """The dual local system; its matrices are the inverse transposes."""
-        dual_tr = {key: _inverse_transpose(m) for key, m in self.transitions.items()}
-        return LocalSystem(self.charts, dual_tr,
-                           name="E2" if self.name == "E1" else self.name + "^")
+# coefficients in [-3, 3] on each generator of the conjugator solution space
+CONJUGATOR_SEARCH = range(-3, 4)
 
 
-def local_system_e1():
-    """The rank-3 cycle local system on the chart nerve.
-
-    Every legal ordered chart pair carries its transition matrix; loop
-    monodromies of this system are exactly the operators computed by
-    :func:`leg_monodromy`.
-    """
-    charts = tuple(all_charts())
-    transitions = {}
-    for a in charts:
-        for b in charts:
-            if a != b and _legal_step(a, b):
-                transitions[(a, b)] = transition(a, b)
-    return LocalSystem(charts, transitions)
-
-
-def mirror_dual_conjugator(pair_vertex, search_range=3):
+def mirror_dual_conjugator(pair_vertex):
     """Integer conjugator between the mirror-vertex triple and the dual triple.
 
     For a pair vertex P, the base involution carries the three legs at P to
@@ -477,17 +435,10 @@ def mirror_dual_conjugator(pair_vertex, search_range=3):
     for v in ker:
         denom = lcm(*[x.denominator for x in v])
         gens.append([int(x * denom) for x in v])
-
-    def to_matrix(vec):
-        return ratkernel.imat([vec[0:3], vec[3:6], vec[6:9]])
-
-    best = None
-    for coeffs in iter_product(range(-search_range, search_range + 1), repeat=len(gens)):
-        if all(c == 0 for c in coeffs):
-            continue
-        vec = [sum(c * g[t] for c, g in zip(coeffs, gens)) for t in range(9)]
-        m = to_matrix(vec)
-        if abs(ratkernel.int_det(m)) == 1:
-            best = m
-            break
-    return best
+    for coeffs in iter_product(CONJUGATOR_SEARCH, repeat=len(gens)):
+        if any(coeffs):
+            vec = [sum(c * g[t] for c, g in zip(coeffs, gens)) for t in range(9)]
+            m = ratkernel.imat([vec[0:3], vec[3:6], vec[6:9]])
+            if abs(ratkernel.int_det(m)) == 1:
+                return m
+    return None

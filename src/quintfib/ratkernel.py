@@ -7,8 +7,10 @@ terms, positive denominators).  No floating point enters any code path.
 Rank, determinant and reduced row echelon form (and through it kernels,
 solutions and inverses) share one fraction-free elimination on integer
 rows, `_echelon`, whose entries stay within Hadamard's bound on the minors
-instead of growing exponentially on dense input.  Lattice saturation goes
-through Smith normal form, with unimodular integer operations.
+instead of growing exponentially on dense input.  Lattice saturation and
+sublattice indices go through the row Hermite normal form, with unimodular
+integer row operations; Smith normal form is kept only as an independent
+reference for those results.
 
 All functions are pure and re-entrant; results are bit-identical across runs.
 """
@@ -17,14 +19,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import numpy as np
-
-
-def fmat(rows):
-    """Object-dtype matrix with Fraction entries from nested iterables."""
-    a = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array of entries")
-    return a
 
 
 def imat(rows):
@@ -289,16 +283,6 @@ def smith_normal_form(m):
     return a, L, Rinv
 
 
-def elementary_divisors(m):
-    """Nonzero diagonal of the Smith normal form, as a list of ints."""
-    d, _, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(d.shape)):
-        if d[i, i] != 0:
-            out.append(int(d[i, i]))
-    return out
-
-
 def sublattice_index(gens):
     """Index in Z^n, n the vectors' length, of the lattice spanned by the
     integer row vectors.
@@ -325,6 +309,8 @@ def row_hermite_form(rows):
     if not a:
         return []
     nrows, ncols = len(a), len(a[0])
+    if any(len(row) != ncols for row in a):
+        raise ValueError("rows of unequal length")
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -353,7 +339,7 @@ def row_hermite_form(rows):
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
         r += 1
-    return [row for row in a[:r]]
+    return a[:r]
 
 
 def _integer_kernel(rows, n):

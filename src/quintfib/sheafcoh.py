@@ -51,15 +51,14 @@ def leg_roles(triple):
 class ConstructibleSheafSpec:
     """Stalk dimensions of a constructible sheaf on the graph strata.
 
-    `restrictions` names how incident stalks restrict to leg stalks; only
-    the kernel sheaf of the top direct image carries explicit maps.
+    Only the kernel sheaf of the top direct image carries explicit
+    restriction maps (`triple_restriction`, `pair_restriction`).
     """
 
     name: str
     edge_dim: int
     pair_dim: int
     triple_dim: int
-    restrictions: str
 
     def c0(self):
         return 10 * self.triple_dim + 10 * self.pair_dim
@@ -68,13 +67,8 @@ class ConstructibleSheafSpec:
         return 30 * self.edge_dim
 
 
-K3_SPEC = ConstructibleSheafSpec(
-    "K3", edge_dim=4, pair_dim=4, triple_dim=24,
-    restrictions="x_{lm} -> (u_l, v_m, w_n), n = -l-m mod 5; identity matching "
-                 "on the pair side")
-K2_SPEC = ConstructibleSheafSpec(
-    "K2", edge_dim=4, pair_dim=0, triple_dim=8,
-    restrictions="dimension counting only; no maps are on record")
+K3_SPEC = ConstructibleSheafSpec("K3", edge_dim=4, pair_dim=4, triple_dim=24)
+K2_SPEC = ConstructibleSheafSpec("K2", edge_dim=4, pair_dim=0, triple_dim=8)
 
 
 @dataclass(frozen=True)
@@ -219,15 +213,15 @@ class SurjectivityReport:
     surjective: bool
 
 
-def surjectivity_check_pijk(triple=(1, 2, 3)):
-    """Exact-rank verification of the triple-barycenter restriction map.
+def surjectivity_check_pijk():
+    """Exact-rank verification of the triple-barycenter restriction map at P_123.
 
     The ambient map sends x_{lm} to (u_l, v_m, w_n); its image is exactly
     the triples of vectors with equal component sums (rank 13), and the
     kernel-sheaf restriction of the sum-zero part onto the three sum-zero
     leg stalks has rank 12, i.e. is surjective.
     """
-    triple = tuple(sorted(triple))
+    triple = (1, 2, 3)
     lab = _triple_labels(triple, None)
     i, j, k = triple
     roles = [("l", k), ("m", i), ("n", j)]
@@ -316,10 +310,7 @@ class E2Table:
                    for q in range(4) for p in range(4))
 
 
-COMPONENT_KEYS = ("h_R0", "h_R1", "h_R2", "h_R3")
-
-
-def quintic_components(k3=None):
+def quintic_components():
     """Betti-number rows of the four direct-image sheaves on the quintic side.
 
     The top row is computed from the kernel-sheaf cohomology (h0 = 160 + 1
@@ -327,7 +318,7 @@ def quintic_components(k3=None):
     dimension-count result (h1 = 41) and the intersection-chain inputs
     h1 = h2 = 1 for the first direct image.
     """
-    h0_k3, h1_k3 = K3_cohomology() if k3 is None else k3
+    h0_k3, h1_k3 = K3_cohomology()
     k2 = K2_dimension_count()
     return {
         "h_R0": (1, 0, 0, 1),
@@ -348,20 +339,12 @@ def mirror_components():
     }
 
 
-def assemble_E2(fibration, components=None):
-    """Assemble an E2 table from its per-sheaf Betti rows.
-
-    When `components` is given it must carry all of h_R0..h_R3; a missing
-    key raises an error naming it.
-    """
+def assemble_E2(fibration):
+    """Assemble an E2 table from its per-sheaf Betti rows."""
     if fibration not in ("quintic", "mirror"):
         raise ValueError(f"unknown fibration {fibration!r}")
-    if components is None:
-        components = quintic_components() if fibration == "quintic" \
-            else mirror_components()
-    for key in COMPONENT_KEYS:
-        if key not in components:
-            raise ValueError(f"missing component {key} for the E2 assembly")
+    components = quintic_components() if fibration == "quintic" \
+        else mirror_components()
     entries = tuple(tuple(components[f"h_R{q}"]) for q in range(4))
     return E2Table(entries, fibration)
 

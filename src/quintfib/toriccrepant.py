@@ -41,14 +41,6 @@ def dual_lattice_coords(w):
     return tuple(int(x) for x in coords)
 
 
-def in_dual_lattice(w):
-    try:
-        dual_lattice_coords(w)
-        return True
-    except ValueError:
-        return False
-
-
 @dataclass(frozen=True)
 class LatticePoint:
     """Point v_{ijk} = (i e_1 + j e_2 + k e_3)/5 of the dilated triangle."""
@@ -100,22 +92,17 @@ class ResolutionFan:
     rays: tuple
 
 
-def crepancy_check(ray, base_rays=None):
+def crepancy_check(ray):
     """Whether a ray extends the volume form without zeros or poles.
 
-    True exactly when ray = sum(lambda_i * base_i) with lambda_i >= 0 and
+    True exactly when ray = sum(lambda_i * e_i) with lambda_i >= 0 and
     sum(lambda_i) = 1; equivalently the dual weight functional takes the
-    value 1 on the ray.
+    value 1 on the ray.  In the basis e_1, e_2, e_3 the lambda_i are the
+    ray's own coordinates.
     """
-    if base_rays is None:
-        base_rays = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    cols = [[Fraction(x) for x in b] for b in base_rays]
-    a = np.array(cols, dtype=object).T
-    if ratkernel.rank(a) != len(base_rays):
-        raise ValueError("base rays are linearly dependent")
-    lam = ratkernel.solve(a, [Fraction(x) for x in ray])
-    if lam is None:
-        return False
+    lam = [Fraction(x) for x in ray]
+    if len(lam) != 3:
+        raise ValueError("a ray of the dual cone has three coordinates")
     return all(x >= 0 for x in lam) and sum(lam) == 1
 
 
@@ -235,8 +222,8 @@ def mirror_euler_number():
 def quotient_lattice_index():
     """Index in Z^3 of the sublattice <5e^1, 5e^2, 5e^3, e^1+e^2+e^3>.
 
-    Structural check on the singularity model, computed by Smith normal
-    form (the value 25 is not consumed anywhere else).
+    Structural check on the singularity model: the product of the Hermite
+    normal form's pivots (the value 25 is not consumed anywhere else).
     """
     gens = [[5, 0, 0], [0, 5, 0], [0, 0, 5], [1, 1, 1]]
     return ratkernel.sublattice_index(gens)

@@ -126,31 +126,27 @@ GOLDEN_E2_QUINTIC = ((161, 0, 0, 1), (0, 41, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1))
 GOLDEN_E2_MIRROR = ((1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1))
 
 
-def _mat_eq(m, golden):
-    return m.tolist() == golden
-
-
 def check_monodromy_goldens(cfg):
     got = []
     ok = True
     for a, b, golden in GOLDEN_STEPS:
         m = monodromy.transition(ChartId(*a), ChartId(*b))
-        ok &= _mat_eq(m, golden)
+        ok &= m.tolist() == golden
         got.append(m.tolist())
     leg = GraphEdge(frozenset({2, 4}), 3)
     bp = ChartId(5, 4)
     fwd = monodromy.leg_monodromy(leg, basepoint=bp)
     rev = monodromy.leg_monodromy(leg, basepoint=bp, orientation=-1)
-    ok &= _mat_eq(fwd.matrix, GOLDEN_LEG_LOOP)
-    ok &= _mat_eq(rev.matrix, GOLDEN_LEG_LOOP_REV)
+    ok &= fwd.matrix.tolist() == GOLDEN_LEG_LOOP
+    ok &= rev.matrix.tolist() == GOLDEN_LEG_LOOP_REV
     triple_ops = monodromy.vertex_monodromies(GraphVertex(frozenset({2, 3, 4})))
     for op in triple_ops:
         apex = int(op.label.split("^")[1].split()[0])
-        ok &= _mat_eq(op.matrix, GOLDEN_TRIPLE_VERTEX[apex])
+        ok &= op.matrix.tolist() == GOLDEN_TRIPLE_VERTEX[apex]
     pair_ops = monodromy.vertex_monodromies(GraphVertex(frozenset({2, 4})))
     for op in pair_ops:
         apex = int(op.label.split("^")[1].split()[0])
-        ok &= _mat_eq(op.matrix, GOLDEN_PAIR_VERTEX[apex])
+        ok &= op.matrix.tolist() == GOLDEN_PAIR_VERTEX[apex]
     return ("all golden matrices", "match" if ok else "mismatch", ok, "")
 
 

@@ -118,6 +118,13 @@ def test_verify_report_json_is_stable_without_runtimes():
     assert a == b
 
 
+def test_verify_all_json_is_the_reports_to_json(monkeypatch, capsys):
+    report = verify.verify_all(verify.VerifyConfig(skip="numeric"))
+    monkeypatch.setattr(verify, "verify_all", lambda cfg: report)
+    _, out = run_cli(capsys, "verify-all", "--format", "json")
+    assert out == report.to_json() + "\n"
+
+
 def test_verify_injected_corruption_fails_with_diff():
     cfg = verify.VerifyConfig(skip="numeric")
     report = verify.verify_all(cfg, _inject={"c03-euler-ledgers": "(-100, 0, 6, 0)"})

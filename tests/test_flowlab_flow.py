@@ -69,7 +69,8 @@ def test_newton_projection_oracle_is_idempotent():
     p0 = fl.random_x_infinity_point(rng)
     q, moved_once = fl.newton_project_to_quintic(
         fl.AffinePoint(p0.chart, tuple(np.array(p0.coords) * 0.97)), PSI)
-    assert abs(fl.quintic_value(q, PSI)) < 1e-10
+    z = q.homogeneous()
+    assert abs(np.sum(z ** 5) - 5.0 * PSI * np.prod(z)) < 1e-10
     _, moved_again = fl.newton_project_to_quintic(q, PSI)
     assert moved_again < 1e-12
 

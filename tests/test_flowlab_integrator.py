@@ -18,6 +18,16 @@ def _guard_cfg(sigma_guard):
     return fl.FlowConfig(psi=1.0, sigma_guard=sigma_guard)
 
 
+def _metric_inverse(p, metric):
+    """H^{-1} of the metric as a dense matrix: the oracle for the closed-form
+    inverse the field kernel applies."""
+    if metric == "chart-flat":
+        return np.eye(4, dtype=complex)
+    x = p.array()
+    a = 1.0 + float(np.sum(np.abs(x) ** 2))
+    return a * (np.eye(4, dtype=complex) + np.outer(x, x.conj()))
+
+
 def _scipy_flow(p0, t_target, cfg, n_checkpoints=33):
     """`flow` as solve_ivp(RK45) with the one-point field, the reference."""
     from scipy.integrate import solve_ivp
@@ -31,7 +41,7 @@ def _scipy_flow(p0, t_target, cfg, n_checkpoints=33):
 
     def guard_event(t, y):
         ds = fl.s_gradient(point(y))
-        v = fl.gradient.metric_inverse(point(y), cfg.metric) @ ds.conj()
+        v = _metric_inverse(point(y), cfg.metric) @ ds.conj()
         return float(np.real(np.sum(ds * v))) - 2.0 * cfg.sigma_guard
 
     guard_event.terminal = True

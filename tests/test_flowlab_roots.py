@@ -58,8 +58,7 @@ C09_LOOPS = [(i, j, k) for (i, j) in ((1, 2), (5, 4))
 def test_pairing_continuation_certified_on_c09_loops():
     # every c09 loop is tracked with a wide margin (worst step ratio 7.5e-4)
     for i, j, k in C09_LOOPS:
-        _, worst = pairing._loop_coordinates(i, j, k, psi=10.0, n_steps=400,
-                                             radius=0.75)
+        _, worst = pairing._loop_coordinates(i, j, k, psi=10.0)
         assert worst < pairing.STEP_FRACTION
 
 
@@ -162,7 +161,7 @@ def _separate_passes(r1, r2, tol=1e-9):
     """The grid pass (deduped) and the constructive pass, each on its own."""
     R1, R2 = r1 ** 5, r2 ** 5
     newton_tol, verify_tol, dedupe_tol = covering._tolerances(R1, R2, tol)
-    grid = covering._dedupe(covering._grid_roots(R1, R2, 400, newton_tol),
+    grid = covering._dedupe(covering._grid_roots(R1, R2, newton_tol),
                             dedupe_tol)
     return grid, covering._reduced_roots(R1, R2, verify_tol), dedupe_tol
 

@@ -51,7 +51,8 @@ def test_kernel_vectors_annihilate():
 
 
 def test_solve_and_inverse():
-    m = rk.fmat([[2, 1], [1, 1]])
+    m = np.array([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]],
+                 dtype=object)
     x = rk.solve(m, [3, 2])
     assert list(x) == [Fraction(1), Fraction(1)]
     inv = rk.inverse(m)
@@ -120,6 +121,12 @@ def test_sublattice_index():
     assert rk.sublattice_index([[1, 0]]) is None
     # full rank in Z^2 is still below full rank in a wider ambient lattice
     assert rk.sublattice_index([[2, 0, 0], [0, 3, 0]]) is None
+
+
+def test_hermite_rejects_rows_of_unequal_length():
+    for rows in ([[2], [3, 5]], [[2, 4], [3]]):
+        with pytest.raises(ValueError, match="unequal"):
+            rk.row_hermite_form(rows)
 
 
 def test_determinism():

@@ -1,0 +1,190 @@
+"""The library holds what the program runs.
+
+A public top-level function or class of the library must be referred to
+from outside its own body by a library module, the CLI, a demo or a file
+under perfbench/ (whose tracer names its targets by string); a name that
+only tests reach is a dead helper.  A defaulted parameter of a library
+function must be passed by some call site in src/, demos/ or perfbench/; a
+default nothing overrides is a constant.  Each allowlist entry says which
+test keeps it, and an entry the detectors no longer flag fails as stale.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "quintfib"
+
+# (module, name): public names only tests reach
+NAMES_ALLOWED = {
+    ("flowlab/harveylawson.py", "hl_map"):
+        "paper quantity: the Harvey-Lawson map, asserted by test_hl_map_values "
+        "and test_hl_fiber_samples_satisfy_constraints",
+    ("flowlab/momentmaps.py", "moment_maps"):
+        "paper quantity: the Fubini-Study, log and weighted moment maps, "
+        "asserted by the test_moment_map_* tests",
+    ("flowlab/momentmaps.py", "volume_ratio"):
+        "paper quantity: the flat volume ratio 16/5, asserted by "
+        "test_volume_ratio_constant",
+}
+
+# (module, function, parameter): defaults only tests override
+DEFAULTS_ALLOWED = {
+    ("cli.py", "main", "argv"):
+        "test seam: test_cli drives the CLI in-process",
+    ("verify.py", "verify_all", "_inject"):
+        "test seam: test_verify_injected_corruption_fails_with_diff",
+    ("verify.py", "to_json", "include_runtimes"):
+        "test seam: test_cli compares two reports without their timings",
+    ("flowlab/integrate.py", "transport_fiber", "fd_angle"):
+        "estimator convergence: test_transport_defect_shrinks_with_fd_step",
+    ("flowlab/integrate.py", "circle_collapse_winding", "n_phi"):
+        "sampling resolution: test_codimension_two_point_sweeps_a_circle "
+        "asserts the unit winding from 24 phases",
+    ("flowlab/momentmaps.py", "moment_maps", "which"):
+        "paper quantity: selects the moment map each test_moment_map_* asserts",
+    ("flowlab/pairing.py", "loop_pairing", "psi"):
+        "test_pairing_near_pole_reported drives the tracked root onto the "
+        "form's pole at psi 1e7",
+}
+
+
+def _library():
+    return {p.relative_to(SRC).as_posix(): ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(SRC.rglob("*.py"))}
+
+
+def _programs():
+    """Demos and the benchmark: callers outside the library."""
+    paths = (sorted((ROOT / "demos").glob("*.py"))
+             + sorted((ROOT / "perfbench").glob("*.py")))
+    return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+
+
+def _references(node, strings):
+    """Names a subtree refers to: loaded names, attributes and, when
+    `strings`, string constants."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def unreached_names(library, programs):
+    """(module, name) of each public top-level function or class that no
+    tree refers to outside the definition's own body."""
+    counts = {}
+    for tree in library.values():
+        for name in _references(tree, strings=False):
+            counts[name] = counts.get(name, 0) + 1
+    for tree in programs:
+        for name in _references(tree, strings=True):
+            counts[name] = counts.get(name, 0) + 1
+    found = []
+    for rel, tree in library.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                own = sum(n == node.name for n in _references(node, strings=False))
+                if counts.get(node.name, 0) == own:
+                    found.append((rel, node.name))
+    return sorted(found)
+
+
+def _functions(tree):
+    """(function node, offset of its first positional argument in a call)."""
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                yield node, int(isinstance(parent, ast.ClassDef) and not static)
+
+
+def _defaulted(fn, offset):
+    """(parameter, positional index in a call or None) of each default."""
+    pos = fn.args.posonlyargs + fn.args.args
+    first = len(pos) - len(fn.args.defaults)
+    out = [(a.arg, i - offset) for i, a in enumerate(pos) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _passes(call, param, index):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unset_defaults(library, programs):
+    """(module, function, parameter) of each defaulted parameter that no
+    call, by the function's name, in any tree passes."""
+    calls = {}
+    for tree in [*library.values(), *programs]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(n)
+    found = []
+    for rel, tree in library.items():
+        for fn, offset in _functions(tree):
+            for param, index in _defaulted(fn, offset):
+                if not any(_passes(c, param, index) for c in calls.get(fn.name, [])):
+                    found.append((rel, fn.name, param))
+    return sorted(found)
+
+
+def test_every_public_name_is_reached():
+    found = set(unreached_names(_library(), _programs()))
+    stale = sorted(set(NAMES_ALLOWED) - found)
+    assert not stale, f"allowlisted names that are reached now: {stale}"
+    dead = sorted(found - set(NAMES_ALLOWED))
+    assert not dead, "public names no program reaches:\n" + "\n".join(
+        f"{rel} {name}" for rel, name in dead)
+
+
+def test_every_default_is_overridden_somewhere():
+    found = set(unset_defaults(_library(), _programs()))
+    stale = sorted(set(DEFAULTS_ALLOWED) - found)
+    assert not stale, f"allowlisted defaults that a program passes now: {stale}"
+    unset = sorted(found - set(DEFAULTS_ALLOWED))
+    assert not unset, "defaults no program overrides:\n" + "\n".join(
+        f"{rel} {fn}({param})" for rel, fn, param in unset)
+
+
+def test_detectors_flag_dead_names_and_unset_defaults():
+    library = {"lib.py": ast.parse(
+        "def used(x, k=1, *, w=2):\n"
+        "    return x\n"
+        "def recursive(n, step=1):\n"
+        "    return recursive(n - step) if n else 0\n"
+        "def traced():\n"
+        "    pass\n"
+        "def _private(a=0):\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def get(self, key, default=None):\n"
+        "        return Box()\n"
+        "    @staticmethod\n"
+        "    def make(size=3):\n"
+        "        pass\n")}
+    programs = [ast.parse(
+        "used(1, 2)\n"
+        "lib.recursive(3)\n"
+        "Box().get('a', 0)\n"
+        "Box.make(**opts)\n"
+        "TARGETS = [(lib, 'traced')]\n")]
+    assert unreached_names(library, programs) == []
+    assert unreached_names(library, []) == [
+        ("lib.py", "Box"), ("lib.py", "recursive"), ("lib.py", "traced"),
+        ("lib.py", "used")]
+    assert unset_defaults(library, programs) == [
+        ("lib.py", "_private", "a"), ("lib.py", "recursive", "step"),
+        ("lib.py", "used", "w")]

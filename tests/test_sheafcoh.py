@@ -150,13 +150,6 @@ def test_e2_quintic_table_is_genuinely_asymmetric():
     assert betti == betti[::-1]
 
 
-def test_e2_missing_component_named():
-    comps = sc.quintic_components()
-    comps.pop("h_R2")
-    with pytest.raises(ValueError, match="h_R2"):
-        sc.assemble_E2("quintic", comps)
-
-
 def test_e2_unknown_fibration():
     with pytest.raises(ValueError):
         sc.assemble_E2("sextic")
