@@ -12,7 +12,7 @@ import numpy as np
 from quintfib import flowlab as fl
 
 PSI = 10.0
-cfg = fl.FlowConfig(psi=PSI, rtol=1e-10, atol=1e-10)
+cfg = fl.FlowConfig(psi=PSI, tol=1e-10)
 rng = np.random.default_rng(0)
 
 print(f"flow target time 1/(5 psi) = {cfg.flow_target_time}")

@@ -6,7 +6,7 @@ One subcommand per module plus `verify-all`:
     quintfib monodromy --leg 2,4,3 --basepoint 5,4 --format json
     quintfib census --fibration expected --format json
     quintfib euler --fibration expected
-    quintfib spectral --fibration quintic --format json5
+    quintfib spectral --fibration quintic --format json
     quintfib spectral --explain K3
     quintfib toric --report json
     quintfib flow --psi 10 --face 5 --samples 512 --out cloud.csv
@@ -143,9 +143,7 @@ def cmd_toric(args):
 def cmd_flow(args):
     radii = {i: 1.0 for i in range(1, 6) if i != args.face}
     fiber = flowlab.TorusFiber(frozenset({args.face}), radii)
-    cfg = flowlab.FlowConfig(psi=args.psi, rtol=args.tol, atol=args.tol,
-                             metric="fubini-study")
-    res = flowlab.transport_fiber(fiber, args.psi, args.samples, cfg,
+    res = flowlab.transport_fiber(fiber, args.psi, args.samples, tol=args.tol,
                                   seed=args.seed)
     rows = []
     for p in res.points:

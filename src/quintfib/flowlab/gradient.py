@@ -9,8 +9,8 @@ Re(sum ds_i (H^{-1} conj(ds))_i), and the normalized field
     V = grad(f) / |grad(f)|^2
 
 satisfies df/dt = 1 and conserves Im(s) along its flow for any such
-metric.  V blows up on the singular surface where ds = 0; a configurable
-guard halts anything that wanders too close.
+metric.  V blows up on the singular surface where ds = 0; a guard halts
+anything whose squared gradient norm falls to SIGMA_GUARD.
 """
 
 from dataclasses import dataclass
@@ -30,21 +30,24 @@ class SigmaGuardError(ArithmeticError):
         self.where = where
 
 
+# the guard zone is |grad f|^2 <= SIGMA_GUARD; the field and the integrator's
+# guard event both look it up here at call time
+SIGMA_GUARD = 1e-8
+
+
 @dataclass(frozen=True)
 class FlowConfig:
-    """Step control, guard and metric choice for the flow integrator."""
+    """Target, integrator tolerance (relative and absolute) and metric of a flow."""
 
     psi: float = 10.0
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    sigma_guard: float = 1e-8
+    tol: float = 1e-10
     metric: str = "chart-flat"
 
     def __post_init__(self):
         if self.metric not in ("chart-flat", "fubini-study"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.sigma_guard <= 0 or self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances and guard must be positive")
+        if self.tol <= 0:
+            raise ValueError("tolerance must be positive")
 
     @property
     def flow_target_time(self):
@@ -80,28 +83,29 @@ def _raw_gradient_rows(x, metric):
 
 
 def _field_rows(x, cfg):
-    """V, |grad f|^2 and the guard mask on (N, 4) chart rows.
+    """V of cfg's metric, |grad f|^2 and the guard mask on (N, 4) chart rows.
 
     A row is guarded when it sits at a pole of s (its norm then reads 0) or
-    its squared gradient norm is at most cfg.sigma_guard; guarded rows get
-    V = 0 so that a batch carries on with its other rows.
+    its squared gradient norm is at most SIGMA_GUARD; guarded rows get V = 0
+    so that a batch carries on with its other rows.
     """
     v, norm_sq, pole = _raw_gradient_rows(x, cfg.metric)
     norm_sq = np.where(pole, 0.0, norm_sq)
-    guarded = pole | (norm_sq <= cfg.sigma_guard)
+    guarded = pole | (norm_sq <= SIGMA_GUARD)
     safe = np.where(guarded, 1.0, norm_sq)[:, None]
     return np.where(guarded[:, None], 0.0, v / safe), norm_sq, guarded
 
 
-def grad_V(p, cfg=None):
-    """The normalized gradient vector V at a point, as a complex 4-vector.
+def grad_V(p, cfg):
+    """The normalized gradient vector V of cfg's metric at a point, as a
+    complex 4-vector.
 
-    Raises the guard error when |grad f|^2 falls below cfg.sigma_guard,
+    Raises the guard error when |grad f|^2 falls to SIGMA_GUARD or below,
     which happens near the singular surface where the field is genuinely
     singular; a pole of s itself (the surface sits inside the pole set) is
     reported the same way.
     """
-    v, norm_sq, guarded = _field_rows(p.array()[None], cfg or FlowConfig())
+    v, norm_sq, guarded = _field_rows(p.array()[None], cfg)
     if guarded[0]:
         raise SigmaGuardError(float(norm_sq[0]), p)
     return v[0]

@@ -25,10 +25,11 @@ stopping on its own, and `newton_project_to_quintic` is its one-row call.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import gradient
 from .gradient import FlowConfig, SigmaGuardError, _field_rows, omega_value
 from .points import (AffinePoint, _eval_s_rows, _quintic, _quintic_gradient,
                      _sum4, from_homogeneous)
@@ -191,7 +192,8 @@ def _integrate(y0, t_bound, cfg):
     """
     n = len(y0)
     d = 1.0 if t_bound > 0 else -1.0
-    rtol, atol = max(cfg.rtol, 100 * EPS), cfg.atol
+    rtol, atol = max(cfg.tol, 100 * EPS), cfg.tol
+    guard_level = 2.0 * gradient.SIGMA_GUARD  # the guard event's zero
     state = np.full(n, RUNNING)
     guard_sq = np.zeros(n)
     n_evals = np.zeros(n, dtype=int)
@@ -207,7 +209,7 @@ def _integrate(y0, t_bound, cfg):
     every = np.arange(n)
     t, y = np.zeros(n), y0.copy()
     f, norm_sq = evaluate(every, y)
-    g = norm_sq - 2.0 * cfg.sigma_guard
+    g = norm_sq - guard_level
 
     # Hairer's initial step
     interval = abs(t_bound)
@@ -275,14 +277,14 @@ def _integrate(y0, t_bound, cfg):
         t[acc], y[acc], f[acc] = t_new[ok], y_new[ok], f_new[ok]
         n_acc[acc] += 1
         state[acc[d * (t_new[ok] - t_bound) >= 0]] = REACHED
-        g_new = norm_sq[ok] - 2.0 * cfg.sigma_guard
+        g_new = norm_sq[ok] - guard_level
         for k in np.flatnonzero((g[acc] >= 0) & (g_new <= 0)):
             one = tuple(part[k:k + 1] for part in seg)
 
             def event(tt):
                 ys = _dense(one, np.array([tt]))
-                return float(_field_rows(ys[:, :4] + 1j * ys[:, 4:], cfg)[1][0]) \
-                    - 2.0 * cfg.sigma_guard
+                norm = _field_rows(ys[:, :4] + 1j * ys[:, 4:], cfg)[1][0]
+                return float(norm) - guard_level
 
             root = _brentq(event, float(tr[ok][k]), float(t_new[ok][k]))
             t[acc[k]], y[acc[k]] = root, _dense(one, np.array([root]))[0]
@@ -331,14 +333,13 @@ def _checkpoint_drifts(s0, t_end, rows, steps, d):
     return im, f
 
 
-def flow_batch(points, t_target, cfg=None):
+def flow_batch(points, t_target, cfg):
     """Flow every point for time t_target, all in one batch.
 
     Returns per point what `flow` returns, (endpoint, diagnostics), or the
     SigmaGuardError it raises; a row's result does not depend on the rows
     batched with it.
     """
-    cfg = cfg or FlowConfig()
     if t_target == 0.0:
         return [(p, FlowDiagnostics(0.0, 0.0, "reached_target", 0.0, 0, 0, 0))
                 for p in points]
@@ -365,7 +366,7 @@ def flow_batch(points, t_target, cfg=None):
     return out
 
 
-def flow(p0, t_target, cfg=None):
+def flow(p0, t_target, cfg):
     """Integrate the normalized gradient flow for time t_target.
 
     Returns (endpoint, diagnostics).  The time parameter is the value of f
@@ -484,25 +485,23 @@ class TransportResult:
     quintic_distance_max: float
 
 
-def transport_fiber(fiber, psi, n_samples, cfg=None, seed=0, n_probes=12,
+def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12,
                     fd_angle=1e-4):
     """Carry a fiber of the large complex limit onto the smooth member.
 
-    Samples the fiber's angles, flows every sample for time 1/(5 psi), and
-    reports the transported cloud with its conservation drifts, the maximal
+    Samples the fiber's angles, flows every sample for time 1/(5 psi) with
+    the Fubini-Study metric at integrator tolerance `tol`, and reports the
+    transported cloud with its conservation drifts, the maximal
     Newton-projection distance to the member, and the Lagrangian defect.
 
-    The defect is measured against the Kahler form of the configured
-    metric: at probe samples the transported fiber's tangent vectors are
-    estimated by finite differences in the fiber angles, the flow direction
-    is appended, and the largest normalized pairing among all pairs is
-    returned.  The flow's Lagrangian property holds for the same metric
-    that defines the gradient, so the config should pair them (the default
-    here is the ambient Fubini-Study choice).
+    The defect is measured against the Kahler form of the same metric: at
+    probe samples the transported fiber's tangent vectors are estimated by
+    finite differences in the fiber angles, the flow direction is appended,
+    and the largest normalized pairing among all pairs is returned.  The
+    flow's Lagrangian property holds for the metric that defines the
+    gradient, which is why the two are paired.
     """
-    cfg = cfg or FlowConfig(psi=psi, metric="fubini-study")
-    if cfg.psi != psi:
-        cfg = replace(cfg, psi=psi)
+    cfg = FlowConfig(psi=psi, tol=tol, metric="fubini-study")
     rng = np.random.default_rng(seed)
     arity = fiber.angle_arity
     t_target = cfg.flow_target_time
@@ -522,18 +521,13 @@ def transport_fiber(fiber, psi, n_samples, cfg=None, seed=0, n_probes=12,
     def reached(result):
         return not isinstance(result, SigmaGuardError) and result[1].reason == "reached_target"
 
-    points = []
-    flagged = []
-    im_max = 0.0
-    f_max = 0.0
-    for idx, result in enumerate(flows[:n_samples]):
-        if not reached(result):
-            flagged.append(idx)
-            continue
-        q, diag = result
-        points.append(q)
-        im_max = max(im_max, diag.im_s_drift, abs(eval_s(q).imag))
-        f_max = max(f_max, diag.f_drift)
+    flagged = tuple(i for i, r in enumerate(flows[:n_samples]) if not reached(r))
+    kept = [r for r in flows[:n_samples] if reached(r)]
+    points = tuple(q for q, _ in kept)
+    ends = np.array([q.array() for q in points]).reshape(-1, 4)
+    im_max = max([d.im_s_drift for _, d in kept]
+                 + np.abs(_eval_s_rows(ends).imag).tolist(), default=0.0)
+    f_max = max((d.f_drift for _, d in kept), default=0.0)
     dist_max = float(np.max(distances_to_quintic(points, psi), initial=0.0))
 
     defect = 0.0
@@ -554,8 +548,7 @@ def transport_fiber(fiber, psi, n_samples, cfg=None, seed=0, n_probes=12,
                 nu = np.linalg.norm(u) * np.linalg.norm(v)
                 if nu > 0:
                     defect = max(defect, pairing / nu)
-    return TransportResult(tuple(points), im_max, f_max, defect,
-                           tuple(flagged), dist_max)
+    return TransportResult(points, im_max, f_max, defect, flagged, dist_max)
 
 
 def circle_collapse_winding(pair, radii, psi, n_phi=48):

@@ -90,8 +90,11 @@ def loop_pairing_detailed(loop, form, psi=10.0):
     """Winding of z_l/z_m along the (i, j, k) cycle, with its residue.
 
     `loop` is (i, j, k): divisor index i, dominant index j, winding index k.
-    `form` is (l, m): the logarithmic form d log(z_l / z_m).
+    `form` is (l, m): the logarithmic form d log(z_l / z_m).  Every index
+    lies in 1..5.
     """
+    if len(loop) != 3 or len(form) != 2 or not all(1 <= x <= 5 for x in (*loop, *form)):
+        raise ValueError("a loop takes three indices and a form two, each in 1..5")
     i, j, k = loop
     l, m = form
     if len({i, j, k}) != 3:

@@ -478,11 +478,10 @@ def check_cycle_L():
 def spectral_json(fibration="quintic"):
     """Tables, component rows and derived checks, JSON-ready."""
     table = assemble_E2(fibration)
-    comps = quintic_components() if fibration == "quintic" else mirror_components()
     return {
         "fibration": fibration,
         "table_rows_top_down": [list(r) for r in table.display_rows()],
-        "component_h_numbers": {k: list(v) for k, v in sorted(comps.items())},
+        "component_h_numbers": {f"h_R{q}": list(table.entries[q]) for q in range(4)},
         "checks": {
             "middle_antidiagonal_sum": table.antidiagonal_sum(3),
             "alternating_sum": table.alternating_sum(),

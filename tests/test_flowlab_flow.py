@@ -7,10 +7,8 @@ from quintfib import flowlab as fl
 PSI = 10.0
 
 
-def _cfg(**kw):
-    base = dict(psi=PSI, rtol=1e-10, atol=1e-10)
-    base.update(kw)
-    return fl.FlowConfig(**base)
+def _cfg(tol=1e-10):
+    return fl.FlowConfig(psi=PSI, tol=tol)
 
 
 def test_flow_zero_time_is_identity():
@@ -47,7 +45,7 @@ def test_flow_drift_scales_with_tolerance():
     p0 = fl.random_x_infinity_point(np.random.default_rng(23))
     drifts = []
     for tol in (1e-6, 1e-10):
-        _, diag = fl.flow(p0, 1.0 / (5 * PSI), _cfg(rtol=tol, atol=tol))
+        _, diag = fl.flow(p0, 1.0 / (5 * PSI), _cfg(tol))
         drifts.append(max(diag.f_drift, 1e-16))
     assert drifts[1] < drifts[0] * 1e-2
 

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from quintfib import flowlab as fl
-from quintfib.flowlab import integrate
+from quintfib.flowlab import gradient, integrate
 
 # a point near the conifold point (1, 1, 1, 1) of the psi = 1 member, whose
 # flow to f = 0.2 runs into the singular surface
 GUARD_P0 = fl.AffinePoint(5, (0.97 + 0.02j, 1.0, 1.01, 0.99 - 0.01j))
 GUARD_T = 0.2 - fl.eval_s(GUARD_P0).real
-
-
-def _guard_cfg(sigma_guard):
-    return fl.FlowConfig(psi=1.0, sigma_guard=sigma_guard)
+GUARD_CFG = fl.FlowConfig(psi=1.0)
+DEFAULT_GUARD = gradient.SIGMA_GUARD
 
 
 def _metric_inverse(p, metric):
@@ -42,7 +40,7 @@ def _scipy_flow(p0, t_target, cfg, n_checkpoints=33):
     def guard_event(t, y):
         ds = fl.s_gradient(point(y))
         v = _metric_inverse(point(y), cfg.metric) @ ds.conj()
-        return float(np.real(np.sum(ds * v))) - 2.0 * cfg.sigma_guard
+        return float(np.real(np.sum(ds * v))) - 2.0 * gradient.SIGMA_GUARD
 
     guard_event.terminal = True
     guard_event.direction = -1
@@ -50,7 +48,7 @@ def _scipy_flow(p0, t_target, cfg, n_checkpoints=33):
     x0 = p0.array()
     try:
         sol = solve_ivp(rhs, (0.0, t_target), np.concatenate([x0.real, x0.imag]),
-                        method="RK45", rtol=cfg.rtol, atol=cfg.atol,
+                        method="RK45", rtol=cfg.tol, atol=cfg.tol,
                         events=guard_event, dense_output=True)
     except fl.SigmaGuardError as err:
         raise fl.SigmaGuardError(err.norm_sq, p0) from err
@@ -70,8 +68,10 @@ def _scipy_flow(p0, t_target, cfg, n_checkpoints=33):
 
 
 def _oracle_cases():
+    """(start, time, config, guard) of each oracle flow; the last three run
+    into the singular surface under three guards."""
     cases = []
-    c07 = fl.FlowConfig(psi=10.0, rtol=1e-10, atol=1e-10)
+    c07 = fl.FlowConfig(psi=10.0, tol=1e-10)
     rng = np.random.default_rng(0)  # verify-all's c07 points at seed 0
     cases += [(fl.random_x_infinity_point(rng), c07.flow_target_time, c07)
               for _ in range(100)]
@@ -86,11 +86,12 @@ def _oracle_cases():
         cases += [(fl.random_x_infinity_point(rng), cfg.flow_target_time, cfg)
                   for _ in range(8)]
     # steps get rejected here, which exercises the step control after a rejection
-    loose = fl.FlowConfig(psi=2.0, rtol=1e-8, atol=1e-8)
+    loose = fl.FlowConfig(psi=2.0, tol=1e-8)
     cases += [(fl.random_x_infinity_point(rng), loose.flow_target_time, loose)
               for _ in range(8)]
     cases += [(fl.random_x_infinity_point(rng), -0.02, c07) for _ in range(4)]
-    cases += [(GUARD_P0, GUARD_T, _guard_cfg(s)) for s in (1e-8, 6.6e-4, 1.4e-3)]
+    cases = [case + (DEFAULT_GUARD,) for case in cases]
+    cases += [(GUARD_P0, GUARD_T, GUARD_CFG, s) for s in (1e-8, 6.6e-4, 1.4e-3)]
     return cases
 
 
@@ -101,11 +102,12 @@ def _outcome(flow, p0, t, cfg):
         return err
 
 
-def test_flow_matches_scipy_rk45():
+def test_flow_matches_scipy_rk45(monkeypatch):
     pytest.importorskip("scipy")
     cases = _oracle_cases()
     guarded = rejected = 0
-    for p0, t, cfg in cases:
+    for p0, t, cfg, sigma in cases:
+        monkeypatch.setattr(gradient, "SIGMA_GUARD", sigma)
         ours, ref = _outcome(fl.flow, p0, t, cfg), _outcome(_scipy_flow, p0, t, cfg)
         if isinstance(ref, fl.SigmaGuardError):
             guarded += 1
@@ -142,8 +144,9 @@ def test_brentq_replica_matches_scipy():
         assert integrate._brentq(f, a, b) == want
 
 
-def test_guard_event_stops_the_flow():
-    end, diag = fl.flow(GUARD_P0, GUARD_T, _guard_cfg(6.6e-4))
+def test_guard_event_stops_the_flow(monkeypatch):
+    monkeypatch.setattr(gradient, "SIGMA_GUARD", 6.6e-4)
+    end, diag = fl.flow(GUARD_P0, GUARD_T, GUARD_CFG)
     assert diag.reason == "sigma_guard_hit"
     assert diag.n_steps == 2
     assert diag.t_reached == pytest.approx(7.1783295e-05, rel=1e-7)
@@ -152,40 +155,47 @@ def test_guard_event_stops_the_flow():
     norm_sq = fl.gradient._raw_gradient_rows(end.array()[None], "chart-flat")[1][0]
     assert norm_sq == pytest.approx(2 * 6.6e-4, rel=1e-6)
     # without the guard the same flow reaches its target
-    _, free = fl.flow(GUARD_P0, GUARD_T, _guard_cfg(1e-8))
+    monkeypatch.setattr(gradient, "SIGMA_GUARD", 1e-8)
+    _, free = fl.flow(GUARD_P0, GUARD_T, GUARD_CFG)
     assert (free.reason, free.n_steps) == ("reached_target", 3)
 
 
-def test_guard_zone_raises_with_the_start_point():
+def test_guard_zone_raises_with_the_start_point(monkeypatch):
+    monkeypatch.setattr(gradient, "SIGMA_GUARD", 1.4e-3)
     with pytest.raises(fl.SigmaGuardError) as info:
-        fl.flow(GUARD_P0, GUARD_T, _guard_cfg(1.4e-3))
+        fl.flow(GUARD_P0, GUARD_T, GUARD_CFG)
     assert info.value.where == GUARD_P0
     assert info.value.norm_sq == pytest.approx(1.35633e-3, rel=1e-5)
 
 
-def test_transport_flags_guarded_samples_and_keeps_the_others():
+def test_transport_flags_guarded_samples_and_keeps_the_others(monkeypatch):
+    monkeypatch.setattr(gradient, "SIGMA_GUARD", 0.5)
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
-    cfg = fl.FlowConfig(psi=10.0, metric="fubini-study", sigma_guard=0.5)
-    res = fl.transport_fiber(fiber, 10.0, n_samples=16, cfg=cfg, seed=0, n_probes=4)
+    cfg = fl.FlowConfig(psi=10.0, metric="fubini-study")
+    res = fl.transport_fiber(fiber, 10.0, n_samples=16, seed=0, n_probes=4)
     rng = np.random.default_rng(0)
     alone = [_outcome(fl.flow, fiber.point(tuple(rng.uniform(0.0, 2.0 * np.pi, 3))),
                       cfg.flow_target_time, cfg) for _ in range(16)]
     flagged = [i for i, r in enumerate(alone) if isinstance(r, fl.SigmaGuardError)
                or r[1].reason != "reached_target"]
     assert res.flagged == tuple(flagged) == (0, 8, 14)
-    kept = [r[0] for i, r in enumerate(alone) if i not in flagged]
-    assert res.points == tuple(kept)
+    kept = [r for i, r in enumerate(alone) if i not in flagged]
+    assert res.points == tuple(q for q, _ in kept)
+    # the batched endpoint |Im s| against one eval_s per point
+    assert res.im_s_max == max(max(d.im_s_drift, abs(fl.eval_s(q).imag)) for q, d in kept)
+    assert res.f_drift_max == max(d.f_drift for _, d in kept)
 
 
-def test_a_row_is_bit_identical_alone_and_in_a_batch():
+def test_a_row_is_bit_identical_alone_and_in_a_batch(monkeypatch):
     rng = np.random.default_rng(7)
-    cfg = _guard_cfg(6.6e-4)
+    monkeypatch.setattr(gradient, "SIGMA_GUARD", 6.6e-4)
     points = [GUARD_P0] + [fl.random_x_infinity_point(rng) for _ in range(511)]
-    batch = fl.flow_batch(points, GUARD_T, cfg)
+    batch = fl.flow_batch(points, GUARD_T, GUARD_CFG)
     assert batch[0][1].reason == "sigma_guard_hit"
     for k in (0, 1, 100, 257, 511):
-        assert fl.flow(points[k], GUARD_T, cfg) == batch[k]
+        assert fl.flow(points[k], GUARD_T, GUARD_CFG) == batch[k]
 
+    monkeypatch.setattr(gradient, "SIGMA_GUARD", DEFAULT_GUARD)
     fs = fl.FlowConfig(psi=10.0, metric="fubini-study")
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
     points = [fiber.point(tuple(rng.uniform(0.0, 2.0 * np.pi, 3))) for _ in range(512)]
@@ -193,8 +203,9 @@ def test_a_row_is_bit_identical_alone_and_in_a_batch():
     for k in (0, 3, 200, 511):
         assert fl.flow(points[k], fs.flow_target_time, fs) == batch[k]
 
-    batch = fl.flow_batch([GUARD_P0] * 3, GUARD_T, _guard_cfg(1.4e-3))
-    alone = _outcome(fl.flow, GUARD_P0, GUARD_T, _guard_cfg(1.4e-3))
+    monkeypatch.setattr(gradient, "SIGMA_GUARD", 1.4e-3)
+    batch = fl.flow_batch([GUARD_P0] * 3, GUARD_T, GUARD_CFG)
+    alone = _outcome(fl.flow, GUARD_P0, GUARD_T, GUARD_CFG)
     assert all(e.norm_sq == alone.norm_sq and e.where == GUARD_P0 for e in batch)
 
 
@@ -206,7 +217,7 @@ def test_backward_flow_lowers_f():
 
 
 def test_c07_batch_does_the_work_of_its_one_row_flows():
-    cfg = fl.FlowConfig(psi=10.0, rtol=1e-10, atol=1e-10)
+    cfg = fl.FlowConfig(psi=10.0, tol=1e-10)
     rng = np.random.default_rng(0)  # verify-all's c07 points at seed 0
     points = [fl.random_x_infinity_point(rng) for _ in range(100)]
     batch = fl.flow_batch(points, cfg.flow_target_time, cfg)

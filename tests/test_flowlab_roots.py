@@ -43,6 +43,12 @@ def test_pairing_rejects_degenerate_input():
         fl.loop_pairing((1, 1, 3), (3, 2))
     with pytest.raises(ValueError):
         fl.loop_pairing((1, 2, 3), (2, 2))
+    # an index 0 would read z_5 through index -1, an index 6 lies past z_5
+    for loop, form in (((0, 2, 3), (3, 2)), ((1, 2, 3), (0, 2)),
+                       ((6, 2, 3), (3, 2)), ((1, 2, 3), (3, 6)),
+                       ((1, 2), (3, 2)), ((1, 2, 3), (3, 2, 1))):
+        with pytest.raises(ValueError):
+            fl.loop_pairing_detailed(loop, form)
 
 
 def test_pairing_near_pole_reported():

@@ -4,9 +4,11 @@ A public top-level function or class of the library must be referred to
 from outside its own body by a library module, the CLI, a demo or a file
 under perfbench/ (whose tracer names its targets by string); a name that
 only tests reach is a dead helper.  A defaulted parameter of a library
-function must be passed by some call site in src/, demos/ or perfbench/; a
-default nothing overrides is a constant.  Each allowlist entry says which
-test keeps it, and an entry the detectors no longer flag fails as stale.
+function, and a defaulted field of a library dataclass, must be passed by
+some call site in src/, demos/ or perfbench/: by keyword, by position or
+through `**`, in a call by the function's or the class's name.  A default
+nothing overrides is a constant.  Each allowlist entry says which test
+keeps it, and an entry the detectors no longer flag fails as stale.
 """
 
 import ast
@@ -28,7 +30,8 @@ NAMES_ALLOWED = {
         "test_volume_ratio_constant",
 }
 
-# (module, function, parameter): defaults only tests override
+# (module, function or dataclass, parameter or field): defaults only tests
+# override
 DEFAULTS_ALLOWED = {
     ("cli.py", "main", "argv"):
         "test seam: test_cli drives the CLI in-process",
@@ -114,6 +117,28 @@ def _defaulted(fn, offset):
     return out
 
 
+def _is_dataclass(cls):
+    for d in cls.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _signatures(tree):
+    """(name a call uses, [(parameter, positional index in a call or None)])
+    of each function's defaulted parameters and each dataclass's defaulted
+    fields."""
+    for fn, offset in _functions(tree):
+        yield fn.name, _defaulted(fn, offset)
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            fields = [s for s in cls.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            yield cls.name, [(s.target.id, i) for i, s in enumerate(fields)
+                             if s.value is not None]
+
+
 def _passes(call, param, index):
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
@@ -123,8 +148,9 @@ def _passes(call, param, index):
 
 
 def unset_defaults(library, programs):
-    """(module, function, parameter) of each defaulted parameter that no
-    call, by the function's name, in any tree passes."""
+    """(module, function or dataclass, parameter or field) of each default
+    that no call, by the function's or the class's name, in any tree
+    passes."""
     calls = {}
     for tree in [*library.values(), *programs]:
         for n in ast.walk(tree):
@@ -134,10 +160,10 @@ def unset_defaults(library, programs):
                 calls.setdefault(name, []).append(n)
     found = []
     for rel, tree in library.items():
-        for fn, offset in _functions(tree):
-            for param, index in _defaulted(fn, offset):
-                if not any(_passes(c, param, index) for c in calls.get(fn.name, [])):
-                    found.append((rel, fn.name, param))
+        for name, params in _signatures(tree):
+            for param, index in params:
+                if not any(_passes(c, param, index) for c in calls.get(name, [])):
+                    found.append((rel, name, param))
     return sorted(found)
 
 
@@ -188,3 +214,29 @@ def test_detectors_flag_dead_names_and_unset_defaults():
     assert unset_defaults(library, programs) == [
         ("lib.py", "_private", "a"), ("lib.py", "recursive", "step"),
         ("lib.py", "used", "w")]
+
+
+def test_detector_flags_unset_dataclass_fields():
+    library = {"lib.py": ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Cfg:\n"
+        "    psi: float\n"
+        "    tol: float = 1.0\n"
+        "    guard: float = 2.0\n"
+        "    metric: str = 'flat'\n"
+        "    def scaled(self, by=2):\n"
+        "        return Cfg(self.psi * by)\n"
+        "@dataclasses.dataclass\n"
+        "class Report:\n"
+        "    rows: list = field(default_factory=list)\n"
+        "class Plain:\n"
+        "    size: int = 0\n")}
+    programs = [ast.parse(
+        "Cfg(1.0, 0.5).scaled(3)\n"
+        "lib.Cfg(psi=2.0, metric='fs')\n"
+        "Report(**parts)\n")]
+    assert unset_defaults(library, programs) == [("lib.py", "Cfg", "guard")]
+    assert unset_defaults(library, []) == [
+        ("lib.py", "Cfg", "guard"), ("lib.py", "Cfg", "metric"),
+        ("lib.py", "Cfg", "tol"), ("lib.py", "Report", "rows"),
+        ("lib.py", "scaled", "by")]
