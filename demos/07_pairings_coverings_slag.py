@@ -14,7 +14,9 @@ from quintfib import flowlab as fl
 print("pairing matrix in the chart with divisor 1, dominant 2:")
 print("        " + "".join(f"  l={l}" for l in (1, 3, 4, 5)))
 for k in (3, 4, 5):
-    row = [fl.loop_pairing((1, 2, k), (l, 2)) for l in (1, 3, 4, 5)]
+    # one loop computation serves the row's four forms
+    row = [res.value for res in
+           fl.loop_pairing_detailed((1, 2, k), [(l, 2) for l in (1, 3, 4, 5)])]
     print(f"  k={k}: " + "".join(f"  {v:>3d}" for v in row))
 
 print("\ncovering counts over the fattened discriminant:")

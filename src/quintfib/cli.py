@@ -172,7 +172,7 @@ def cmd_flow(args):
 def cmd_pairing(args):
     loop = _ints(args.loop)
     form = _ints(args.form)
-    res = flowlab.loop_pairing_detailed(loop, form, psi=args.psi)
+    res, = flowlab.loop_pairing_detailed(loop, [form], psi=args.psi)
     payload = {"loop": list(loop), "form": list(form), "value": res.value,
                "residue": res.residue, "psi": args.psi}
     _emit(args, payload,
@@ -184,7 +184,7 @@ def cmd_pairing(args):
 
 def cmd_covering(args):
     n = flowlab.covering_count(args.r1, args.r2, tol=args.tol)
-    stratum = basecomplex.classify_fattened(args.r1, args.r2).value
+    stratum = flowlab.covering_stratum(args.r1, args.r2, args.tol).value
     payload = {"r1": args.r1, "r2": args.r2, "stratum": stratum,
                "count": n, "tol": args.tol}
     _emit(args, payload,

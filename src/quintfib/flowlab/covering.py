@@ -9,24 +9,34 @@ surface at the solutions of
 over the two vertex points (where the fiber is a circle and the equation
 is one dimensional).
 
-Two independent passes find the roots, and each is one array computation:
+The equation depends on the phases only through u = 5 theta, and
+e^{i u} has period 2 pi in u, a fifth of a turn in theta.  Both passes
+therefore solve R1 e^{i u1} + R2 e^{i u2} = -1 for u on one period, and
+each is one array computation:
 
-* the grid pass evaluates the equation on a uniform GRID_N x GRID_N phase
-  grid (separable: one length-GRID_N exponential, broadcast), seeds a
-  Newton polish at the centre of every cell where both the real and the
-  imaginary part change sign, and polishes all seeds at once with a
+* the grid pass evaluates the equation on the GRID_N x GRID_N grid of u
+  over one period (separable: one length-GRID_N exponential, broadcast),
+  seeds a Newton polish at the centre of every cell where both the real and
+  the imaginary part change sign, and polishes all seeds at once with a
   closed-form 2x2 solve, each row stopping when it converges or fails;
 * the constructive pass solves the reduced triangle identity
-  cos b = (R1^2 - 1 - R2^2)/(2 R2) and lifts each (a, b) solution to its
-  25 fifth-root phases.
+  cos b = (R1^2 - 1 - R2^2)/(2 R2) for (a, b) = u.
+
+The grid holds the same samples as a uniform 5 GRID_N x 5 GRID_N grid of
+theta over the whole torus: that grid's e^{5 i theta} repeats every GRID_N
+steps, so it is 25 copies of this one, and in exact arithmetic its seeds,
+Newton iterates and roots are these scaled by 1/5 and shifted by
+2 pi m / 5.  The union of both passes is deduplicated greedily in u (the
+first root of a cluster is kept) at five times the theta tolerance, since
+theta = u / 5 locally, and only then is each kept root lifted to its 25
+phases (u + 2 pi m) / 5.
 
 Over the interior the two passes find the same 50 roots.  Over the boundary
 curves the roots are tangential (the real part does not change sign there),
 so the grid pass sees them only where rounding puts grid samples on both
 sides of zero, and may see none (at (0.86, 0.881) it finds 0 of 25): the
 boundary counts rest on the constructive pass.  The answer is the union of
-both passes, deduplicated greedily on the torus (the first root of a
-cluster is kept).
+both passes.
 """
 
 import warnings
@@ -35,7 +45,9 @@ import numpy as np
 
 from ..basecomplex import FattenedStratum, classify_fattened
 
-GRID_N = 400  # phase samples per torus direction in the grid pass
+# samples of u = 5 theta per period in the grid pass: the e^{5 i theta} values
+# of 5 * GRID_N = 400 theta samples per turn, each counted once
+GRID_N = 80
 
 
 def _dedupe(roots, tol):
@@ -51,11 +63,11 @@ def _dedupe(roots, tol):
             d = np.abs(x[n + 1:] - x[n])
             d = np.minimum(d, 2.0 * np.pi - d)
             keep[n + 1:] &= np.hypot(d[:, 0], d[:, 1]) > tol
-    return [r for r, k in zip(roots, keep) if k]
+    return x[keep]
 
 
 def _newton_polish(R1, R2, x, h, newton_tol):
-    """Newton on every seed row of x (n, 2) at once; returns the converged rows.
+    """Newton in u on all seed rows of x (n, 2) at once; returns the converged rows.
 
     Per row: stop when |f| < newton_tol (tested before each of at most 60
     steps), give up on a non-finite step, and clip each step to length h.
@@ -63,7 +75,7 @@ def _newton_polish(R1, R2, x, h, newton_tol):
     ok = np.zeros(len(x), dtype=bool)
     alive = np.arange(len(x))
     for _ in range(60):
-        e = np.exp(5j * x[alive])
+        e = np.exp(1j * x[alive])
         e1, e2 = e[:, 0], e[:, 1]
         f = R1 * e1 + R2 * e2 + 1.0
         conv = np.abs(f) < newton_tol
@@ -71,8 +83,8 @@ def _newton_polish(R1, R2, x, h, newton_tol):
         alive, e1, e2, f = alive[~conv], e1[~conv], e2[~conv], f[~conv]
         if not len(alive):
             break
-        a, b = -5 * R1 * e1.imag, -5 * R2 * e2.imag
-        c, d = 5 * R1 * e1.real, 5 * R2 * e2.real
+        a, b = -R1 * e1.imag, -R2 * e2.imag
+        c, d = R1 * e1.real, R2 * e2.real
         det = a * d - b * c
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.stack([(b * f.imag - d * f.real) / det,
@@ -90,9 +102,9 @@ def _newton_polish(R1, R2, x, h, newton_tol):
     return x[ok]
 
 
-def _grid_roots(R1, R2, newton_tol):
-    th = np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False)
-    e = np.exp(5j * th)
+def _sign_changes(R1, R2):
+    """(GRID_N, GRID_N) mask of the grid cells where Re and Im both change sign."""
+    e = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False))
     g = R1 * e[:, None] + R2 * e[None, :] + 1.0
 
     def any_corner(b):
@@ -100,21 +112,25 @@ def _grid_roots(R1, R2, newton_tol):
         b = b | np.roll(b, -1, 0)
         return b | np.roll(b, -1, 1)
 
-    sign_change = any_corner(g.real <= 0) & any_corner(g.real >= 0) \
+    return any_corner(g.real <= 0) & any_corner(g.real >= 0) \
         & any_corner(g.imag <= 0) & any_corner(g.imag >= 0)
+
+
+def _grid_roots(R1, R2, newton_tol):
+    """Grid-pass roots u on one period, as an (n, 2) array."""
+    u = np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False)
     h = 2.0 * np.pi / GRID_N
-    seeds = th[np.argwhere(sign_change)] + 0.5 * h
-    return [(float(t1), float(t2))
-            for t1, t2 in _newton_polish(R1, R2, seeds, h, newton_tol)]
+    seeds = u[np.argwhere(_sign_changes(R1, R2))] + 0.5 * h
+    return _newton_polish(R1, R2, seeds, h, newton_tol)
 
 
 def _reduced_roots(R1, R2, verify_tol):
-    """Constructive solutions from the triangle identity, 25 per (a, b) root."""
+    """Constructive solutions (a, b) = u of the triangle identity, as (n, 2)."""
     if R2 == 0.0 or R1 == 0.0:
-        return []
+        return np.empty((0, 2))
     cb = (R1 ** 2 - 1.0 - R2 ** 2) / (2.0 * R2)
     if abs(cb) > 1.0 + 1e-12:
-        return []
+        return np.empty((0, 2))
     cb = min(1.0, max(-1.0, cb))
     out = []
     for b in sorted({np.arccos(cb), -np.arccos(cb) % (2.0 * np.pi)}):
@@ -122,11 +138,16 @@ def _reduced_roots(R1, R2, verify_tol):
         a = float(np.angle(target) % (2.0 * np.pi))
         if abs(R1 * np.exp(1j * a) + R2 * np.exp(1j * b) + 1.0) > verify_tol:
             continue
-        for ma in range(5):
-            for mb in range(5):
-                out.append((((a + 2.0 * np.pi * ma) / 5.0) % (2.0 * np.pi),
-                            ((b + 2.0 * np.pi * mb) / 5.0) % (2.0 * np.pi)))
-    return out
+        out.append((a, b))
+    return np.array(out).reshape(-1, 2)
+
+
+def _lift(u):
+    """The 25 theta phases ((u1 + 2 pi m1) / 5, (u2 + 2 pi m2) / 5) of each root."""
+    m = 2.0 * np.pi * np.arange(5)
+    shifts = np.stack(np.meshgrid(m, m, indexing="ij"), axis=-1)
+    theta = ((np.reshape(u, (-1, 1, 1, 2)) + shifts) / 5.0) % (2.0 * np.pi)
+    return [(float(t1), float(t2)) for t1, t2 in theta.reshape(-1, 2)]
 
 
 def _tolerances(R1, R2, tol):
@@ -140,9 +161,14 @@ def covering_roots(r1, r2, tol=1e-9):
     """All torus solutions over a fattened-interior or boundary point."""
     R1, R2 = float(r1) ** 5, float(r2) ** 5
     newton_tol, verify_tol, dedupe_tol = _tolerances(R1, R2, tol)
-    roots = _grid_roots(R1, R2, newton_tol)
-    roots += _reduced_roots(R1, R2, verify_tol)
-    return _dedupe(roots, dedupe_tol)
+    roots = np.concatenate([_grid_roots(R1, R2, newton_tol),
+                            _reduced_roots(R1, R2, verify_tol)])
+    return _lift(_dedupe(roots, 5.0 * dedupe_tol))
+
+
+def covering_stratum(r1, r2, tol):
+    """The stratum covering_count classifies (r1, r2) in at tolerance tol."""
+    return classify_fattened(r1, r2, tol=max(tol, 1e-12))
 
 
 def covering_count(r1, r2, tol=1e-9):
@@ -152,7 +178,7 @@ def covering_count(r1, r2, tol=1e-9):
     one-dimensional reduction (the fiber there is a circle), points outside
     the fattened region return zero with a warning.
     """
-    stratum = classify_fattened(r1, r2, tol=max(tol, 1e-12))
+    stratum = covering_stratum(r1, r2, tol)
     if stratum == FattenedStratum.OUTSIDE:
         warnings.warn(f"({r1}, {r2}) lies outside the fattened discriminant")
         return 0

@@ -18,6 +18,8 @@ root jump can go unnoticed; an uncertified step raises ArithmeticError.
 
 Pairing against the logarithmic form d log(z_l / z_m) is the winding
 number of z_l / z_m around the loop, accumulated from phase increments.
+The loop's coordinates do not depend on the form, so a call computes the
+loop once and every form it is given reads the same coordinates.
 """
 
 from dataclasses import dataclass
@@ -86,22 +88,9 @@ def _loop_coordinates(i, j, k, psi):
     return z, worst
 
 
-def loop_pairing_detailed(loop, form, psi=10.0):
-    """Winding of z_l/z_m along the (i, j, k) cycle, with its residue.
-
-    `loop` is (i, j, k): divisor index i, dominant index j, winding index k.
-    `form` is (l, m): the logarithmic form d log(z_l / z_m).  Every index
-    lies in 1..5.
-    """
-    if len(loop) != 3 or len(form) != 2 or not all(1 <= x <= 5 for x in (*loop, *form)):
-        raise ValueError("a loop takes three indices and a form two, each in 1..5")
-    i, j, k = loop
+def _winding(z, loop, form):
+    """PairingResult of d log(z_l / z_m) on the loop coordinates z."""
     l, m = form
-    if len({i, j, k}) != 3:
-        raise ValueError("loop indices must be distinct")
-    if l == m:
-        raise ValueError("form indices must be distinct")
-    z, _ = _loop_coordinates(i, j, k, psi)
     min_coord = np.min(np.abs(z[:, [l - 1, m - 1]]))
     if min_coord < POLE_TOL:
         raise ArithmeticError(
@@ -110,13 +99,35 @@ def loop_pairing_detailed(loop, form, psi=10.0):
     closed = np.unwrap(np.append(ratio_args, ratio_args[0]))
     winding = (closed[-1] - closed[0]) / (2.0 * np.pi)
     value = int(np.rint(winding))
-    return PairingResult(value, float(abs(winding - value)), (i, j, k),
+    return PairingResult(value, float(abs(winding - value)), loop,
                          (l, m), float(min_coord))
+
+
+def loop_pairing_detailed(loop, forms, psi=10.0):
+    """Windings of z_l/z_m along the (i, j, k) cycle, with their residues.
+
+    `loop` is (i, j, k): divisor index i, dominant index j, winding index k.
+    `forms` is a sequence of (l, m), each the logarithmic form
+    d log(z_l / z_m).  Every index lies in 1..5.  The loop is computed once;
+    returns one PairingResult per form, in order.
+    """
+    forms = list(forms)
+    indices = [*loop, *(x for f in forms for x in f)]
+    if len(loop) != 3 or any(len(f) != 2 for f in forms) \
+            or not all(1 <= x <= 5 for x in indices):
+        raise ValueError("a loop takes three indices and a form two, each in 1..5")
+    i, j, k = loop
+    if len({i, j, k}) != 3:
+        raise ValueError("loop indices must be distinct")
+    if any(l == m for l, m in forms):
+        raise ValueError("form indices must be distinct")
+    z, _ = _loop_coordinates(i, j, k, psi)
+    return [_winding(z, (i, j, k), form) for form in forms]
 
 
 def loop_pairing(loop, form, psi=10.0):
     """Integer pairing of the (i, j, k) cycle with d log(z_l / z_m)."""
-    res = loop_pairing_detailed(loop, form, psi=psi)
+    res, = loop_pairing_detailed(loop, [form], psi=psi)
     if res.residue >= RESIDUE_TOL:
         raise ArithmeticError(
             f"pairing did not converge to an integer: {res.value} + {res.residue:.2e}")

@@ -278,9 +278,9 @@ def check_pairing_matrix(cfg):
         cycles = sorted(set(range(1, 6)) - {i, j})
         forms = sorted(set(range(1, 6)) - {j})
         for k in cycles:
-            for l in forms:
-                res = flowlab.loop_pairing_detailed((i, j, k), (l, j),
-                                                    psi=cfg.psi)
+            results = flowlab.loop_pairing_detailed(
+                (i, j, k), [(l, j) for l in forms], psi=cfg.psi)
+            for l, res in zip(forms, results):
                 want = -1 if l == i else (1 if l == k else 0)
                 if res.value != want or res.residue >= 1e-6:
                     ok = False

@@ -89,6 +89,18 @@ def test_covering_subcommand(capsys):
     assert payload["stratum"] == "Interior2"
 
 
+def test_covering_prints_the_stratum_it_counted(capsys):
+    # at tol 1e-6 the point lies within tol of the vertex (1, 0): it is
+    # counted, and so printed, as Vertex0; at the default 1e-9 it is Edge1
+    code, out = run_cli(capsys, "covering", "--r1", "1.0", "--r2", "1e-7",
+                        "--tol", "1e-6")
+    assert code == 0
+    assert out.strip() == "(1.0, 1e-07) [Vertex0]: 5 intersection points"
+    code, out = run_cli(capsys, "covering", "--r1", "1.0", "--r2", "1e-7",
+                        "--format", "json")
+    assert json.loads(out)["stratum"] == "Edge1"
+
+
 def test_flow_subcommand_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "cloud.csv"
     code, out = run_cli(capsys, "flow", "--psi", "10", "--face", "5",

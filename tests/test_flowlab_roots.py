@@ -25,17 +25,33 @@ def test_pairing_divisor_column():
 
 def test_pairing_matrix_two_charts():
     for (i, j) in ((1, 2), (5, 4)):
+        forms = sorted(set(range(1, 6)) - {j})
         for k in sorted(set(range(1, 6)) - {i, j}):
-            for l in sorted(set(range(1, 6)) - {j}):
-                res = fl.loop_pairing_detailed((i, j, k), (l, j))
+            results = fl.loop_pairing_detailed((i, j, k), [(l, j) for l in forms])
+            for l, res in zip(forms, results):
                 want = -1 if l == i else (1 if l == k else 0)
                 assert res.value == want
                 assert res.residue < 1e-6
 
 
 def test_pairing_residue_is_tiny():
-    res = fl.loop_pairing_detailed((1, 2, 3), (3, 2))
+    res, = fl.loop_pairing_detailed((1, 2, 3), [(3, 2)])
     assert res.residue < 1e-9
+
+
+def test_pairing_forms_share_one_loop_computation(monkeypatch):
+    calls = []
+    inner = pairing._loop_coordinates
+    monkeypatch.setattr(pairing, "_loop_coordinates",
+                        lambda *a: calls.append(a) or inner(*a))
+    forms = [(1, 2), (3, 2), (4, 2), (5, 2)]
+    results = fl.loop_pairing_detailed((1, 2, 4), forms)
+    assert len(calls) == 1
+    # each form reads the same result as its own one-form call, field by field
+    assert [r.form for r in results] == forms
+    for form, res in zip(forms, results):
+        assert fl.loop_pairing_detailed((1, 2, 4), [form]) == [res]
+    assert len(calls) == 1 + len(forms)
 
 
 def test_pairing_rejects_degenerate_input():
@@ -48,7 +64,10 @@ def test_pairing_rejects_degenerate_input():
                        ((6, 2, 3), (3, 2)), ((1, 2, 3), (3, 6)),
                        ((1, 2), (3, 2)), ((1, 2, 3), (3, 2, 1))):
         with pytest.raises(ValueError):
-            fl.loop_pairing_detailed(loop, form)
+            fl.loop_pairing_detailed(loop, [form])
+    # one bad form among good ones rejects the whole call
+    with pytest.raises(ValueError):
+        fl.loop_pairing_detailed((1, 2, 3), [(3, 2), (4, 4)])
 
 
 def test_pairing_near_pole_reported():
@@ -164,12 +183,15 @@ def _torus_distances(a, b):
 
 
 def _separate_passes(r1, r2, tol=1e-9):
-    """The grid pass (deduped) and the constructive pass, each on its own."""
+    """The grid pass (deduped) and the constructive pass, each on its own,
+    lifted from u = 5 theta to the torus."""
     R1, R2 = r1 ** 5, r2 ** 5
     newton_tol, verify_tol, dedupe_tol = covering._tolerances(R1, R2, tol)
     grid = covering._dedupe(covering._grid_roots(R1, R2, newton_tol),
-                            dedupe_tol)
-    return grid, covering._reduced_roots(R1, R2, verify_tol), dedupe_tol
+                            5.0 * dedupe_tol)
+    return (covering._lift(grid),
+            covering._lift(covering._reduced_roots(R1, R2, verify_tol)),
+            dedupe_tol)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -197,6 +219,36 @@ def test_covering_edge_counts_rest_on_constructive_pass():
     grid, _, _ = _separate_passes(r1, r2)
     assert len(grid) == 0
     assert fl.covering_count(r1, r2) == 25
+
+
+def _theta_grid_sign_changes(R1, R2, n=400):
+    """Sign-change cells of a uniform n x n theta grid over the whole torus,
+    sampling e^{5 i theta} directly."""
+    e = np.exp(5j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+    g = R1 * e[:, None] + R2 * e[None, :] + 1.0
+
+    def any_corner(b):
+        b = b | np.roll(b, -1, 0)
+        return b | np.roll(b, -1, 1)
+
+    return any_corner(g.real <= 0) & any_corner(g.real >= 0) \
+        & any_corner(g.imag <= 0) & any_corner(g.imag >= 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_period_grid_holds_the_theta_grids_samples(seed):
+    # the one-period grid in u = 5 theta is not a smaller grid: the full
+    # 400 x 400 theta grid's seed cells are 25 tiles of its seed cells.  The
+    # edge points are left out: their roots are tangential, and there the
+    # theta grid's tiles disagree among themselves by rounding
+    assert 5 * covering.GRID_N == 400
+    interior, _ = verify.covering_sample_points(seed)
+    for r1, r2 in interior:
+        R1, R2 = r1 ** 5, r2 ** 5
+        reduced = covering._sign_changes(R1, R2)
+        assert reduced.any()
+        assert np.array_equal(_theta_grid_sign_changes(R1, R2),
+                              np.tile(reduced, (5, 5)))
 
 
 def test_covering_roots_respect_phase_translation():
@@ -267,11 +319,30 @@ def test_hl_fiber_samples_satisfy_constraints():
 
 # ------------------------------------------------------- verify-all goldens
 
-def test_verify_all_root_rows_golden():
+@pytest.fixture(scope="module")
+def seed0_run():
+    """verify_all at seed 0, and the loops whose coordinates it computed."""
+    calls = []
+    inner = pairing._loop_coordinates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairing, "_loop_coordinates",
+                   lambda *a: calls.append(a) or inner(*a))
+        report = verify.verify_all(verify.VerifyConfig(seed=0))
+    return report, calls
+
+
+def test_c09_computes_each_loop_once(seed0_run):
+    # six loops (three per chart) serve the 24 (loop, form) pairs of c09
+    _, calls = seed0_run
+    assert len(calls) == 6
+    assert sorted(a[:3] for a in calls) == sorted(C09_LOOPS)
+
+
+def test_verify_all_root_rows_golden(seed0_run):
     # c09 and c10 rows of verify-all at seed 0, byte for byte as captured
     # before the root-finding layer was batched
     rows = {c.check_id: (c.expected, c.computed, c.status, c.detail)
-            for c in verify.verify_all(verify.VerifyConfig(seed=0)).checks}
+            for c in seed0_run[0].checks}
     assert rows["c09-pairing-matrix"] == (
         "delta_kl with a -1 column, residues < 1e-6", "verified", "pass", "")
     assert rows["c10-covering-counts"] == (

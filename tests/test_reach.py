@@ -25,6 +25,10 @@ NAMES_ALLOWED = {
     ("flowlab/momentmaps.py", "moment_maps"):
         "paper quantity: the Fubini-Study, log and weighted moment maps, "
         "asserted by the test_moment_map_* tests",
+    ("flowlab/pairing.py", "loop_pairing"):
+        "paper quantity: the integer pairing <gamma_ij^k, dlog(z_l/z_m)>, "
+        "asserted by test_pairing_delta_pattern_chart_12 and "
+        "test_pairing_divisor_column",
     ("flowlab/momentmaps.py", "volume_ratio"):
         "paper quantity: the flat volume ratio 16/5, asserted by "
         "test_volume_ratio_constant",
