@@ -17,9 +17,10 @@ for fibration in fc.FIBRATIONS:
     print()
 
 print("expected ledger:")
-for stratum, count, fiber, contrib in fc.euler_breakdown("expected"):
+total, breakdown = fc.euler_ledger_from_rows(fc.census("expected"))
+for stratum, count, fiber, contrib in breakdown:
     print(f"  {stratum:<30} {count:>3} x {fiber:<7} -> {contrib}")
-print(f"  total chi = {fc.euler_ledger('expected')}")
+print(f"  total chi = {total}")
 
 print(f"\nmirror ledger total = {fc.euler_ledger('mirror')}")
 

@@ -84,8 +84,8 @@ def cmd_census(args):
 
 
 def cmd_euler(args):
-    breakdown = fibercensus.euler_breakdown(args.fibration)
-    total = fibercensus.euler_ledger(args.fibration)
+    total, breakdown = fibercensus.euler_ledger_from_rows(
+        fibercensus.census(args.fibration))
     payload = {"fibration": args.fibration, "total": total,
                "breakdown": [{"stratum": s, "count": c, "fiber": f,
                               "contribution": x}
@@ -146,12 +146,11 @@ def cmd_flow(args):
     res = flowlab.transport_fiber(fiber, args.psi, args.samples, tol=args.tol,
                                   seed=args.seed)
     rows = []
-    for p in res.points:
+    for p, im in zip(res.points, res.abs_im_s):
         x = p.array()
         rows.append([p.chart] + [f"{v:.12g}" for pair in zip(x.real, x.imag)
                                  for v in pair]
-                    + [f"{abs(flowlab.eval_s(p).imag):.3e}",
-                       f"{res.lagrangian_defect:.3e}"])
+                    + [f"{im:.3e}", f"{res.lagrangian_defect:.3e}"])
     header = (["chart"] + [f"{part}{i}" for i in range(1, 5)
                            for part in ("re", "im")]
               + ["abs_im_s", "defect"])

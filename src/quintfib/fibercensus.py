@@ -8,7 +8,8 @@ Three fibrations are cataloged over the boundary 3-sphere of the simplex:
   Kodaira-type fibers I5 over legs, II_{5x5} over triple barycenters and
   III_5 over pair barycenters;
 - `mirror`: the quotient of the expected fibration by the Z_5^3 symmetry
-  group, with fiber types I, II, III.
+  group, with fiber types I, II, III; its census is derived, each expected
+  row's fiber mapped through `quotient_fiber`.
 
 Euler numbers are cataloged values and, where an honest collapse model is
 available, independently recomputed; disagreements are flagged rather than
@@ -18,7 +19,7 @@ both assignments give the same fiberwise total, and the catalog keeps the
 stated ones with the flag raised.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .basecomplex import enumerate_graph
@@ -110,21 +111,18 @@ def census(fibration):
                       20, 0, "two per component; circle fiber meets the "
                              "singular surface at 5 points"),
         ]
+    if fibration == "mirror":
+        return [row if row.fiber.name == "Smooth"
+                else replace(row, fiber=quotient_fiber(row.fiber))
+                for row in census("expected")]
     vertices, edges = enumerate_graph()
     pairs = sum(1 for v in vertices if v.kind == "pair")
     triples = sum(1 for v in vertices if v.kind == "triple")
-    if fibration == "expected":
-        return [
-            CensusRow("complement of the graph", t["Smooth"], 1, 3),
-            CensusRow("legs", t["I5"], len(edges), 1),
-            CensusRow("triple barycenters", t["II5x5"], triples, 0),
-            CensusRow("pair barycenters", t["III5"], pairs, 0),
-        ]
     return [
         CensusRow("complement of the graph", t["Smooth"], 1, 3),
-        CensusRow("legs", t["I"], len(edges), 1),
-        CensusRow("triple barycenters", t["II"], triples, 0),
-        CensusRow("pair barycenters", t["III"], pairs, 0),
+        CensusRow("legs", t["I5"], len(edges), 1),
+        CensusRow("triple barycenters", t["II5x5"], triples, 0),
+        CensusRow("pair barycenters", t["III5"], pairs, 0),
     ]
 
 
@@ -153,12 +151,7 @@ def euler_ledger_from_rows(rows):
 
 def euler_ledger(fibration):
     """Total Euler number of the fibered space from the fiberwise ledger."""
-    total, _ = euler_ledger_from_rows(census(fibration))
-    return total
-
-
-def euler_breakdown(fibration):
-    return euler_ledger_from_rows(census(fibration))[1]
+    return euler_ledger_from_rows(census(fibration))[0]
 
 
 @dataclass(frozen=True)

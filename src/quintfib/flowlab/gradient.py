@@ -2,9 +2,10 @@
 
 A real tangent vector at a chart point is represented by four complex
 components (du/dt + i dv/dt per coordinate).  For a Kahler metric written
-as Re(w'^H H w) with H Hermitian (H = I is the chart-flat metric), the
-gradient of f = Re(s) is H^{-1} conj(ds), the squared gradient norm is
-Re(sum ds_i (H^{-1} conj(ds))_i), and the normalized field
+as Re(w'^H H w) with H Hermitian (H = I is the chart-flat metric, and
+(a I - x x^H) / a^2 with a = 1 + |x|^2 is Fubini-Study; both are applied
+in closed form), the gradient of f = Re(s) is H^{-1} conj(ds), the squared
+gradient norm is Re(sum ds_i (H^{-1} conj(ds))_i), and the normalized field
 
     V = grad(f) / |grad(f)|^2
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .points import AffinePoint, _s_gradient_rows, _sum4, eval_s
+from .points import _eval_s_rows, _s_gradient_rows, _sum4
 
 
 class SigmaGuardError(ArithmeticError):
@@ -48,6 +49,8 @@ class FlowConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.psi == 0:
+            raise ValueError("psi must be nonzero")
 
     @property
     def flow_target_time(self):
@@ -55,25 +58,9 @@ class FlowConfig:
         return 1.0 / (5.0 * self.psi)
 
 
-def metric_matrix(p, metric="chart-flat"):
-    """Hermitian matrix H of the metric in the chart, Re(w'^H H w) form."""
-    if metric == "chart-flat":
-        return np.eye(4, dtype=complex)
-    if metric == "fubini-study":
-        x = p.array()
-        a = 1.0 + float(np.sum(np.abs(x) ** 2))
-        return (a * np.eye(4, dtype=complex) - np.outer(x, x.conj())) / a ** 2
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _raw_gradient_rows(x, metric):
     """H^{-1} conj(ds), the squared gradient norm |grad f|^2 and the pole
-    mask on (N, 4) chart rows.
-
-    The inverse metric is applied in closed form: the identity for the
-    chart-flat metric, a (w + x (x^H w)) with a = 1 + |x|^2 for
-    Fubini-Study.
-    """
+    mask on (N, 4) chart rows."""
     ds, pole = _s_gradient_rows(x)
     v = ds.conj() + 0.0  # clears the -0 conj gives a zero imaginary part (prints -0j)
     if metric == "fubini-study":
@@ -134,27 +121,26 @@ def finite_difference_gradient(p):
     """Central-difference Euclidean gradient of f = Re(s), as the oracle.
 
     Returns the complex representation (df/du_i + i df/dv_i), which is the
-    gradient of the chart-flat metric and so comparable with conj(ds).
+    gradient of the chart-flat metric and so comparable with conj(ds); s is
+    evaluated on all 16 shifted rows in one call.
     """
-    base = list(p.coords)
-    g = np.empty(4, dtype=complex)
-    for i in range(4):
-        for part, unit in ((0, 1.0), (1, 1j)):
-            plus = list(base)
-            minus = list(base)
-            plus[i] = base[i] + FD_STEP * unit
-            minus[i] = base[i] - FD_STEP * unit
-            fp = np.real(eval_s(AffinePoint(p.chart, tuple(plus))))
-            fm = np.real(eval_s(AffinePoint(p.chart, tuple(minus))))
-            d = (fp - fm) / (2.0 * FD_STEP)
-            if part == 0:
-                g[i] = d
-            else:
-                g[i] = g[i] + 1j * d
-    return g
+    x = p.array()
+    i = np.arange(4)
+    shift = FD_STEP * np.array([[1.0], [1j]])  # along u_i, along v_i
+    rows = np.tile(x, (4, 4, 1))  # (+u, +v, -u, -v) x shifted coordinate
+    rows[:2, i, i] = x + shift
+    rows[2:, i, i] = x - shift
+    f = _eval_s_rows(rows.reshape(16, 4)).real.reshape(4, 4)
+    d = (f[:2] - f[2:]) / (2.0 * FD_STEP)
+    return d[0] + 1j * d[1]
 
 
 def omega_value(p, u, v, metric="chart-flat"):
-    """The Kahler form on two real tangent vectors (complex representation)."""
-    h = metric_matrix(p, metric)
-    return float(np.imag(np.conj(u) @ (h @ v)))
+    """The Kahler form Im(u^H H v) on two real tangent vectors."""
+    if metric == "fubini-study":
+        x = p.array()
+        a = 1.0 + _sum4(np.abs(x) ** 2)
+        v = (a * v - x * np.vdot(x, v)) / a ** 2
+    elif metric != "chart-flat":
+        raise ValueError(f"unknown metric {metric!r}")
+    return float(np.vdot(u, v).imag)

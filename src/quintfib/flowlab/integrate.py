@@ -478,6 +478,7 @@ class TorusFiber:
 @dataclass(frozen=True)
 class TransportResult:
     points: tuple
+    abs_im_s: tuple  # |Im s| at each point
     im_s_max: float
     f_drift_max: float
     lagrangian_defect: float
@@ -491,8 +492,9 @@ def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12,
 
     Samples the fiber's angles, flows every sample for time 1/(5 psi) with
     the Fubini-Study metric at integrator tolerance `tol`, and reports the
-    transported cloud with its conservation drifts, the maximal
-    Newton-projection distance to the member, and the Lagrangian defect.
+    transported cloud with |Im s| at each point, its conservation drifts,
+    the maximal Newton-projection distance to the member, and the
+    Lagrangian defect.
 
     The defect is measured against the Kahler form of the same metric: at
     probe samples the transported fiber's tangent vectors are estimated by
@@ -501,6 +503,8 @@ def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12,
     flow's Lagrangian property holds for the metric that defines the
     gradient, which is why the two are paired.
     """
+    if n_samples < 0:
+        raise ValueError("the sample count must not be negative")
     cfg = FlowConfig(psi=psi, tol=tol, metric="fubini-study")
     rng = np.random.default_rng(seed)
     arity = fiber.angle_arity
@@ -525,8 +529,8 @@ def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12,
     kept = [r for r in flows[:n_samples] if reached(r)]
     points = tuple(q for q, _ in kept)
     ends = np.array([q.array() for q in points]).reshape(-1, 4)
-    im_max = max([d.im_s_drift for _, d in kept]
-                 + np.abs(_eval_s_rows(ends).imag).tolist(), default=0.0)
+    abs_im_s = tuple(np.abs(_eval_s_rows(ends).imag).tolist())
+    im_max = max([d.im_s_drift for _, d in kept] + list(abs_im_s), default=0.0)
     f_max = max((d.f_drift for _, d in kept), default=0.0)
     dist_max = float(np.max(distances_to_quintic(points, psi), initial=0.0))
 
@@ -548,7 +552,8 @@ def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12,
                 nu = np.linalg.norm(u) * np.linalg.norm(v)
                 if nu > 0:
                     defect = max(defect, pairing / nu)
-    return TransportResult(points, im_max, f_max, defect, flagged, dist_max)
+    return TransportResult(points, abs_im_s, im_max, f_max, defect, flagged,
+                           dist_max)
 
 
 def circle_collapse_winding(pair, radii, psi, n_phi=48):

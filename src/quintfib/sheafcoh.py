@@ -61,10 +61,10 @@ class ConstructibleSheafSpec:
     triple_dim: int
 
     def c0(self):
-        return 10 * self.triple_dim + 10 * self.pair_dim
+        return len(_TRIPLES) * self.triple_dim + len(_PAIRS) * self.pair_dim
 
     def c1(self):
-        return 30 * self.edge_dim
+        return len(_LEGS) * self.edge_dim
 
 
 K3_SPEC = ConstructibleSheafSpec("K3", edge_dim=4, pair_dim=4, triple_dim=24)
@@ -186,16 +186,16 @@ def build_K3(relabeling=None):
     minus (restriction from the triple barycenter); legs are oriented from
     the triple to the pair end.
     """
-    tri_offset = {t: 24 * i for i, t in enumerate(_TRIPLES)}
-    pair_offset = {p: 24 * len(_TRIPLES) + 4 * i for i, p in enumerate(_PAIRS)}
-    n0 = 24 * len(_TRIPLES) + 4 * len(_PAIRS)
-    d = ratkernel.zeros(4 * len(_LEGS), n0)
+    t_dim, p_dim, e_dim = K3_SPEC.triple_dim, K3_SPEC.pair_dim, K3_SPEC.edge_dim
+    tri_offset = {t: t_dim * i for i, t in enumerate(_TRIPLES)}
+    pair_offset = {p: t_dim * len(_TRIPLES) + p_dim * i for i, p in enumerate(_PAIRS)}
+    d = ratkernel.zeros(K3_SPEC.c1(), K3_SPEC.c0())
     for e_idx, leg in enumerate(_LEGS):
         pair = tuple(sorted(leg.pair))
         triple = tuple(sorted(leg.pair | {leg.apex}))
-        r0, ct, cp = 4 * e_idx, tri_offset[triple], pair_offset[pair]
-        d[r0:r0 + 4, ct:ct + 24] = -triple_restriction(triple, leg.apex, relabeling)
-        d[r0:r0 + 4, cp:cp + 4] = pair_restriction(pair, leg.apex, relabeling)
+        r0, ct, cp = e_dim * e_idx, tri_offset[triple], pair_offset[pair]
+        d[r0:r0 + e_dim, ct:ct + t_dim] = -triple_restriction(triple, leg.apex, relabeling)
+        d[r0:r0 + e_dim, cp:cp + p_dim] = pair_restriction(pair, leg.apex, relabeling)
     return CechComplex(d)
 
 

@@ -32,6 +32,10 @@ class VerifyConfig:
     seed: int = 0
     skip: str = ""  # '', 'numeric' or 'symbolic'
 
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError("the sample count must not be negative")
+
     def as_dict(self):
         return {"psi": self.psi, "tol": self.tol, "samples": self.samples,
                 "seed": self.seed, "skip": self.skip}
@@ -139,14 +143,13 @@ def check_monodromy_goldens(cfg):
     rev = monodromy.leg_monodromy(leg, basepoint=bp, orientation=-1)
     ok &= fwd.matrix.tolist() == GOLDEN_LEG_LOOP
     ok &= rev.matrix.tolist() == GOLDEN_LEG_LOOP_REV
-    triple_ops = monodromy.vertex_monodromies(GraphVertex(frozenset({2, 3, 4})))
-    for op in triple_ops:
-        apex = int(op.label.split("^")[1].split()[0])
-        ok &= op.matrix.tolist() == GOLDEN_TRIPLE_VERTEX[apex]
-    pair_ops = monodromy.vertex_monodromies(GraphVertex(frozenset({2, 4})))
-    for op in pair_ops:
-        apex = int(op.label.split("^")[1].split()[0])
-        ok &= op.matrix.tolist() == GOLDEN_PAIR_VERTEX[apex]
+    for indices, goldens in (({2, 3, 4}, GOLDEN_TRIPLE_VERTEX),
+                             ({2, 4}, GOLDEN_PAIR_VERTEX)):
+        vertex = GraphVertex(frozenset(indices))
+        # vertex_monodromies returns one operator per leg, in edges_at order
+        for leg, op in zip(basecomplex.edges_at(vertex),
+                           monodromy.vertex_monodromies(vertex)):
+            ok &= op.matrix.tolist() == goldens[leg.apex]
     return ("all golden matrices", "match" if ok else "mismatch", ok, "")
 
 

@@ -1,9 +1,10 @@
 """Every numeric consumer in the library stays on the batch path.
 
-The one-row calls `flow`, `newton_project_to_quintic` and
-`distance_to_quintic` are for single points; a library function that calls
-one of them per item of a loop or a comprehension should make one call of
-`flow_batch` or `distances_to_quintic` instead.
+The one-row calls `flow`, `newton_project_to_quintic`,
+`distance_to_quintic` and `eval_s` are for single points; a library
+function that calls one of them per item of a loop or a comprehension
+should make one call of `flow_batch`, `distances_to_quintic` or
+`_eval_s_rows` instead.
 """
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quintfib"
 
-ONE_ROW = {"flow", "newton_project_to_quintic", "distance_to_quintic"}
+ONE_ROW = {"flow", "newton_project_to_quintic", "distance_to_quintic", "eval_s"}
 LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 
@@ -52,5 +53,8 @@ def test_detector_flags_loops_and_comprehensions():
         "        fl.flow(p, 0.1)\n"
         "    d = [distance_to_quintic(p, 10.0) for p in ps]\n"
         "    e = fl.flow_batch(ps, 0.1)\n"
+        "    s = {p: abs(fl.eval_s(p)) for p in ps}\n"
+        "    t = _eval_s_rows(rows)\n"
         "    return newton_project_to_quintic(ps[0], 10.0)\n")
-    assert _one_row_calls_in_loops(tree) == [(3, "flow"), (4, "distance_to_quintic")]
+    assert _one_row_calls_in_loops(tree) == [
+        (3, "flow"), (4, "distance_to_quintic"), (6, "eval_s")]

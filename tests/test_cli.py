@@ -123,6 +123,16 @@ def test_verify_all_symbolic_only(capsys):
     assert payload["passed"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("flow", "--psi", "0"),
+    ("flow", "--samples", "-3"),
+    ("verify-all", "--samples", "-1"),
+])
+def test_bad_sample_counts_and_psi_are_rejected(capsys, argv):
+    with pytest.raises(ValueError):
+        run_cli(capsys, *argv)
+
+
 def test_verify_report_json_is_stable_without_runtimes():
     cfg = verify.VerifyConfig(skip="numeric")
     a = verify.verify_all(cfg).to_json(include_runtimes=False)

@@ -66,6 +66,33 @@ def test_gradient_against_finite_differences():
         assert np.max(np.abs(g - g_fd)) / np.max(np.abs(g)) < 1e-6
 
 
+def _metric(p, metric):
+    """H of the metric as a dense matrix: the oracle for the closed form the
+    Kahler form applies."""
+    if metric == "chart-flat":
+        return np.eye(4, dtype=complex)
+    x = p.array()
+    a = 1.0 + float(np.sum(np.abs(x) ** 2))
+    return (a * np.eye(4, dtype=complex) - np.outer(x, x.conj())) / a ** 2
+
+
+def test_omega_value_matches_dense_metric():
+    rng = np.random.default_rng(31)
+
+    def vec():
+        return rng.normal(size=4) + 1j * rng.normal(size=4)
+
+    for metric in ("chart-flat", "fubini-study"):
+        for _ in range(200):
+            p = fl.AffinePoint(int(rng.integers(1, 6)),
+                               tuple(rng.uniform(0.2, 2.0) * vec()))
+            u, v = vec(), vec()
+            want = float(np.imag(np.conj(u) @ (_metric(p, metric) @ v)))
+            assert abs(fl.omega_value(p, u, v, metric) - want) <= 1e-12 * abs(want)
+    with pytest.raises(ValueError):
+        fl.omega_value(p, u, v, "euclidean")
+
+
 def test_gradient_guard_near_singular_surface():
     # on the curve x1^5 + x2^5 + 1 = 0 with two more zero coordinates the
     # field is genuinely singular

@@ -113,6 +113,13 @@ def test_transport_defect_shrinks_with_fd_step():
     assert fine.lagrangian_defect < coarse.lagrangian_defect
 
 
+def test_transport_reports_abs_im_s_at_each_point():
+    fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
+    res = fl.transport_fiber(fiber, PSI, n_samples=16, n_probes=2, seed=5)
+    assert res.abs_im_s == tuple(abs(fl.eval_s(p).imag) for p in res.points)
+    assert max(res.abs_im_s) <= res.im_s_max
+
+
 def test_transport_rejects_bad_faces():
     with pytest.raises(ValueError):
         fl.TorusFiber(frozenset({1, 2, 3}), {4: 1.0, 5: 1.0})
