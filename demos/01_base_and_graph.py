@@ -19,8 +19,8 @@ triple = bc.GraphVertex(frozenset({1, 2, 3}))
 print(f"legs at {triple!r}: {bc.edges_at(triple)}")
 
 print("\nmirror involution swaps pair and triple barycenters:")
-print(f"  s({pair!r}) = {bc.mirror_involution(pair)!r}")
-print(f"  s(s({triple!r})) = {bc.mirror_involution(bc.mirror_involution(triple))!r}")
+print(f"  s({pair!r}) = {pair.mirror()!r}")
+print(f"  s(s({triple!r})) = {triple.mirror().mirror()!r}")
 
 print("\nfattened discriminant strata in face coordinates (r1, r2):")
 for r1, r2 in ((1.0, 1.0), (2 ** -0.2, 2 ** -0.2), (1.0, 0.0), (0.5, 0.5)):

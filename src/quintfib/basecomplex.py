@@ -12,7 +12,8 @@ Two discriminants live here:
   2-face by the coordinates r = (r1, r2) and the three quintic inequalities
   r1^5 + r2^5 >= 1,  r1^5 + 1 >= r2^5,  r2^5 + 1 >= r1^5.
 
-The mirror involution sends every face label to its complement.
+The mirror involution `GraphVertex.mirror` sends every graph vertex to the
+vertex of the complementary index set, swapping pair and triple barycenters.
 """
 
 from dataclasses import dataclass
@@ -23,27 +24,6 @@ from itertools import combinations
 import numpy as np
 
 INDEX_SET = frozenset({1, 2, 3, 4, 5})
-
-
-@dataclass(frozen=True)
-class FaceLabel:
-    """Proper face Delta_I of the 4-simplex, I the set of vanishing coordinates."""
-
-    indices: frozenset
-
-    def __post_init__(self):
-        idx = frozenset(self.indices)
-        object.__setattr__(self, "indices", idx)
-        if not idx <= INDEX_SET:
-            raise ValueError(f"face indices must lie in 1..5, got {sorted(idx)}")
-        if not 0 < len(idx) < 5:
-            raise ValueError("proper faces have 0 < |I| < 5")
-
-    def complement(self):
-        return FaceLabel(INDEX_SET - self.indices)
-
-    def __repr__(self):
-        return "Delta_{%s}" % "".join(str(i) for i in sorted(self.indices))
 
 
 @dataclass(frozen=True)
@@ -108,9 +88,6 @@ class GraphEdge:
     def triple_vertex(self):
         return GraphVertex(self.pair | {self.apex})
 
-    def endpoints(self):
-        return (self.triple_vertex, self.pair_vertex)
-
     def __repr__(self):
         i, j = sorted(self.pair)
         return f"Gamma_{i}{j}^{self.apex}"
@@ -169,15 +146,6 @@ def classify_fattened(r1, r2, tol=1e-9):
     if any(abs(e) <= tol for e in exprs) and all(e >= -tol for e in exprs):
         return FattenedStratum.EDGE1
     return FattenedStratum.OUTSIDE
-
-
-def mirror_involution(label):
-    """Complement involution on face labels and graph vertices."""
-    if isinstance(label, FaceLabel):
-        return label.complement()
-    if isinstance(label, GraphVertex):
-        return label.mirror()
-    raise TypeError(f"no mirror involution for {type(label).__name__}")
 
 
 def standard_anchors():

@@ -16,7 +16,7 @@ from .integrate import (FlowDiagnostics, TorusFiber, TransportResult,
                         circle_collapse_winding, distance_to_quintic,
                         distances_to_quintic, flow, flow_batch,
                         newton_project_to_quintic, transport_fiber)
-from .pairing import PairingResult, loop_pairing, loop_pairing_detailed
+from .pairing import PairingResult, loop_pairing_detailed
 from .covering import covering_count, covering_roots, covering_stratum
 from .harveylawson import (HLProbeResult, classify_hl_target, hl_fiber_probe,
                            hl_map, hl_jacobian_rank, sample_hl_fiber)
@@ -30,7 +30,7 @@ __all__ = [
     "FlowDiagnostics", "TorusFiber", "TransportResult",
     "circle_collapse_winding", "distance_to_quintic", "distances_to_quintic",
     "flow", "flow_batch", "newton_project_to_quintic", "transport_fiber",
-    "PairingResult", "loop_pairing", "loop_pairing_detailed",
+    "PairingResult", "loop_pairing_detailed",
     "covering_count", "covering_roots", "covering_stratum",
     "HLProbeResult", "classify_hl_target", "hl_fiber_probe", "hl_map",
     "hl_jacobian_rank", "sample_hl_fiber",

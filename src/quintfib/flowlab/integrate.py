@@ -24,7 +24,6 @@ the Newton projection onto the smooth member on every row at once, each row
 stopping on its own, and `newton_project_to_quintic` is its one-row call.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +67,13 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
 EPS = np.finfo(float).eps
-# the guard event's root search: brentq's tolerances and iteration budget
-BRENTQ_XTOL = BRENTQ_RTOL = 4 * EPS
-BRENTQ_MAXITER = 100
 N_CHECKPOINTS = 33  # drift checkpoints along each trajectory
 # Newton projection: stop at |value| <= NEWTON_TOL (1 + max|x|^5)
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 60
 COLLAPSE_EPS = 1e-3  # modulus of the perturbed coordinate in circle_collapse_winding
+N_PHI = 48  # phases of the perturbed coordinate in circle_collapse_winding
+FD_ANGLE = 1e-4  # finite-difference step in the fiber angles of transport_fiber
 
 # row states of the batched integrator
 RUNNING, REACHED, GUARD_HIT, UNDERFLOW, GUARDED = range(5)
@@ -137,46 +135,27 @@ def _dense(seg, t):
                          + Q[:, 3] * (x3 * x)) + y_old
 
 
-def _brentq(f, xa, xb):
-    """Brent's root of f between xa and xb, step for step as scipy's brentq."""
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+def _bisect(f, a, b):
+    """The root of f between a and b, bisected until the midpoint is one
+    of the two ends, so the bracket holds adjacent floats."""
+    fa, fb = f(a), f(b)
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if (fa < 0) == (fb < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENTQ_MAXITER):
-        if fpre != 0 and fcur != 0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENTQ_XTOL + BRENTQ_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    while True:
+        m = a + (b - a) / 2
+        if m in (a, b):
+            return m
+        fm = f(m)
+        if fm == 0:
+            return m
+        if (fm < 0) == (fa < 0):
+            a = m
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("brentq failed to converge")
+            b = m
 
 
 def _integrate(y0, t_bound, cfg):
@@ -278,6 +257,8 @@ def _integrate(y0, t_bound, cfg):
         n_acc[acc] += 1
         state[acc[d * (t_new[ok] - t_bound) >= 0]] = REACHED
         g_new = norm_sq[ok] - guard_level
+        # a row whose step crosses the guard level stops at the crossing,
+        # bisected on the step's dense output down to adjacent floats
         for k in np.flatnonzero((g[acc] >= 0) & (g_new <= 0)):
             one = tuple(part[k:k + 1] for part in seg)
 
@@ -286,7 +267,7 @@ def _integrate(y0, t_bound, cfg):
                 norm = _field_rows(ys[:, :4] + 1j * ys[:, 4:], cfg)[1][0]
                 return float(norm) - guard_level
 
-            root = _brentq(event, float(tr[ok][k]), float(t_new[ok][k]))
+            root = _bisect(event, float(tr[ok][k]), float(t_new[ok][k]))
             t[acc[k]], y[acc[k]] = root, _dense(one, np.array([root]))[0]
             state[acc[k]] = GUARD_HIT
         g[acc] = g_new
@@ -486,8 +467,7 @@ class TransportResult:
     quintic_distance_max: float
 
 
-def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12,
-                    fd_angle=1e-4):
+def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12):
     """Carry a fiber of the large complex limit onto the smooth member.
 
     Samples the fiber's angles, flows every sample for time 1/(5 psi) with
@@ -517,7 +497,7 @@ def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12,
     for angles in probes:
         for a in range(arity):
             moved = list(angles)
-            moved[a] += fd_angle
+            moved[a] += FD_ANGLE
             shifted.append(fiber.point(moved))
     flows = flow_batch([fiber.point(angles) for angles in angle_sets] + shifted,
                        t_target, cfg)
@@ -540,7 +520,7 @@ def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12,
         if not reached(base_flow) or not all(map(reached, moved)):
             continue
         base = base_flow[0]
-        tangents = [(m[0].array() - base.array()) / fd_angle for m in moved]
+        tangents = [(m[0].array() - base.array()) / FD_ANGLE for m in moved]
         try:
             tangents.append(grad_V(base, cfg))
         except SigmaGuardError:
@@ -556,12 +536,12 @@ def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12,
                            dist_max)
 
 
-def circle_collapse_winding(pair, radii, psi, n_phi=48):
+def circle_collapse_winding(pair, radii, psi):
     """Winding of the circle swept by one point of a codimension-2 fiber.
 
     For a face with two vanishing coordinates, a point of the 2-torus fiber
     deforms to a circle: perturb the lower vanishing coordinate to
-    COLLAPSE_EPS e^{i phi}, flow each of n_phi perturbed points onto the
+    COLLAPSE_EPS e^{i phi}, flow each of N_PHI perturbed points onto the
     smooth member with the chart-flat metric, and measure the winding of
     that coordinate's argument at the endpoints as phi sweeps a full turn.
     A unit winding certifies the extra circle.
@@ -574,7 +554,7 @@ def circle_collapse_winding(pair, radii, psi, n_phi=48):
     live = sorted(set(range(1, 6)) - set(pair))
     anchor = live[-1]
     starts = []
-    for phi in np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False):
+    for phi in np.linspace(0.0, 2.0 * np.pi, N_PHI, endpoint=False):
         z = np.zeros(5, dtype=complex)
         for i in live:
             z[i - 1] = radii[i] if i in radii else 1.0

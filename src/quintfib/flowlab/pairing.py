@@ -30,7 +30,6 @@ STEP_FRACTION = 0.25
 N_STEPS = 400  # loop steps
 RADIUS = 0.75  # common modulus of the spectator and winding coordinates
 POLE_TOL = 1e-6  # least modulus of the form's coordinates along the loop
-RESIDUE_TOL = 1e-6  # largest distance of a winding from its integer
 
 
 @dataclass(frozen=True)
@@ -124,11 +123,3 @@ def loop_pairing_detailed(loop, forms, psi=10.0):
     z, _ = _loop_coordinates(i, j, k, psi)
     return [_winding(z, (i, j, k), form) for form in forms]
 
-
-def loop_pairing(loop, form, psi=10.0):
-    """Integer pairing of the (i, j, k) cycle with d log(z_l / z_m)."""
-    res, = loop_pairing_detailed(loop, [form], psi=psi)
-    if res.residue >= RESIDUE_TOL:
-        raise ArithmeticError(
-            f"pairing did not converge to an integer: {res.value} + {res.residue:.2e}")
-    return res.value

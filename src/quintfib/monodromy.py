@@ -395,10 +395,13 @@ def common_invariants(ops, dual=False):
 
     With dual=True the operators act on the dual lattice (inverse
     transpose); the fixed subspace is the simultaneous kernel of (T - I).
+    The dual stack needs no inverse: T^{-T} - I = -T^{-T} (T^T - I) with
+    T^{-T} invertible, so stacking T^T - I gives the same row space, hence
+    the same kernel basis.
     """
     if not ops:
         raise ValueError("need at least one operator")
-    mats = [(o.dual() if dual else o).matrix for o in ops]
+    mats = [o.matrix.T if dual else o.matrix for o in ops]
     eye = ratkernel.identity(3)
     stacked = np.concatenate([m - eye for m in mats], axis=0)
     return ratkernel.kernel_basis(stacked)

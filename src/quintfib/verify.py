@@ -9,7 +9,6 @@ Checks are tagged `symbolic` (exact integer/rational results) or `numeric`
 (flow, pairings, root counting), and either tag can be skipped wholesale.
 """
 
-import json
 import time
 import warnings
 from dataclasses import dataclass
@@ -35,6 +34,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.samples < 0:
             raise ValueError("the sample count must not be negative")
+        if self.psi == 0:
+            raise ValueError("psi must be nonzero")
 
     def as_dict(self):
         return {"psi": self.psi, "tol": self.tol, "samples": self.samples,
@@ -63,7 +64,7 @@ class VerificationReport:
     def passed(self):
         return all(c.status in ("pass", "skipped") for c in self.checks)
 
-    def as_dict(self, include_runtimes=True):
+    def as_dict(self):
         out = {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.as_dict(),
@@ -71,7 +72,7 @@ class VerificationReport:
             "checks": [],
         }
         for c in self.checks:
-            row = {
+            out["checks"].append({
                 "id": c.check_id,
                 "criterion": c.criterion,
                 "kind": c.kind,
@@ -80,15 +81,9 @@ class VerificationReport:
                 "computed": c.computed,
                 "status": c.status,
                 "detail": c.detail,
-            }
-            if include_runtimes:
-                row["runtime_s"] = round(c.runtime_s, 4)
-            out["checks"].append(row)
+                "runtime_s": round(c.runtime_s, 4),
+            })
         return out
-
-    def to_json(self, include_runtimes=True):
-        return json.dumps(self.as_dict(include_runtimes=include_runtimes),
-                          indent=2, sort_keys=False)
 
     def render_table(self):
         lines = []
@@ -208,14 +203,10 @@ def check_sheaf_cohomology(cfg):
 def check_e2_tables(cfg):
     q = sheafcoh.assemble_E2("quintic")
     m = sheafcoh.assemble_E2("mirror")
-    ok = (q.display_rows() == GOLDEN_E2_QUINTIC
-          and m.display_rows() == GOLDEN_E2_MIRROR
-          and q.antidiagonal_sum(3) == 204 and m.antidiagonal_sum(3) == 4
-          and q.alternating_sum() == -200 and m.alternating_sum() == 0)
     got = (q.display_rows(), m.display_rows(), q.antidiagonal_sum(3),
            m.antidiagonal_sum(3), q.alternating_sum(), m.alternating_sum())
     want = (GOLDEN_E2_QUINTIC, GOLDEN_E2_MIRROR, 204, 4, -200, 0)
-    return (_fmt(want), _fmt(got), ok, "")
+    return (_fmt(want), _fmt(got), got == want, "")
 
 
 def check_toric(cfg):
@@ -428,7 +419,7 @@ CHECKS = [
 ]
 
 
-def verify_all(config=None, _inject=None):
+def verify_all(config=None):
     """Run every acceptance check; failures are recorded, never raised."""
     config = config or VerifyConfig()
     checks = []
@@ -446,9 +437,6 @@ def verify_all(config=None, _inject=None):
         except Exception as err:  # a crash is a failure, not an abort
             expected, computed, ok, detail = "-", "-", False, f"error: {err!r}"
         dt = time.perf_counter() - t0
-        if _inject and check_id in _inject:
-            computed = _inject[check_id]
-            ok = computed == expected
         status = "pass" if ok else "fail"
         if not ok and not detail:
             detail = f"expected {expected}, got {computed}"

@@ -20,7 +20,7 @@ def test_every_vertex_has_degree_three():
         legs = bc.edges_at(v)
         assert len(legs) == 3
         for leg in legs:
-            assert v in leg.endpoints()
+            assert v in (leg.triple_vertex, leg.pair_vertex)
 
 
 def test_edges_at_triple_vertex():
@@ -33,7 +33,7 @@ def test_graph_is_connected():
     vertices, edges = bc.enumerate_graph()
     adj = {v: set() for v in vertices}
     for e in edges:
-        a, b = e.endpoints()
+        a, b = e.triple_vertex, e.pair_vertex
         adj[a].add(b)
         adj[b].add(a)
     seen = {vertices[0]}
@@ -81,18 +81,16 @@ def test_classify_fattened_rejects_negatives():
 
 def test_mirror_involution_pairs():
     p12 = bc.GraphVertex(frozenset({1, 2}))
-    assert bc.mirror_involution(p12) == bc.GraphVertex(frozenset({3, 4, 5}))
+    assert p12.mirror() == bc.GraphVertex(frozenset({3, 4, 5}))
     p134 = bc.GraphVertex(frozenset({1, 3, 4}))
-    assert bc.mirror_involution(bc.mirror_involution(p134)) == p134
-    d1 = bc.FaceLabel(frozenset({1}))
-    assert bc.mirror_involution(d1) == bc.FaceLabel(frozenset({2, 3, 4, 5}))
+    assert p134.mirror().mirror() == p134
 
 
 def test_mirror_maps_pairs_onto_triples():
     vertices, _ = bc.enumerate_graph()
     pairs = {v for v in vertices if v.kind == "pair"}
     triples = {v for v in vertices if v.kind == "triple"}
-    assert {bc.mirror_involution(v) for v in pairs} == triples
+    assert {v.mirror() for v in pairs} == triples
 
 
 def test_moment_image_vertex():

@@ -127,33 +127,46 @@ def test_verify_all_symbolic_only(capsys):
     ("flow", "--psi", "0"),
     ("flow", "--samples", "-3"),
     ("verify-all", "--samples", "-1"),
+    ("verify-all", "--psi", "0"),
 ])
 def test_bad_sample_counts_and_psi_are_rejected(capsys, argv):
     with pytest.raises(ValueError):
         run_cli(capsys, *argv)
 
 
+def _without_runtimes(report):
+    payload = report.as_dict()
+    for row in payload["checks"]:
+        del row["runtime_s"]
+    return json.dumps(payload, indent=2)
+
+
 def test_verify_report_json_is_stable_without_runtimes():
     cfg = verify.VerifyConfig(skip="numeric")
-    a = verify.verify_all(cfg).to_json(include_runtimes=False)
-    b = verify.verify_all(cfg).to_json(include_runtimes=False)
+    a = _without_runtimes(verify.verify_all(cfg))
+    b = _without_runtimes(verify.verify_all(cfg))
     assert a == b
 
 
-def test_verify_all_json_is_the_reports_to_json(monkeypatch, capsys):
+def test_verify_all_json_is_the_reports_dict(monkeypatch, capsys):
     report = verify.verify_all(verify.VerifyConfig(skip="numeric"))
     monkeypatch.setattr(verify, "verify_all", lambda cfg: report)
     _, out = run_cli(capsys, "verify-all", "--format", "json")
-    assert out == report.to_json() + "\n"
+    assert out == json.dumps(report.as_dict(), indent=2) + "\n"
 
 
-def test_verify_injected_corruption_fails_with_diff():
-    cfg = verify.VerifyConfig(skip="numeric")
-    report = verify.verify_all(cfg, _inject={"c03-euler-ledgers": "(-100, 0, 6, 0)"})
+def test_verify_injected_corruption_fails_with_diff(monkeypatch):
+    # c03 computes a corrupted ledger; the rest of the battery is untouched
+    checks = list(verify.CHECKS)
+    check_id, criterion, kind, label, _ = checks[2]
+    checks[2] = (check_id, criterion, kind, label,
+                 lambda cfg: ("(-200, 0, 6, 0)", (-100, 0, 6, 0), False, ""))
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    report = verify.verify_all(verify.VerifyConfig(skip="numeric"))
     bad = [c for c in report.checks if c.status == "fail"]
     assert len(bad) == 1
     assert bad[0].check_id == "c03-euler-ledgers"
-    assert "expected" in bad[0].detail
+    assert bad[0].detail == "expected (-200, 0, 6, 0), got (-100, 0, 6, 0)"
     assert not report.passed
     # the rest of the suite still ran
     assert sum(1 for c in report.checks if c.status == "pass") >= 5

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quintfib import flowlab as fl
+from quintfib.flowlab import integrate
 
 
 PSI = 10.0
@@ -101,15 +102,15 @@ def test_transport_defect_stable_under_sample_doubling():
     assert 0.1 < ratio < 10.0
 
 
-def test_transport_defect_shrinks_with_fd_step():
+def test_transport_defect_shrinks_with_fd_step(monkeypatch):
     """The probe's finite-difference step dominates the measured defect;
     refining it shows the underlying transported torus is Lagrangian to
     integrator accuracy (empirical first-order decrease or better)."""
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
-    coarse = fl.transport_fiber(fiber, PSI, n_samples=8, n_probes=4, seed=4,
-                                fd_angle=4e-3)
-    fine = fl.transport_fiber(fiber, PSI, n_samples=8, n_probes=4, seed=4,
-                              fd_angle=1e-3)
+    monkeypatch.setattr(integrate, "FD_ANGLE", 4e-3)
+    coarse = fl.transport_fiber(fiber, PSI, n_samples=8, n_probes=4, seed=4)
+    monkeypatch.setattr(integrate, "FD_ANGLE", 1e-3)
+    fine = fl.transport_fiber(fiber, PSI, n_samples=8, n_probes=4, seed=4)
     assert fine.lagrangian_defect < coarse.lagrangian_defect
 
 
@@ -127,9 +128,9 @@ def test_transport_rejects_bad_faces():
         fl.TorusFiber(frozenset({5}), {1: 1.0})
 
 
-def test_codimension_two_point_sweeps_a_circle():
-    w = fl.circle_collapse_winding((4, 5), {1: 1.0, 2: 1.0, 3: 1.0},
-                                   psi=PSI, n_phi=24)
+def test_codimension_two_point_sweeps_a_circle(monkeypatch):
+    monkeypatch.setattr(integrate, "N_PHI", 24)
+    w = fl.circle_collapse_winding((4, 5), {1: 1.0, 2: 1.0, 3: 1.0}, psi=PSI)
     assert abs(abs(w) - 1.0) < 0.05
 
 

@@ -266,6 +266,21 @@ def test_dual_invariant_dimensions():
         assert len(inv) == (1 if v.kind == "pair" else 2)
 
 
+def test_dual_invariants_match_the_inverse_transpose_stack():
+    # common_invariants(dual=True) stacks T^T - I; the definition stacks
+    # T^{-T} - I, which has the same row space
+    verts, legs = enumerate_graph()
+    families = [[mono.leg_monodromy(leg)] for leg in legs]
+    families += [mono.vertex_monodromies(v) for v in verts]
+    assert len(families) == 50
+    eye = rk.identity(3)
+    for ops in families:
+        stacked = np.concatenate([o.dual().matrix - eye for o in ops], axis=0)
+        want = rk.kernel_basis(stacked)
+        got = mono.common_invariants(ops, dual=True)
+        assert [v.tolist() for v in got] == [v.tolist() for v in want]
+
+
 def test_expand_relations_consistency():
     # the sum relation inside a chart: all basis symbols plus the dominant
     # symbol add to zero

@@ -1,9 +1,10 @@
 """The library holds what the program runs.
 
-A public top-level function or class of the library must be referred to
-from outside its own body by a library module, the CLI, a demo or a file
-under perfbench/ (whose tracer names its targets by string); a name that
-only tests reach is a dead helper.  A defaulted parameter of a library
+A public top-level function or class of the library, and a public method
+or property of a library class, must be referred to from outside its own
+body by a library module, the CLI, a demo or a file under perfbench/
+(whose tracer names its targets by string); a name that only tests reach
+is a dead helper.  A defaulted parameter of a library
 function, and a defaulted field of a library dataclass, must be passed by
 some call site in src/, demos/ or perfbench/: by keyword, by position or
 through `**`, in a call by the function's or the class's name.  A default
@@ -25,10 +26,6 @@ NAMES_ALLOWED = {
     ("flowlab/momentmaps.py", "moment_maps"):
         "paper quantity: the Fubini-Study, log and weighted moment maps, "
         "asserted by the test_moment_map_* tests",
-    ("flowlab/pairing.py", "loop_pairing"):
-        "paper quantity: the integer pairing <gamma_ij^k, dlog(z_l/z_m)>, "
-        "asserted by test_pairing_delta_pattern_chart_12 and "
-        "test_pairing_divisor_column",
     ("flowlab/momentmaps.py", "volume_ratio"):
         "paper quantity: the flat volume ratio 16/5, asserted by "
         "test_volume_ratio_constant",
@@ -39,20 +36,8 @@ NAMES_ALLOWED = {
 DEFAULTS_ALLOWED = {
     ("cli.py", "main", "argv"):
         "test seam: test_cli drives the CLI in-process",
-    ("verify.py", "verify_all", "_inject"):
-        "test seam: test_verify_injected_corruption_fails_with_diff",
-    ("verify.py", "to_json", "include_runtimes"):
-        "test seam: test_cli compares two reports without their timings",
-    ("flowlab/integrate.py", "transport_fiber", "fd_angle"):
-        "estimator convergence: test_transport_defect_shrinks_with_fd_step",
-    ("flowlab/integrate.py", "circle_collapse_winding", "n_phi"):
-        "sampling resolution: test_codimension_two_point_sweeps_a_circle "
-        "asserts the unit winding from 24 phases",
     ("flowlab/momentmaps.py", "moment_maps", "which"):
         "paper quantity: selects the moment map each test_moment_map_* asserts",
-    ("flowlab/pairing.py", "loop_pairing", "psi"):
-        "test_pairing_near_pole_reported drives the tracked root onto the "
-        "form's pole at psi 1e7",
 }
 
 
@@ -80,9 +65,26 @@ def _references(node, strings):
             yield n.value
 
 
+def _public_definitions(tree):
+    """(name, node) of each public top-level function or class, and
+    ("Class.method", node) of each public method or property of a
+    top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    yield f"{node.name}.{m.name}", m
+
+
 def unreached_names(library, programs):
-    """(module, name) of each public top-level function or class that no
-    tree refers to outside the definition's own body."""
+    """(module, name) of each public top-level function or class, and
+    (module, "Class.method") of each public method or property, that no tree
+    refers to outside the definition's own body.  A method counts as
+    reached by any reference to its bare name."""
     counts = {}
     for tree in library.values():
         for name in _references(tree, strings=False):
@@ -92,12 +94,10 @@ def unreached_names(library, programs):
             counts[name] = counts.get(name, 0) + 1
     found = []
     for rel, tree in library.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                own = sum(n == node.name for n in _references(node, strings=False))
-                if counts.get(node.name, 0) == own:
-                    found.append((rel, node.name))
+        for name, node in _public_definitions(tree):
+            own = sum(n == node.name for n in _references(node, strings=False))
+            if counts.get(node.name, 0) == own:
+                found.append((rel, name))
     return sorted(found)
 
 
@@ -204,17 +204,26 @@ def test_detectors_flag_dead_names_and_unset_defaults():
         "        return Box()\n"
         "    @staticmethod\n"
         "    def make(size=3):\n"
+        "        pass\n"
+        "    def again(self):\n"
+        "        return self.again()\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 3\n"
+        "    def _hidden(self):\n"
         "        pass\n")}
     programs = [ast.parse(
         "used(1, 2)\n"
         "lib.recursive(3)\n"
         "Box().get('a', 0)\n"
         "Box.make(**opts)\n"
+        "print(Box().size)\n"
         "TARGETS = [(lib, 'traced')]\n")]
-    assert unreached_names(library, programs) == []
+    assert unreached_names(library, programs) == [("lib.py", "Box.again")]
     assert unreached_names(library, []) == [
-        ("lib.py", "Box"), ("lib.py", "recursive"), ("lib.py", "traced"),
-        ("lib.py", "used")]
+        ("lib.py", "Box"), ("lib.py", "Box.again"), ("lib.py", "Box.get"),
+        ("lib.py", "Box.make"), ("lib.py", "Box.size"), ("lib.py", "recursive"),
+        ("lib.py", "traced"), ("lib.py", "used")]
     assert unset_defaults(library, programs) == [
         ("lib.py", "_private", "a"), ("lib.py", "recursive", "step"),
         ("lib.py", "used", "w")]
