@@ -37,8 +37,8 @@ class FiberType:
     name: str
     euler: Optional[int]
     singular_set: str
+    euler_recomputed: Optional[int]
     collapse_count: Optional[int] = None
-    euler_recomputed: Optional[int] = None
 
     @property
     def flagged(self):

@@ -157,7 +157,7 @@ def _tolerances(R1, R2, tol):
     return newton_tol, 1e-7 * scale, max(1e-6, 2.0 * np.sqrt(newton_tol))
 
 
-def covering_roots(r1, r2, tol=1e-9):
+def covering_roots(r1, r2, tol):
     """All torus solutions over a fattened-interior or boundary point."""
     R1, R2 = float(r1) ** 5, float(r2) ** 5
     newton_tol, verify_tol, dedupe_tol = _tolerances(R1, R2, tol)

@@ -135,7 +135,7 @@ def finite_difference_gradient(p):
     return d[0] + 1j * d[1]
 
 
-def omega_value(p, u, v, metric="chart-flat"):
+def omega_value(p, u, v, metric):
     """The Kahler form Im(u^H H v) on two real tangent vectors."""
     if metric == "fubini-study":
         x = p.array()

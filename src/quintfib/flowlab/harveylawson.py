@@ -133,12 +133,11 @@ def hl_jacobian_rank(z):
 class HLProbeResult:
     slag_defect: float
     classification: tuple
-    calibration_phase: float
     axis_ranks: tuple
     generic_ranks: tuple
 
 
-def hl_fiber_probe(c, n_samples=64, seed=0):
+def hl_fiber_probe(c, n_samples, seed=0):
     """Special-Lagrangian defect and singularity classification of a fiber.
 
     The defect is the larger of the normalized flat symplectic pairings on
@@ -175,6 +174,5 @@ def hl_fiber_probe(c, n_samples=64, seed=0):
                     np.array([0, 0, 1.3 + 0j])]
         axis_ranks = tuple(hl_jacobian_rank(z) for z in axis_pts)
         generic_ranks = tuple(hl_jacobian_rank(z) for z, _ in samples)
-    return HLProbeResult(float(defect), classification,
-                         float(phase if phase is not None else 0.0),
-                         axis_ranks, generic_ranks)
+    return HLProbeResult(float(defect), classification, axis_ranks,
+                         generic_ranks)

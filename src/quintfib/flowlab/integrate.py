@@ -467,7 +467,7 @@ class TransportResult:
     quintic_distance_max: float
 
 
-def transport_fiber(fiber, psi, n_samples, tol=1e-10, seed=0, n_probes=12):
+def transport_fiber(fiber, psi, n_samples, seed, tol=1e-10, n_probes=12):
     """Carry a fiber of the large complex limit onto the smooth member.
 
     Samples the fiber's angles, flows every sample for time 1/(5 psi) with

@@ -12,11 +12,15 @@ The 20 symbols gamma_i^j satisfy, chart-locally,
     gamma_i^j + gamma_j^i = 0
     gamma_i^j + gamma_j^k + gamma_k^i = 0
 
-and every transition matrix below is *derived* from these relations by exact
-rewriting, never hard-coded.  The symbols are deliberately never globalized
-into a single lattice: the global relations are inconsistent, and that
-inconsistency is precisely the monodromy picked up around the legs of the
-discriminant graph.
+Inside chart U_i^j, with the sum relation taken for the divisor row i,
+they have one solution: gamma_m^a = v_a - v_m, where the corner class v_k
+is e_k for a basis index k, -(1, 1, 1) for the dominant index j (the sum
+relation) and 0 for the divisor index i.  Every transition matrix below is
+read off this solution, and the tests hold it to the relations in all 20
+charts.  The symbols are deliberately never globalized into a single
+lattice: the global relations are inconsistent, and that inconsistency is
+precisely the monodromy picked up around the legs of the discriminant
+graph.
 
 Orientation convention: the loop around a leg with pair {i, j} and apex k is
 traversed as U_m^j -> U_m^i -> U_l^i -> U_l^j -> U_m^j where (i, j, k, l, m)
@@ -49,9 +53,6 @@ class CycleSymbol:
 
     def __repr__(self):
         return f"gamma_{self.base}^{self.upper}"
-
-    def __neg__(self):
-        return SignedSymbol(-1, self)
 
 
 @dataclass(frozen=True)
@@ -90,34 +91,20 @@ def all_charts():
     return [ChartId(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
 
 
-def _zero3():
-    return np.array([0, 0, 0], dtype=object)
+def _corner(k, dominant, uppers):
+    """The corner class v_k in a chart's basis, whose upper indices are
+    `uppers`: e_k for a basis index, the sum relation's -(1, 1, 1) for the
+    dominant index, 0 for the divisor index."""
+    return [-1, -1, -1] if k == dominant else [int(u == k) for u in uppers]
 
 
 def expand(symbol, chart):
-    """Coordinates of gamma_m^a in the canonical basis of the chart.
-
-    This is the chart-local rewriting engine: antisymmetry and the
-    three-term relation reduce any symbol to the divisor-row of the chart,
-    and the sum relation eliminates the dominant-index symbol.
-    """
-    i, j = chart.divisor, chart.dominant
-    m, a = symbol.base, symbol.upper
-    if m == i:
-        if a == j:
-            # gamma_i^j = -(sum of the basis symbols)
-            v = _zero3()
-            v[:] = -1
-            return v
-        v = _zero3()
-        basis_uppers = sorted(INDEX_SET - {i, j})
-        v[basis_uppers.index(a)] = 1
-        return v
-    if a == i:
-        # gamma_m^i = -gamma_i^m
-        return -expand(CycleSymbol(i, m), chart)
-    # gamma_m^a = gamma_i^a - gamma_i^m  (three-term relation + antisymmetry)
-    return expand(CycleSymbol(i, a), chart) - expand(CycleSymbol(i, m), chart)
+    """Coordinates of gamma_m^a = v_a - v_m in the canonical basis of the
+    chart."""
+    uppers = sorted(INDEX_SET - {chart.divisor, chart.dominant})
+    upper = _corner(symbol.upper, chart.dominant, uppers)
+    base = _corner(symbol.base, chart.dominant, uppers)
+    return np.array([a - m for a, m in zip(upper, base)], dtype=object)
 
 
 def _legal_step(a, b):
@@ -220,7 +207,7 @@ def _is_even(seq):
     return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:]) % 2 == 0
 
 
-def oriented_leg_frame(leg, base_divisor=None):
+def oriented_leg_frame(leg, base_divisor):
     """The even-orientation index frame (i, j, k, l, m) for a leg.
 
     k is the apex; {l, m} is the complement of the leg's three indices with
@@ -242,7 +229,7 @@ def oriented_leg_frame(leg, base_divisor=None):
     raise AssertionError("one ordering of the pair is always even")
 
 
-def standard_leg_loop(leg, base_divisor=None):
+def standard_leg_loop(leg, base_divisor):
     """Positively oriented 4-chart loop around a leg.
 
     With frame (i, j, k, l, m) the loop is
@@ -338,7 +325,7 @@ def in_basis(op, symbols):
     return _to_int(ratkernel.inverse(b) @ op.matrix @ b)
 
 
-def standard_shear_basis(leg, base_divisor=None):
+def standard_shear_basis(leg, base_divisor):
     """Symbol basis (gamma_m^l, gamma_m^i, gamma_m^k) of the shear form."""
     i, _, k, l, m = oriented_leg_frame(leg, base_divisor)
     return (CycleSymbol(m, l), CycleSymbol(m, i), CycleSymbol(m, k))
@@ -390,20 +377,17 @@ def vanishing_filtration(ops):
                                tuple(names), basepoint)
 
 
-def common_invariants(ops, dual=False):
-    """Basis of the common fixed subspace of a family of operators.
-
-    With dual=True the operators act on the dual lattice (inverse
-    transpose); the fixed subspace is the simultaneous kernel of (T - I).
-    The dual stack needs no inverse: T^{-T} - I = -T^{-T} (T^T - I) with
-    T^{-T} invertible, so stacking T^T - I gives the same row space, hence
-    the same kernel basis.
+def dual_invariants(ops):
+    """Basis of the common fixed subspace of a family of operators acting on
+    the dual lattice (inverse transpose): the simultaneous kernel of
+    T^{-T} - I.  The stack needs no inverse: T^{-T} - I = -T^{-T} (T^T - I)
+    with T^{-T} invertible, so stacking T^T - I gives the same row space,
+    hence the same kernel basis.
     """
     if not ops:
         raise ValueError("need at least one operator")
-    mats = [o.matrix.T if dual else o.matrix for o in ops]
     eye = ratkernel.identity(3)
-    stacked = np.concatenate([m - eye for m in mats], axis=0)
+    stacked = np.concatenate([o.matrix.T - eye for o in ops], axis=0)
     return ratkernel.kernel_basis(stacked)
 
 

@@ -4,8 +4,8 @@ Everything here is exact: matrices are numpy object arrays whose entries are
 Python ints or fractions.Fraction (arbitrary precision, always in lowest
 terms, positive denominators).  No floating point enters any code path.
 
-Rank, determinant and reduced row echelon form (and through it kernels,
-solutions and inverses) share one fraction-free elimination on integer
+Rank, determinant and reduced row echelon form (and through it kernels
+and inverses) share one fraction-free elimination on integer
 rows, `_echelon`, whose entries stay within Hadamard's bound on the minors
 instead of growing exponentially on dense input.  Lattice saturation and
 sublattice indices go through the row Hermite normal form, with unimodular
@@ -137,27 +137,6 @@ def kernel_basis(m):
             v[pcol] = -Fraction(red[i, fcol])
         basis.append(v)
     return basis
-
-
-def solve(m, b):
-    """Exact solution of m x = b, or None when inconsistent.
-
-    When the system is underdetermined returns the particular solution with
-    free variables set to zero.
-    """
-    a = _as_object(m)
-    rows, cols = a.shape
-    bv = np.array([Fraction(x) for x in b], dtype=object)
-    if bv.shape != (rows,):
-        raise ValueError("right-hand side length mismatch")
-    aug = np.concatenate([a, bv.reshape(-1, 1)], axis=1)
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = np.array([Fraction(0)] * cols, dtype=object)
-    for i, pcol in enumerate(pivots):
-        x[pcol] = red[i, cols]
-    return x
 
 
 def inverse(m):

@@ -154,18 +154,17 @@ def _barycenter(cone):
 
 
 def _inside(cone, point):
-    """Strict containment of a plane point in the closed triangle of a cone."""
+    """Strict containment of a plane point in the closed triangle of a
+    unimodular cone, whose generator matrix is invertible."""
     cols = np.array([[Fraction(x) for x in g] for g in cone.generators],
                     dtype=object).T
-    lam = ratkernel.solve(cols, [Fraction(x) for x in point])
-    if lam is None:
-        return False
+    lam = ratkernel.inverse(cols) @ np.array([Fraction(x) for x in point],
+                                             dtype=object)
     return all(x > 0 for x in lam)
 
 
-def coverage_report(fan=None):
+def coverage_report(fan):
     """Cell count and pairwise interior disjointness of the triangulation."""
-    fan = triangulate_dilated_triangle() if fan is None else fan
     cells = len(fan.cones)
     overlaps = 0
     for idx, cone in enumerate(fan.cones):

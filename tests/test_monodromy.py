@@ -262,13 +262,13 @@ def test_dual_invariant_dimensions():
     verts, _ = enumerate_graph()
     for v in verts:
         ops = mono.vertex_monodromies(v)
-        inv = mono.common_invariants(ops, dual=True)
+        inv = mono.dual_invariants(ops)
         assert len(inv) == (1 if v.kind == "pair" else 2)
 
 
 def test_dual_invariants_match_the_inverse_transpose_stack():
-    # common_invariants(dual=True) stacks T^T - I; the definition stacks
-    # T^{-T} - I, which has the same row space
+    # dual_invariants stacks T^T - I; the definition stacks T^{-T} - I,
+    # which has the same row space
     verts, legs = enumerate_graph()
     families = [[mono.leg_monodromy(leg)] for leg in legs]
     families += [mono.vertex_monodromies(v) for v in verts]
@@ -277,7 +277,7 @@ def test_dual_invariants_match_the_inverse_transpose_stack():
     for ops in families:
         stacked = np.concatenate([o.dual().matrix - eye for o in ops], axis=0)
         want = rk.kernel_basis(stacked)
-        got = mono.common_invariants(ops, dual=True)
+        got = mono.dual_invariants(ops)
         assert [v.tolist() for v in got] == [v.tolist() for v in want]
 
 
@@ -293,3 +293,54 @@ def test_expand_relations_consistency():
     a = mono.expand(CycleSymbol(1, 2), ChartId(4, 5))
     b = mono.expand(CycleSymbol(2, 1), ChartId(4, 5))
     assert all(x + y == 0 for x, y in zip(a, b))
+
+
+def _rewrite(symbol, chart):
+    """The chart-local rewriting the closed form solves, as the oracle:
+    antisymmetry and the three-term relation reduce any symbol to the
+    divisor row, and the sum relation eliminates the dominant symbol."""
+    i, j = chart.divisor, chart.dominant
+    m, a = symbol.base, symbol.upper
+    if m == i:
+        if a == j:
+            return [-1, -1, -1]
+        return [int(s.upper == a) for s in chart.basis]
+    if a == i:
+        return [-x for x in _rewrite(CycleSymbol(i, m), chart)]
+    return [x - y for x, y in zip(_rewrite(CycleSymbol(i, a), chart),
+                                  _rewrite(CycleSymbol(i, m), chart))]
+
+
+def test_expand_equals_the_rewriting_in_every_chart():
+    charts = mono.all_charts()
+    symbols = [CycleSymbol(m, a) for m in range(1, 6) for a in range(1, 6)
+               if m != a]
+    pairs = [(s, c) for s in symbols for c in charts]
+    assert len(pairs) == 400
+    for s, c in pairs:
+        assert mono.expand(s, c).tolist() == _rewrite(s, c), (s, c)
+
+
+def test_expand_satisfies_the_relations_in_every_chart():
+    def g(m, a, chart):
+        return mono.expand(CycleSymbol(m, a), chart)
+
+    for chart in mono.all_charts():
+        i = chart.divisor
+        # the basis symbols are the unit vectors
+        for t, s in enumerate(chart.basis):
+            assert g(s.base, s.upper, chart).tolist() == \
+                [int(t == u) for u in range(3)]
+        # sum relation of the divisor row
+        assert sum(g(i, k, chart) for k in range(1, 6) if k != i).tolist() \
+            == [0, 0, 0]
+        for m in range(1, 6):
+            for a in range(1, 6):
+                if m == a:
+                    continue
+                # antisymmetry
+                assert (g(m, a, chart) + g(a, m, chart)).tolist() == [0, 0, 0]
+                # three-term relation
+                for k in set(range(1, 6)) - {m, a}:
+                    total = g(m, a, chart) + g(a, k, chart) + g(k, m, chart)
+                    assert total.tolist() == [0, 0, 0]

@@ -50,11 +50,9 @@ def test_kernel_vectors_annihilate():
         assert all(x == 0 for x in prod)
 
 
-def test_solve_and_inverse():
+def test_inverse_of_small_matrices():
     m = np.array([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]],
                  dtype=object)
-    x = rk.solve(m, [3, 2])
-    assert list(x) == [Fraction(1), Fraction(1)]
     inv = rk.inverse(m)
     assert (np.asarray(inv @ m) == np.asarray(rk.identity(2))).all()
     with pytest.raises(ValueError):
@@ -187,13 +185,13 @@ def _fracs(s):
     return [[_frac(x) for x in row] for row in s.tolist()]
 
 
-def test_rank_rref_kernel_solve_match_sympy():
+def test_rank_rref_kernel_match_sympy():
     hyp, sympy = _oracle()
     st = hyp.strategies
 
     @_settings(hyp, 40)
-    @hyp.given(_matrices(st), st.data())
-    def check(m, data):
+    @hyp.given(_matrices(st))
+    def check(m):
         s = _sym(sympy, m)
         assert rk.rank(m) == s.rank()
         red, pivots = rk.rref(m)
@@ -204,16 +202,6 @@ def test_rank_rref_kernel_solve_match_sympy():
         basis = rk.kernel_basis(m)
         assert len(basis) == len(s.nullspace())
         assert all(not any(m.dot(v)) for v in basis)
-        b = data.draw(st.lists(st.integers(-5, 5), min_size=m.shape[0],
-                               max_size=m.shape[0]))
-        x = rk.solve(m, b)
-        try:
-            sol, params = s.gauss_jordan_solve(sympy.Matrix(len(b), 1, b))
-        except ValueError:  # sympy's signal for an inconsistent system
-            assert x is None
-        else:
-            sol = sol.subs({p: 0 for p in params})
-            assert list(x) == [_frac(v) for v in sol]
 
     check()
 

@@ -7,9 +7,11 @@ body by a library module, the CLI, a demo or a file under perfbench/
 is a dead helper.  A defaulted parameter of a library
 function, and a defaulted field of a library dataclass, must be passed by
 some call site in src/, demos/ or perfbench/: by keyword, by position or
-through `**`, in a call by the function's or the class's name.  A default
-nothing overrides is a constant.  Each allowlist entry says which test
-keeps it, and an entry the detectors no longer flag fails as stale.
+through `**`, in a call by the function's or the class's name; and when
+such calls exist, at least one of them must omit it.  A default nothing
+overrides is a constant, and a default no program call omits is a path no
+program runs.  Each allowlist entry says which test keeps it, and an entry
+the detectors no longer flag fails as stale.
 """
 
 import ast
@@ -151,10 +153,10 @@ def _passes(call, param, index):
     return index is not None and len(call.args) > index
 
 
-def unset_defaults(library, programs):
-    """(module, function or dataclass, parameter or field) of each default
-    that no call, by the function's or the class's name, in any tree
-    passes."""
+def _default_passes(library, programs):
+    """((module, function or dataclass, parameter or field), [whether it is
+    passed] for each call, by the function's or the class's name, in any
+    tree) of each default."""
     calls = {}
     for tree in [*library.values(), *programs]:
         for n in ast.walk(tree):
@@ -162,13 +164,23 @@ def unset_defaults(library, programs):
                 f = n.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(n)
-    found = []
     for rel, tree in library.items():
         for name, params in _signatures(tree):
             for param, index in params:
-                if not any(_passes(c, param, index) for c in calls.get(name, [])):
-                    found.append((rel, name, param))
-    return sorted(found)
+                yield ((rel, name, param),
+                       [_passes(c, param, index) for c in calls.get(name, [])])
+
+
+def unset_defaults(library, programs):
+    """Each default that no call passes."""
+    return sorted(key for key, passed in _default_passes(library, programs)
+                  if not any(passed))
+
+
+def unomitted_defaults(library, programs):
+    """Each default that some call passes and no call omits."""
+    return sorted(key for key, passed in _default_passes(library, programs)
+                  if passed and all(passed))
 
 
 def test_every_public_name_is_reached():
@@ -187,6 +199,12 @@ def test_every_default_is_overridden_somewhere():
     unset = sorted(found - set(DEFAULTS_ALLOWED))
     assert not unset, "defaults no program overrides:\n" + "\n".join(
         f"{rel} {fn}({param})" for rel, fn, param in unset)
+
+
+def test_every_default_is_omitted_somewhere():
+    found = unomitted_defaults(_library(), _programs())
+    assert not found, "defaults every program call passes:\n" + "\n".join(
+        f"{rel} {fn}({param})" for rel, fn, param in found)
 
 
 def test_detectors_flag_dead_names_and_unset_defaults():
@@ -227,6 +245,10 @@ def test_detectors_flag_dead_names_and_unset_defaults():
     assert unset_defaults(library, programs) == [
         ("lib.py", "_private", "a"), ("lib.py", "recursive", "step"),
         ("lib.py", "used", "w")]
+    assert unomitted_defaults(library, programs) == [
+        ("lib.py", "get", "default"), ("lib.py", "make", "size"),
+        ("lib.py", "used", "k")]
+    assert unomitted_defaults(library, []) == []
 
 
 def test_detector_flags_unset_dataclass_fields():

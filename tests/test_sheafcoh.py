@@ -3,8 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from quintfib import monodromy as mono
 from quintfib import ratkernel as rk
 from quintfib import sheafcoh as sc
+from quintfib.basecomplex import enumerate_graph
 
 
 def test_cech_dimensions():
@@ -98,9 +100,11 @@ def test_ic_chain_dims():
     ic = sc.ic_chain_dims()
     assert ic.dims() == (30, 60, 60, 30)
     assert ic.chi == 0
-    assert set(ic.leg_invariant_dims.values()) == {2}
-    assert set(ic.pair_invariant_dims.values()) == {1}
-    assert set(ic.triple_invariant_dims.values()) == {2}
+    # each leg contributes 2 to c2; the vertex counts behind c3 are
+    # test_monodromy's test_dual_invariant_dimensions
+    _, legs = enumerate_graph()
+    for leg in legs:
+        assert len(mono.dual_invariants([mono.leg_monodromy(leg)])) == 2
 
 
 def test_cycle_L_boundary_vanishes():
@@ -109,9 +113,7 @@ def test_cycle_L_boundary_vanishes():
     assert all(r.vanishes for r in reports)
     names = {r.vertex for r in reports}
     assert "P_1" in names and "P_{2345}" in names
-    p1 = next(r for r in reports if r.vertex == "P_1")
-    assert any("antisymmetry" in s for s in p1.steps)
-    assert any("sum relation" in s for s in p1.steps)
+    assert all(r.residue == (0, 0, 0) for r in reports)
 
 
 def test_e2_quintic_table():
