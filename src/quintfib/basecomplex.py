@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 
 import numpy as np
 
@@ -135,8 +136,9 @@ def classify_fattened(r1, r2, tol=1e-9):
     strictly (margin > tol); Vertex0 is within tol of (1, 0) or (0, 1);
     Edge1 is on a boundary curve; everything else is Outside.
     """
-    if r1 < 0 or r2 < 0:
-        raise ValueError(f"face coordinates must be nonnegative, got ({r1}, {r2})")
+    if not (0 <= r1 < inf and 0 <= r2 < inf):  # also refuses NaN
+        raise ValueError(f"face coordinates must be finite and nonnegative, "
+                         f"got ({r1}, {r2})")
     a, b = float(r1) ** 5, float(r2) ** 5
     exprs = (a + b - 1.0, a + 1.0 - b, b + 1.0 - a)
     if min((r1 - 1.0) ** 2 + r2 ** 2, r1 ** 2 + (r2 - 1.0) ** 2) <= tol ** 2:

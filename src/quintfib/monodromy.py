@@ -167,22 +167,12 @@ class MonodromyOperator:
 
     def dual(self):
         """Operator induced on the dual lattice (inverse transpose)."""
-        return MonodromyOperator(_to_int(ratkernel.inverse(self.matrix)).T.copy(),
-                                 self.basepoint, self.label + " (dual)", self.sign)
+        inv = ratkernel.imat(ratkernel.inverse(self.matrix))
+        return MonodromyOperator(inv.T.copy(), self.basepoint,
+                                 self.label + " (dual)", self.sign)
 
     def __repr__(self):
         return f"{self.label} @ {self.basepoint}: {self.matrix.tolist()}"
-
-
-def _to_int(m):
-    out = np.empty(m.shape, dtype=object)
-    for idx in np.ndindex(m.shape):
-        v = m[idx]
-        num = int(v)
-        if v != num:
-            raise ValueError("expected an integer matrix")
-        out[idx] = num
-    return out
 
 
 def path_product(path):
@@ -322,7 +312,7 @@ def in_basis(op, symbols):
     b = np.stack(cols, axis=1)
     if abs(ratkernel.int_det(b)) != 1:
         raise ValueError("symbols do not form a unimodular basis")
-    return _to_int(ratkernel.inverse(b) @ op.matrix @ b)
+    return ratkernel.imat(ratkernel.inverse(b) @ op.matrix @ b)
 
 
 def standard_shear_basis(leg, base_divisor):

@@ -5,25 +5,44 @@ Python ints or fractions.Fraction (arbitrary precision, always in lowest
 terms, positive denominators).  No floating point enters any code path.
 
 Rank, determinant and reduced row echelon form (and through it kernels
-and inverses) share one fraction-free elimination on integer
-rows, `_echelon`, whose entries stay within Hadamard's bound on the minors
-instead of growing exponentially on dense input.  Lattice saturation and
-sublattice indices go through the row Hermite normal form, with unimodular
-integer row operations; Smith normal form is kept only as an independent
-reference for those results.
+and inverses) share one fraction-free elimination, `_echelon`, on sparse
+integer rows {column: nonzero int}.  A dense matrix is converted once on
+entry; `rank` also takes a matrix as its list of such rows, the form in
+which `sheafcoh` holds its Cech differentials.  A row operation touches
+only the nonzeros of its two rows, and the pivot search of a column sees
+only the rows whose leading entry lies there.  The pivot is the entry of
+smallest absolute value, ties going to the lowest original row; rows are
+never swapped, so the sign of a determinant is the parity of the final
+row order.  Entries stay within Hadamard's bound on the minors instead of
+growing exponentially on dense input.
+
+Lattice saturation and sublattice indices go through the row Hermite
+normal form, with unimodular integer row operations; Smith normal form is
+kept only as an independent reference for those results.  The integer
+routines refuse entries that are not integers (`as_int`) rather than
+truncate them.
 
 All functions are pure and re-entrant; results are bit-identical across runs.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 
 import numpy as np
 
 
+def as_int(x):
+    """x as a Python int; ValueError, not truncation, unless x is integral
+    (integral Fractions, numpy ints and floats pass; NaN and inf do not)."""
+    n = int(x) if abs(x) < inf else None
+    if n != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return n
+
+
 def imat(rows):
     """Object-dtype matrix with exact int entries from nested iterables."""
-    a = np.array([[int(x) for x in row] for row in rows], dtype=object)
+    a = np.array([[as_int(x) for x in row] for row in rows], dtype=object)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array of entries")
     return a
@@ -50,48 +69,87 @@ def _as_object(m):
 
 
 def _combine(p, row, f, pivot_row):
-    """Primitive part of p*row - f*pivot_row, and the content divided out."""
-    out = [p * x - f * y for x, y in zip(row, pivot_row)]
-    g = gcd(*out)
-    return ([x // g for x in out] if g > 1 else out), g
+    """Primitive part of p*row - f*pivot_row, and the content divided out.
+
+    Rows are sparse, {column: nonzero int}; only the columns of the two
+    rows are touched, and entries that cancel are dropped.
+    """
+    out = {j: p * x for j, x in row.items()}
+    for j, y in pivot_row.items():
+        x = out.get(j, 0) - f * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return ({j: x // g for j, x in out.items()} if g > 1 else out), g
 
 
-def _echelon(a):
-    """Fraction-free forward elimination: (rows, pivots, scale).
+def _odd(perm):
+    """True when the permutation of range(len(perm)) is odd: n minus its
+    number of cycles is odd."""
+    seen, cycles = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return (len(perm) - cycles) % 2 == 1
 
-    Each row of `a` is scaled by the lcm of its denominators.  The pivot of
-    a column is its entry of smallest nonzero absolute value; each row with
-    a nonzero entry below it is replaced by `_combine`, other rows are left
-    alone.  So every row is its Bareiss row or that row's primitive part,
-    and entries stay within Hadamard's bound.  The echelon rows are lists
-    of ints; det(a) = scale * (product of the pivots) for square nonsingular a.
+
+def _echelon(m):
+    """Fraction-free forward elimination on sparse rows: (rows, pivots, scale).
+
+    `m` is a 2-d object array, converted once through `tolist()`, or a list
+    of sparse rows {column: entry}; each row is scaled by the lcm of its
+    denominators.  The rows that still lack a pivot are grouped by their
+    leading column, so the pivot search of a column sees exactly the rows
+    holding it.  Its pivot is the entry of smallest absolute value, ties
+    going to the lowest original row; every other row of the group is
+    replaced by `_combine` and joins the group of its new leading column.
+    Fill-in lies right of the pivot column and in columns where some input
+    row has a nonzero, so only those columns are visited.  Every row is its
+    Bareiss row or that row's primitive part, so entries stay within
+    Hadamard's bound.  Rows never move: the echelon rows are the pivot rows
+    in pivot order, and the sign of det comes from the parity of that row
+    order.  det(m) = scale * (product of the pivots) for square nonsingular m.
     """
     num, den = 1, 1
-    rows = a.tolist()
-    for i, row in enumerate(rows):
-        if set(map(type, row)) != {int}:  # int rows skip the slow Fraction path
-            row = [Fraction(x) for x in row]
-            d = lcm(*(x.denominator for x in row))
-            rows[i] = [x.numerator * (d // x.denominator) for x in row]
+    rows = []
+    for row in (m.tolist() if isinstance(m, np.ndarray) else m):
+        if not isinstance(row, dict):
+            row = {j: x for j, x in enumerate(row) if x}
+        if not set(map(type, row.values())) <= {int}:  # int rows skip Fractions
+            row = {j: Fraction(x) for j, x in row.items()}
+            d = lcm(*(x.denominator for x in row.values()))
+            row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
             num *= d
-    pivots = []
-    for c in range(a.shape[1]):
-        r = len(pivots)
-        nonzero = [i for i in range(r, len(rows)) if rows[i][c]]
-        if not nonzero:
+        rows.append(row)
+    groups = {}
+    for i, row in enumerate(rows):
+        if row:
+            groups.setdefault(min(row), []).append(i)
+    order, pivots = [], []
+    for c in sorted({j for row in rows for j in row}):
+        group = groups.pop(c, None)
+        if group is None:
             continue
-        best = min(nonzero, key=lambda i: abs(rows[i][c]))
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-            num = -num
+        r = min(group, key=lambda i: (abs(rows[i][c]), i))
         pivot_row, p = rows[r], rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                rows[i], g = _combine(p, rows[i], rows[i][c], pivot_row)
-                num *= p
-                den *= g
+        for i in group:
+            if i == r:
+                continue
+            rows[i], g = _combine(p, rows[i], rows[i][c], pivot_row)
+            num *= p
+            den *= g
+            if rows[i]:
+                groups.setdefault(min(rows[i]), []).append(i)
+        order.append(r)
         pivots.append(c)
-    return rows, tuple(pivots), Fraction(den, num)
+    if len(order) == len(rows) and _odd(order):
+        num = -num
+    return [rows[r] for r in order], tuple(pivots), Fraction(den, num)
 
 
 def rref(m):
@@ -105,17 +163,22 @@ def rref(m):
     for k in range(len(pivots) - 1, 0, -1):
         c, pivot_row = pivots[k], rows[k]
         for i in range(k):
-            if rows[i][c]:
+            if c in rows[i]:
                 rows[i], _ = _combine(pivot_row[c], rows[i], rows[i][c], pivot_row)
     out = np.full(a.shape, Fraction(0), dtype=object)
-    for i, c in enumerate(pivots):
-        out[i] = [Fraction(x, rows[i][c]) for x in rows[i]]
+    for i, (row, c) in enumerate(zip(rows, pivots)):
+        line = [Fraction(0)] * a.shape[1]
+        for j, x in row.items():
+            line[j] = Fraction(x, row[c])
+        out[i] = line
     return out, pivots
 
 
 def rank(m):
-    """Exact rank over Q."""
-    return len(_echelon(_as_object(m))[1])
+    """Exact rank over Q of a matrix, or of its list of sparse rows
+    {column: entry}."""
+    sparse = isinstance(m, list) and m and isinstance(m[0], dict)
+    return len(_echelon(m if sparse else _as_object(m))[1])
 
 
 def kernel_basis(m):
@@ -158,9 +221,9 @@ def det(m):
     if a.shape[0] != a.shape[1]:
         raise ValueError("determinant of a non-square matrix")
     rows, pivots, scale = _echelon(a)
-    if len(pivots) < len(rows):
+    if len(pivots) < a.shape[0]:
         return Fraction(0)
-    return scale * prod(row[i] for i, row in enumerate(rows))
+    return scale * prod(row[c] for row, c in zip(rows, pivots))
 
 
 def int_det(m):
@@ -173,7 +236,7 @@ def int_det(m):
 
 def is_primitive(v):
     """True when the integer vector has coordinate gcd 1."""
-    return gcd(*map(int, v)) == 1
+    return gcd(*map(as_int, v)) == 1
 
 
 def smith_normal_form(m):
@@ -187,7 +250,7 @@ def smith_normal_form(m):
     rows, cols = a.shape
     for i in range(rows):
         for j in range(cols):
-            a[i, j] = int(a[i, j])
+            a[i, j] = as_int(a[i, j])
     L = identity(rows)
     Rinv = identity(cols)
 
@@ -284,7 +347,7 @@ def row_hermite_form(rows):
     Pivots are positive, entries above each pivot lie in [0, pivot); the
     result is the canonical basis of the row lattice (zero rows dropped).
     """
-    a = [[int(x) for x in row] for row in rows]
+    a = [[as_int(x) for x in row] for row in rows]
     if not a:
         return []
     nrows, ncols = len(a), len(a[0])
@@ -341,7 +404,7 @@ def saturate(vectors):
     literally idempotent.  Every basis vector of a saturated lattice is
     automatically primitive.
     """
-    vectors = [[int(x) for x in v] for v in vectors]
+    vectors = [[as_int(x) for x in v] for v in vectors]
     if not vectors:
         return []
     n = len(vectors[0])

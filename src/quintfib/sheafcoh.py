@@ -8,13 +8,14 @@ sheaf K3 has stalks
     4-dimensional at each pair barycenter    (sum-zero part of Q^5),
     4-dimensional on each leg                (sum-zero part of Q^5),
 
-and its Cech complex on the graph is C^0 (dim 280) -> C^1 (dim 120).  At a
-triple barycenter with sorted indices (i, j, k), the generator x_{lm}
-restricts to u_l on the apex-k leg, v_m on the apex-i leg and w_n on the
-apex-j leg with n = -l-m (mod 5).  The pair-barycenter restriction is the
-identity under canonical component labeling; cohomology is invariant under
-every relabeling consistent with the index rule, which is what justifies
-the convention (see `random_relabeling`).
+and its Cech complex on the graph is C^0 (dim 280) -> C^1 (dim 120), held
+as the 120 sparse rows of its differential (720 nonzeros under the
+canonical labeling).  At a triple barycenter with sorted indices (i, j, k),
+the generator x_{lm} restricts to u_l on the apex-k leg, v_m on the apex-i
+leg and w_n on the apex-j leg with n = -l-m (mod 5).  The pair-barycenter
+restriction is the identity under canonical component labeling; cohomology
+is invariant under every relabeling consistent with the index rule, which
+is what justifies the convention (see `random_relabeling`).
 
 Sum-zero stalks are coordinatized by dropping the 0-th component (it equals
 minus the sum of the rest).  The differential on a leg is the restriction
@@ -29,8 +30,6 @@ Everything in this module is exact rational linear algebra.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import monodromy, ratkernel
 from .basecomplex import INDEX_SET, enumerate_graph
@@ -121,23 +120,27 @@ def _triple_labels(triple, relabeling):
     return lab
 
 
-def _sum_zero_columns(labels, zero_label):
-    """Restriction between sum-zero coordinates: 4 x len(labels).
+def _sum_zero_rows(labels, zero_label):
+    """Restriction between sum-zero coordinates: 4 sparse rows over
+    len(labels) columns.
 
     Column s is e_{labels[s]} - e_{zero_label}, the image of generator s
-    after the dropped 0-th generator's substitution, on components 1..4.
+    after the dropped 0-th generator's substitution, on components 1..4;
+    row t - 1 holds component t as {column: entry}, nonzeros only.
     """
-    mat = ratkernel.zeros(4, len(labels))
+    rows = [{} for _ in range(4)]
     for s, a in enumerate(labels):
-        for t in range(1, 5):
-            v = (a == t) - (zero_label == t)
-            if v:
-                mat[t - 1, s] = v
-    return mat
+        if a != zero_label:
+            if a:
+                rows[a - 1][s] = 1
+            if zero_label:
+                rows[zero_label - 1][s] = -1
+    return rows
 
 
 def triple_restriction(triple, apex, relabeling):
-    """4x24 restriction matrix from a triple stalk to an incident leg stalk.
+    """Nonzeros of the 4x24 restriction from a triple stalk to an incident
+    leg stalk, as 4 sparse rows.
 
     Columns run over (l, m) != (0, 0) in row-major order; the implicit
     x_{00} = -(sum) substitution contributes the correction column-wise.
@@ -145,43 +148,47 @@ def triple_restriction(triple, apex, relabeling):
     role = leg_roles(triple)[apex]
     lab = _triple_labels(triple, relabeling)
     labels = [lab(role, l, m) for l in range(5) for m in range(5) if (l, m) != (0, 0)]
-    return _sum_zero_columns(labels, lab(role, 0, 0))
+    return _sum_zero_rows(labels, lab(role, 0, 0))
 
 
 def pair_restriction(pair, apex, relabeling):
-    """4x4 restriction matrix from a pair stalk to an incident leg stalk."""
+    """Nonzeros of the 4x4 restriction from a pair stalk to an incident leg
+    stalk, as 4 sparse rows."""
     perm = tuple(range(5))
     if relabeling is not None and (pair, apex) in relabeling.pair_leg_perms:
         perm = relabeling.pair_leg_perms[(pair, apex)]
-    return _sum_zero_columns(perm[1:], perm[0])
+    return _sum_zero_rows(perm[1:], perm[0])
 
 
 @dataclass
 class CechComplex:
-    """C^0 -> C^1 for the sheaf on the graph."""
+    """C^0 -> C^1 for the sheaf on the graph.
 
-    differential: np.ndarray
+    The differential is held as its c1 sparse rows, {C^0 column: nonzero
+    int}; its dense matrix and triplets are derived from them.
+    """
 
-    @property
-    def c0(self):
-        return self.differential.shape[1]
+    c0: int
+    rows: list
 
     @property
     def c1(self):
-        return self.differential.shape[0]
+        return len(self.rows)
+
+    @property
+    def differential(self):
+        d = ratkernel.zeros(self.c1, self.c0)
+        for i, j, v in self.sparse_triplets():
+            d[i, j] = v
+        return d
 
     def cohomology_dims(self):
-        r = ratkernel.rank(self.differential)
+        r = ratkernel.rank(self.rows)
         return self.c0 - r, self.c1 - r
 
     def sparse_triplets(self):
-        out = []
-        d = self.differential
-        for i in range(d.shape[0]):
-            for j in range(d.shape[1]):
-                if d[i, j] != 0:
-                    out.append((i, j, int(d[i, j])))
-        return out
+        """(row, column, entry) of each nonzero, in row-major order."""
+        return [(i, j, row[j]) for i, row in enumerate(self.rows) for j in sorted(row)]
 
 
 def build_K3(relabeling=None):
@@ -189,19 +196,23 @@ def build_K3(relabeling=None):
 
     The differential on a leg is (restriction from the pair barycenter)
     minus (restriction from the triple barycenter); legs are oriented from
-    the triple to the pair end.
+    the triple to the pair end.  Its 120 sparse rows are assembled directly
+    from the restrictions' nonzeros, four per leg.
     """
-    t_dim, p_dim, e_dim = K3_SPEC.triple_dim, K3_SPEC.pair_dim, K3_SPEC.edge_dim
+    t_dim, p_dim = K3_SPEC.triple_dim, K3_SPEC.pair_dim
     tri_offset = {t: t_dim * i for i, t in enumerate(_TRIPLES)}
     pair_offset = {p: t_dim * len(_TRIPLES) + p_dim * i for i, p in enumerate(_PAIRS)}
-    d = ratkernel.zeros(K3_SPEC.c1(), K3_SPEC.c0())
-    for e_idx, leg in enumerate(_LEGS):
+    rows = []
+    for leg in _LEGS:
         pair = tuple(sorted(leg.pair))
         triple = tuple(sorted(leg.pair | {leg.apex}))
-        r0, ct, cp = e_dim * e_idx, tri_offset[triple], pair_offset[pair]
-        d[r0:r0 + e_dim, ct:ct + t_dim] = -triple_restriction(triple, leg.apex, relabeling)
-        d[r0:r0 + e_dim, cp:cp + p_dim] = pair_restriction(pair, leg.apex, relabeling)
-    return CechComplex(d)
+        ct, cp = tri_offset[triple], pair_offset[pair]
+        for t_row, p_row in zip(triple_restriction(triple, leg.apex, relabeling),
+                                pair_restriction(pair, leg.apex, relabeling)):
+            row = {ct + s: -v for s, v in t_row.items()}
+            row.update((cp + s, v) for s, v in p_row.items())
+            rows.append(row)
+    return CechComplex(K3_SPEC.c0(), rows)
 
 
 def K3_cohomology(relabeling=None):
@@ -249,8 +260,8 @@ def surjectivity_check_pijk():
                       for r in range(2) for c in range(25))
     characterized = annihilates and rank_amb == 13
     # restricted map on sum-zero coordinates
-    blocks = [triple_restriction(triple, apex, None) for _, apex in roles]
-    restricted = np.concatenate(blocks, axis=0)
+    restricted = [row for _, apex in roles
+                  for row in triple_restriction(triple, apex, None)]
     rank_ker = ratkernel.rank(restricted)
     x00 = tuple(int(amb[5 * r_idx + lab(role, 0, 0), 0] == 1)
                 for r_idx, (role, _) in enumerate(roles))

@@ -79,6 +79,13 @@ def test_classify_fattened_rejects_negatives():
         bc.classify_fattened(-0.1, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_classify_fattened_rejects_non_finite(bad):
+    for r1, r2 in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            bc.classify_fattened(r1, r2)
+
+
 def test_mirror_involution_pairs():
     p12 = bc.GraphVertex(frozenset({1, 2}))
     assert p12.mirror() == bc.GraphVertex(frozenset({3, 4, 5}))

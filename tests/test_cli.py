@@ -128,6 +128,8 @@ def test_verify_all_symbolic_only(capsys):
     ("flow", "--samples", "-3"),
     ("verify-all", "--samples", "-1"),
     ("verify-all", "--psi", "0"),
+    ("covering", "--r1", "nan", "--r2", "1"),
+    ("covering", "--r1", "inf", "--r2", "1"),
 ])
 def test_bad_sample_counts_and_psi_are_rejected(capsys, argv):
     with pytest.raises(ValueError):

@@ -240,6 +240,15 @@ def test_dual_system_is_inverse_transpose():
     assert np.allclose(md, np.linalg.inv(m).T)
 
 
+def test_dual_of_a_non_unimodular_operator_is_refused():
+    """The inverse of diag(2, 1, 1) holds 1/2: the dual refuses it rather
+    than truncating it to 0."""
+    op = mono.MonodromyOperator(rk.imat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                ChartId(1, 2), "diag(2, 1, 1)")
+    with pytest.raises(ValueError, match="expected an integer"):
+        op.dual()
+
+
 def test_mirror_pullback_conjugate_to_dual():
     """The base involution carries the local system to its dual: a single
     unimodular matrix conjugates the mirror-vertex triple into the

@@ -121,6 +121,31 @@ def test_sublattice_index():
     assert rk.sublattice_index([[2, 0, 0], [0, 3, 0]]) is None
 
 
+@pytest.mark.parametrize("call", [
+    lambda: rk.imat([[1.5, 2]]),
+    lambda: rk.row_hermite_form([[Fraction(1, 2), 1], [0, 1]]),
+    lambda: rk.saturate([[Fraction(3, 2), 3]]),
+    lambda: rk.sublattice_index([[2.7, 0], [0, 1]]),
+    lambda: rk.is_primitive([Fraction(1, 2), 1]),
+    lambda: rk.smith_normal_form(np.array([[Fraction(1, 3)]], dtype=object)),
+    lambda: rk.imat([[float("nan"), 1]]),
+    lambda: rk.imat([[float("inf"), 1]]),
+], ids=["imat", "hermite", "saturate", "index", "primitive", "smith", "nan", "inf"])
+def test_integer_routines_refuse_non_integers(call):
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()
+
+
+def test_integer_routines_take_integral_fractions_and_numpy_ints():
+    two, three = Fraction(4, 2), np.int64(3)
+    m = rk.imat([[two, three, 5.0]])
+    assert m.tolist() == [[2, 3, 5]] and {type(x) for x in m.flat} == {int}
+    assert rk.row_hermite_form([[two, 0], [0, three]]) == [[2, 0], [0, 3]]
+    assert [list(v) for v in rk.saturate([[two, np.int64(4)]])] == [[1, 2]]
+    assert rk.sublattice_index([[two, 0], [0, three]]) == 6
+    assert rk.is_primitive([two, three])
+
+
 def test_hermite_rejects_rows_of_unequal_length():
     for rows in ([[2], [3, 5]], [[2, 4], [3]]):
         with pytest.raises(ValueError, match="unequal"):
@@ -172,6 +197,53 @@ def _matrices(st, square=False, integer=False):
     return matrices()
 
 
+def _sparse_wide(st):
+    """Wide sparse matrices up to 30 x 80 at about 5% density, int or
+    Fraction entries, with zero rows and duplicate (rescaled) rows drawn on
+    purpose: the shapes the sparse-row elimination is for."""
+    entries = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+    @st.composite
+    def matrices(draw):
+        rows, cols = draw(st.integers(10, 30)), draw(st.integers(40, 80))
+        m = rk.zeros(rows, cols)
+        for i in range(rows):
+            for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols // 10)):
+                m[i, j] = draw(entries)
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=3)):
+            m[i] = 0
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            m[i] = draw(st.integers(-2, 2)) * m[j]
+        return m
+
+    return matrices()
+
+
+def _permuted_triangular(st):
+    """Square P @ U with P a signed permutation and U upper triangular with a
+    nonzero diagonal, or U = I: the pivots sit in permuted rows, so the
+    elimination takes them out of order and det's sign is the row order's
+    parity."""
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(1, 8))
+        perm = draw(st.permutations(range(n)))
+        u = rk.identity(n)
+        if draw(st.booleans()):
+            for i in range(n):
+                u[i, i] = draw(st.integers(-9, 9).filter(bool))
+                for j in range(i + 1, n):
+                    u[i, j] = draw(st.integers(-9, 9))
+        m = rk.zeros(n, n)
+        for i, k in enumerate(perm):
+            m[i] = draw(st.sampled_from([1, -1])) * u[k]
+        return m
+
+    return matrices()
+
+
 def _sym(sympy, m):
     return sympy.Matrix(*m.shape, [sympy.Rational(x.numerator, x.denominator)
                                    for x in map(Fraction, m.flat)])
@@ -206,11 +278,34 @@ def test_rank_rref_kernel_match_sympy():
     check()
 
 
+def test_sparse_wide_rank_rref_kernel_match_sympy():
+    """The kernel's own shape: rank and rref against sympy, and the kernel
+    basis entry for entry against sympy's nullspace, which is built from
+    the canonical rref the same way."""
+    hyp, sympy = _oracle()
+
+    @_settings(hyp, 20)
+    @hyp.given(_sparse_wide(hyp.strategies))
+    def check(m):
+        s = _sym(sympy, m)
+        assert rk.rank(m) == s.to_DM().convert_to(sympy.QQ).rank()
+        red, pivots = rk.rref(m)
+        s_red, s_pivots = s.rref()
+        assert pivots == tuple(s_pivots)
+        assert red.tolist() == _fracs(s_red)
+        assert [list(v) for v in rk.kernel_basis(m)] == \
+            [[_frac(x) for x in v] for v in s.nullspace()]
+
+    check()
+
+
 def test_det_and_inverse_match_sympy():
     hyp, sympy = _oracle()
 
-    @_settings(hyp, 40)
-    @hyp.given(_matrices(hyp.strategies, square=True))
+    st = hyp.strategies
+
+    @_settings(hyp, 60)
+    @hyp.given(st.one_of(_matrices(st, square=True), _permuted_triangular(st)))
     def check(m):
         s = _sym(sympy, m)
         d = rk.det(m)
