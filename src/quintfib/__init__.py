@@ -2,8 +2,8 @@
 
 Subpackages and modules:
 
-- ratkernel:    exact rational/integer linear algebra (rank, kernels,
-                Hermite normal form, lattice saturation)
+- ratkernel:    exact integer linear algebra (rank, determinants, kernels,
+                unimodular inverses, Hermite normal form, lattice saturation)
 - basecomplex:  the 4-simplex base, discriminant graph, fattened discriminant
                 strata, mirror involution of the base
 - monodromy:    chart/cycle algebra, transition matrices, monodromy operators,

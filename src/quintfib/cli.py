@@ -27,8 +27,15 @@ from .basecomplex import GraphEdge
 from .monodromy import ChartId, leg_monodromy
 
 
-def _ints(text):
-    return tuple(int(t) for t in text.split(","))
+def _ints(text, count, flag):
+    """The `count` comma-separated integers of a flag's value."""
+    try:
+        values = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise ValueError(f"{flag} takes {count} comma-separated integers, got {text!r}")
+    return values
 
 
 def _emit(args, payload, human):
@@ -53,9 +60,9 @@ def cmd_graph(args):
 
 
 def cmd_monodromy(args):
-    i, j, k = _ints(args.leg)
+    i, j, k = _ints(args.leg, 3, "--leg")
     leg = GraphEdge(frozenset({i, j}), k)
-    bp = ChartId(*_ints(args.basepoint)) if args.basepoint else None
+    bp = ChartId(*_ints(args.basepoint, 2, "--basepoint")) if args.basepoint else None
     op = leg_monodromy(leg, basepoint=bp,
                        orientation=-1 if args.reverse else 1)
     payload = {
@@ -169,8 +176,8 @@ def cmd_flow(args):
 
 
 def cmd_pairing(args):
-    loop = _ints(args.loop)
-    form = _ints(args.form)
+    loop = _ints(args.loop, 3, "--loop")
+    form = _ints(args.form, 2, "--form")
     res, = flowlab.loop_pairing_detailed(loop, [form], psi=args.psi)
     payload = {"loop": list(loop), "form": list(form), "value": res.value,
                "residue": res.residue, "psi": args.psi}

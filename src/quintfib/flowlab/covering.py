@@ -40,6 +40,7 @@ both passes.
 """
 
 import warnings
+from math import inf
 
 import numpy as np
 
@@ -168,6 +169,8 @@ def covering_roots(r1, r2, tol):
 
 def covering_stratum(r1, r2, tol):
     """The stratum covering_count classifies (r1, r2) in at tolerance tol."""
+    if not 0 <= tol < inf:  # also refuses NaN
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     return classify_fattened(r1, r2, tol=max(tol, 1e-12))
 
 

@@ -15,6 +15,7 @@ anything whose squared gradient norm falls to SIGMA_GUARD.
 """
 
 from dataclasses import dataclass
+from math import inf, isfinite
 
 import numpy as np
 
@@ -47,10 +48,10 @@ class FlowConfig:
     def __post_init__(self):
         if self.metric not in ("chart-flat", "fubini-study"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.psi == 0:
-            raise ValueError("psi must be nonzero")
+        if not 0 < self.tol < inf:  # also refuses NaN
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not (isfinite(self.psi) and self.psi != 0):
+            raise ValueError(f"psi must be finite and nonzero, got {self.psi}")
 
     @property
     def flow_target_time(self):

@@ -22,6 +22,7 @@ The loop's coordinates do not depend on the form, so a call computes the
 loop once and every form it is given reads the same coordinates.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,8 @@ def loop_pairing_detailed(loop, forms, psi=10.0):
         raise ValueError("loop indices must be distinct")
     if any(l == m for l, m in forms):
         raise ValueError("form indices must be distinct")
+    if not cmath.isfinite(psi):
+        raise ValueError(f"psi must be finite, got {psi}")
     z, _ = _loop_coordinates(i, j, k, psi)
     return [_winding(z, (i, j, k), form) for form in forms]
 

@@ -6,6 +6,7 @@ meromorphic ratio s = (prod z_k) / (sum z_k^5) is degree-(5,5) homogeneous,
 so its value is chart independent wherever defined.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class AffinePoint:
         c = tuple(complex(x) for x in self.coords)
         if len(c) != 4:
             raise ValueError("an affine point has four coordinates")
-        if not all(np.isfinite([x.real, x.imag]).all() for x in c):
+        if not all(cmath.isfinite(x) for x in c):
             raise ValueError("coordinates must be finite")
         object.__setattr__(self, "coords", c)
 
@@ -50,9 +51,6 @@ class AffinePoint:
 
     def array(self):
         return np.array(self.coords, dtype=complex)
-
-    def __repr__(self):
-        return f"AffinePoint(chart={self.chart}, coords={self.coords})"
 
 
 def from_homogeneous(z, chart=None):

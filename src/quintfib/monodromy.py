@@ -30,7 +30,6 @@ orientation, and reversing a loop inverts its operator.
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from math import lcm
 
 import numpy as np
 
@@ -167,7 +166,7 @@ class MonodromyOperator:
 
     def dual(self):
         """Operator induced on the dual lattice (inverse transpose)."""
-        inv = ratkernel.imat(ratkernel.inverse(self.matrix))
+        inv = ratkernel.inverse(self.matrix)
         return MonodromyOperator(inv.T.copy(), self.basepoint,
                                  self.label + " (dual)", self.sign)
 
@@ -306,13 +305,11 @@ def in_basis(op, symbols):
     """Rewrite an operator in an alternative ordered symbol basis.
 
     `symbols` are three cycle symbols whose expansions in the basepoint
-    chart form a unimodular basis; returns B^{-1} M B as an integer matrix.
+    chart form a unimodular basis B; returns B^{-1} M B as an integer
+    matrix, and ValueError (from `ratkernel.inverse`) for any other B.
     """
-    cols = [expand(s, op.basepoint) for s in symbols]
-    b = np.stack(cols, axis=1)
-    if abs(ratkernel.int_det(b)) != 1:
-        raise ValueError("symbols do not form a unimodular basis")
-    return ratkernel.imat(ratkernel.inverse(b) @ op.matrix @ b)
+    b = np.stack([expand(s, op.basepoint) for s in symbols], axis=1)
+    return ratkernel.inverse(b) @ op.matrix @ b
 
 
 def standard_shear_basis(leg, base_divisor):
@@ -368,11 +365,11 @@ def vanishing_filtration(ops):
 
 
 def dual_invariants(ops):
-    """Basis of the common fixed subspace of a family of operators acting on
-    the dual lattice (inverse transpose): the simultaneous kernel of
-    T^{-T} - I.  The stack needs no inverse: T^{-T} - I = -T^{-T} (T^T - I)
-    with T^{-T} invertible, so stacking T^T - I gives the same row space,
-    hence the same kernel basis.
+    """Hermite basis of the common fixed sublattice of a family of operators
+    acting on the dual lattice (inverse transpose): the simultaneous integer
+    kernel of T^{-T} - I.  The stack needs no inverse: T^{-T} - I =
+    -T^{-T} (T^T - I) with T^{-T} unimodular, so stacking T^T - I gives the
+    same row lattice, hence the same kernel basis.
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -404,18 +401,13 @@ def mirror_dual_conjugator(pair_vertex):
     eye = ratkernel.identity(3)
     rows = np.concatenate([np.kron(eye, a.matrix.T) - np.kron(b.matrix, eye)
                            for a, b in zip(a_ops, b_ops)])
-    ker = ratkernel.kernel_basis(rows)
-    if not ker:
+    gens = ratkernel.kernel_basis(rows)
+    if not gens:
         return None
-    # clear denominators to get integer generators of the solution space
-    gens = []
-    for v in ker:
-        denom = lcm(*[x.denominator for x in v])
-        gens.append([int(x * denom) for x in v])
     for coeffs in iter_product(CONJUGATOR_SEARCH, repeat=len(gens)):
         if any(coeffs):
             vec = [sum(c * g[t] for c, g in zip(coeffs, gens)) for t in range(9)]
             m = ratkernel.imat([vec[0:3], vec[3:6], vec[6:9]])
-            if abs(ratkernel.int_det(m)) == 1:
+            if abs(ratkernel.det(m)) == 1:
                 return m
     return None

@@ -1,32 +1,28 @@
-"""Exact linear algebra over Q and Z.
+"""Exact linear algebra over Z.
 
-Everything here is exact: matrices are numpy object arrays whose entries are
-Python ints or fractions.Fraction (arbitrary precision, always in lowest
-terms, positive denominators).  No floating point enters any code path.
+Matrices are numpy object arrays, or lists of rows, of Python ints
+(arbitrary precision); no floating point and no fraction enters any code
+path.  Entries that are not integers are refused through `as_int` rather
+than truncated; integral fractions, numpy ints and floats pass.
 
-Rank, determinant and reduced row echelon form (and through it kernels
-and inverses) share one fraction-free elimination, `_echelon`, on sparse
-integer rows {column: nonzero int}.  A dense matrix is converted once on
-entry; `rank` also takes a matrix as its list of such rows, the form in
-which `sheafcoh` holds its Cech differentials.  A row operation touches
-only the nonzeros of its two rows, and the pivot search of a column sees
-only the rows whose leading entry lies there.  The pivot is the entry of
-smallest absolute value, ties going to the lowest original row; rows are
-never swapped, so the sign of a determinant is the parity of the final
-row order.  Entries stay within Hadamard's bound on the minors instead of
-growing exponentially on dense input.
+Two eliminations, each with one job:
 
-Lattice saturation and sublattice indices go through the row Hermite
-normal form, with unimodular integer row operations; Smith normal form is
-kept only as an independent reference for those results.  The integer
-routines refuse entries that are not integers (`as_int`) rather than
-truncate them.
+- `_echelon`, a fraction-free forward elimination on sparse integer rows
+  {column: nonzero int}, serves `rank` and `det`.  A dense matrix is
+  converted once on entry; `rank` also takes a matrix as its list of such
+  rows, the form in which `sheafcoh` holds its Cech differentials.
+- `row_hermite_form`, with unimodular integer row operations, serves every
+  lattice-valued result: `kernel_basis` (the Hermite basis of the integer
+  kernel), `inverse` (of a unimodular matrix), `saturate` and
+  `sublattice_index`.
+
+Smith normal form is kept only as an independent reference for those
+results.
 
 All functions are pure and re-entrant; results are bit-identical across runs.
 """
 
-from fractions import Fraction
-from math import gcd, inf, lcm, prod
+from math import gcd, inf, prod
 
 import numpy as np
 
@@ -49,16 +45,11 @@ def imat(rows):
 
 
 def identity(n):
-    m = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        m[i, i] = 1
-    return m
+    return np.eye(n, dtype=int).astype(object)
 
 
 def zeros(r, c):
-    m = np.empty((r, c), dtype=object)
-    m[:] = 0
-    return m
+    return np.full((r, c), 0, dtype=object)
 
 
 def _as_object(m):
@@ -99,33 +90,27 @@ def _odd(perm):
 
 
 def _echelon(m):
-    """Fraction-free forward elimination on sparse rows: (rows, pivots, scale).
+    """Fraction-free forward elimination on sparse rows: (rows, pivots, (den, num)).
 
     `m` is a 2-d object array, converted once through `tolist()`, or a list
-    of sparse rows {column: entry}; each row is scaled by the lcm of its
-    denominators.  The rows that still lack a pivot are grouped by their
-    leading column, so the pivot search of a column sees exactly the rows
-    holding it.  Its pivot is the entry of smallest absolute value, ties
-    going to the lowest original row; every other row of the group is
-    replaced by `_combine` and joins the group of its new leading column.
-    Fill-in lies right of the pivot column and in columns where some input
-    row has a nonzero, so only those columns are visited.  Every row is its
-    Bareiss row or that row's primitive part, so entries stay within
-    Hadamard's bound.  Rows never move: the echelon rows are the pivot rows
-    in pivot order, and the sign of det comes from the parity of that row
-    order.  det(m) = scale * (product of the pivots) for square nonsingular m.
+    of sparse rows {column: entry}.  The rows that still lack a pivot are
+    grouped by their leading column, so the pivot search of a column sees
+    exactly the rows holding it.  Its pivot is the entry of smallest
+    absolute value, ties going to the lowest original row; every other row
+    of the group is replaced by `_combine` and joins the group of its new
+    leading column.  Fill-in lies right of the pivot column and in columns
+    where some input row has a nonzero, so only those columns are visited.
+    Every row is its Bareiss row or that row's primitive part, so entries
+    stay within Hadamard's bound instead of growing exponentially on dense
+    input.  Rows never move: the echelon rows are the pivot rows in pivot
+    order, and the sign of det comes from the parity of that row order.
+    For square nonsingular m, det(m) = den * (product of the pivots) // num,
+    and the division is exact.
     """
+    rows = [{j: x if type(x) is int else as_int(x)
+             for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+            for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
     num, den = 1, 1
-    rows = []
-    for row in (m.tolist() if isinstance(m, np.ndarray) else m):
-        if not isinstance(row, dict):
-            row = {j: x for j, x in enumerate(row) if x}
-        if not set(map(type, row.values())) <= {int}:  # int rows skip Fractions
-            row = {j: Fraction(x) for j, x in row.items()}
-            d = lcm(*(x.denominator for x in row.values()))
-            row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-            num *= d
-        rows.append(row)
     groups = {}
     for i, row in enumerate(rows):
         if row:
@@ -149,89 +134,53 @@ def _echelon(m):
         pivots.append(c)
     if len(order) == len(rows) and _odd(order):
         num = -num
-    return [rows[r] for r in order], tuple(pivots), Fraction(den, num)
-
-
-def rref(m):
-    """Reduced row echelon form over Q: (R, pivot columns), R of Fractions.
-
-    The rows of `_echelon` are reduced upward with the same row operation,
-    then divided by their pivots; the result is canonical.
-    """
-    a = _as_object(m)
-    rows, pivots, _ = _echelon(a)
-    for k in range(len(pivots) - 1, 0, -1):
-        c, pivot_row = pivots[k], rows[k]
-        for i in range(k):
-            if c in rows[i]:
-                rows[i], _ = _combine(pivot_row[c], rows[i], rows[i][c], pivot_row)
-    out = np.full(a.shape, Fraction(0), dtype=object)
-    for i, (row, c) in enumerate(zip(rows, pivots)):
-        line = [Fraction(0)] * a.shape[1]
-        for j, x in row.items():
-            line[j] = Fraction(x, row[c])
-        out[i] = line
-    return out, pivots
+    return [rows[r] for r in order], tuple(pivots), (den, num)
 
 
 def rank(m):
-    """Exact rank over Q of a matrix, or of its list of sparse rows
+    """Exact rank of an integer matrix, or of its list of sparse rows
     {column: entry}."""
     sparse = isinstance(m, list) and m and isinstance(m[0], dict)
     return len(_echelon(m if sparse else _as_object(m))[1])
 
 
-def kernel_basis(m):
-    """Basis of the rational null space {v : m v = 0}.
+def det(m):
+    """Exact determinant of a square integer matrix, as a Python int."""
+    a = _as_object(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("determinant of a non-square matrix")
+    rows, pivots, (den, num) = _echelon(a)
+    if len(pivots) < a.shape[0]:
+        return 0
+    return den * prod(row[c] for row, c in zip(rows, pivots)) // num
 
-    Returns a list of object arrays of Fractions; its length is always
+
+def kernel_basis(m):
+    """Hermite basis of the integer kernel {v in Z^n : m v = 0}.
+
+    Returns a list of object arrays of ints; its length is always
     cols - rank(m).
     """
     a = _as_object(m)
-    cols = a.shape[1]
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fcol in free:
-        v = np.array([Fraction(0)] * cols, dtype=object)
-        v[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            v[pcol] = -Fraction(red[i, fcol])
-        basis.append(v)
-    return basis
+    return [np.array(v, dtype=object) for v in _integer_kernel(a.tolist(), a.shape[1])]
 
 
 def inverse(m):
-    """Exact inverse of a square matrix over Q; raises on singular input."""
+    """Inverse of a unimodular integer matrix.
+
+    The Hermite form of [M | I] is [H | U] = U [M | I] with U unimodular;
+    its left block H is I exactly when M is unimodular, and then U is the
+    inverse.  ValueError for every other matrix.
+    """
     a = _as_object(m)
     n, nc = a.shape
     if n != nc:
         raise ValueError("inverse of a non-square matrix")
-    aug = np.concatenate([a, identity(n)], axis=1)
-    red, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return red[:, n:]
-
-
-def det(m):
-    """Exact determinant over Q, as a Fraction."""
-    a = _as_object(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("determinant of a non-square matrix")
-    rows, pivots, scale = _echelon(a)
-    if len(pivots) < a.shape[0]:
-        return Fraction(0)
-    return scale * prod(row[c] for row, c in zip(rows, pivots))
-
-
-def int_det(m):
-    """Determinant of an integer matrix, returned as a Python int."""
-    d = det(m)
-    if d.denominator != 1:
-        raise ValueError("matrix is not integral")
-    return int(d)
+    h = row_hermite_form([row + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(a.tolist())])
+    if [row[:n] for row in h] != identity(n).tolist():
+        raise ValueError("matrix is not unimodular")
+    return np.array([row[n:] for row in h], dtype=object).reshape(n, n)
 
 
 def is_primitive(v):
@@ -346,6 +295,9 @@ def row_hermite_form(rows):
 
     Pivots are positive, entries above each pivot lie in [0, pivot); the
     result is the canonical basis of the row lattice (zero rows dropped).
+    A column is cleared below its pivot by repeated division, with the
+    nearest quotient, by the row of smallest absolute entry there; row
+    operations touch only the columns from the pivot on.
     """
     a = [[as_int(x) for x in row] for row in rows]
     if not a:
@@ -354,32 +306,33 @@ def row_hermite_form(rows):
     if any(len(row) != ncols for row in a):
         raise ValueError("rows of unequal length")
     r = 0
-    for c in range(ncols):
+    for c in range(ncols):  # rows r.. are zero left of column c
         if r == nrows:
             break
         while True:
-            nz = [i for i in range(r, nrows) if a[i][c] != 0]
+            nz = [i for i in range(r, nrows) if a[i][c]]
             if not nz:
                 break
             best = min(nz, key=lambda i: abs(a[i][c]))
             a[r], a[best] = a[best], a[r]
+            p, tail = a[r][c], a[r][c:]
             done = True
             for i in range(r + 1, nrows):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][c] != 0:
-                        done = False
+                if a[i][c]:
+                    q = (2 * a[i][c] + p) // (2 * p)  # nearest: |remainder| <= |p|/2
+                    a[i][c:] = [x - q * y for x, y in zip(a[i][c:], tail)]
+                    done = done and not a[i][c]
             if done:
                 break
-        if a[r][c] == 0:
+        if not a[r][c]:
             continue
         if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
+            a[r][c:] = [-x for x in a[r][c:]]
+        p, tail = a[r][c], a[r][c:]
         for i in range(r):
-            q = a[i][c] // a[r][c]
+            q = a[i][c] // p
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], tail)]
         r += 1
     return a[:r]
 

@@ -77,8 +77,7 @@ class LatticeCone:
     generators: tuple
 
     def determinant(self):
-        rows = [dual_lattice_coords(g) for g in self.generators]
-        return ratkernel.int_det(ratkernel.imat(rows))
+        return ratkernel.det([dual_lattice_coords(g) for g in self.generators])
 
     def is_unimodular(self):
         return abs(self.determinant()) == 1
@@ -149,18 +148,18 @@ def triangulate_dilated_triangle():
     return ResolutionFan(tuple(cones), rays)
 
 
-def _barycenter(cone):
-    return tuple(sum(g[t] for g in cone.generators) / 3 for t in range(3))
+def _inside(cone, other):
+    """Whether the barycenter of `other` lies strictly inside the triangle
+    of a unimodular cone.
 
-
-def _inside(cone, point):
-    """Strict containment of a plane point in the closed triangle of a
-    unimodular cone, whose generator matrix is invertible."""
-    cols = np.array([[Fraction(x) for x in g] for g in cone.generators],
-                    dtype=object).T
-    lam = ratkernel.inverse(cols) @ np.array([Fraction(x) for x in point],
-                                             dtype=object)
-    return all(x > 0 for x in lam)
+    In N's integer chart the cone's generators are the columns of a
+    unimodular matrix G, and three times the barycenter (the chart is
+    linear) is the sum p of other's charted generators; the point is inside
+    exactly when every coordinate of G^{-1} p is positive.
+    """
+    cols = np.array([dual_lattice_coords(g) for g in cone.generators], dtype=object).T
+    p = np.sum([dual_lattice_coords(g) for g in other.generators], axis=0, dtype=object)
+    return all(x > 0 for x in ratkernel.inverse(cols) @ p)
 
 
 def coverage_report(fan):
@@ -168,9 +167,8 @@ def coverage_report(fan):
     cells = len(fan.cones)
     overlaps = 0
     for idx, cone in enumerate(fan.cones):
-        b = _barycenter(cone)
         for jdx, other in enumerate(fan.cones):
-            if jdx != idx and _inside(other, b):
+            if jdx != idx and _inside(other, cone):
                 overlaps += 1
     return {"cells": cells, "barycenter_overlaps": overlaps}
 

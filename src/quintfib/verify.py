@@ -10,6 +10,7 @@ Checks are tagged `symbolic` (exact integer/rational results) or `numeric`
 """
 
 import time
+from math import isfinite
 import warnings
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.samples < 0:
             raise ValueError("the sample count must not be negative")
-        if self.psi == 0:
-            raise ValueError("psi must be nonzero")
+        if not (isfinite(self.psi) and self.psi != 0):
+            raise ValueError(f"psi must be finite and nonzero, got {self.psi}")
 
     def as_dict(self):
         return {"psi": self.psi, "tol": self.tol, "samples": self.samples,
@@ -339,7 +340,7 @@ def check_property_suite(cfg):
         for b in charts:
             if a == b or not (a.divisor == b.divisor or a.dominant == b.dominant):
                 continue
-            d = ratkernel.int_det(monodromy.transition(a, b))
+            d = ratkernel.det(monodromy.transition(a, b))
             if abs(d) != 1:
                 ok = False
                 detail.append(f"det {a}->{b} = {d}")

@@ -130,9 +130,31 @@ def test_verify_all_symbolic_only(capsys):
     ("verify-all", "--psi", "0"),
     ("covering", "--r1", "nan", "--r2", "1"),
     ("covering", "--r1", "inf", "--r2", "1"),
+    ("covering", "--r1", "1", "--r2", "1", "--tol", "nan"),
+    ("covering", "--r1", "1", "--r2", "1", "--tol", "inf"),
+    ("covering", "--r1", "1", "--r2", "1", "--tol=-1e-9"),
+    ("flow", "--tol", "nan"),
+    ("flow", "--tol", "inf"),
+    ("flow", "--psi", "nan"),
+    ("pairing", "--loop", "1,2,3", "--form", "3,2", "--psi", "nan"),
+    ("verify-all", "--psi", "nan"),
 ])
 def test_bad_sample_counts_and_psi_are_rejected(capsys, argv):
     with pytest.raises(ValueError):
+        run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("monodromy", "--leg", "2,4,3", "--basepoint", "5"), "--basepoint"),
+    (("monodromy", "--leg", "2,4,3", "--basepoint", "5,4,1"), "--basepoint"),
+    (("monodromy", "--leg", "2,4,3,1"), "--leg"),
+    (("monodromy", "--leg", "2,4"), "--leg"),
+    (("monodromy", "--leg", "2,x,3"), "--leg"),
+    (("pairing", "--loop", "1,2", "--form", "3,2"), "--loop"),
+    (("pairing", "--loop", "1,2,3", "--form", "3"), "--form"),
+])
+def test_comma_lists_of_the_wrong_length_are_rejected(capsys, argv, flag):
+    with pytest.raises(ValueError, match=f"{flag} takes"):
         run_cli(capsys, *argv)
 
 

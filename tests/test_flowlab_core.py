@@ -5,6 +5,24 @@ from quintfib import flowlab as fl
 from quintfib.flowlab.points import from_homogeneous
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_affine_point_refuses_non_finite_coordinates(bad, part):
+    x = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        fl.AffinePoint(5, (1.0, x, 0.5, 0.0))
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol"),
+    ({"tol": 0.0}, "tol"), ({"psi": float("nan")}, "psi"),
+    ({"psi": float("inf")}, "psi"), ({"psi": 0.0}, "psi"),
+])
+def test_flow_config_refuses_bad_tol_and_psi(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        fl.FlowConfig(**kwargs)
+
+
 def test_eval_s_zero_coordinate():
     p = fl.AffinePoint(5, (1.0, 2.0, 0.5, 0.0))
     assert fl.eval_s(p) == 0.0

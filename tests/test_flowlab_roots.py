@@ -61,6 +61,25 @@ def test_pairing_forms_share_one_loop_computation(monkeypatch):
     assert len(calls) == 1 + len(forms)
 
 
+@pytest.mark.parametrize("psi", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_pairing_and_verify_config_refuse_non_finite_psi(psi):
+    with pytest.raises(ValueError, match="^psi must be finite"):
+        fl.loop_pairing_detailed((1, 2, 3), [(3, 2)], psi=psi)
+    if isinstance(psi, float):
+        with pytest.raises(ValueError, match="^psi must be finite"):
+            verify.VerifyConfig(seed=0, psi=psi)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])
+def test_covering_refuses_bad_tolerances(tol):
+    """(1, 1) is an interior point, where the count is 50; a NaN tolerance
+    used to classify it as outside, since every comparison with NaN fails."""
+    for call in (lambda: fl.covering_count(1.0, 1.0, tol=tol),
+                 lambda: fl.covering_stratum(1.0, 1.0, tol)):
+        with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+            call()
+
+
 def test_pairing_rejects_degenerate_input():
     with pytest.raises(ValueError):
         _pairing((1, 1, 3), (3, 2))

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,17 +53,19 @@ def test_kernel_vectors_annihilate():
 
 
 def test_inverse_of_small_matrices():
-    m = np.array([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]],
-                 dtype=object)
+    m = rk.imat([[2, 1], [1, 1]])
     inv = rk.inverse(m)
-    assert (np.asarray(inv @ m) == np.asarray(rk.identity(2))).all()
-    with pytest.raises(ValueError):
-        rk.inverse(rk.imat([[1, 2], [2, 4]]))
+    assert inv.tolist() == [[1, -1], [-1, 2]]
+    assert {type(x) for x in inv.flat} == {int}
+    for bad in ([[1, 2], [2, 4]], [[2, 0], [0, 1]]):  # singular, |det| = 2
+        with pytest.raises(ValueError, match="not unimodular"):
+            rk.inverse(rk.imat(bad))
 
 
 def test_det_small_cases():
     assert rk.det(rk.imat([[1, 2], [3, 4]])) == -2
-    assert rk.int_det(rk.identity(3)) == 1
+    d = rk.det(rk.identity(3))
+    assert d == 1 and type(d) is int
     assert rk.det(rk.imat([[1, 2], [2, 4]])) == 0
 
 
@@ -103,8 +107,8 @@ def test_smith_normal_form_reconstruction():
         rows, cols = rng.integers(1, 6, 2)
         a = rk.imat(rng.integers(-7, 8, size=(rows, cols)))
         d, l, rinv = rk.smith_normal_form(a)
-        assert abs(rk.int_det(l)) == 1
-        assert abs(rk.int_det(rinv)) == 1
+        assert abs(rk.det(l)) == 1
+        assert abs(rk.det(rinv)) == 1
         # D R^-1 = L A
         lhs = np.asarray(d @ rinv)
         rhs = np.asarray(l @ a)
@@ -130,7 +134,13 @@ def test_sublattice_index():
     lambda: rk.smith_normal_form(np.array([[Fraction(1, 3)]], dtype=object)),
     lambda: rk.imat([[float("nan"), 1]]),
     lambda: rk.imat([[float("inf"), 1]]),
-], ids=["imat", "hermite", "saturate", "index", "primitive", "smith", "nan", "inf"])
+    lambda: rk.rank(np.array([[Fraction(1, 2), 1]], dtype=object)),
+    lambda: rk.rank([{0: Fraction(1, 2)}]),
+    lambda: rk.det(np.array([[Fraction(1, 2)]], dtype=object)),
+    lambda: rk.kernel_basis(np.array([[Fraction(1, 2), 1]], dtype=object)),
+    lambda: rk.inverse(np.array([[Fraction(1, 2)]], dtype=object)),
+], ids=["imat", "hermite", "saturate", "index", "primitive", "smith", "nan", "inf",
+        "rank", "sparse-rank", "det", "kernel", "inverse"])
 def test_integer_routines_refuse_non_integers(call):
     with pytest.raises(ValueError, match="expected an integer"):
         call()
@@ -144,12 +154,30 @@ def test_integer_routines_take_integral_fractions_and_numpy_ints():
     assert [list(v) for v in rk.saturate([[two, np.int64(4)]])] == [[1, 2]]
     assert rk.sublattice_index([[two, 0], [0, three]]) == 6
     assert rk.is_primitive([two, three])
+    m = np.array([[two, 1], [three, 2]], dtype=object)
+    assert rk.rank(m) == 2 and rk.det(m) == 1
+    assert rk.inverse(m).tolist() == [[2, -1], [-3, 2]]
 
 
 def test_hermite_rejects_rows_of_unequal_length():
     for rows in ([[2], [3, 5]], [[2, 4], [3]]):
         with pytest.raises(ValueError, match="unequal"):
             rk.row_hermite_form(rows)
+
+
+def test_the_exact_kernel_works_over_z():
+    """ratkernel imports nothing from fractions and names no Fraction: every
+    exact routine works over Z, and non-integers are refused on entry."""
+    tree = ast.parse(Path(rk.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "fractions" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions"
+        elif isinstance(node, ast.Name):
+            assert node.id != "Fraction"
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "Fraction"
 
 
 def test_determinism():
@@ -170,12 +198,10 @@ def _settings(hyp, max_examples):
     return hyp.settings(max_examples=max_examples, deadline=None, derandomize=True)
 
 
-def _matrices(st, square=False, integer=False):
-    """Integer or Fraction matrices, with empty shapes, zero rows and
-    columns and rank-deficient cases drawn on purpose."""
+def _matrices(st, square=False):
+    """Integer matrices, with empty shapes, zero rows and columns and
+    rank-deficient cases drawn on purpose."""
     entries = st.integers(-9, 9)
-    if not integer:
-        entries = st.one_of(entries, st.fractions(-9, 9, max_denominator=6))
 
     @st.composite
     def matrices(draw):
@@ -198,10 +224,9 @@ def _matrices(st, square=False, integer=False):
 
 
 def _sparse_wide(st):
-    """Wide sparse matrices up to 30 x 80 at about 5% density, int or
-    Fraction entries, with zero rows and duplicate (rescaled) rows drawn on
-    purpose: the shapes the sparse-row elimination is for."""
-    entries = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+    """Wide sparse integer matrices up to 30 x 80 at about 5% density, with
+    zero rows and duplicate (rescaled) rows drawn on purpose: the shapes the
+    sparse-row elimination is for."""
 
     @st.composite
     def matrices(draw):
@@ -209,7 +234,7 @@ def _sparse_wide(st):
         m = rk.zeros(rows, cols)
         for i in range(rows):
             for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols // 10)):
-                m[i, j] = draw(entries)
+                m[i, j] = draw(st.integers(-9, 9))
         for i in draw(st.sets(st.integers(0, rows - 1), max_size=3)):
             m[i] = 0
         for _ in range(draw(st.integers(0, 3))):
@@ -244,79 +269,101 @@ def _permuted_triangular(st):
     return matrices()
 
 
+def _unimodular(st):
+    """Products of up to 12 elementary integer matrices (row additions with
+    multipliers in [-3, 3], row swaps and row negations) of size 0 to 6."""
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(0, 6))
+        m = rk.identity(n)
+        for _ in range(draw(st.integers(0, 12)) if n else 0):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            kind = draw(st.sampled_from(["add", "swap", "negate"]))
+            if kind == "add" and i != j:
+                m[i] = m[i] + draw(st.integers(-3, 3)) * m[j]
+            elif kind == "swap":
+                m[[i, j]] = m[[j, i]]
+            else:
+                m[i] = -m[i]
+        return m
+
+    return matrices()
+
+
 def _sym(sympy, m):
-    return sympy.Matrix(*m.shape, [sympy.Rational(x.numerator, x.denominator)
-                                   for x in map(Fraction, m.flat)])
+    return sympy.Matrix(*m.shape, [int(x) for x in m.flat])
 
 
-def _frac(x):
-    return Fraction(int(x.p), int(x.q))
+def _check_kernel(sympy, m):
+    """kernel_basis against sympy: the vectors annihilate m, there are
+    cols - rank of them, stacking them on sympy's rational null space leaves
+    its rank unchanged, and their lattice is saturated (every invariant
+    factor of the Smith form is 1)."""
+    from sympy.matrices.normalforms import smith_normal_form
+    rows, cols = m.shape
+    basis = rk.kernel_basis(m)
+    s_null = _sym(sympy, m).nullspace()
+    assert len(basis) == cols - rk.rank(m) == len(s_null)
+    assert all(type(x) is int for v in basis for x in v)
+    assert all(not any(m.dot(v)) for v in basis)
+    if basis:
+        b = sympy.Matrix([list(v) for v in basis])
+        assert sympy.Matrix.vstack(b, *(v.T for v in s_null)).rank() == len(s_null)
+        s = smith_normal_form(b, domain=sympy.ZZ)
+        assert [abs(int(s[i, i])) for i in range(len(basis))] == [1] * len(basis)
 
 
-def _fracs(s):
-    return [[_frac(x) for x in row] for row in s.tolist()]
-
-
-def test_rank_rref_kernel_match_sympy():
+def test_rank_and_kernel_match_sympy():
     hyp, sympy = _oracle()
     st = hyp.strategies
 
     @_settings(hyp, 40)
     @hyp.given(_matrices(st))
     def check(m):
-        s = _sym(sympy, m)
-        assert rk.rank(m) == s.rank()
-        red, pivots = rk.rref(m)
-        s_red, s_pivots = s.rref()
-        assert pivots == tuple(s_pivots)
-        assert red.tolist() == _fracs(s_red)
-        assert all(type(x) is Fraction for x in red.flat)
-        basis = rk.kernel_basis(m)
-        assert len(basis) == len(s.nullspace())
-        assert all(not any(m.dot(v)) for v in basis)
+        assert rk.rank(m) == _sym(sympy, m).rank()
+        _check_kernel(sympy, m)
 
     check()
 
 
-def test_sparse_wide_rank_rref_kernel_match_sympy():
-    """The kernel's own shape: rank and rref against sympy, and the kernel
-    basis entry for entry against sympy's nullspace, which is built from
-    the canonical rref the same way."""
+def test_sparse_wide_rank_and_kernel_match_sympy():
+    """The kernel's own shape: rank against sympy, and the integer kernel
+    basis against sympy's rational null space."""
     hyp, sympy = _oracle()
 
     @_settings(hyp, 20)
     @hyp.given(_sparse_wide(hyp.strategies))
     def check(m):
-        s = _sym(sympy, m)
-        assert rk.rank(m) == s.to_DM().convert_to(sympy.QQ).rank()
-        red, pivots = rk.rref(m)
-        s_red, s_pivots = s.rref()
-        assert pivots == tuple(s_pivots)
-        assert red.tolist() == _fracs(s_red)
-        assert [list(v) for v in rk.kernel_basis(m)] == \
-            [[_frac(x) for x in v] for v in s.nullspace()]
+        assert rk.rank(m) == _sym(sympy, m).to_DM().convert_to(sympy.QQ).rank()
+        _check_kernel(sympy, m)
 
     check()
 
 
 def test_det_and_inverse_match_sympy():
     hyp, sympy = _oracle()
-
     st = hyp.strategies
 
     @_settings(hyp, 60)
     @hyp.given(st.one_of(_matrices(st, square=True), _permuted_triangular(st)))
     def check(m):
-        s = _sym(sympy, m)
         d = rk.det(m)
-        assert type(d) is Fraction and d == _frac(s.det())
-        if d == 0:
-            with pytest.raises(ValueError):
+        assert type(d) is int and d == _sym(sympy, m).det()
+        if abs(d) != 1:  # singular or not unimodular
+            with pytest.raises(ValueError, match="not unimodular"):
                 rk.inverse(m)
-        else:
-            assert rk.inverse(m).tolist() == _fracs(s.inv())
+
+    @_settings(hyp, 60)
+    @hyp.given(_unimodular(st))
+    def check_unimodular(m):
+        assert abs(rk.det(m)) == 1
+        inv = rk.inverse(m)
+        assert inv.shape == m.shape
+        assert inv.tolist() == [[int(x) for x in row] for row in _sym(sympy, m).inv().tolist()]
 
     check()
+    check_unimodular()
 
 
 def test_smith_form_and_lattice_index_match_sympy():
@@ -324,7 +371,7 @@ def test_smith_form_and_lattice_index_match_sympy():
     from sympy.matrices.normalforms import smith_normal_form
 
     @_settings(hyp, 40)
-    @hyp.given(_matrices(hyp.strategies, integer=True))
+    @hyp.given(_matrices(hyp.strategies))
     def check(m):
         rows, cols = m.shape
         s = smith_normal_form(_sym(sympy, m), domain=sympy.ZZ)
@@ -365,7 +412,7 @@ def test_saturate_is_saturated_hermite_with_the_same_span():
     from sympy.matrices.normalforms import smith_normal_form
 
     @_settings(hyp, 60)
-    @hyp.given(_matrices(hyp.strategies, integer=True))
+    @hyp.given(_matrices(hyp.strategies))
     def check(m):
         sat = [[int(x) for x in v] for v in rk.saturate(m.tolist())]
         r = rk.rank(m)
