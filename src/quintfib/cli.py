@@ -153,10 +153,9 @@ def cmd_flow(args):
     res = flowlab.transport_fiber(fiber, args.psi, args.samples, tol=args.tol,
                                   seed=args.seed)
     rows = []
-    for p, im in zip(res.points, res.abs_im_s):
-        x = p.array()
-        rows.append([p.chart] + [f"{v:.12g}" for pair in zip(x.real, x.imag)
-                                 for v in pair]
+    for x, im in zip(res.points, res.abs_im_s):
+        rows.append([res.chart] + [f"{v:.12g}" for pair in zip(x.real, x.imag)
+                                   for v in pair]
                     + [f"{im:.3e}", f"{res.lagrangian_defect:.3e}"])
     header = (["chart"] + [f"{part}{i}" for i in range(1, 5)
                            for part in ("re", "im")]

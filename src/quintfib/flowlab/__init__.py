@@ -11,7 +11,7 @@ discriminant, and the explicit special-Lagrangian fibers in C^3.
 from .points import (AffinePoint, PoleError, eval_s, random_x_infinity_point,
                      s_gradient)
 from .gradient import (FlowConfig, SigmaGuardError, closed_form_V_D4,
-                       finite_difference_gradient, grad_V, omega_value)
+                       finite_difference_gradient, grad_V)
 from .integrate import (FlowDiagnostics, TorusFiber, TransportResult,
                         circle_collapse_winding, distance_to_quintic,
                         distances_to_quintic, flow, flow_batch,
@@ -26,7 +26,7 @@ __all__ = [
     "AffinePoint", "PoleError", "eval_s", "random_x_infinity_point",
     "s_gradient",
     "FlowConfig", "SigmaGuardError", "closed_form_V_D4",
-    "finite_difference_gradient", "grad_V", "omega_value",
+    "finite_difference_gradient", "grad_V",
     "FlowDiagnostics", "TorusFiber", "TransportResult",
     "circle_collapse_winding", "distance_to_quintic", "distances_to_quintic",
     "flow", "flow_batch", "newton_project_to_quintic", "transport_fiber",

@@ -99,49 +99,47 @@ def grad_V(p, cfg):
     return v[0]
 
 
-def closed_form_V_D4(p):
-    """Closed form of V on the x4 = 0 divisor slice in chart 5, flat metric.
+def closed_form_V_D4(x):
+    """Closed form of V on the x4 = 0 divisor slice, flat metric, on (N, 4)
+    rows of chart 5.
 
     There the only nonvanishing partial of s is along x4 and
     V = ((x1^5 + x2^5 + x3^5 + 1) / (x1 x2 x3)) in the x4 slot.
     """
-    if p.chart != 5:
-        raise ValueError("closed form stated in chart 5")
-    x = p.array()
-    if abs(x[3]) > 1e-14:
+    if (np.abs(x[:, 3]) > 1e-14).any():
         raise ValueError("closed form applies on the x4 = 0 slice")
-    head = x[:3]
-    v4 = (np.sum(head ** 5) + 1.0) / np.prod(head)
-    return np.array([0.0, 0.0, 0.0, v4], dtype=complex)
+    head = x[:, :3]
+    v = np.zeros_like(x)
+    v[:, 3] = (np.sum(head ** 5, axis=1) + 1.0) / np.prod(head, axis=1)
+    return v
 
 
 FD_STEP = 1e-6  # central-difference step of finite_difference_gradient
 
 
-def finite_difference_gradient(p):
-    """Central-difference Euclidean gradient of f = Re(s), as the oracle.
+def finite_difference_gradient(x):
+    """Central-difference Euclidean gradient of f = Re(s) on (N, 4) rows,
+    as the oracle.
 
     Returns the complex representation (df/du_i + i df/dv_i), which is the
     gradient of the chart-flat metric and so comparable with conj(ds); s is
-    evaluated on all 16 shifted rows in one call.
+    evaluated on all 16 shifted rows of every row in one call.
     """
-    x = p.array()
     i = np.arange(4)
     shift = FD_STEP * np.array([[1.0], [1j]])  # along u_i, along v_i
-    rows = np.tile(x, (4, 4, 1))  # (+u, +v, -u, -v) x shifted coordinate
-    rows[:2, i, i] = x + shift
-    rows[2:, i, i] = x - shift
-    f = _eval_s_rows(rows.reshape(16, 4)).real.reshape(4, 4)
-    d = (f[:2] - f[2:]) / (2.0 * FD_STEP)
-    return d[0] + 1j * d[1]
+    # (+u, +v, -u, -v) x shifted coordinate, for every row
+    rows = np.tile(x[:, None, None], (1, 4, 4, 1))
+    rows[:, :2, i, i] = x[:, None] + shift
+    rows[:, 2:, i, i] = x[:, None] - shift
+    f = _eval_s_rows(rows.reshape(-1, 4)).real.reshape(-1, 4, 4)
+    d = (f[:, :2] - f[:, 2:]) / (2.0 * FD_STEP)
+    return d[:, 0] + 1j * d[:, 1]
 
 
-def omega_value(p, u, v, metric):
-    """The Kahler form Im(u^H H v) on two real tangent vectors."""
+def _omega_rows(x, u, v, metric):
+    """The Kahler form Im(u^H H v) of the metric on pairs of real tangent
+    vectors, row by row: u and v are (N, 4) tangents at the (N, 4) rows x."""
     if metric == "fubini-study":
-        x = p.array()
-        a = 1.0 + _sum4(np.abs(x) ** 2)
-        v = (a * v - x * np.vdot(x, v)) / a ** 2
-    elif metric != "chart-flat":
-        raise ValueError(f"unknown metric {metric!r}")
-    return float(np.vdot(u, v).imag)
+        a = (1.0 + _sum4(np.abs(x) ** 2))[:, None]
+        v = (a * v - x * _sum4(x.conj() * v)[:, None]) / a ** 2
+    return _sum4(u.conj() * v).imag

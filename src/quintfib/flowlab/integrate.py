@@ -6,7 +6,7 @@ pencil member.  Along the way Im(s) is conserved and df/dt = 1, so both
 drifts measure pure integrator error; the acceptance bar is 1e-8 drift at
 tolerance 1e-10.
 
-`flow_batch` integrates a list of points on the real 8-dimensional form of
+`flow_batch` integrates (N, 4) chart rows on the real 8-dimensional form of
 the chart, every trajectory at once, with a row-wise replica of scipy's
 RK45: the Dormand-Prince 5(4) pair with local extrapolation (Dormand &
 Prince, J. Comput. Appl. Math. 6, 1980), the initial step of Hairer,
@@ -14,24 +14,29 @@ Norsett and Wanner (Sec. II.4), the RMS error norm and step control of
 scipy, and the quartic dense output.  Each row keeps its own time, step
 size, error norm and work counters (field evaluations, rejected steps), and
 every sum over stages runs in a fixed order, so a trajectory's bits do not
-depend on the rows batched with it; `flow` is the one-row call.  The tests
-check the replica against scipy's solve_ivp.  A terminal event halts
-trajectories that enter the guard zone around the singular surface, where
-the field genuinely blows up and the continuation is out of scope.
+depend on the rows batched with it.  It returns the endpoint rows and one
+`FlowDiagnostics` of per-row arrays; `flow` is one row of it, with scalar
+diagnostics, and raises SigmaGuardError for a row that entered the guard
+zone.  The tests check the replica against scipy's solve_ivp.  A terminal
+event halts trajectories that enter the guard zone around the singular
+surface, where the field genuinely blows up and the continuation is out of
+scope.
 
 The endpoint oracle is batched the same way: `distances_to_quintic` runs
 the Newton projection onto the smooth member on every row at once, each row
 stopping on its own, and `newton_project_to_quintic` is its one-row call.
+Fibers are rows too: `transport_fiber` flows all its samples and probes in
+one batch and pairs every probe's tangents in one call of the Kahler form.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import gradient
-from .gradient import FlowConfig, SigmaGuardError, _field_rows, omega_value
-from .points import (AffinePoint, _eval_s_rows, _quintic, _quintic_gradient,
-                     _sum4, from_homogeneous)
+from .gradient import FlowConfig, SigmaGuardError, _field_rows, _omega_rows
+from .points import (AffinePoint, _chart_rows, _eval_s_rows, _quintic,
+                     _quintic_gradient, _sum4, coord_indices)
 # perfbench/layers.py traces calls through these names here and requires them
 # to be the same objects as in flowlab
 from .gradient import grad_V
@@ -75,14 +80,21 @@ COLLAPSE_EPS = 1e-3  # modulus of the perturbed coordinate in circle_collapse_wi
 N_PHI = 48  # phases of the perturbed coordinate in circle_collapse_winding
 FD_ANGLE = 1e-4  # finite-difference step in the fiber angles of transport_fiber
 
-# row states of the batched integrator
+# row states of the batched integrator, and the reason each final state reports
 RUNNING, REACHED, GUARD_HIT, UNDERFLOW, GUARDED = range(5)
-REASONS = {REACHED: "reached_target", GUARD_HIT: "sigma_guard_hit",
-           UNDERFLOW: "step_underflow"}
+REASONS = np.array(["running", "reached_target", "sigma_guard_hit",
+                    "step_underflow", "guarded"])
 
 
 @dataclass(frozen=True)
 class FlowDiagnostics:
+    """How flows ended: per-row arrays from `flow_batch`, scalars from `flow`.
+
+    A row whose field evaluation entered the guard zone has reason
+    'guarded' and its squared gradient norm there in guard_sq (0 for every
+    other row); its drifts read 0.
+    """
+
     im_s_drift: float
     f_drift: float
     reason: str
@@ -90,6 +102,7 @@ class FlowDiagnostics:
     n_steps: int
     n_evals: int  # field evaluations of the stepper, as scipy's nfev
     n_rejected: int
+    guard_sq: float
 
 
 def _combine(K, coeffs):
@@ -314,53 +327,46 @@ def _checkpoint_drifts(s0, t_end, rows, steps, d):
     return im, f
 
 
-def flow_batch(points, t_target, cfg):
-    """Flow every point for time t_target, all in one batch.
+def flow_batch(x0, t_target, cfg):
+    """Flow (N, 4) chart rows for time t_target, all in one batch.
 
-    Returns per point what `flow` returns, (endpoint, diagnostics), or the
-    SigmaGuardError it raises; a row's result does not depend on the rows
-    batched with it.
+    Returns the (N, 4) endpoint rows and a FlowDiagnostics of per-row
+    arrays; a row's results do not depend on the rows batched with it.
     """
+    n = len(x0)
     if t_target == 0.0:
-        return [(p, FlowDiagnostics(0.0, 0.0, "reached_target", 0.0, 0, 0, 0))
-                for p in points]
-    x0 = np.array([p.array() for p in points]).reshape(-1, 4)
+        zero, none = np.zeros(n), np.zeros(n, dtype=int)
+        return x0.copy(), FlowDiagnostics(zero, zero, np.full(n, REASONS[REACHED]),
+                                          zero, none, none, none, zero)
     s0 = _eval_s_rows(x0)
     state, t_end, y_end, (n_acc, n_evals, n_rej), guard_sq, steps = _integrate(
         np.concatenate([x0.real, x0.imag], axis=1), float(t_target), cfg)
-    im = np.zeros(len(points))
-    f = np.zeros(len(points))
+    im = np.zeros(n)
+    f = np.zeros(n)
     # a row with no accepted step has not moved, and its drifts stay 0
     rows = np.flatnonzero((state != GUARDED) & (n_acc > 0))
     if rows.size:
         d = 1.0 if t_target > 0 else -1.0
         im[rows], f[rows] = _checkpoint_drifts(s0, t_end, rows, steps, d)
-    out = []
-    for i, p in enumerate(points):
-        if state[i] == GUARDED:
-            out.append(SigmaGuardError(float(guard_sq[i]), p))
-            continue
-        end = AffinePoint(p.chart, tuple(y_end[i, :4] + 1j * y_end[i, 4:]))
-        out.append((end, FlowDiagnostics(im[i], f[i], REASONS[state[i]],
-                                         float(t_end[i]), int(n_acc[i]) + 1,
-                                         int(n_evals[i]), int(n_rej[i]))))
-    return out
+    return y_end[:, :4] + 1j * y_end[:, 4:], FlowDiagnostics(
+        im, f, REASONS[state], t_end, n_acc + 1, n_evals, n_rej, guard_sq)
 
 
 def flow(p0, t_target, cfg):
     """Integrate the normalized gradient flow for time t_target.
 
-    Returns (endpoint, diagnostics).  The time parameter is the value of f
-    itself, so f(end) - f(start) = t_target up to integrator error; Im(s)
-    drift is monitored at checkpoints along the accepted solution.
-    Termination reasons: 'reached_target', 'sigma_guard_hit',
-    'step_underflow'.  A field evaluation inside the guard zone raises
-    SigmaGuardError.
+    Returns (endpoint, diagnostics), one row of `flow_batch`.  The time
+    parameter is the value of f itself, so f(end) - f(start) = t_target up
+    to integrator error; Im(s) drift is monitored at checkpoints along the
+    accepted solution.  Termination reasons: 'reached_target',
+    'sigma_guard_hit', 'step_underflow'.  A field evaluation inside the
+    guard zone raises SigmaGuardError.
     """
-    result = flow_batch([p0], t_target, cfg)[0]
-    if isinstance(result, SigmaGuardError):
-        raise result
-    return result
+    ends, diag = flow_batch(p0.array()[None], t_target, cfg)
+    if diag.reason[0] == "guarded":
+        raise SigmaGuardError(diag.guard_sq[0].item(), p0)
+    return AffinePoint(p0.chart, tuple(ends[0])), FlowDiagnostics(
+        *(getattr(diag, k.name)[0].item() for k in fields(diag)))
 
 
 def _newton_rows(x, psi):
@@ -394,11 +400,10 @@ def _newton_rows(x, psi):
     return x, moved
 
 
-def distances_to_quintic(points, psi):
-    """Displacements of the Newton projections of all points onto the
+def distances_to_quintic(x, psi):
+    """Displacements of the Newton projections of (N, 4) rows onto the
     smooth member, as one array; the independent endpoint oracle."""
-    return _newton_rows(np.array([p.array() for p in points]).reshape(-1, 4),
-                        psi)[1]
+    return _newton_rows(x, psi)[1]
 
 
 def newton_project_to_quintic(p, psi):
@@ -438,28 +443,35 @@ class TorusFiber:
         if any(r <= 0 for r in self.radii.values()):
             raise ValueError("radii must be positive")
 
-    def point(self, angles):
-        """Fiber point for given angles; the largest-radius coordinate is
-        normalized and its angle dropped."""
-        anchor = max(self.radii, key=lambda i: (self.radii[i], i))
-        free = [i for i in sorted(self.radii) if i != anchor]
-        if len(angles) != len(free):
-            raise ValueError(f"expected {len(free)} angles")
-        z = np.zeros(5, dtype=complex)
-        z[anchor - 1] = self.radii[anchor]
-        for t, i in zip(angles, free):
-            z[i - 1] = self.radii[i] * np.exp(1j * t)
-        return from_homogeneous(z, chart=anchor)
+    @property
+    def chart(self):
+        """The largest-radius coordinate, which normalizes the fiber's chart."""
+        return max(self.radii, key=lambda i: (self.radii[i], i))
 
     @property
     def angle_arity(self):
         return 4 - len(self.zero_set)
 
+    def rows(self, angles):
+        """(K, 4) rows of the fiber in its chart at (K, angle_arity) angles,
+        one per free coordinate in ascending order; the normalized
+        coordinate's angle is dropped."""
+        if angles.shape[1:] != (self.angle_arity,):
+            raise ValueError(f"expected {self.angle_arity} angles per row")
+        anchor = self.chart
+        z = np.zeros((len(angles), 5), dtype=complex)
+        z[:, anchor - 1] = self.radii[anchor]
+        free = [i for i in sorted(self.radii) if i != anchor]
+        for k, i in enumerate(free):
+            z[:, i - 1] = self.radii[i] * np.exp(1j * angles[:, k])
+        return _chart_rows(z, anchor)
+
 
 @dataclass(frozen=True)
 class TransportResult:
-    points: tuple
-    abs_im_s: tuple  # |Im s| at each point
+    points: np.ndarray  # (K, 4) rows of the kept samples in `chart`
+    chart: int
+    abs_im_s: np.ndarray  # |Im s| at each point
     im_s_max: float
     f_drift_max: float
     lagrangian_defect: float
@@ -486,54 +498,40 @@ def transport_fiber(fiber, psi, n_samples, seed, tol=1e-10, n_probes=12):
     if n_samples < 0:
         raise ValueError("the sample count must not be negative")
     cfg = FlowConfig(psi=psi, tol=tol, metric="fubini-study")
-    rng = np.random.default_rng(seed)
     arity = fiber.angle_arity
-    t_target = cfg.flow_target_time
-    angle_sets = [tuple(rng.uniform(0.0, 2.0 * np.pi, arity))
-                  for _ in range(n_samples)]
+    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (n_samples, arity))
+    # each probe once per angle, with that angle moved by FD_ANGLE
+    n_base = min(n_probes, n_samples)
+    shifted = np.repeat(angles[:n_base], arity, axis=0)
+    shifted[np.arange(len(shifted)), np.tile(np.arange(arity), n_base)] += FD_ANGLE
+    ends, diag = flow_batch(fiber.rows(np.concatenate([angles, shifted])),
+                            cfg.flow_target_time, cfg)
+    reached = diag.reason == "reached_target"
 
-    probes = angle_sets[:n_probes]
-    shifted = []
-    for angles in probes:
-        for a in range(arity):
-            moved = list(angles)
-            moved[a] += FD_ANGLE
-            shifted.append(fiber.point(moved))
-    flows = flow_batch([fiber.point(angles) for angles in angle_sets] + shifted,
-                       t_target, cfg)
-
-    def reached(result):
-        return not isinstance(result, SigmaGuardError) and result[1].reason == "reached_target"
-
-    flagged = tuple(i for i, r in enumerate(flows[:n_samples]) if not reached(r))
-    kept = [r for r in flows[:n_samples] if reached(r)]
-    points = tuple(q for q, _ in kept)
-    ends = np.array([q.array() for q in points]).reshape(-1, 4)
-    abs_im_s = tuple(np.abs(_eval_s_rows(ends).imag).tolist())
-    im_max = max([d.im_s_drift for _, d in kept] + list(abs_im_s), default=0.0)
-    f_max = max((d.f_drift for _, d in kept), default=0.0)
+    kept = reached[:n_samples]
+    points = ends[:n_samples][kept]
+    abs_im_s = np.abs(_eval_s_rows(points).imag)
+    im_max = float(np.max(np.concatenate([diag.im_s_drift[:n_samples][kept],
+                                          abs_im_s]), initial=0.0))
+    f_max = float(np.max(diag.f_drift[:n_samples][kept], initial=0.0))
     dist_max = float(np.max(distances_to_quintic(points, psi), initial=0.0))
 
-    defect = 0.0
-    for k, base_flow in enumerate(flows[:len(probes)]):
-        moved = flows[n_samples + k * arity:n_samples + (k + 1) * arity]
-        if not reached(base_flow) or not all(map(reached, moved)):
-            continue
-        base = base_flow[0]
-        tangents = [(m[0].array() - base.array()) / FD_ANGLE for m in moved]
-        try:
-            tangents.append(grad_V(base, cfg))
-        except SigmaGuardError:
-            continue
-        for a in range(len(tangents)):
-            for b in range(a + 1, len(tangents)):
-                u, v = tangents[a], tangents[b]
-                pairing = abs(omega_value(base, u, v, cfg.metric))
-                nu = np.linalg.norm(u) * np.linalg.norm(v)
-                if nu > 0:
-                    defect = max(defect, pairing / nu)
-    return TransportResult(points, abs_im_s, im_max, f_max, defect, flagged,
-                           dist_max)
+    # each probe's tangents: a difference per angle, then the flow direction
+    base, moved = ends[:n_base], ends[n_samples:].reshape(n_base, arity, 4)
+    v, _, guarded = _field_rows(base, cfg)
+    ok = reached[:n_base] & reached[n_samples:].reshape(n_base, arity).all(axis=1)
+    ok &= ~guarded
+    tangents = np.concatenate([(moved - base[:, None]) / FD_ANGLE, v[:, None]],
+                              axis=1)[ok]
+    # every pair of one probe's tangents, in one call of the Kahler form
+    a, b = np.triu_indices(arity + 1, 1)
+    u, w = tangents[:, a].reshape(-1, 4), tangents[:, b].reshape(-1, 4)
+    x = np.repeat(base[ok], len(a), axis=0)
+    pairing = np.abs(_omega_rows(x, u, w, cfg.metric))
+    nu = np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
+    defect = float(np.max(pairing[nu > 0] / nu[nu > 0], initial=0.0))
+    return TransportResult(points, fiber.chart, abs_im_s, im_max, f_max, defect,
+                           tuple(np.flatnonzero(~kept).tolist()), dist_max)
 
 
 def circle_collapse_winding(pair, radii, psi):
@@ -549,27 +547,23 @@ def circle_collapse_winding(pair, radii, psi):
     pair = sorted(pair)
     if len(pair) != 2:
         raise ValueError("expected a face with two vanishing coordinates")
-    track, other = pair
+    track = pair[0]  # the other vanishing coordinate stays 0
     cfg = FlowConfig(psi=psi)
     live = sorted(set(range(1, 6)) - set(pair))
     anchor = live[-1]
-    starts = []
-    for phi in np.linspace(0.0, 2.0 * np.pi, N_PHI, endpoint=False):
-        z = np.zeros(5, dtype=complex)
-        for i in live:
-            z[i - 1] = radii[i] if i in radii else 1.0
-        z[live[0] - 1] *= np.exp(0.37j)  # generic fixed phase
-        z[track - 1] = COLLAPSE_EPS * np.exp(1j * phi)
-        z[other - 1] = 0.0
-        starts.append(from_homogeneous(z, chart=anchor))
-    args = []
-    for p, result in zip(starts, flow_batch(starts, cfg.flow_target_time, cfg)):
-        if isinstance(result, SigmaGuardError):
-            raise result
-        q, diag = result
-        if diag.reason != "reached_target":
-            raise SigmaGuardError(0.0, p)
-        zq = q.homogeneous()
-        args.append(np.angle(zq[track - 1]))
-    args = np.unwrap(np.array(args + [args[0]]))
+    phi = np.linspace(0.0, 2.0 * np.pi, N_PHI, endpoint=False)
+    z = np.zeros((N_PHI, 5), dtype=complex)
+    for i in live:
+        z[:, i - 1] = radii[i] if i in radii else 1.0
+    z[:, live[0] - 1] *= np.exp(0.37j)  # generic fixed phase
+    z[:, track - 1] = COLLAPSE_EPS * np.exp(1j * phi)
+    starts = _chart_rows(z, anchor)
+    ends, diag = flow_batch(starts, cfg.flow_target_time, cfg)
+    missed = np.flatnonzero(diag.reason != "reached_target")
+    if missed.size:
+        k = missed[0]
+        raise SigmaGuardError(diag.guard_sq[k].item(),
+                              AffinePoint(anchor, tuple(starts[k])))
+    args = np.angle(ends[:, coord_indices(anchor).index(track)])
+    args = np.unwrap(np.append(args, args[0]))
     return float((args[-1] - args[0]) / (2.0 * np.pi))

@@ -42,27 +42,13 @@ class AffinePoint:
             raise ValueError("coordinates must be finite")
         object.__setattr__(self, "coords", c)
 
-    def homogeneous(self):
-        z = np.empty(5, dtype=complex)
-        z[self.chart - 1] = 1.0
-        for pos, idx in enumerate(coord_indices(self.chart)):
-            z[idx - 1] = self.coords[pos]
-        return z
-
     def array(self):
         return np.array(self.coords, dtype=complex)
 
 
-def from_homogeneous(z, chart=None):
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (5,):
-        raise ValueError("expected five homogeneous coordinates")
-    if chart is None:
-        chart = int(np.argmax(np.abs(z))) + 1
-    zc = z[chart - 1]
-    if zc == 0:
-        raise ValueError(f"coordinate {chart} vanishes; cannot normalize")
-    return AffinePoint(chart, tuple(z[i - 1] / zc for i in coord_indices(chart)))
+def _chart_rows(z, chart):
+    """(N, 4) coordinates in chart `chart` of (N, 5) homogeneous rows."""
+    return z[:, [i - 1 for i in coord_indices(chart)]] / z[:, chart - 1:chart]
 
 
 def _sum4(a):
@@ -139,24 +125,38 @@ def _quintic_gradient(x, psi):
     return 5.0 * x ** 4 - 5.0 * psi * _others(x)
 
 
-def random_x_infinity_point(rng):
-    """Random point on the smooth part of the large complex limit.
+def _x_infinity_rows(rng, n):
+    """n random rows on the smooth part of the large complex limit, and the
+    chart of each.
 
     One homogeneous coordinate is set to zero, the others get moduli in
     [0.6, 1.4] and uniform phases; the largest coordinate normalizes the
-    chart.  Points too close to the singular surface (tiny gradient of s)
-    are rejected.
+    chart.  Samples too close to the singular surface (tiny gradient of s)
+    are drawn again.
     """
-    for _ in range(MAX_TRIES):
-        zero_idx = int(rng.integers(1, 6))
-        z = np.zeros(5, dtype=complex)
-        for i in range(1, 6):
-            if i == zero_idx:
-                continue
-            r = rng.uniform(0.6, 1.4)
-            z[i - 1] = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        p = from_homogeneous(z)
-        ds, pole = _s_gradient_rows(p.array()[None])
-        if not pole[0] and _sum4(ds * ds.conj()).real[0] > GRAD_FLOOR:
-            return p
-    raise RuntimeError("failed to sample a smooth large-complex-limit point")
+    rows, charts = np.empty((n, 4), dtype=complex), np.empty(n, dtype=int)
+    for k in range(n):
+        for _ in range(MAX_TRIES):
+            zero_idx = int(rng.integers(1, 6))
+            z = np.zeros((1, 5), dtype=complex)
+            for i in range(1, 6):
+                if i == zero_idx:
+                    continue
+                r = rng.uniform(0.6, 1.4)
+                z[0, i - 1] = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            chart = int(np.argmax(np.abs(z))) + 1
+            x = _chart_rows(z, chart)
+            ds, pole = _s_gradient_rows(x)
+            if not pole[0] and _sum4(ds * ds.conj()).real[0] > GRAD_FLOOR:
+                rows[k], charts[k] = x[0], chart
+                break
+        else:
+            raise RuntimeError("failed to sample a smooth large-complex-limit point")
+    return rows, charts
+
+
+def random_x_infinity_point(rng):
+    """Random point on the smooth part of the large complex limit, as one
+    row of `_x_infinity_rows`."""
+    rows, charts = _x_infinity_rows(rng, 1)
+    return AffinePoint(int(charts[0]), tuple(rows[0]))

@@ -60,7 +60,8 @@ def _as_object(m):
 
 
 def _combine(p, row, f, pivot_row):
-    """Primitive part of p*row - f*pivot_row, and the content divided out.
+    """Primitive part of p*row - f*pivot_row, and the content divided out
+    (1 for a row that cancels to nothing).
 
     Rows are sparse, {column: nonzero int}; only the columns of the two
     rows are touched, and entries that cancel are dropped.
@@ -72,7 +73,7 @@ def _combine(p, row, f, pivot_row):
             out[j] = x
         else:
             del out[j]
-    g = gcd(*out.values())
+    g = gcd(*out.values()) or 1
     return ({j: x // g for j, x in out.items()} if g > 1 else out), g
 
 

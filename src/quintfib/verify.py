@@ -18,6 +18,8 @@ import numpy as np
 
 from . import basecomplex, fibercensus, monodromy, ratkernel, sheafcoh, toriccrepant
 from . import flowlab
+from .flowlab.gradient import _field_rows
+from .flowlab.points import _s_gradient_rows, _x_infinity_rows
 from .basecomplex import GraphEdge, GraphVertex
 from .monodromy import ChartId
 
@@ -37,6 +39,8 @@ class VerifyConfig:
             raise ValueError("the sample count must not be negative")
         if not (isfinite(self.psi) and self.psi != 0):
             raise ValueError(f"psi must be finite and nonzero, got {self.psi}")
+        if not isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
 
     def as_dict(self):
         return {"psi": self.psi, "tol": self.tol, "samples": self.samples,
@@ -225,15 +229,14 @@ def check_toric(cfg):
 def check_flow_conservation(cfg):
     rng = np.random.default_rng(cfg.seed)
     fcfg = flowlab.FlowConfig(psi=cfg.psi, tol=1e-10)
-    starts = [flowlab.random_x_infinity_point(rng) for _ in range(cfg.samples)]
-    reached = [r for r in flowlab.flow_batch(starts, fcfg.flow_target_time, fcfg)
-               if not isinstance(r, flowlab.SigmaGuardError)
-               and r[1].reason == "reached_target"]
-    guarded = len(starts) - len(reached)
-    im_max = max((d.im_s_drift for _, d in reached), default=0.0)
-    f_max = max((d.f_drift for _, d in reached), default=0.0)
-    dist_max = float(np.max(flowlab.distances_to_quintic(
-        [end for end, _ in reached], cfg.psi), initial=0.0))
+    starts, _ = _x_infinity_rows(rng, cfg.samples)
+    ends, diag = flowlab.flow_batch(starts, fcfg.flow_target_time, fcfg)
+    reached = diag.reason == "reached_target"
+    guarded = int(np.count_nonzero(~reached))
+    im_max = float(np.max(diag.im_s_drift[reached], initial=0.0))
+    f_max = float(np.max(diag.f_drift[reached], initial=0.0))
+    dist_max = float(np.max(flowlab.distances_to_quintic(ends[reached], cfg.psi),
+                            initial=0.0))
     ok = im_max < 1e-8 and f_max < 1e-8 and dist_max < 1e-6 and guarded == 0
     return ("drifts < 1e-8, endpoint < 1e-6",
             f"im {im_max:.1e}, f {f_max:.1e}, dist {dist_max:.1e}, guarded {guarded}",
@@ -241,23 +244,21 @@ def check_flow_conservation(cfg):
 
 
 def check_gradient_forms(cfg):
+    """The row kernels of V and ds against the closed form of V on the x4 = 0
+    slice and against central differences of s, ten chart-5 rows each."""
     rng = np.random.default_rng(cfg.seed + 1)
-    closed_max = 0.0
-    for _ in range(10):
-        coords = tuple(rng.uniform(0.7, 1.3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                       for _ in range(3)) + (0.0,)
-        p = flowlab.AffinePoint(5, coords)
-        v = flowlab.grad_V(p, flowlab.FlowConfig())
-        closed_max = max(closed_max, float(np.max(np.abs(
-            v - flowlab.closed_form_V_D4(p)))))
-    fd_max = 0.0
-    for _ in range(10):
-        coords = tuple(rng.uniform(0.7, 1.3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                       for _ in range(4))
-        p = flowlab.AffinePoint(5, coords)
-        g = flowlab.s_gradient(p).conj()
-        g_fd = flowlab.finite_difference_gradient(p)
-        fd_max = max(fd_max, float(np.max(np.abs(g - g_fd)) / np.max(np.abs(g))))
+
+    def rows(n):  # moduli in [0.7, 1.3] and uniform phases
+        u = rng.uniform((0.7, 0.0), (1.3, 2 * np.pi), (10, n, 2))
+        return u[..., 0] * np.exp(1j * u[..., 1])
+
+    slice_rows = np.concatenate([rows(3), np.zeros((10, 1))], axis=1)
+    v = _field_rows(slice_rows, flowlab.FlowConfig())[0]
+    closed_max = float(np.max(np.abs(v - flowlab.closed_form_V_D4(slice_rows))))
+    x = rows(4)
+    g = _s_gradient_rows(x)[0].conj()
+    g_fd = flowlab.finite_difference_gradient(x)
+    fd_max = float(np.max(np.max(np.abs(g - g_fd), axis=1) / np.max(np.abs(g), axis=1)))
     ok = closed_max < 1e-10 and fd_max < 1e-6
     return ("closed form < 1e-10, fd < 1e-6",
             f"closed {closed_max:.1e}, fd {fd_max:.1e}", ok, "")

@@ -1,10 +1,10 @@
 """Every numeric consumer in the library stays on the batch path.
 
 The one-row calls `flow`, `newton_project_to_quintic`,
-`distance_to_quintic` and `eval_s` are for single points; a library
-function that calls one of them per item of a loop or a comprehension
-should make one call of `flow_batch`, `distances_to_quintic` or
-`_eval_s_rows` instead.
+`distance_to_quintic`, `eval_s`, `s_gradient` and `grad_V` are for single
+points; a library function that calls one of them per item of a loop or a
+comprehension should make one call of `flow_batch`, `distances_to_quintic`,
+`_eval_s_rows`, `_s_gradient_rows` or `_field_rows` instead.
 """
 
 import ast
@@ -12,7 +12,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quintfib"
 
-ONE_ROW = {"flow", "newton_project_to_quintic", "distance_to_quintic", "eval_s"}
+ONE_ROW = {"flow", "newton_project_to_quintic", "distance_to_quintic", "eval_s",
+           "s_gradient", "grad_V"}
 LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 
@@ -55,6 +56,9 @@ def test_detector_flags_loops_and_comprehensions():
         "    e = fl.flow_batch(ps, 0.1)\n"
         "    s = {p: abs(fl.eval_s(p)) for p in ps}\n"
         "    t = _eval_s_rows(rows)\n"
+        "    g = [grad_V(p, cfg) for p in ps] + [s_gradient(p) for p in ps]\n"
+        "    v = _field_rows(rows, cfg)\n"
         "    return newton_project_to_quintic(ps[0], 10.0)\n")
     assert _one_row_calls_in_loops(tree) == [
-        (3, "flow"), (4, "distance_to_quintic"), (6, "eval_s")]
+        (3, "flow"), (4, "distance_to_quintic"), (6, "eval_s"), (8, "grad_V"),
+        (8, "s_gradient")]

@@ -138,6 +138,8 @@ def test_verify_all_symbolic_only(capsys):
     ("flow", "--psi", "nan"),
     ("pairing", "--loop", "1,2,3", "--form", "3,2", "--psi", "nan"),
     ("verify-all", "--psi", "nan"),
+    ("verify-all", "--tol", "nan"),
+    ("verify-all", "--tol", "inf"),
 ])
 def test_bad_sample_counts_and_psi_are_rejected(capsys, argv):
     with pytest.raises(ValueError):

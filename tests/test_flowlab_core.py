@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from quintfib import flowlab as fl
-from quintfib.flowlab.points import from_homogeneous
+from quintfib.flowlab.gradient import _omega_rows
+from quintfib.flowlab.points import _chart_rows, _eval_s_rows
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -43,13 +44,11 @@ def test_eval_s_on_member_is_reciprocal_level():
 
 def test_eval_s_chart_independence():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        z = rng.normal(size=5) + 1j * rng.normal(size=5)
-        p = fl.AffinePoint(1, tuple(z[1:] / z[0]))
-        s1 = fl.eval_s(p)
-        for chart in (2, 3, 4, 5):
-            s2 = fl.eval_s(from_homogeneous(p.homogeneous(), chart))
-            assert abs(s1 - s2) <= 1e-12 * max(1.0, abs(s1))
+    z = rng.normal(size=(20, 5)) + 1j * rng.normal(size=(20, 5))
+    s1 = _eval_s_rows(_chart_rows(z, 1))
+    for chart in (2, 3, 4, 5):
+        s2 = _eval_s_rows(_chart_rows(z, chart))
+        assert (np.abs(s1 - s2) <= 1e-12 * np.maximum(1.0, np.abs(s1))).all()
 
 
 def test_eval_s_pole_reported():
@@ -70,7 +69,9 @@ def test_grad_V_closed_form_on_divisor_slice():
                        for _ in range(3)) + (0.0,)
         p = fl.AffinePoint(5, coords)
         v = fl.grad_V(p, fl.FlowConfig())
-        assert np.max(np.abs(v - fl.closed_form_V_D4(p))) < 1e-10
+        assert np.max(np.abs(v - fl.closed_form_V_D4(p.array()[None])[0])) < 1e-10
+    with pytest.raises(ValueError, match="x4 = 0 slice"):
+        fl.closed_form_V_D4(np.ones((1, 4), dtype=complex))
 
 
 def test_gradient_against_finite_differences():
@@ -80,16 +81,15 @@ def test_gradient_against_finite_differences():
                        for _ in range(4))
         p = fl.AffinePoint(5, coords)
         g = fl.s_gradient(p).conj()
-        g_fd = fl.finite_difference_gradient(p)
+        g_fd = fl.finite_difference_gradient(p.array()[None])[0]
         assert np.max(np.abs(g - g_fd)) / np.max(np.abs(g)) < 1e-6
 
 
-def _metric(p, metric):
-    """H of the metric as a dense matrix: the oracle for the closed form the
-    Kahler form applies."""
+def _metric(x, metric):
+    """H of the metric at a row x as a dense matrix: the oracle for the closed
+    form the Kahler form applies."""
     if metric == "chart-flat":
         return np.eye(4, dtype=complex)
-    x = p.array()
     a = 1.0 + float(np.sum(np.abs(x) ** 2))
     return (a * np.eye(4, dtype=complex) - np.outer(x, x.conj())) / a ** 2
 
@@ -97,18 +97,16 @@ def _metric(p, metric):
 def test_omega_value_matches_dense_metric():
     rng = np.random.default_rng(31)
 
-    def vec():
-        return rng.normal(size=4) + 1j * rng.normal(size=4)
+    def vecs():
+        return rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
 
     for metric in ("chart-flat", "fubini-study"):
-        for _ in range(200):
-            p = fl.AffinePoint(int(rng.integers(1, 6)),
-                               tuple(rng.uniform(0.2, 2.0) * vec()))
-            u, v = vec(), vec()
-            want = float(np.imag(np.conj(u) @ (_metric(p, metric) @ v)))
-            assert abs(fl.omega_value(p, u, v, metric) - want) <= 1e-12 * abs(want)
-    with pytest.raises(ValueError):
-        fl.omega_value(p, u, v, "euclidean")
+        x = rng.uniform(0.2, 2.0, (200, 1)) * vecs()
+        u, v = vecs(), vecs()
+        got = _omega_rows(x, u, v, metric)
+        want = np.array([np.imag(np.conj(u[k]) @ (_metric(x[k], metric) @ v[k]))
+                         for k in range(200)])
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
 
 
 def test_gradient_guard_near_singular_surface():
@@ -204,6 +202,6 @@ def test_volume_ratio_constant():
 
 
 def test_chart_change_round_trip():
-    p = fl.AffinePoint(2, (0.3 + 0.1j, 1.4, -0.5j, 0.8))
-    q = from_homogeneous(from_homogeneous(p.homogeneous(), 4).homogeneous(), 2)
-    assert np.allclose(np.array(q.coords), np.array(p.coords))
+    x = np.array([[0.3 + 0.1j, 1.4, -0.5j, 0.8]])  # chart 2
+    y = _chart_rows(np.insert(x, 1, 1.0, axis=1), 4)
+    assert np.allclose(_chart_rows(np.insert(y, 3, 1.0, axis=1), 2), x)

@@ -17,6 +17,12 @@ def test_flow_zero_time_is_identity():
     q, diag = fl.flow(p, 0.0, _cfg())
     assert q == p
     assert diag.reason == "reached_target"
+    assert (diag.n_steps, diag.n_evals, diag.n_rejected) == (0, 0, 0)
+    x = np.array([p.array(), p.array() * 0.5])
+    ends, diag = fl.flow_batch(x, 0.0, _cfg())
+    assert np.array_equal(ends, x) and ends is not x
+    assert diag.reason.tolist() == ["reached_target"] * 2
+    assert not (diag.n_steps.any() or diag.n_evals.any() or diag.n_rejected.any())
 
 
 def test_flow_conserves_im_s_and_f_rate():
@@ -68,7 +74,7 @@ def test_newton_projection_oracle_is_idempotent():
     p0 = fl.random_x_infinity_point(rng)
     q, moved_once = fl.newton_project_to_quintic(
         fl.AffinePoint(p0.chart, tuple(np.array(p0.coords) * 0.97)), PSI)
-    z = q.homogeneous()
+    z = np.insert(q.array(), q.chart - 1, 1.0)
     assert abs(np.sum(z ** 5) - 5.0 * PSI * np.prod(z)) < 1e-10
     _, moved_again = fl.newton_project_to_quintic(q, PSI)
     assert moved_again < 1e-12
@@ -117,8 +123,42 @@ def test_transport_defect_shrinks_with_fd_step(monkeypatch):
 def test_transport_reports_abs_im_s_at_each_point():
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
     res = fl.transport_fiber(fiber, PSI, n_samples=16, n_probes=2, seed=5)
-    assert res.abs_im_s == tuple(abs(fl.eval_s(p).imag) for p in res.points)
+    assert res.chart == 4 and res.points.shape == (16, 4)
+    assert res.abs_im_s.tolist() == [abs(fl.eval_s(fl.AffinePoint(res.chart, tuple(x))).imag)
+                                     for x in res.points]
     assert max(res.abs_im_s) <= res.im_s_max
+
+
+def test_transport_defect_matches_a_per_probe_reference():
+    """The batched probe pairing against the one-point formula: each probe's
+    tangents from one-row flows, the flow direction from grad_V, and the
+    Fubini-Study Kahler form through np.vdot."""
+    fiber = fl.TorusFiber(frozenset({5}), {1: 1.0, 2: 0.9, 3: 1.1, 4: 1.0})
+    res = fl.transport_fiber(fiber, PSI, n_samples=32, n_probes=5, seed=6)
+    cfg = fl.FlowConfig(psi=PSI, metric="fubini-study")
+    angles = np.random.default_rng(6).uniform(0.0, 2.0 * np.pi, (5, 3))
+
+    def end(a):
+        x = fiber.rows(np.array([a]))[0]
+        return fl.flow(fl.AffinePoint(fiber.chart, tuple(x)), cfg.flow_target_time, cfg)[0]
+
+    want = 0.0
+    for a in angles:
+        base = end(a)
+        tangents = [(end(a + integrate.FD_ANGLE * np.eye(3)[k]).array() - base.array())
+                    / integrate.FD_ANGLE for k in range(3)]
+        tangents.append(fl.grad_V(base, cfg))
+        x = base.array()
+        h = 1.0 + np.sum(np.abs(x) ** 2)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                u, v = tangents[i], tangents[j]
+                omega = np.vdot(u, (h * v - x * np.vdot(x, v)) / h ** 2).imag
+                want = max(want, abs(omega) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    # a pairing cancels to about 1e-6 of |u| |v|, so two summation orders agree
+    # to the rounding of the normalized pairing, not to the defect's last digits
+    assert 1e-7 < want < 1e-4
+    assert abs(res.lagrangian_defect - want) <= 1e-15
 
 
 def test_transport_rejects_bad_faces():

@@ -2,6 +2,8 @@
 RK45 as an independent oracle, the guard paths, the work counters, and batch
 independence."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ def _scipy_flow(p0, t_target, cfg, n_checkpoints=33):
         f_drift = max(f_drift, abs(s.real - s0.real - t))
     return point(sol.y[:, -1]), fl.FlowDiagnostics(im_drift, f_drift, reason, t_end,
                                                    int(sol.t.size), int(sol.nfev),
-                                                   int(rejected))
+                                                   int(rejected), 0.0)
 
 
 def _oracle_cases():
@@ -77,9 +79,7 @@ def _oracle_cases():
               for _ in range(100)]
     fs = fl.FlowConfig(psi=10.0, metric="fubini-study")
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
-    rng = np.random.default_rng(0)  # transport_fiber's samples at seed 0
-    cases += [(fiber.point(tuple(rng.uniform(0.0, 2.0 * np.pi, 3))),
-               fs.flow_target_time, fs) for _ in range(64)]
+    cases += [(p, fs.flow_target_time, fs) for p in _fiber_points(fiber, 64, 0)]
     rng = np.random.default_rng([0, 1])
     for psi in (2.0, 5.0, 50.0):
         cfg = fl.FlowConfig(psi=psi)
@@ -93,6 +93,28 @@ def _oracle_cases():
     cases = [case + (DEFAULT_GUARD,) for case in cases]
     cases += [(GUARD_P0, GUARD_T, GUARD_CFG, s) for s in (1e-8, 6.6e-4, 1.4e-3)]
     return cases
+
+
+def _fiber_points(fiber, n, seed):
+    """transport_fiber's first n samples at seed, as points."""
+    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (n, fiber.angle_arity))
+    return [fl.AffinePoint(fiber.chart, tuple(x)) for x in fiber.rows(angles)]
+
+
+def _rows(points):
+    return np.array([p.array() for p in points]).reshape(-1, 4)
+
+
+def _assert_row(one, ends, diag, k):
+    """A one-row `flow` result, or its SigmaGuardError, is row k of a
+    `flow_batch` result, bit for bit."""
+    if isinstance(one, fl.SigmaGuardError):
+        assert diag.reason[k] == "guarded" and diag.guard_sq[k] == one.norm_sq
+        return
+    end, d = one
+    assert np.array_equal(end.array(), ends[k])
+    for field in fields(d):
+        assert getattr(d, field.name) == getattr(diag, field.name)[k], field.name
 
 
 def _outcome(flow, p0, t, cfg):
@@ -173,14 +195,14 @@ def test_transport_flags_guarded_samples_and_keeps_the_others(monkeypatch):
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
     cfg = fl.FlowConfig(psi=10.0, metric="fubini-study")
     res = fl.transport_fiber(fiber, 10.0, n_samples=16, seed=0, n_probes=4)
-    rng = np.random.default_rng(0)
-    alone = [_outcome(fl.flow, fiber.point(tuple(rng.uniform(0.0, 2.0 * np.pi, 3))),
-                      cfg.flow_target_time, cfg) for _ in range(16)]
+    alone = [_outcome(fl.flow, p, cfg.flow_target_time, cfg)
+             for p in _fiber_points(fiber, 16, 0)]
     flagged = [i for i, r in enumerate(alone) if isinstance(r, fl.SigmaGuardError)
                or r[1].reason != "reached_target"]
     assert res.flagged == tuple(flagged) == (0, 8, 14)
     kept = [r for i, r in enumerate(alone) if i not in flagged]
-    assert res.points == tuple(q for q, _ in kept)
+    assert res.chart == fiber.chart
+    assert np.array_equal(res.points, _rows(q for q, _ in kept))
     # the batched endpoint |Im s| against one eval_s per point
     assert res.im_s_max == max(max(d.im_s_drift, abs(fl.eval_s(q).imag)) for q, d in kept)
     assert res.f_drift_max == max(d.f_drift for _, d in kept)
@@ -190,23 +212,25 @@ def test_a_row_is_bit_identical_alone_and_in_a_batch(monkeypatch):
     rng = np.random.default_rng(7)
     monkeypatch.setattr(gradient, "SIGMA_GUARD", 6.6e-4)
     points = [GUARD_P0] + [fl.random_x_infinity_point(rng) for _ in range(511)]
-    batch = fl.flow_batch(points, GUARD_T, GUARD_CFG)
-    assert batch[0][1].reason == "sigma_guard_hit"
+    ends, diag = fl.flow_batch(_rows(points), GUARD_T, GUARD_CFG)
+    assert diag.reason[0] == "sigma_guard_hit"
     for k in (0, 1, 100, 257, 511):
-        assert fl.flow(points[k], GUARD_T, GUARD_CFG) == batch[k]
+        _assert_row(fl.flow(points[k], GUARD_T, GUARD_CFG), ends, diag, k)
 
     monkeypatch.setattr(gradient, "SIGMA_GUARD", DEFAULT_GUARD)
     fs = fl.FlowConfig(psi=10.0, metric="fubini-study")
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
-    points = [fiber.point(tuple(rng.uniform(0.0, 2.0 * np.pi, 3))) for _ in range(512)]
-    batch = fl.flow_batch(points, fs.flow_target_time, fs)
+    points = _fiber_points(fiber, 512, 7)
+    ends, diag = fl.flow_batch(_rows(points), fs.flow_target_time, fs)
     for k in (0, 3, 200, 511):
-        assert fl.flow(points[k], fs.flow_target_time, fs) == batch[k]
+        _assert_row(fl.flow(points[k], fs.flow_target_time, fs), ends, diag, k)
 
     monkeypatch.setattr(gradient, "SIGMA_GUARD", 1.4e-3)
-    batch = fl.flow_batch([GUARD_P0] * 3, GUARD_T, GUARD_CFG)
+    ends, diag = fl.flow_batch(_rows([GUARD_P0] * 3), GUARD_T, GUARD_CFG)
     alone = _outcome(fl.flow, GUARD_P0, GUARD_T, GUARD_CFG)
-    assert all(e.norm_sq == alone.norm_sq and e.where == GUARD_P0 for e in batch)
+    assert alone.where == GUARD_P0
+    for k in range(3):
+        _assert_row(alone, ends, diag, k)
 
 
 def test_backward_flow_lowers_f():
@@ -220,13 +244,13 @@ def test_c07_batch_does_the_work_of_its_one_row_flows():
     cfg = fl.FlowConfig(psi=10.0, tol=1e-10)
     rng = np.random.default_rng(0)  # verify-all's c07 points at seed 0
     points = [fl.random_x_infinity_point(rng) for _ in range(100)]
-    batch = fl.flow_batch(points, cfg.flow_target_time, cfg)
+    ends, diag = fl.flow_batch(_rows(points), cfg.flow_target_time, cfg)
     alone = [fl.flow(p, cfg.flow_target_time, cfg) for p in points]
-    assert batch == alone
-    total = sum(diag.n_evals for _, diag in batch)
-    assert total == sum(diag.n_evals for _, diag in alone) > 0
-    assert total == sum(2 + 6 * (diag.n_steps - 1 + diag.n_rejected)
-                        for _, diag in batch)
+    for k, one in enumerate(alone):
+        _assert_row(one, ends, diag, k)
+    total = int(diag.n_evals.sum())
+    assert total == sum(d.n_evals for _, d in alone) > 0
+    assert total == int(np.sum(2 + 6 * (diag.n_steps - 1 + diag.n_rejected)))
 
 
 def _near_member_points(n, seed):
@@ -244,11 +268,13 @@ def _near_member_points(n, seed):
 
 def test_newton_rows_are_bit_identical_alone_and_in_a_batch():
     points = _near_member_points(512, 11)
-    batch = fl.distances_to_quintic(points, 10.0)
-    alone = np.array([fl.distances_to_quintic([p], 10.0)[0] for p in points])
+    rows = _rows(points)
+    batch = fl.distances_to_quintic(rows, 10.0)
+    alone = np.array([fl.distances_to_quintic(rows[k:k + 1], 10.0)[0]
+                      for k in range(len(rows))])
     assert np.array_equal(batch, alone)
     assert len(set(batch.tolist())) == len(points)
-    x, moved = integrate._newton_rows(np.array([p.array() for p in points]), 10.0)
+    x, moved = integrate._newton_rows(rows, 10.0)
     assert np.array_equal(moved, batch)
     for k in (0, 1, 7, 300, 511):
         q, d = fl.newton_project_to_quintic(points[k], 10.0)
@@ -262,5 +288,5 @@ def test_newton_projection_raises_on_a_vanishing_gradient():
     with pytest.raises(ArithmeticError, match="vanishing gradient"):
         fl.newton_project_to_quintic(origin, 10.0)
     with pytest.raises(ArithmeticError, match="vanishing gradient"):
-        fl.distances_to_quintic(_near_member_points(4, 0) + [origin], 10.0)
-    assert fl.distances_to_quintic([], 10.0).shape == (0,)
+        fl.distances_to_quintic(_rows(_near_member_points(4, 0) + [origin]), 10.0)
+    assert fl.distances_to_quintic(_rows([]), 10.0).shape == (0,)

@@ -8,7 +8,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "quintfib"
 # perfbench/layers.py traces the flow layer by patching names on
 # flowlab.integrate, and refuses to trace when one of them is missing there.
 EXEMPT = {("flowlab/integrate.py", "s_gradient"),
-          ("flowlab/integrate.py", "eval_s")}
+          ("flowlab/integrate.py", "eval_s"),
+          ("flowlab/integrate.py", "grad_V")}
 
 
 def _unused_imports(tree):

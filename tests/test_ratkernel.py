@@ -295,6 +295,11 @@ def _sym(sympy, m):
     return sympy.Matrix(*m.shape, [int(x) for x in m.flat])
 
 
+def _rank(sympy, mat):
+    """sympy's rank over QQ, without the expression domain's simplification."""
+    return mat.to_DM().convert_to(sympy.QQ).rank()
+
+
 def _check_kernel(sympy, m):
     """kernel_basis against sympy: the vectors annihilate m, there are
     cols - rank of them, stacking them on sympy's rational null space leaves
@@ -309,7 +314,8 @@ def _check_kernel(sympy, m):
     assert all(not any(m.dot(v)) for v in basis)
     if basis:
         b = sympy.Matrix([list(v) for v in basis])
-        assert sympy.Matrix.vstack(b, *(v.T for v in s_null)).rank() == len(s_null)
+        stacked = sympy.Matrix.vstack(b, *(v.T for v in s_null))
+        assert _rank(sympy, stacked) == len(s_null)
         s = smith_normal_form(b, domain=sympy.ZZ)
         assert [abs(int(s[i, i])) for i in range(len(basis))] == [1] * len(basis)
 
@@ -321,7 +327,7 @@ def test_rank_and_kernel_match_sympy():
     @_settings(hyp, 40)
     @hyp.given(_matrices(st))
     def check(m):
-        assert rk.rank(m) == _sym(sympy, m).rank()
+        assert rk.rank(m) == _rank(sympy, _sym(sympy, m))
         _check_kernel(sympy, m)
 
     check()
@@ -335,8 +341,23 @@ def test_sparse_wide_rank_and_kernel_match_sympy():
     @_settings(hyp, 20)
     @hyp.given(_sparse_wide(hyp.strategies))
     def check(m):
-        assert rk.rank(m) == _sym(sympy, m).to_DM().convert_to(sympy.QQ).rank()
+        assert rk.rank(m) == _rank(sympy, _sym(sympy, m))
         _check_kernel(sympy, m)
+
+    check()
+
+
+def test_echelon_scale_is_nonzero():
+    """_echelon's (den, num) stay nonzero on singular input too: a row that
+    cancels to nothing divides out content 1, not 0."""
+    hyp, _ = _oracle()
+    assert rk._echelon(rk.imat([[1, 2], [2, 4]]))[2] == (1, 1)
+
+    @_settings(hyp, 60)
+    @hyp.given(_matrices(hyp.strategies))
+    def check(m):
+        den, num = rk._echelon(m)[2]
+        assert den != 0 and num != 0
 
     check()
 
@@ -379,7 +400,7 @@ def test_smith_form_and_lattice_index_match_sympy():
         d, _, _ = rk.smith_normal_form(m)
         assert [d[i, i] for i in range(min(rows, cols))] == want
         if rows:
-            full = _sym(sympy, m).rank() == cols
+            full = _rank(sympy, _sym(sympy, m)) == cols
             index = math.prod(want) if full else None
             assert rk.sublattice_index(m.tolist()) == index
 
