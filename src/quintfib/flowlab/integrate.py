@@ -86,23 +86,25 @@ REASONS = np.array(["running", "reached_target", "sigma_guard_hit",
                     "step_underflow", "guarded"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowDiagnostics:
     """How flows ended: per-row arrays from `flow_batch`, scalars from `flow`.
 
-    A row whose field evaluation entered the guard zone has reason
-    'guarded' and its squared gradient norm there in guard_sq (0 for every
-    other row); its drifts read 0.
+    Each field is an (N,) array from `flow_batch` and one float, str or int
+    from `flow`; compare them field by field (`==` is identity). A row
+    whose field evaluation entered the guard zone has reason 'guarded' and
+    its squared gradient norm there in guard_sq (0 for every other row);
+    its drifts read 0.
     """
 
-    im_s_drift: float
-    f_drift: float
-    reason: str
-    t_reached: float
-    n_steps: int
-    n_evals: int  # field evaluations of the stepper, as scipy's nfev
-    n_rejected: int
-    guard_sq: float
+    im_s_drift: np.ndarray | float
+    f_drift: np.ndarray | float
+    reason: np.ndarray | str
+    t_reached: np.ndarray | float
+    n_steps: np.ndarray | int
+    n_evals: np.ndarray | int  # field evaluations of the stepper, as scipy's nfev
+    n_rejected: np.ndarray | int
+    guard_sq: np.ndarray | float
 
 
 def _combine(K, coeffs):

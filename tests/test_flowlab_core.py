@@ -24,6 +24,11 @@ def test_flow_config_refuses_bad_tol_and_psi(kwargs, name):
         fl.FlowConfig(**kwargs)
 
 
+def test_flow_config_refuses_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric"):
+        fl.FlowConfig(metric="euclidean")
+
+
 def test_eval_s_zero_coordinate():
     p = fl.AffinePoint(5, (1.0, 2.0, 0.5, 0.0))
     assert fl.eval_s(p) == 0.0

@@ -156,9 +156,10 @@ def test_transport_defect_matches_a_per_probe_reference():
                 omega = np.vdot(u, (h * v - x * np.vdot(x, v)) / h ** 2).imag
                 want = max(want, abs(omega) / (np.linalg.norm(u) * np.linalg.norm(v)))
     # a pairing cancels to about 1e-6 of |u| |v|, so two summation orders agree
-    # to the rounding of the normalized pairing, not to the defect's last digits
+    # to the rounding of the normalized pairing (about 1e-13 of the defect),
+    # not to the defect's last digits
     assert 1e-7 < want < 1e-4
-    assert abs(res.lagrangian_defect - want) <= 1e-15
+    assert abs(res.lagrangian_defect - want) <= 1e-11 * want
 
 
 def test_transport_rejects_bad_faces():

@@ -220,7 +220,8 @@ def test_a_row_is_bit_identical_alone_and_in_a_batch(monkeypatch):
     monkeypatch.setattr(gradient, "SIGMA_GUARD", DEFAULT_GUARD)
     fs = fl.FlowConfig(psi=10.0, metric="fubini-study")
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
-    points = _fiber_points(fiber, 512, 7)
+    points = [fl.AffinePoint(fiber.chart, tuple(x))
+              for x in fiber.rows(rng.uniform(0.0, 2.0 * np.pi, (512, 3)))]
     ends, diag = fl.flow_batch(_rows(points), fs.flow_target_time, fs)
     for k in (0, 3, 200, 511):
         _assert_row(fl.flow(points[k], fs.flow_target_time, fs), ends, diag, k)
