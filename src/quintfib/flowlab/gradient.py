@@ -78,8 +78,10 @@ def _field_rows(x, cfg):
     so that a batch carries on with its other rows.
     """
     v, norm_sq, pole = _raw_gradient_rows(x, cfg.metric)
-    norm_sq = np.where(pole, 0.0, norm_sq)
     guarded = pole | (norm_sq <= SIGMA_GUARD)
+    if not guarded.any():
+        return v / norm_sq[:, None], norm_sq, guarded
+    norm_sq = np.where(pole, 0.0, norm_sq)
     safe = np.where(guarded, 1.0, norm_sq)[:, None]
     return np.where(guarded[:, None], 0.0, v / safe), norm_sq, guarded
 

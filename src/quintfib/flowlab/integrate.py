@@ -6,21 +6,26 @@ pencil member.  Along the way Im(s) is conserved and df/dt = 1, so both
 drifts measure pure integrator error; the acceptance bar is 1e-8 drift at
 tolerance 1e-10.
 
-`flow_batch` integrates (N, 4) chart rows on the real 8-dimensional form of
-the chart, every trajectory at once, with a row-wise replica of scipy's
-RK45: the Dormand-Prince 5(4) pair with local extrapolation (Dormand &
-Prince, J. Comput. Appl. Math. 6, 1980), the initial step of Hairer,
-Norsett and Wanner (Sec. II.4), the RMS error norm and step control of
-scipy, and the quartic dense output.  Each row keeps its own time, step
-size, error norm and work counters (field evaluations, rejected steps), and
-every sum over stages runs in a fixed order, so a trajectory's bits do not
-depend on the rows batched with it.  It returns the endpoint rows and one
-`FlowDiagnostics` of per-row arrays; `flow` is one row of it, with scalar
-diagnostics, and raises SigmaGuardError for a row that entered the guard
-zone.  The tests check the replica against scipy's solve_ivp.  A terminal
-event halts trajectories that enter the guard zone around the singular
-surface, where the field genuinely blows up and the continuation is out of
-scope.
+`flow_batch` integrates (N, 4) chart rows, every trajectory at once, with a
+row-wise replica of scipy's RK45: the Dormand-Prince 5(4) pair with local
+extrapolation (Dormand & Prince, J. Comput. Appl. Math. 6, 1980), the
+initial step of Hairer, Norsett and Wanner (Sec. II.4), the RMS error norm
+and step control of scipy, and the quartic dense output.  A row's state is
+real and 8-dimensional with the parts of each coordinate interleaved,
+(u1, v1, ..., u4, v4) for x_k = u_k + i v_k, so the state rows view as the
+complex chart rows the field takes, and the field's rows view back as
+state rows, with no copy; the RMS norm sums u1..u4 and then v1..v4.  Each
+row keeps its own time, step size, error norm and work counters (field
+evaluations, rejected steps), and every sum over stages runs in a fixed
+order, so a trajectory's bits do not depend on the rows batched with it.
+The steps work on the running rows alone, and the dense output of all
+accepted steps is built in one pass after the loop, from the stages the
+steps keep.  It returns the endpoint rows and one `FlowDiagnostics` of
+per-row arrays; `flow` is one row of it, with scalar diagnostics, and
+raises SigmaGuardError for a row that entered the guard zone.  The tests
+check the replica against scipy's solve_ivp.  A terminal event halts
+trajectories that enter the guard zone around the singular surface, where
+the field genuinely blows up and the continuation is out of scope.
 
 The endpoint oracle is batched the same way: `distances_to_quintic` runs
 the Newton projection onto the smooth member on every row at once, each row
@@ -30,6 +35,7 @@ one batch and pairs every probe's tangents in one call of the Kahler form.
 """
 
 from dataclasses import dataclass, fields
+from math import isfinite
 
 import numpy as np
 
@@ -73,6 +79,7 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
 EPS = np.finfo(float).eps
 N_CHECKPOINTS = 33  # drift checkpoints along each trajectory
+RMS_ORDER = [0, 2, 4, 6, 1, 3, 5, 7]  # u1..u4, v1..v4 in the interleaved state
 # Newton projection: stop at |value| <= NEWTON_TOL (1 + max|x|^5)
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 60
@@ -117,12 +124,9 @@ def _combine(K, coeffs):
 
 
 def _rms(a):
-    """RMS over the last axis of (N, 8) rows, summed in a fixed order."""
-    sq = a * a
-    acc = sq[:, 0]
-    for k in range(1, sq.shape[1]):
-        acc = acc + sq[:, k]
-    return np.sqrt(acc) / sq.shape[1] ** 0.5
+    """RMS over the last axis of (N, 8) state rows, summed in the fixed
+    order u1..u4, v1..v4 of the interleaved columns."""
+    return np.sqrt(np.add.accumulate((a * a)[:, RMS_ORDER], axis=1)[:, -1]) / 8 ** 0.5
 
 
 def _pow(a, e):
@@ -132,22 +136,21 @@ def _pow(a, e):
     return np.array([x ** e for x in a.tolist()])
 
 
-def _rhs(y, cfg):
-    """V as (N, 8) real rows, |grad f|^2 and the guard mask."""
-    if not np.isfinite(y).all():
-        raise ValueError("coordinates must be finite")
-    v, norm_sq, guarded = _field_rows(y[:, :4] + 1j * y[:, 4:], cfg)
-    return np.concatenate([v.real, v.imag], axis=1), norm_sq, guarded
+def _dense_coefficients(K):
+    """The dense output's (M, 4, 8) coefficients of steps with stages K."""
+    return np.stack([_combine(K, col) for col in zip(*P)], axis=1)
 
 
-def _dense(seg, t):
-    """The quartic dense output of step segments at times t."""
+def _dense(seg, at, t):
+    """The quartic dense output of the step segments `at` at times t; each
+    coefficient is gathered as it is used."""
     t_old, h, y_old, Q = seg
-    x = ((t - t_old) / h)[:, None]
+    h = h[at]
+    x = ((t - t_old[at]) / h)[:, None]
     x2 = x * x
     x3 = x2 * x
-    return h[:, None] * (Q[:, 0] * x + Q[:, 1] * x2 + Q[:, 2] * x3
-                         + Q[:, 3] * (x3 * x)) + y_old
+    return h[:, None] * (Q[at, 0] * x + Q[at, 1] * x2 + Q[at, 2] * x3
+                         + Q[at, 3] * (x3 * x)) + y_old[at]
 
 
 def _bisect(f, a, b):
@@ -174,35 +177,42 @@ def _bisect(f, a, b):
 
 
 def _integrate(y0, t_bound, cfg):
-    """Integrate (N, 8) rows from t = 0 to t_bound != 0, each on its own.
+    """Integrate (N, 8) state rows from t = 0 to t_bound != 0, each on its own.
 
     Returns per row the state (REACHED, GUARD_HIT, UNDERFLOW or GUARDED),
-    the end time and point, the numbers of accepted steps, field evaluations
-    and rejected steps, and the squared gradient norm at which a GUARDED
-    row's field evaluation stopped; then the accepted steps' dense output,
-    as rows, end times and `_dense` segments, in step order.  The count of
-    evaluations leaves out the guard event's root search, as scipy's nfev
-    does.
+    the end time and state row, the numbers of accepted steps, field
+    evaluations and rejected steps, and the squared gradient norm at which
+    a GUARDED row's field evaluation stopped; then the accepted steps'
+    dense output, as rows, end times and `_dense` segments, in step order.
+    The count of evaluations leaves out the guard event's root search, as
+    scipy's nfev does.
+
+    Each step works on the running rows' own arrays, indexed by `live`; a
+    row's results are written out when it stops.  Times, states and fields
+    are replaced, never written into, so the accepted steps keep views of
+    them for the dense output, which is built after the loop.
     """
     n = len(y0)
     d = 1.0 if t_bound > 0 else -1.0
     rtol, atol = max(cfg.tol, 100 * EPS), cfg.tol
     guard_level = 2.0 * gradient.SIGMA_GUARD  # the guard event's zero
-    state = np.full(n, RUNNING)
+    state = np.full(n, RUNNING)  # RUNNING until the row stops
     guard_sq = np.zeros(n)
-    n_evals = np.zeros(n, dtype=int)
 
-    def evaluate(rows, ys):
-        n_evals[rows] += 1
-        f, norm_sq, guarded = _rhs(ys, cfg)
-        hit = guarded & (state[rows] == RUNNING)
-        state[rows[hit]] = GUARDED
-        guard_sq[rows[hit]] = norm_sq[hit]
-        return f, norm_sq
+    def evaluate(ys):
+        """V at the running rows' states ys, and |grad f|^2; a row whose
+        evaluation enters the guard zone stops GUARDED."""
+        if not np.isfinite(ys).all():
+            raise ValueError("coordinates must be finite")
+        v, norm_sq, guarded = _field_rows(ys.view(complex), cfg)
+        if guarded.any():
+            hit = guarded & (state == RUNNING)
+            state[hit] = GUARDED
+            guard_sq[hit] = norm_sq[hit]
+        return v.view(float), norm_sq
 
-    every = np.arange(n)
     t, y = np.zeros(n), y0.copy()
-    f, norm_sq = evaluate(every, y)
+    f, norm_sq = evaluate(y)
     g = norm_sq - guard_level
 
     # Hairer's initial step
@@ -212,89 +222,111 @@ def _integrate(y0, t_bound, cfg):
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.where(interval < h0, interval, h0)
-        f1, _ = evaluate(every, y + (h0 * d)[:, None] * f)
+        f1, _ = evaluate(y + (h0 * d)[:, None] * f)
         d2 = _rms((f1 - f) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       _pow(0.01 / np.maximum(d1, d2), 1 / 5))
     h_abs = np.minimum(np.minimum(100 * h0, h1), interval)
 
+    live = np.arange(n)
     n_acc = np.zeros(n, dtype=int)
+    n_evals = np.full(n, 2)  # the initial step's two evaluations
     n_rej = np.zeros(n, dtype=int)
     rejected = np.zeros(n, dtype=bool)
-    steps = []
+    # per row: state, end time and point, counters and guard norm
+    out = (state.copy(), t.copy(), y.copy(), n_acc.copy(), n_evals.copy(),
+           n_rej.copy(), guard_sq.copy())
+    steps = []  # per accepted batch: rows, end times, start times, sizes, starts, stages
     while True:
-        rows = np.flatnonzero(state == RUNNING)
-        if not rows.size:
+        done = state != RUNNING
+        if done.any():
+            for dst, src in zip(out, (state, t, y, n_acc, n_evals, n_rej, guard_sq)):
+                dst[live[done]] = src[done]
+            keep = ~done
+            (live, state, t, y, n_acc, n_evals, n_rej, guard_sq, f, g, h_abs,
+             rejected) = (a[keep] for a in (live, state, t, y, n_acc, n_evals, n_rej,
+                                             guard_sq, f, g, h_abs, rejected))
+        if not live.size:
             break
-        tr = t[rows]
-        min_step = 10 * np.abs(np.nextafter(tr, d * np.inf) - tr)
-        h = h_abs[rows]
-        fresh = ~rejected[rows]
-        h = np.where(fresh & (h < min_step), min_step, h)
-        under = h < min_step
-        state[rows[under]] = UNDERFLOW
-        keep = ~under
-        rows, tr, h = rows[keep], tr[keep], h[keep]
-        if not rows.size:
-            continue
-        t_new = tr + h * d
+        min_step = 10 * np.abs(np.nextafter(t, d * np.inf) - t)
+        h = h_abs
+        small = h < min_step
+        if small.any():
+            # a step below the minimum is raised to it, unless it follows a
+            # rejection: then the row underflows
+            under = small & rejected
+            if under.any():
+                state[under] = UNDERFLOW
+                continue
+            h = np.where(small, min_step, h)
+        t_new = t + h * d
         t_new = np.where(d * (t_new - t_bound) > 0, t_bound, t_new)
-        h = t_new - tr
+        h = t_new - t
         hc = h[:, None]
-        yr = y[rows]
-        K = [f[rows]]
+        K = [f]
         for a in A[1:]:
-            K.append(evaluate(rows, yr + _combine(K, a) * hc)[0])
-        y_new = yr + hc * _combine(K, B)
-        f_new, norm_sq = evaluate(rows, y_new)
+            K.append(evaluate(y + _combine(K, a) * hc)[0])
+        y_new = y + hc * _combine(K, B)
+        f_new, norm_sq = evaluate(y_new)
         K.append(f_new)
-        scale = atol + np.maximum(np.abs(yr), np.abs(y_new)) * rtol
+        n_evals += 6
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err = _rms(_combine(K, E) * hc / scale)
 
-        ok = err < 1
-        pw = SAFETY * _pow(np.where(err == 0, 1.0, err), ERROR_EXPONENT)
-        grow = np.where(err == 0, MAX_FACTOR, np.where(pw < MAX_FACTOR, pw, MAX_FACTOR))
-        grow = np.where(rejected[rows] & ~(grow < 1), 1.0, grow)
+        ok, zero = err < 1, err == 0
+        pw = SAFETY * _pow(np.where(zero, 1.0, err), ERROR_EXPONENT)
+        grow = np.where(zero, MAX_FACTOR, np.where(pw < MAX_FACTOR, pw, MAX_FACTOR))
+        grow = np.where(rejected & ~(grow < 1), 1.0, grow)
         shrink = np.where(pw > MIN_FACTOR, pw, MIN_FACTOR)
-        h_abs[rows] = np.abs(h) * np.where(ok, grow, shrink)
-        rejected[rows] = ~ok
-        n_rej[rows] += ~ok
+        h_abs = np.abs(h) * np.where(ok, grow, shrink)
+        rejected = ~ok
+        n_rej += rejected
 
-        ok &= state[rows] == RUNNING
-        acc = rows[ok]
-        if not acc.size:
+        # a row that entered the guard zone during the step stays where it was
+        ok &= state == RUNNING
+        if not ok.any():
             continue
-        K = [k[ok] for k in K]
-        seg = (tr[ok], h[ok], yr[ok],
-               np.stack([_combine(K, col) for col in zip(*P)], axis=1))
-        steps.append((acc, t_new[ok], seg))
-        t[acc], y[acc], f[acc] = t_new[ok], y_new[ok], f_new[ok]
-        n_acc[acc] += 1
-        state[acc[d * (t_new[ok] - t_bound) >= 0]] = REACHED
-        g_new = norm_sq[ok] - guard_level
+        every = ok.all()
+        acc = slice(None) if every else ok
+        steps.append((live[acc], t_new[acc], t[acc], h[acc], y[acc], *(k[acc] for k in K)))
+        g_new = norm_sq - guard_level
+        cross = np.flatnonzero(ok & (g >= 0) & (g_new <= 0))
+        t_old, y_old = t, y
+        if every:
+            t, y, f, g = t_new, y_new, f_new, g_new
+        else:
+            col = ok[:, None]
+            t, y = np.where(ok, t_new, t), np.where(col, y_new, y)
+            f, g = np.where(col, f_new, f), np.where(ok, g_new, g)
+        n_acc += ok
+        state[ok & (d * (t_new - t_bound) >= 0)] = REACHED
         # a row whose step crosses the guard level stops at the crossing,
         # bisected on the step's dense output down to adjacent floats
-        for k in np.flatnonzero((g[acc] >= 0) & (g_new <= 0)):
-            one = tuple(part[k:k + 1] for part in seg)
+        if cross.size:
+            t, y = t.copy(), y.copy()  # the step's own ends stay in `steps`
+        for k in cross:
+            one = (t_old[k:k + 1], h[k:k + 1], y_old[k:k + 1],
+                   _dense_coefficients([s[k:k + 1] for s in K]))
 
             def event(tt):
-                ys = _dense(one, np.array([tt]))
-                norm = _field_rows(ys[:, :4] + 1j * ys[:, 4:], cfg)[1][0]
-                return float(norm) - guard_level
+                ys = _dense(one, [0], np.array([tt]))
+                return float(_field_rows(ys.view(complex), cfg)[1][0]) - guard_level
 
-            root = _bisect(event, float(tr[ok][k]), float(t_new[ok][k]))
-            t[acc[k]], y[acc[k]] = root, _dense(one, np.array([root]))[0]
-            state[acc[k]] = GUARD_HIT
-        g[acc] = g_new
+            root = _bisect(event, float(t_old[k]), float(t_new[k]))
+            t[k], y[k] = root, _dense(one, [0], np.array([root]))[0]
+            state[k] = GUARD_HIT
 
+    state, t, y, n_acc, n_evals, n_rej, guard_sq = out
     counts = (n_acc, n_evals, n_rej)
     if not steps:
         return state, t, y, counts, guard_sq, None
+    # the dense output of every accepted step at once, grouped by row
     seg_rows = np.concatenate([s[0] for s in steps])
     order = np.argsort(seg_rows, kind="stable")
-    t1 = np.concatenate([s[1] for s in steps])[order]
-    segs = tuple(np.concatenate([s[2][k] for s in steps])[order] for k in range(4))
-    return state, t, y, counts, guard_sq, (seg_rows[order], t1, segs)
+    t1, t_old, h, y_old, *K = (np.concatenate(part)[order] for part in list(zip(*steps))[1:])
+    steps.clear()
+    return state, t, y, counts, guard_sq, (seg_rows[order], t1,
+                                           (t_old, h, y_old, _dense_coefficients(K)))
 
 
 def _checkpoint_drifts(s0, t_end, rows, steps, d):
@@ -305,9 +337,11 @@ def _checkpoint_drifts(s0, t_end, rows, steps, d):
     step's interpolant.
     """
     seg_rows, t1, seg = steps
-    mine = np.isin(seg_rows, rows)
+    mine = np.zeros(len(t_end), dtype=bool)
+    mine[rows] = True
+    mine = np.flatnonzero(mine[seg_rows])  # the steps of `rows`
     at = np.searchsorted(rows, seg_rows[mine])  # position of each step's row
-    t1, seg = t1[mine], tuple(part[mine] for part in seg)
+    t1 = t1[mine]
     counts = np.bincount(at, minlength=len(rows))
     starts = np.cumsum(counts) - counts
     # breakpoints per row in the direction of time, padded with +inf
@@ -321,12 +355,29 @@ def _checkpoint_drifts(s0, t_end, rows, steps, d):
     ts[:, -1] = t_end[rows]
     left = (bounds[:, None, :] < d * ts[:, :, None]).sum(axis=2)
     which = starts[:, None] + np.clip(left - 1, 0, (counts - 1)[:, None])
-    ys = _dense(tuple(part[which.ravel()] for part in seg), ts.ravel())
-    s = _eval_s_rows(ys[:, :4] + 1j * ys[:, 4:]).reshape(ts.shape)
+    ys = _dense(seg, mine[which.ravel()], ts.ravel())
+    s = _eval_s_rows(_complex_rows(ys)).reshape(ts.shape)
     s0 = s0[rows][:, None]
     im = np.max(np.abs(s.imag - s0.imag), axis=1, initial=0.0)
     f = np.max(np.abs(s.real - s0.real - ts), axis=1, initial=0.0)
     return im, f
+
+
+def _as_rows(x, name):
+    """x as an (N, 4) float or complex array of chart rows, or a
+    ValueError naming it; integer rows become floats, so that no power of
+    a coordinate wraps around."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != 4 or x.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must be (N, 4) numeric chart rows, "
+                         f"got {x.dtype} of shape {x.shape}")
+    return x.astype(np.result_type(x, float), copy=False)
+
+
+def _complex_rows(y):
+    """(N, 4) complex rows of (N, 8) state rows, with the signed zeros
+    `u + 1j * v` gives."""
+    return y[:, 0::2] + 1j * y[:, 1::2]
 
 
 def flow_batch(x0, t_target, cfg):
@@ -335,6 +386,10 @@ def flow_batch(x0, t_target, cfg):
     Returns the (N, 4) endpoint rows and a FlowDiagnostics of per-row
     arrays; a row's results do not depend on the rows batched with it.
     """
+    x0 = _as_rows(x0, "x0")
+    t_target = float(t_target)
+    if not isfinite(t_target):
+        raise ValueError(f"t_target must be finite, got {t_target}")
     n = len(x0)
     if t_target == 0.0:
         zero, none = np.zeros(n), np.zeros(n, dtype=int)
@@ -342,7 +397,7 @@ def flow_batch(x0, t_target, cfg):
                                           zero, none, none, none, zero)
     s0 = _eval_s_rows(x0)
     state, t_end, y_end, (n_acc, n_evals, n_rej), guard_sq, steps = _integrate(
-        np.concatenate([x0.real, x0.imag], axis=1), float(t_target), cfg)
+        np.array(x0, dtype=complex, order="C").view(float), t_target, cfg)
     im = np.zeros(n)
     f = np.zeros(n)
     # a row with no accepted step has not moved, and its drifts stay 0
@@ -350,7 +405,7 @@ def flow_batch(x0, t_target, cfg):
     if rows.size:
         d = 1.0 if t_target > 0 else -1.0
         im[rows], f[rows] = _checkpoint_drifts(s0, t_end, rows, steps, d)
-    return y_end[:, :4] + 1j * y_end[:, 4:], FlowDiagnostics(
+    return _complex_rows(y_end), FlowDiagnostics(
         im, f, REASONS[state], t_end, n_acc + 1, n_evals, n_rej, guard_sq)
 
 
@@ -387,7 +442,7 @@ def _newton_rows(x, psi):
     for _ in range(NEWTON_MAX_ITER):
         xa = x[alive]
         val = _quintic(xa, psi)
-        scale = 1.0 + np.max(np.abs(xa), axis=1) ** 5
+        scale = 1.0 + np.abs(xa).max(axis=1) ** 5
         live = ~(np.abs(val) <= NEWTON_TOL * scale)
         alive, xa, val = alive[live], xa[live], val[live]
         if not alive.size:
@@ -405,7 +460,7 @@ def _newton_rows(x, psi):
 def distances_to_quintic(x, psi):
     """Displacements of the Newton projections of (N, 4) rows onto the
     smooth member, as one array; the independent endpoint oracle."""
-    return _newton_rows(x, psi)[1]
+    return _newton_rows(_as_rows(x, "x"), psi)[1]
 
 
 def newton_project_to_quintic(p, psi):
@@ -546,9 +601,10 @@ def circle_collapse_winding(pair, radii, psi):
     that coordinate's argument at the endpoints as phi sweeps a full turn.
     A unit winding certifies the extra circle.
     """
+    if len(pair) != 2 or len(set(pair)) != 2 or not set(pair) <= set(range(1, 6)):
+        raise ValueError("expected a face with two vanishing coordinates: two "
+                         f"distinct indices in 1..5, got {tuple(pair)}")
     pair = sorted(pair)
-    if len(pair) != 2:
-        raise ValueError("expected a face with two vanishing coordinates")
     track = pair[0]  # the other vanishing coordinate stays 0
     cfg = FlowConfig(psi=psi)
     live = sorted(set(range(1, 6)) - set(pair))

@@ -61,9 +61,14 @@ def _others(x):
     """Product of the other three coordinates, slot by slot, on (..., 4)
     arrays: a prefix product times a suffix product, with no division, so a
     vanishing coordinate (the starting divisor) stays exact."""
-    x0, x1, x2, x3 = (x[..., k] for k in range(4))
+    x0, x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
     x01, x23 = x0 * x1, x2 * x3
-    return np.stack([x1 * x23, x0 * x23, x01 * x3, x01 * x2], axis=-1)
+    out = np.empty_like(x)
+    np.multiply(x1, x23, out=out[..., 0])
+    np.multiply(x0, x23, out=out[..., 1])
+    np.multiply(x01, x3, out=out[..., 2])
+    np.multiply(x01, x2, out=out[..., 3])
+    return out
 
 
 def _s_parts(x):
@@ -73,7 +78,7 @@ def _s_parts(x):
     others = _others(x)
     num = others[..., 3] * x[..., 3]
     den = _sum4(x ** 5) + 1.0
-    scale = 1.0 + np.max(np.abs(x), axis=-1) ** 5
+    scale = 1.0 + np.abs(x).max(axis=-1) ** 5
     return num, den, others, np.abs(den) <= POLE_TOL * scale
 
 
@@ -87,7 +92,9 @@ def _s_gradient_rows(x):
     """Partials of s on (N, 4) rows and the pole mask; rows at a pole get
     finite placeholders instead of an error."""
     num, den, others, pole = _s_parts(x)
-    return _ds(x, num, np.where(pole, 1.0, den), others), pole
+    if pole.any():
+        den = np.where(pole, 1.0, den)
+    return _ds(x, num, den, others), pole
 
 
 def _eval_s_rows(x):

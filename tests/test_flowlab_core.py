@@ -24,6 +24,49 @@ def test_flow_config_refuses_bad_tol_and_psi(kwargs, name):
         fl.FlowConfig(**kwargs)
 
 
+@pytest.mark.parametrize("rows, t_target, name", [
+    (np.ones((2, 3), dtype=complex), 0.02, "x0"),
+    (np.ones((2, 3), dtype=complex), 0.0, "x0"),  # a zero time flows nothing
+    (np.ones(4, dtype=complex), 0.02, "x0"),
+    (np.ones((2, 5), dtype=complex), 0.02, "x0"),
+    (np.full((1, 4), "1"), 0.02, "x0"),
+    (np.ones((2, 4), dtype=complex), float("nan"), "t_target"),
+    (np.ones((2, 4), dtype=complex), float("inf"), "t_target"),
+    (np.ones((2, 4), dtype=complex), -float("inf"), "t_target"),
+])
+def test_flow_batch_refuses_malformed_input(rows, t_target, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        fl.flow_batch(rows, t_target, fl.FlowConfig())
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 5), (1, 2, 4)])
+def test_distances_refuse_malformed_rows(shape):
+    with pytest.raises(ValueError, match="^x must"):
+        fl.distances_to_quintic(np.ones(shape, dtype=complex), 10.0)
+
+
+def test_real_rows_flow_as_complex_rows():
+    x = np.array([[1.0, 0.9, 1.1, 0.0], [0.5, 1.2, 0.8, 0.0]])
+    cfg = fl.FlowConfig()
+    ends, diag = fl.flow_batch(x, cfg.flow_target_time, cfg)
+    ends_c, diag_c = fl.flow_batch(x.astype(complex), cfg.flow_target_time, cfg)
+    assert np.array_equal(ends, ends_c)
+    assert diag.reason.tolist() == diag_c.reason.tolist() == ["reached_target"] * 2
+    assert fl.distances_to_quintic(x, 10.0).shape == (2,)
+
+
+def test_integer_rows_read_as_float_rows():
+    # 7000^5 wraps around in int64
+    x = np.array([[7000, 1, 1, 0], [1, 2, 1, 0]])
+    cfg = fl.FlowConfig()
+    ends, diag = fl.flow_batch(x, cfg.flow_target_time, cfg)
+    ends_f, diag_f = fl.flow_batch(x.astype(float), cfg.flow_target_time, cfg)
+    assert np.array_equal(ends, ends_f)
+    assert np.array_equal(diag.f_drift, diag_f.f_drift)
+    assert np.array_equal(fl.distances_to_quintic(x, 10.0),
+                          fl.distances_to_quintic(x.astype(float), 10.0))
+
+
 def test_flow_config_refuses_unknown_metric():
     with pytest.raises(ValueError, match="unknown metric"):
         fl.FlowConfig(metric="euclidean")

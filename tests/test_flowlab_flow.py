@@ -169,6 +169,12 @@ def test_transport_rejects_bad_faces():
         fl.TorusFiber(frozenset({5}), {1: 1.0})
 
 
+@pytest.mark.parametrize("pair", [(4, 4), (4, 6), (0, 5), (5,), (1, 2, 3)])
+def test_circle_collapse_refuses_a_bad_face(pair):
+    with pytest.raises(ValueError, match="two distinct indices in 1..5"):
+        fl.circle_collapse_winding(pair, {1: 1.0, 2: 1.0, 3: 1.0}, psi=PSI)
+
+
 def test_codimension_two_point_sweeps_a_circle(monkeypatch):
     monkeypatch.setattr(integrate, "N_PHI", 24)
     w = fl.circle_collapse_winding((4, 5), {1: 1.0, 2: 1.0, 3: 1.0}, psi=PSI)

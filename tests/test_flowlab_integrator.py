@@ -2,6 +2,7 @@
 RK45 as an independent oracle, the guard paths, the work counters, and batch
 independence."""
 
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -148,6 +149,89 @@ def test_flow_matches_scipy_rk45(monkeypatch):
         assert abs(diag.im_s_drift - ref_diag.im_s_drift) < 1e-13
     assert guarded == 1
     assert rejected > 0  # the loose cases exercise the rejection count
+
+
+def _blowup_field(x, cfg):
+    """A field whose flow takes u1 to 0.1 in finite time: du1/dt =
+    1 / (0.1 - u1)^2, with (0.1 - u1)^2 as the squared gradient norm that
+    the guard reads."""
+    norm_sq = (0.1 - x[:, 0].real) ** 2
+    guarded = norm_sq <= gradient.SIGMA_GUARD
+    v = np.zeros_like(x)
+    v[:, 0] = np.where(guarded, 0.0, 1.0 / np.where(guarded, 1.0, norm_sq))
+    return v, norm_sq, guarded
+
+
+def _golden_batches():
+    """(rows, time, config, guard, field) of each batch that the golden
+    digests pin down: the oracle cases, one batch per (time, config, guard)
+    in case order; the guard start ahead of 31 c07 starts, which crosses
+    the guard level while the others run on; and rows of the blow-up field,
+    which by start and guard run out of steps, cross the guard level or
+    enter the guard zone mid-flow, beside rows that reach the target."""
+    cases = _oracle_cases()
+    groups = {}
+    for p0, t, cfg, sigma in cases:
+        groups.setdefault((t, cfg, sigma), []).append(p0)
+    batches = [(_rows(points), t, cfg, sigma, None)
+               for (t, cfg, sigma), points in groups.items()]
+    batches.append((_rows([GUARD_P0] + [case[0] for case in cases[:31]]),
+                    GUARD_T, GUARD_CFG, 6.6e-4, None))
+    starts = np.array([[u, 1.0, 1j, 0.5]
+                       for u in (0.0, 0.05, -0.5, -1.5, 0.099, -2.0, 0.0999)])
+    batches += [(starts, 1.0, fl.FlowConfig(), sigma, _blowup_field)
+                 for sigma in (1e-300, 1e-8, 1e-4)]
+    return batches
+
+
+def _digests(monkeypatch):
+    """sha256 of the endpoint rows and of each diagnostics array of
+    `flow_batch` over the golden batches, and of the endpoint rows of
+    circle_collapse_winding's batch."""
+    parts = {name: [] for name in ["ends"] + [f.name for f in fields(fl.FlowDiagnostics)]}
+    for x0, t, cfg, sigma, field in _golden_batches():
+        with monkeypatch.context() as m:
+            m.setattr(gradient, "SIGMA_GUARD", sigma)
+            if field is not None:
+                m.setattr(integrate, "_field_rows", field)
+            ends, diag = fl.flow_batch(x0, t, cfg)
+        parts["ends"].append(ends.tobytes())
+        for f in fields(diag):
+            a = getattr(diag, f.name)
+            parts[f.name].append("\n".join(a.tolist()).encode() if f.name == "reason"
+                                 else a.astype(float).tobytes())
+    calls = []
+    batch = fl.flow_batch
+
+    def spy(*args):
+        calls.append(batch(*args))
+        return calls[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(integrate, "flow_batch", spy)
+        integrate.circle_collapse_winding((4, 5), {1: 1.0, 2: 1.0, 3: 1.0}, psi=10.0)
+    parts["collapse_ends"] = [ends.tobytes() for ends, _ in calls]
+    return {k: hashlib.sha256(b"".join(v)).hexdigest() for k, v in parts.items()}
+
+
+# `_digests` under numpy 2.4 on x86-64; a move in any last bit of a
+# trajectory, a drift, a counter or a reason changes one of them
+GOLDEN = {
+    "ends": "1dc251d1100cde4f0ae1c9e278b00c236b8f6f74a1e14bf18b03e5e439025b87",
+    "im_s_drift": "da9a76195ecc52c9ae84fbba1f1a4df754071ceb46b6b70d38c1a5c9780636a2",
+    "f_drift": "6829fd3d06349f11797fe3f9ef32b7d86d8484dc446e1f7cd1cd867cd71c9c2d",
+    "reason": "08781e59715756e4b97b94e219e823fafbeaa0193ca282e1e07abe79dc2f2c18",
+    "t_reached": "86266a1d02d6612627f3c2bd4bbd433816cb3404c251c0e73a6a5b5df592e912",
+    "n_steps": "88f48c59d69ea8384adb6981abdee718174031b9a234bf49a62f550c5501b4d1",
+    "n_evals": "3e295158bf04d150e9d7eef512f185418920fc33c8a84ecda8baf199ed7fdffe",
+    "n_rejected": "3f6c30b83db8ec453c6038fec84d730bef1198c0fea88f60ca78ddc5f5ea6419",
+    "guard_sq": "5ceaf557663302329aa97b0652b57804973967599f890e39c1f366966918e5b9",
+    "collapse_ends": "6ebedfdc587effd2f533fde0604fa9095735ccef50872591bfca25883475ab8d",
+}
+
+
+def test_flows_match_their_golden_digests(monkeypatch):
+    assert _digests(monkeypatch) == GOLDEN
 
 
 def test_bisection_finds_brentqs_roots():
