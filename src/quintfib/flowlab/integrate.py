@@ -73,6 +73,9 @@ P = (
     (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+# the stages the dense output reads: P's row for K[1] is zero
+DENSE_STAGES = (0, 2, 3, 4, 5, 6)
+P_DENSE = tuple(P[j] for j in DENSE_STAGES)
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
@@ -137,8 +140,9 @@ def _pow(a, e):
 
 
 def _dense_coefficients(K):
-    """The dense output's (M, 4, 8) coefficients of steps with stages K."""
-    return np.stack([_combine(K, col) for col in zip(*P)], axis=1)
+    """The dense output's (M, 4, 8) coefficients of steps whose stages
+    DENSE_STAGES are K."""
+    return np.stack([_combine(K, col) for col in zip(*P_DENSE)], axis=1)
 
 
 def _dense(seg, at, t):
@@ -188,9 +192,9 @@ def _integrate(y0, t_bound, cfg):
     scipy's nfev does.
 
     Each step works on the running rows' own arrays, indexed by `live`; a
-    row's results are written out when it stops.  Times, states and fields
-    are replaced, never written into, so the accepted steps keep views of
-    them for the dense output, which is built after the loop.
+    row's results are written out when it stops.  The accepted steps keep
+    their start rows and the stages that the dense output reads; the dense
+    output is built from them after the loop.
     """
     n = len(y0)
     d = 1.0 if t_bound > 0 else -1.0
@@ -236,7 +240,7 @@ def _integrate(y0, t_bound, cfg):
     # per row: state, end time and point, counters and guard norm
     out = (state.copy(), t.copy(), y.copy(), n_acc.copy(), n_evals.copy(),
            n_rej.copy(), guard_sq.copy())
-    steps = []  # per accepted batch: rows, end times, start times, sizes, starts, stages
+    steps = []  # per accepted batch: rows, end times, start times, sizes, starts, dense stages
     while True:
         done = state != RUNNING
         if done.any():
@@ -286,27 +290,21 @@ def _integrate(y0, t_bound, cfg):
         ok &= state == RUNNING
         if not ok.any():
             continue
-        every = ok.all()
-        acc = slice(None) if every else ok
-        steps.append((live[acc], t_new[acc], t[acc], h[acc], y[acc], *(k[acc] for k in K)))
+        steps.append((live[ok], t_new[ok], t[ok], h[ok], y[ok],
+                      *(K[j][ok] for j in DENSE_STAGES)))
         g_new = norm_sq - guard_level
         cross = np.flatnonzero(ok & (g >= 0) & (g_new <= 0))
         t_old, y_old = t, y
-        if every:
-            t, y, f, g = t_new, y_new, f_new, g_new
-        else:
-            col = ok[:, None]
-            t, y = np.where(ok, t_new, t), np.where(col, y_new, y)
-            f, g = np.where(col, f_new, f), np.where(ok, g_new, g)
+        col = ok[:, None]
+        t, y = np.where(ok, t_new, t), np.where(col, y_new, y)
+        f, g = np.where(col, f_new, f), np.where(ok, g_new, g)
         n_acc += ok
         state[ok & (d * (t_new - t_bound) >= 0)] = REACHED
         # a row whose step crosses the guard level stops at the crossing,
         # bisected on the step's dense output down to adjacent floats
-        if cross.size:
-            t, y = t.copy(), y.copy()  # the step's own ends stay in `steps`
         for k in cross:
             one = (t_old[k:k + 1], h[k:k + 1], y_old[k:k + 1],
-                   _dense_coefficients([s[k:k + 1] for s in K]))
+                   _dense_coefficients([K[j][k:k + 1] for j in DENSE_STAGES]))
 
             def event(tt):
                 ys = _dense(one, [0], np.array([tt]))
