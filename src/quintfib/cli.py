@@ -198,9 +198,8 @@ def cmd_covering(args):
 
 
 def cmd_verify_all(args):
-    cfg = verify.VerifyConfig(psi=args.psi, tol=args.tol,
-                              samples=args.samples, seed=args.seed,
-                              skip=args.skip or "")
+    cfg = verify.VerifyConfig(psi=args.psi, samples=args.samples,
+                              seed=args.seed, skip=args.skip or "")
     report = verify.verify_all(cfg)
     _emit(args, report.as_dict(), report.render_table)
     return 0 if report.passed else 1
@@ -281,7 +280,6 @@ def build_parser():
 
     p = sub.add_parser("verify-all", help="run the full acceptance battery")
     p.add_argument("--psi", type=float, default=10.0)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--skip", choices=("numeric", "symbolic"), default=None)

@@ -20,7 +20,6 @@ from .pairing import PairingResult, loop_pairing_detailed
 from .covering import covering_count, covering_roots, covering_stratum
 from .harveylawson import (HLProbeResult, classify_hl_target, hl_fiber_probe,
                            hl_map, hl_jacobian_rank, sample_hl_fiber)
-from .momentmaps import moment_maps, volume_ratio
 
 __all__ = [
     "AffinePoint", "PoleError", "eval_s", "random_x_infinity_point",
@@ -34,5 +33,4 @@ __all__ = [
     "covering_count", "covering_roots", "covering_stratum",
     "HLProbeResult", "classify_hl_target", "hl_fiber_probe", "hl_map",
     "hl_jacobian_rank", "sample_hl_fiber",
-    "moment_maps", "volume_ratio",
 ]

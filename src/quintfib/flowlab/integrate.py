@@ -331,29 +331,19 @@ def _checkpoint_drifts(s0, t_end, rows, steps, d):
     """Largest Im(s) and f drifts at N_CHECKPOINTS equally spaced times on
     [0, t_end] of each of `rows`, read from the dense output.
 
-    Like scipy's OdeSolution, a time on a step boundary reads the earlier
-    step's interpolant.
+    The steps must be ordered by row and, within a row, by time, as
+    `_integrate` returns them: then the keys row + 1j * (d * t1) ascend,
+    since numpy orders complex numbers by real part, then by imaginary
+    part, and one sorted search finds the first step of a checkpoint's row
+    that ends at or after it.  So, like scipy's OdeSolution, a time on a
+    step boundary reads the earlier step's interpolant.
     """
     seg_rows, t1, seg = steps
-    mine = np.zeros(len(t_end), dtype=bool)
-    mine[rows] = True
-    mine = np.flatnonzero(mine[seg_rows])  # the steps of `rows`
-    at = np.searchsorted(rows, seg_rows[mine])  # position of each step's row
-    t1 = t1[mine]
-    counts = np.bincount(at, minlength=len(rows))
-    starts = np.cumsum(counts) - counts
-    # breakpoints per row in the direction of time, padded with +inf
-    bounds = np.full((len(rows), counts.max() + 1), np.inf)
-    bounds[:, 0] = 0.0
-    bounds[at, np.arange(len(at)) - starts[at] + 1] = d * t1
-    bounds[np.arange(len(rows)), counts] = d * t_end[rows]
-
     # np.linspace(0, t_end, n) row by row, bit for bit
     ts = np.arange(N_CHECKPOINTS) * (t_end[rows] / (N_CHECKPOINTS - 1))[:, None]
     ts[:, -1] = t_end[rows]
-    left = (bounds[:, None, :] < d * ts[:, :, None]).sum(axis=2)
-    which = starts[:, None] + np.clip(left - 1, 0, (counts - 1)[:, None])
-    ys = _dense(seg, mine[which.ravel()], ts.ravel())
+    which = np.searchsorted(seg_rows + 1j * (d * t1), rows[:, None] + 1j * (d * ts))
+    ys = _dense(seg, which.ravel(), ts.ravel())
     s = _eval_s_rows(_complex_rows(ys)).reshape(ts.shape)
     s0 = s0[rows][:, None]
     im = np.max(np.abs(s.imag - s0.imag), axis=1, initial=0.0)
@@ -552,6 +542,8 @@ def transport_fiber(fiber, psi, n_samples, seed, tol=1e-10, n_probes=12):
     """
     if n_samples < 0:
         raise ValueError("the sample count must not be negative")
+    if n_probes < 1:
+        raise ValueError(f"n_probes must be at least 1, got {n_probes}")
     cfg = FlowConfig(psi=psi, tol=tol, metric="fubini-study")
     arity = fiber.angle_arity
     angles = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (n_samples, arity))

@@ -23,28 +23,27 @@ from .flowlab.points import _s_gradient_rows, _x_infinity_rows
 from .basecomplex import GraphEdge, GraphVertex
 from .monodromy import ChartId
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int
     psi: float = 10.0
-    tol: float = 1e-8
     samples: int = 100
     skip: str = ""  # '', 'numeric' or 'symbolic'
 
     def __post_init__(self):
         if self.samples < 0:
             raise ValueError("the sample count must not be negative")
+        if self.seed < 0:
+            raise ValueError(f"the seed must not be negative, got {self.seed}")
         if not (isfinite(self.psi) and self.psi != 0):
             raise ValueError(f"psi must be finite and nonzero, got {self.psi}")
-        if not isfinite(self.tol):
-            raise ValueError(f"tol must be finite, got {self.tol}")
 
     def as_dict(self):
-        return {"psi": self.psi, "tol": self.tol, "samples": self.samples,
-                "seed": self.seed, "skip": self.skip}
+        return {"psi": self.psi, "samples": self.samples, "seed": self.seed,
+                "skip": self.skip}
 
 
 @dataclass

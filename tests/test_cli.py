@@ -138,12 +138,17 @@ def test_verify_all_symbolic_only(capsys):
     ("flow", "--psi", "nan"),
     ("pairing", "--loop", "1,2,3", "--form", "3,2", "--psi", "nan"),
     ("verify-all", "--psi", "nan"),
-    ("verify-all", "--tol", "nan"),
-    ("verify-all", "--tol", "inf"),
+    ("verify-all", "--seed", "-1"),
 ])
 def test_bad_sample_counts_and_psi_are_rejected(capsys, argv):
     with pytest.raises(ValueError):
         run_cli(capsys, *argv)
+
+
+def test_verify_all_has_no_tol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "verify-all", "--tol", "1e-8")
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -172,6 +177,12 @@ def test_verify_report_json_is_stable_without_runtimes():
     a = _without_runtimes(verify.verify_all(cfg))
     b = _without_runtimes(verify.verify_all(cfg))
     assert a == b
+
+
+def test_verify_report_schema_and_config_keys():
+    payload = verify.verify_all(verify.VerifyConfig(seed=0, skip="numeric")).as_dict()
+    assert payload["schema_version"] == 2
+    assert list(payload["config"]) == ["psi", "samples", "seed", "skip"]
 
 
 def test_verify_all_json_is_the_reports_dict(monkeypatch, capsys):

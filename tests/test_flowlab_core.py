@@ -204,51 +204,6 @@ def test_im_s_stationary_along_V():
         assert abs((hp - hm) / (2 * h)) < 1e-5
 
 
-def test_moment_map_fs_origin_and_simplex():
-    p = fl.AffinePoint(5, (0.0, 0.0, 0.0, 0.0))
-    assert np.allclose(fl.moment_maps(p, "fubini-study"), 0.0)
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        coords = tuple(rng.normal() + 1j * rng.normal() for _ in range(4))
-        val = fl.moment_maps(fl.AffinePoint(5, coords), "fubini-study")
-        assert (val >= 0).all()
-        assert val.sum() < 1.0
-
-
-def test_moment_map_log_units():
-    p = fl.AffinePoint(5, (1.0, 1.0j, -1.0, np.exp(0.3j)))
-    assert np.allclose(fl.moment_maps(p, "log"), 0.0)
-    with pytest.raises(ValueError):
-        fl.moment_maps(fl.AffinePoint(5, (0.0, 1, 1, 1)), "log")
-
-
-def test_moment_map_weighted_is_affine_in_log():
-    rng = np.random.default_rng(5)
-    coords = tuple(rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 6))
-                   for _ in range(4))
-    p = fl.AffinePoint(5, coords)
-    t = fl.moment_maps(p, "log")
-    w = fl.moment_maps(p, "weighted")
-    assert np.allclose(w, 2.0 * t - 0.4 * t.sum())
-
-
-def test_unknown_moment_map():
-    with pytest.raises(ValueError):
-        fl.moment_maps(fl.AffinePoint(5, (1, 1, 1, 1)), "symplectic-log")
-
-
-def test_volume_ratio_constant():
-    """The flat potential's Hessian determinant weighted by the coordinate
-    moduli is the same at every point (pointwise flat structure check)."""
-    rng = np.random.default_rng(6)
-    vals = []
-    for _ in range(5):
-        coords = tuple(rng.uniform(0.6, 1.7) * np.exp(1j * rng.uniform(0, 6))
-                       for _ in range(4))
-        vals.append(fl.volume_ratio(fl.AffinePoint(5, coords)))
-    assert np.allclose(vals, 3.2, atol=1e-5)
-
-
 def test_chart_change_round_trip():
     x = np.array([[0.3 + 0.1j, 1.4, -0.5j, 0.8]])  # chart 2
     y = _chart_rows(np.insert(x, 1, 1.0, axis=1), 4)

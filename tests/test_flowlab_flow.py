@@ -162,6 +162,20 @@ def test_transport_defect_matches_a_per_probe_reference():
     assert abs(res.lagrangian_defect - want) <= 1e-11 * want
 
 
+@pytest.mark.parametrize("n_probes", [0, -1])
+def test_transport_refuses_fewer_than_one_probe(n_probes):
+    # with no probe flowed the Lagrangian defect would read 0 untested
+    fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
+    with pytest.raises(ValueError, match="^n_probes must be at least 1"):
+        fl.transport_fiber(fiber, PSI, n_samples=16, seed=0, n_probes=n_probes)
+
+
+def test_transport_accepts_no_samples():
+    fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
+    res = fl.transport_fiber(fiber, PSI, n_samples=0, seed=0)
+    assert res.points.shape == (0, 4) and res.lagrangian_defect == 0.0
+
+
 def test_transport_rejects_bad_faces():
     with pytest.raises(ValueError):
         fl.TorusFiber(frozenset({1, 2, 3}), {4: 1.0, 5: 1.0})

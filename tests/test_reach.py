@@ -23,14 +23,8 @@ SRC = ROOT / "src" / "quintfib"
 # (module, name): public names only tests reach
 NAMES_ALLOWED = {
     ("flowlab/harveylawson.py", "hl_map"):
-        "paper quantity: the Harvey-Lawson map, asserted by test_hl_map_values "
-        "and test_hl_fiber_samples_satisfy_constraints",
-    ("flowlab/momentmaps.py", "moment_maps"):
-        "paper quantity: the Fubini-Study, log and weighted moment maps, "
-        "asserted by the test_moment_map_* tests",
-    ("flowlab/momentmaps.py", "volume_ratio"):
-        "paper quantity: the flat volume ratio 16/5, asserted by "
-        "test_volume_ratio_constant",
+        "test oracle: test_hl_fiber_samples_satisfy_constraints checks "
+        "sample_hl_fiber's points against it; test_hl_map_values asserts it",
 }
 
 # (module, function or dataclass, parameter or field): defaults only tests
@@ -38,8 +32,6 @@ NAMES_ALLOWED = {
 DEFAULTS_ALLOWED = {
     ("cli.py", "main", "argv"):
         "test seam: test_cli drives the CLI in-process",
-    ("flowlab/momentmaps.py", "moment_maps", "which"):
-        "paper quantity: selects the moment map each test_moment_map_* asserts",
 }
 
 
