@@ -22,6 +22,16 @@ each is one array computation:
 * the constructive pass solves the reduced triangle identity
   cos b = (R1^2 - 1 - R2^2)/(2 R2) for (a, b) = u.
 
+`covering_roots_batch` takes (point, tol) rows.  The sign-change mask does
+not depend on the tolerance, so it is computed once per distinct point (a
+point at a time: one stacked grid for all points lifted the peak memory of
+`verify-all`); one Newton polish then serves the seeds of every row,
+each seed with its own row's R1, R2 and Newton tolerance (a step whose 2x2
+Jacobian is singular falls back to least squares, seed by seed).  The
+constructive pass, the dedupe and the lift run row by row.  Every row's
+roots are bit for bit those of the row alone; `covering_roots` is the
+one-row call.
+
 The grid holds the same samples as a uniform 5 GRID_N x 5 GRID_N grid of
 theta over the whole torus: that grid's e^{5 i theta} repeats every GRID_N
 steps, so it is 25 copies of this one, and in exact arithmetic its seeds,
@@ -68,24 +78,27 @@ def _dedupe(roots, tol):
 
 
 def _newton_polish(R1, R2, x, h, newton_tol):
-    """Newton in u on all seed rows of x (n, 2) at once; returns the converged rows.
+    """Newton in u on all seed rows of x (n, 2) at once; returns the converged mask.
 
-    Per row: stop when |f| < newton_tol (tested before each of at most 60
-    steps), give up on a non-finite step, and clip each step to length h.
+    R1, R2 and newton_tol hold one value per seed row.  Per row: stop when
+    |f| < newton_tol (tested before each of at most 60 steps), give up on a
+    non-finite step, and clip each step to length h.  x is polished in place.
     """
     ok = np.zeros(len(x), dtype=bool)
     alive = np.arange(len(x))
     for _ in range(60):
         e = np.exp(1j * x[alive])
         e1, e2 = e[:, 0], e[:, 1]
-        f = R1 * e1 + R2 * e2 + 1.0
-        conv = np.abs(f) < newton_tol
+        r1, r2 = R1[alive], R2[alive]
+        f = r1 * e1 + r2 * e2 + 1.0
+        conv = np.abs(f) < newton_tol[alive]
         ok[alive[conv]] = True
         alive, e1, e2, f = alive[~conv], e1[~conv], e2[~conv], f[~conv]
+        r1, r2 = r1[~conv], r2[~conv]
         if not len(alive):
             break
-        a, b = -R1 * e1.imag, -R2 * e2.imag
-        c, d = R1 * e1.real, R2 * e2.real
+        a, b = -r1 * e1.imag, -r2 * e2.imag
+        c, d = r1 * e1.real, r2 * e2.real
         det = a * d - b * c
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.stack([(b * f.imag - d * f.real) / det,
@@ -100,7 +113,7 @@ def _newton_polish(R1, R2, x, h, newton_tol):
         long = nrm > h
         step[long] *= (h / nrm[long])[:, None]
         x[alive] = np.mod(x[alive] + step, 2.0 * np.pi)
-    return x[ok]
+    return ok
 
 
 def _sign_changes(R1, R2):
@@ -118,11 +131,23 @@ def _sign_changes(R1, R2):
 
 
 def _grid_roots(R1, R2, newton_tol):
-    """Grid-pass roots u on one period, as an (n, 2) array."""
+    """Grid-pass roots u on one period of each row, as a list of (n, 2) arrays.
+
+    R1, R2 and newton_tol hold one value per row.  The sign-change mask is
+    computed once per distinct (R1, R2), one point at a time, which keeps
+    memory at one grid; one Newton polish serves the seeds of every row.
+    """
     u = np.linspace(0.0, 2.0 * np.pi, GRID_N, endpoint=False)
     h = 2.0 * np.pi / GRID_N
-    seeds = u[np.argwhere(_sign_changes(R1, R2))] + 0.5 * h
-    return _newton_polish(R1, R2, seeds, h, newton_tol)
+    seeds = {}
+    for point in zip(R1.tolist(), R2.tolist()):
+        if point not in seeds:
+            seeds[point] = u[np.argwhere(_sign_changes(*point))] + 0.5 * h
+    per_row = [seeds[point] for point in zip(R1.tolist(), R2.tolist())]
+    owner = np.repeat(np.arange(len(R1)), [len(x) for x in per_row])
+    x = np.concatenate([np.empty((0, 2)), *per_row])
+    ok = _newton_polish(R1[owner], R2[owner], x, h, newton_tol[owner])
+    return [x[ok & (owner == n)] for n in range(len(R1))]
 
 
 def _reduced_roots(R1, R2, verify_tol):
@@ -148,7 +173,7 @@ def _lift(u):
     m = 2.0 * np.pi * np.arange(5)
     shifts = np.stack(np.meshgrid(m, m, indexing="ij"), axis=-1)
     theta = ((np.reshape(u, (-1, 1, 1, 2)) + shifts) / 5.0) % (2.0 * np.pi)
-    return [(float(t1), float(t2)) for t1, t2 in theta.reshape(-1, 2)]
+    return list(map(tuple, theta.reshape(-1, 2).tolist()))
 
 
 def _tolerances(R1, R2, tol):
@@ -158,13 +183,32 @@ def _tolerances(R1, R2, tol):
     return newton_tol, 1e-7 * scale, max(1e-6, 2.0 * np.sqrt(newton_tol))
 
 
+def covering_roots_batch(points, tols):
+    """All torus solutions over each fattened-interior or boundary point.
+
+    `points` holds (r1, r2) rows and `tols` one tolerance per row; returns
+    one list of (theta1, theta2) roots per row.  Both passes run for every
+    row, the grid pass as one batch.
+    """
+    r = np.asarray(points, dtype=float).reshape(-1, 2)
+    tols = np.asarray(tols, dtype=float).reshape(-1)
+    if len(tols) != len(r):
+        raise ValueError("give one tolerance per point")
+    bad = ~((tols >= 0) & (tols < inf))  # also refuses NaN
+    if bad.any():
+        raise ValueError(f"tol must be finite and nonnegative, got {tols[bad][0]}")
+    rows = [(a ** 5, b ** 5) for a, b in r.tolist()]  # (R1, R2) per row
+    scales = [_tolerances(*row, tol) for row, tol in zip(rows, tols.tolist())]
+    R1, R2 = np.array(rows).reshape(-1, 2).T
+    grid = _grid_roots(R1, R2, np.array([newton_tol for newton_tol, _, _ in scales]))
+    return [_lift(_dedupe(np.concatenate([g, _reduced_roots(*row, verify_tol)]),
+                          5.0 * dedupe_tol))
+            for g, row, (_, verify_tol, dedupe_tol) in zip(grid, rows, scales)]
+
+
 def covering_roots(r1, r2, tol):
-    """All torus solutions over a fattened-interior or boundary point."""
-    R1, R2 = float(r1) ** 5, float(r2) ** 5
-    newton_tol, verify_tol, dedupe_tol = _tolerances(R1, R2, tol)
-    roots = np.concatenate([_grid_roots(R1, R2, newton_tol),
-                            _reduced_roots(R1, R2, verify_tol)])
-    return _lift(_dedupe(roots, 5.0 * dedupe_tol))
+    """All torus solutions over one point: one row of `covering_roots_batch`."""
+    return covering_roots_batch([(r1, r2)], [tol])[0]
 
 
 def covering_stratum(r1, r2, tol):

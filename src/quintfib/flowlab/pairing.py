@@ -7,19 +7,25 @@ frozen at a common radius with generic phases, the k-th coordinate sweeps
 a circle of that radius, and z_i rides along as the small root of the
 defining quintic.
 
-The quintic's coefficients along the loop do not involve z_i, so all of
-them are built as arrays and the roots at every loop step come from one
-batched eigenvalue call on the companion matrices.  z_i is then tracked by
-continuation: the smallest root at the first step, and at each later step
-(closing back onto the first) the root nearest the previous one.  Each step
-is certified: the tracked root moves less than STEP_FRACTION of its distance
-to the nearest other root, so the nearest root is the continuation and no
-root jump can go unnoticed; an uncertified step raises ArithmeticError.
+The quintic's coefficients along a loop do not involve z_i, so all of them
+are built as arrays, and the roots at every step of every loop of a call
+come from one batched eigenvalue call on the companion matrices.  z_i is
+then tracked by continuation, on all loops at once: the smallest root at
+the first step, and at each later step (closing back onto the first) the
+root nearest the previous one.  Each step is certified: the tracked root
+moves less than STEP_FRACTION of its distance to the nearest other root, so
+the nearest root is the continuation and no root jump can go unnoticed.
+The chart is certified too: along the loop |z_i| stays below the least
+modulus of the other coordinates.  An uncertified step, a loop that does
+not close and a loop outside its chart each raise ArithmeticError naming
+the loop.
 
 Pairing against the logarithmic form d log(z_l / z_m) is the winding
 number of z_l / z_m around the loop, accumulated from phase increments.
-The loop's coordinates do not depend on the form, so a call computes the
+The loop's coordinates do not depend on the form, so a call computes each
 loop once and every form it is given reads the same coordinates.
+`loop_pairings` takes many loops in one batch; `loop_pairing_detailed` is
+its one-loop call.
 """
 
 import cmath
@@ -42,49 +48,77 @@ class PairingResult:
     min_coordinate: float
 
 
-def _track_small_root(eigs):
-    """Continue the smallest root through the rows of eigs, closing the loop.
+def _track_small_roots(eigs, loops):
+    """Continue the smallest root through each loop's rows of eigs, closing it.
 
-    `eigs` is (N_STEPS, 5): the quintic's roots at each loop step.  Returns
-    the tracked root per step and the worst step ratio |step| / gap, where
-    gap is the new root's distance to the nearest other root of its row.
+    `eigs` is (L, N_STEPS, 5): the quintic's roots at each step of each of
+    the L `loops`, which name the loops in the errors.  Returns the tracked
+    root per loop and step, (L, N_STEPS), and each loop's worst step ratio
+    |step| / gap, where gap is the new root's distance to the nearest other
+    root of its row.
     """
-    n = len(eigs)
+    n_loops, n = eigs.shape[:2]
     rows = np.arange(n + 1) % n
-    idx = np.empty(n + 1, dtype=int)
-    idx[0] = np.argmin(np.abs(eigs[0]))
+    at = np.arange(n_loops)
+    idx = np.empty((n_loops, n + 1), dtype=int)
+    idx[:, 0] = np.argmin(np.abs(eigs[:, 0]), axis=1)
     for s in range(1, n + 1):
-        idx[s] = np.argmin(np.abs(eigs[rows[s]] - eigs[rows[s - 1], idx[s - 1]]))
-    track = eigs[rows, idx]
-    gaps = np.abs(eigs[rows] - track[:, None])
-    gaps[np.arange(n + 1), idx] = np.inf
-    ratios = np.abs(np.diff(track)) / gaps.min(axis=1)[1:]
-    bad = np.flatnonzero(~(ratios < STEP_FRACTION))
-    if bad.size:
-        raise ArithmeticError(
-            f"root continuation uncertified at step {bad[0] + 1}: the tracked "
-            f"root moved {ratios[bad[0]]:.2e} of its gap to the nearest other root")
-    if idx[n] != idx[0]:
-        raise ArithmeticError("the tracked root does not close up around the loop")
-    return track[:n], float(ratios.max())
+        prev = eigs[at, rows[s - 1], idx[:, s - 1]]
+        idx[:, s] = np.abs(eigs[:, rows[s]] - prev[:, None]).argmin(axis=1)
+    track = eigs[at[:, None], rows, idx]
+    gaps = np.abs(eigs[:, rows] - track[..., None])
+    gaps[at[:, None], np.arange(n + 1), idx] = np.inf
+    ratios = np.abs(np.diff(track, axis=1)) / gaps.min(axis=2)[:, 1:]
+    for loop, r, first, last in zip(loops, ratios, idx[:, 0], idx[:, n]):
+        bad = np.flatnonzero(~(r < STEP_FRACTION))
+        if bad.size:
+            raise ArithmeticError(
+                f"loop {loop}: root continuation uncertified at step "
+                f"{bad[0] + 1}: the tracked root moved {r[bad[0]]:.2e} of its "
+                f"gap to the nearest other root")
+        if last != first:
+            raise ArithmeticError(
+                f"loop {loop}: the tracked root does not close up around the loop")
+    return track[:, :n], ratios.max(axis=1)
 
 
-def _loop_coordinates(i, j, k, psi):
-    """(N_STEPS, 5) coordinates along the (i, j, k) loop, and its worst step ratio."""
-    spectators = sorted(set(range(1, 6)) - {i, j, k})
-    z = np.zeros((N_STEPS, 5), dtype=complex)
-    z[:, j - 1] = 1.0
-    for t, sp in enumerate(spectators):
-        z[:, sp - 1] = RADIUS * np.exp(1j * (0.4 + 0.9 * t))
+def _companions(others, psi):
+    """Companion matrices of z_i^5 - 5 psi (prod others) z_i + (sum others^5),
+    one per row of `others`; built apart so the stack is freed once its
+    eigenvalues are taken."""
+    companion = np.zeros(others.shape[:-1] + (5, 5), dtype=complex)
+    companion[..., 0, 3] = 5.0 * psi * np.prod(others, axis=-1)
+    companion[..., 0, 4] = -np.sum(others ** 5, axis=-1)
+    companion[..., np.arange(1, 5), np.arange(4)] = 1.0
+    return companion
+
+
+def _loop_coordinates(loops, psi):
+    """(L, N_STEPS, 5) coordinates along each (i, j, k) loop, and their worst
+    step ratios; one eigenvalue call serves every loop.
+
+    Each loop must stay in its chart: |z_i| below the least modulus of the
+    other coordinates at every step, or ArithmeticError names the margin.
+    """
+    n_loops = len(loops)
+    z = np.zeros((n_loops, N_STEPS, 5), dtype=complex)
     phis = np.linspace(0.0, 2.0 * np.pi, N_STEPS, endpoint=False)
-    z[:, k - 1] = RADIUS * np.exp(1j * phis)
-    others = np.delete(z, i - 1, axis=1)
-    # z_i^5 - 5 psi (prod others) z_i + (sum others^5) = 0, as a companion matrix
-    companion = np.zeros((N_STEPS, 5, 5), dtype=complex)
-    companion[:, 0, 3] = 5.0 * psi * np.prod(others, axis=1)
-    companion[:, 0, 4] = -np.sum(others ** 5, axis=1)
-    companion[:, np.arange(1, 5), np.arange(4)] = 1.0
-    z[:, i - 1], worst = _track_small_root(np.linalg.eigvals(companion))
+    for n, (i, j, k) in enumerate(loops):
+        z[n, :, j - 1] = 1.0
+        for t, sp in enumerate(sorted(set(range(1, 6)) - {i, j, k})):
+            z[n, :, sp - 1] = RADIUS * np.exp(1j * (0.4 + 0.9 * t))
+        z[n, :, k - 1] = RADIUS * np.exp(1j * phis)
+    rest = np.array([[m for m in range(5) if m != i - 1] for i, _, _ in loops])
+    others = np.take_along_axis(z, rest[:, None, :], axis=2)
+    track, worst = _track_small_roots(
+        np.linalg.eigvals(_companions(others, psi)), loops)
+    z[np.arange(n_loops), :, [i - 1 for i, _, _ in loops]] = track
+    margins = np.min(np.abs(others).min(axis=2) - np.abs(track), axis=1)
+    for (i, j, k), margin in zip(loops, margins):
+        if not margin > 0:
+            raise ArithmeticError(
+                f"loop {(i, j, k)} outside chart U_{i}^{j} at psi = {psi}: "
+                f"margin {margin:.3f} (least other modulus minus |z_{i}|)")
     return z, worst
 
 
@@ -103,26 +137,37 @@ def _winding(z, loop, form):
                          (l, m), float(min_coord))
 
 
-def loop_pairing_detailed(loop, forms, psi=10.0):
-    """Windings of z_l/z_m along the (i, j, k) cycle, with their residues.
+def loop_pairings(loops, forms, psi):
+    """Windings of z_l/z_m along each (i, j, k) cycle, with their residues.
 
-    `loop` is (i, j, k): divisor index i, dominant index j, winding index k.
-    `forms` is a sequence of (l, m), each the logarithmic form
-    d log(z_l / z_m).  Every index lies in 1..5.  The loop is computed once;
-    returns one PairingResult per form, in order.
+    `loops[n]` is (i, j, k): divisor index i, dominant index j, winding
+    index k.  `forms[n]` is a sequence of (l, m), each the logarithmic form
+    d log(z_l / z_m) to pair with `loops[n]`.  Every index lies in 1..5.
+    Every loop is computed once, all in one batch; returns, per loop, one
+    PairingResult per form, in order.
     """
-    forms = list(forms)
-    indices = [*loop, *(x for f in forms for x in f)]
-    if len(loop) != 3 or any(len(f) != 2 for f in forms) \
-            or not all(1 <= x <= 5 for x in indices):
-        raise ValueError("a loop takes three indices and a form two, each in 1..5")
-    i, j, k = loop
-    if len({i, j, k}) != 3:
-        raise ValueError("loop indices must be distinct")
-    if any(l == m for l, m in forms):
-        raise ValueError("form indices must be distinct")
+    loops = [tuple(loop) for loop in loops]
+    forms = [list(f) for f in forms]
+    if len(forms) != len(loops):
+        raise ValueError("give one sequence of forms per loop")
+    for loop, fs in zip(loops, forms):
+        indices = [*loop, *(x for f in fs for x in f)]
+        if len(loop) != 3 or any(len(f) != 2 for f in fs) \
+                or not all(1 <= x <= 5 for x in indices):
+            raise ValueError("a loop takes three indices and a form two, each in 1..5")
+        if len(set(loop)) != 3:
+            raise ValueError("loop indices must be distinct")
+        if any(l == m for l, m in fs):
+            raise ValueError("form indices must be distinct")
     if not cmath.isfinite(psi):
         raise ValueError(f"psi must be finite, got {psi}")
-    z, _ = _loop_coordinates(i, j, k, psi)
-    return [_winding(z, (i, j, k), form) for form in forms]
+    if not loops:
+        return []
+    z, _ = _loop_coordinates(loops, psi)
+    return [[_winding(zl, loop, form) for form in fs]
+            for zl, loop, fs in zip(z, loops, forms)]
 
+
+def loop_pairing_detailed(loop, forms, psi=10.0):
+    """The pairings of one loop with its forms: one row of `loop_pairings`."""
+    return loop_pairings([loop], [forms], psi)[0]

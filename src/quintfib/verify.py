@@ -266,19 +266,18 @@ def check_gradient_forms(cfg):
 def check_pairing_matrix(cfg):
     ok = True
     detail = []
-    for (i, j) in ((1, 2), (5, 4)):
-        cycles = sorted(set(range(1, 6)) - {i, j})
-        forms = sorted(set(range(1, 6)) - {j})
-        for k in cycles:
-            results = flowlab.loop_pairing_detailed(
-                (i, j, k), [(l, j) for l in forms], psi=cfg.psi)
-            for l, res in zip(forms, results):
-                want = -1 if l == i else (1 if l == k else 0)
-                if res.value != want or res.residue >= 1e-6:
-                    ok = False
-                    detail.append(
-                        f"<gamma_{i}{j}^{k}, alpha_{l}{j}> = {res.value}"
-                        f" (want {want}, residue {res.residue:.1e})")
+    loops = [(i, j, k) for (i, j) in ((1, 2), (5, 4))
+             for k in sorted(set(range(1, 6)) - {i, j})]
+    forms = [[(l, j) for l in sorted(set(range(1, 6)) - {j})] for _, j, _ in loops]
+    for (i, j, k), results in zip(loops, flowlab.loop_pairings(loops, forms, cfg.psi)):
+        for res in results:
+            l = res.form[0]
+            want = -1 if l == i else (1 if l == k else 0)
+            if res.value != want or res.residue >= 1e-6:
+                ok = False
+                detail.append(
+                    f"<gamma_{i}{j}^{k}, alpha_{l}{j}> = {res.value}"
+                    f" (want {want}, residue {res.residue:.1e})")
     return ("delta_kl with a -1 column, residues < 1e-6",
             "verified" if ok else "violated", ok, "; ".join(detail))
 
@@ -303,14 +302,21 @@ def check_covering_counts(cfg):
     ok = True
     detail = []
     interior, edge = covering_sample_points(cfg.seed)
-    for pts, want in ((interior, 50), (edge, 25),
-                      ([(1.0, 0.0), (0.0, 1.0)], 5)):
-        for r1, r2 in pts:
-            n1 = flowlab.covering_count(r1, r2, tol=1e-9)
-            n2 = flowlab.covering_count(r1, r2, tol=5e-10)
-            if n1 != want or n2 != want:
-                ok = False
-                detail.append(f"({r1:.3f},{r2:.3f}): {n1}/{n2} want {want}")
+    vertices = [(1.0, 0.0), (0.0, 1.0)]
+    # one batch over every (point, tol) row off the vertices; the vertex
+    # fibers are circles, counted by their stratum
+    roots = flowlab.covering_roots_batch(
+        [p for p in interior + edge for _ in range(2)],
+        [1e-9, 5e-10] * len(interior + edge))
+    counts = [len(r) for r in roots] + [
+        flowlab.covering_count(r1, r2, tol=tol)
+        for r1, r2 in vertices for tol in (1e-9, 5e-10)]
+    wants = [50] * len(interior) + [25] * len(edge) + [5] * len(vertices)
+    for (r1, r2), n1, n2, want in zip(interior + edge + vertices, counts[::2],
+                                      counts[1::2], wants):
+        if n1 != want or n2 != want:
+            ok = False
+            detail.append(f"({r1:.3f},{r2:.3f}): {n1}/{n2} want {want}")
     return ("50/25/5 stable under tol halving",
             "verified" if ok else "violated", ok, "; ".join(detail))
 

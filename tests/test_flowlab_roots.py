@@ -1,4 +1,6 @@
+import hashlib
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from quintfib import flowlab as fl
 from quintfib import verify
 from quintfib.basecomplex import FattenedStratum, classify_fattened
-from quintfib.flowlab import covering, pairing
+from quintfib.flowlab import covering, harveylawson, pairing
 
 
 # ------------------------------------------------------------------ pairings
@@ -53,7 +55,7 @@ def test_pairing_forms_share_one_loop_computation(monkeypatch):
                         lambda *a: calls.append(a) or inner(*a))
     forms = [(1, 2), (3, 2), (4, 2), (5, 2)]
     results = fl.loop_pairing_detailed((1, 2, 4), forms)
-    assert len(calls) == 1
+    assert [loops for loops, _ in calls] == [[(1, 2, 4)]]
     # each form reads the same result as its own one-form call, field by field
     assert [r.form for r in results] == forms
     for form, res in zip(forms, results):
@@ -75,7 +77,8 @@ def test_covering_refuses_bad_tolerances(tol):
     """(1, 1) is an interior point, where the count is 50; a NaN tolerance
     used to classify it as outside, since every comparison with NaN fails."""
     for call in (lambda: fl.covering_count(1.0, 1.0, tol=tol),
-                 lambda: fl.covering_stratum(1.0, 1.0, tol)):
+                 lambda: fl.covering_stratum(1.0, 1.0, tol),
+                 lambda: fl.covering_roots_batch([(1.0, 1.0)], [tol])):
         with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
             call()
 
@@ -108,9 +111,59 @@ C09_LOOPS = [(i, j, k) for (i, j) in ((1, 2), (5, 4))
 
 def test_pairing_continuation_certified_on_c09_loops():
     # every c09 loop is tracked with a wide margin (worst step ratio 7.5e-4)
-    for i, j, k in C09_LOOPS:
-        _, worst = pairing._loop_coordinates(i, j, k, psi=10.0)
-        assert worst < pairing.STEP_FRACTION
+    _, worst = pairing._loop_coordinates(C09_LOOPS, psi=10.0)
+    assert worst.shape == (6,)
+    assert np.all(worst < pairing.STEP_FRACTION)
+
+
+def _c09_forms(loops):
+    """Each loop's four forms d log(z_l / z_j), as c09 pairs them."""
+    return [[(l, j) for l in range(1, 6) if l != j] for _, j, _ in loops]
+
+
+def test_loop_batch_refuses_mismatched_rows():
+    with pytest.raises(ValueError, match="one sequence of forms per loop"):
+        fl.loop_pairings([(1, 2, 3)], [], 10.0)
+    assert fl.loop_pairings([], [], 10.0) == []
+
+
+def test_loop_batch_rows_equal_single_loops():
+    forms = _c09_forms(C09_LOOPS)
+    z, worst = pairing._loop_coordinates(C09_LOOPS, 10.0)
+    batch = fl.loop_pairings(C09_LOOPS, forms, 10.0)
+    for n, loop in enumerate(C09_LOOPS):
+        z1, worst1 = pairing._loop_coordinates([loop], 10.0)
+        assert z[n].tobytes() == z1[0].tobytes()
+        assert worst[n] == worst1[0]
+        assert fl.loop_pairing_detailed(loop, forms[n], psi=10.0) == batch[n]
+
+
+# sha256 of repr(loop_pairings(C09_LOOPS, _c09_forms(C09_LOOPS), psi)),
+# computed from one-loop calls before the loops were batched and the chart
+# certified
+PAIRING_DIGESTS = {
+    10.0: "ec575108f9e3acff2b6bc245341bde169fa3a18539ff1ce40f66d17073de716b",
+    2.0: "2a3bddc33240604f845f696c5b1853962a772b6695acb46b38a296066e231688",
+    0.9: "9622662eaf2e593de0796425c3627b5812094cf164242ccfb3280d4ecd842d34",
+}
+
+
+@pytest.mark.parametrize("psi", sorted(PAIRING_DIGESTS))
+def test_loops_inside_their_chart_keep_their_results(psi):
+    res = fl.loop_pairings(C09_LOOPS, _c09_forms(C09_LOOPS), psi)
+    assert hashlib.sha256(repr(res).encode()).hexdigest() == PAIRING_DIGESTS[psi]
+
+
+@pytest.mark.parametrize("psi", [0.5, 0.0])
+def test_loops_outside_their_chart_raise(psi):
+    # below psi 0.7 the small root outgrows the spectators; at psi 0.5 the
+    # divisor column used to read 0 where -1 is wanted
+    with pytest.raises(ArithmeticError, match=(
+            rf"^loop \(1, 2, 3\) outside chart U_1\^2 at psi = {psi}: "
+            r"margin -0\.\d+")):
+        fl.loop_pairings(C09_LOOPS, _c09_forms(C09_LOOPS), psi)
+    with pytest.raises(ArithmeticError, match=r"^loop \(5, 4, 1\) outside chart U_5\^4"):
+        fl.loop_pairing_detailed((5, 4, 1), [(5, 4)], psi=psi)
 
 
 def _loop_roots(small, other):
@@ -125,24 +178,27 @@ CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)
 
 def test_pairing_continuation_accepts_smooth_track():
     eigs = _loop_roots(0.1 * CIRCLE, np.full(64, -2.0))
-    track, worst = pairing._track_small_root(eigs)
-    assert np.array_equal(track, eigs[:, 0])
-    assert worst < pairing.STEP_FRACTION
+    track, worst = pairing._track_small_roots(eigs[None], [(1, 2, 3)])
+    assert np.array_equal(track[0], eigs[:, 0])
+    assert worst[0] < pairing.STEP_FRACTION
 
 
 def test_pairing_continuation_rejects_root_jump():
     eigs = _loop_roots(0.1 * CIRCLE, np.full(64, -2.0))
     eigs[20, 0] = 1.5       # one step of 1.4, 3.5 away from the other roots
-    with pytest.raises(ArithmeticError, match="uncertified at step 20"):
-        pairing._track_small_root(eigs)
+    smooth = _loop_roots(0.1 * CIRCLE, np.full(64, -2.0))
+    with pytest.raises(ArithmeticError,
+                       match=r"^loop \(5, 4, 1\): .*uncertified at step 20"):
+        pairing._track_small_roots(np.stack([smooth, eigs]),
+                                   [(1, 2, 3), (5, 4, 1)])
 
 
 def test_pairing_continuation_rejects_unclosed_loop():
     # a small pair turning half way round swaps places: every step is
     # certified, but the tracked root ends on the other one
     half = 0.1 * np.sqrt(CIRCLE)
-    with pytest.raises(ArithmeticError, match="close up"):
-        pairing._track_small_root(_loop_roots(half, -half))
+    with pytest.raises(ArithmeticError, match=r"^loop \(1, 2, 3\): .*close up"):
+        pairing._track_small_roots(_loop_roots(half, -half)[None], [(1, 2, 3)])
 
 
 # ------------------------------------------------------------ covering counts
@@ -213,8 +269,9 @@ def _separate_passes(r1, r2, tol=1e-9):
     lifted from u = 5 theta to the torus."""
     R1, R2 = r1 ** 5, r2 ** 5
     newton_tol, verify_tol, dedupe_tol = covering._tolerances(R1, R2, tol)
-    grid = covering._dedupe(covering._grid_roots(R1, R2, newton_tol),
-                            5.0 * dedupe_tol)
+    grid, = covering._grid_roots(np.array([R1]), np.array([R2]),
+                                 np.array([newton_tol]))
+    grid = covering._dedupe(grid, 5.0 * dedupe_tol)
     return (covering._lift(grid),
             covering._lift(covering._reduced_roots(R1, R2, verify_tol)),
             dedupe_tol)
@@ -275,6 +332,33 @@ def test_period_grid_holds_the_theta_grids_samples(seed):
         assert reduced.any()
         assert np.array_equal(_theta_grid_sign_changes(R1, R2),
                               np.tile(reduced, (5, 5)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_covering_batch_rows_equal_single_rows(seed, monkeypatch):
+    interior, edge = verify.covering_sample_points(seed)
+    points = [p for p in interior + edge for _ in range(2)]
+    tols = [1e-9, 5e-10] * len(interior + edge)
+    singular = []
+    inner = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: singular.append(1) or inner(*a, **k))
+    batch = fl.covering_roots_batch(points, tols)
+    assert len(singular) == 2
+    for (r1, r2), tol, roots in zip(points, tols, batch):
+        singular.clear()
+        alone = fl.covering_roots(r1, r2, tol)
+        assert np.array(roots).tobytes() == np.array(alone).tobytes()
+        # a Newton step with a singular Jacobian falls back to lstsq once
+        # per tolerance, at the edge point (0.97, 0.676)
+        assert len(singular) == (1 if (r1, r2) == edge[2] else 0)
+    assert (round(edge[2][0], 3), round(edge[2][1], 3)) == (0.97, 0.676)
+
+
+def test_covering_batch_refuses_mismatched_rows():
+    with pytest.raises(ValueError, match="one tolerance per point"):
+        fl.covering_roots_batch([(1.0, 1.0)], [1e-9, 5e-10])
+    assert fl.covering_roots_batch([], []) == []
 
 
 def test_covering_roots_respect_phase_translation():
@@ -339,29 +423,155 @@ def test_hl_axis_samples_have_rank_drop():
 def test_hl_fiber_samples_satisfy_constraints():
     rng = np.random.default_rng(9)
     c = (0.2, 0.8, -0.3)
-    for z, _ in fl.sample_hl_fiber(c, 25, rng):
+    points, params = fl.sample_hl_fiber(c, 25, rng)
+    assert points.shape == (25, 3) and params.shape == (25, 4)
+    for z in points:
         assert np.allclose(fl.hl_map(z), c, atol=1e-10)
+
+
+def _reference_point(c, rho1, theta1, theta2, branch):
+    """One sample's point from its parameters, in scalar arithmetic."""
+    c1, c2, c3 = (float(x) for x in c)
+    rho1 = np.float64(rho1)
+    rho2 = np.sqrt(rho1 ** 2 - c2)
+    rho3 = np.sqrt(rho1 ** 2 - c3)
+    total = np.arcsin(min(1.0, max(-1.0, c1 / (rho1 * rho2 * rho3))))
+    if branch:
+        total = np.pi - total
+    theta3 = total - theta1 - theta2
+    return np.array([rho1 * np.exp(1j * theta1), rho2 * np.exp(1j * theta2),
+                     rho3 * np.exp(1j * theta3)])
+
+
+def _reference_probe(c, n_samples, seed):
+    """hl_fiber_probe's sample points, defect and ranks computed one sample
+    at a time, with np.vdot, np.linalg.norm, np.linalg.det and one SVD per
+    point."""
+    points, params = fl.sample_hl_fiber(c, n_samples, np.random.default_rng(seed))
+    h = harveylawson.FRAME_H
+    ref_points = []
+    defect, phase = 0.0, None
+    for rho1, theta1, theta2, branch in params:
+        ref_points.append(_reference_point(c, rho1, theta1, theta2, branch))
+        frame = []
+        for slot in range(3):
+            plus, minus = [rho1, theta1, theta2], [rho1, theta1, theta2]
+            plus[slot] += h
+            minus[slot] -= h
+            frame.append((_reference_point(c, *plus, branch)
+                          - _reference_point(c, *minus, branch)) / (2.0 * h))
+        norms = [np.linalg.norm(u) for u in frame]
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            om = abs(np.imag(np.vdot(frame[a], frame[b])))
+            if norms[a] > 0 and norms[b] > 0:
+                defect = max(defect, om / (norms[a] * norms[b]))
+        vol = np.linalg.det(np.column_stack(frame))
+        if abs(vol) > 0:
+            if phase is None:
+                phase = -np.angle(vol)
+            defect = max(defect, abs(np.imag(np.exp(1j * phase) * vol)) / abs(vol))
+    ranks = []
+    for z in [*(1.3 * np.eye(3, dtype=complex)), *points]:
+        z1, z2, z3 = z
+        jac = np.zeros((3, 6))
+        for i, pr in enumerate((z2 * z3, z1 * z3, z1 * z2)):
+            jac[0, 2 * i], jac[0, 2 * i + 1] = pr.imag, pr.real
+        jac[1, :4] = 2 * z1.real, 2 * z1.imag, -2 * z2.real, -2 * z2.imag
+        jac[2, :2] = 2 * z1.real, 2 * z1.imag
+        jac[2, 4:] = -2 * z3.real, -2 * z3.imag
+        sv = np.linalg.svd(jac, compute_uv=False)
+        ranks.append(int(np.sum(sv > harveylawson.RANK_TOL * (sv[0] or 1.0))))
+    same_points = points.tobytes() == np.array(ref_points).reshape(-1, 3).tobytes()
+    return same_points, float(defect), tuple(ranks[:3]), tuple(ranks[3:])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hl_probe_equals_per_sample_reference(seed):
+    # (-0.3, 2, 0.5) at seed 2 holds a sample whose rho1^2 rounds one way
+    # through libm's pow and the other way as rho1 * rho1
+    for c, n in (((0, 1, 1), 64), ((0, 0, 0), 100), ((0.4, 1.0, 0.7), 32),
+                 ((-0.3, 2.0, 0.5), 50)):
+        res = fl.hl_fiber_probe(c, n_samples=n, seed=seed)
+        same_points, defect, axis_ranks, generic_ranks = _reference_probe(c, n, seed)
+        assert same_points
+        assert res.slag_defect == defect
+        if c == (0, 0, 0):
+            assert (res.axis_ranks, res.generic_ranks) == (axis_ranks, generic_ranks)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hl_frame_norms_round_as_single_vectors(seed):
+    # np.linalg.norm(frames, axis=-1) sums |v|^2 in another order; the probe
+    # keeps the rounding of np.linalg.norm on each vector
+    _, params = fl.sample_hl_fiber((0, 1, 1), 64, np.random.default_rng(seed))
+    frames = harveylawson._tangent_frames((0, 1, 1), params)
+    norms = harveylawson._norms(frames)
+    assert norms.tobytes() == np.array(
+        [[np.linalg.norm(u) for u in frame] for frame in frames]).tobytes()
+
+
+@pytest.mark.parametrize("c", [(float("nan"), 0, 0), (0, float("inf"), 1),
+                               (0, 1)])
+def test_hl_refuses_bad_targets(c):
+    # (nan, 0, 0) used to classify as smooth and return a defect of 1.4e-10
+    with pytest.raises(ValueError, match="^c must be three finite numbers"):
+        fl.hl_fiber_probe(c, n_samples=8)
+    with pytest.raises(ValueError, match="^c must be three finite numbers"):
+        fl.sample_hl_fiber(c, 8, np.random.default_rng(0))
+
+
+def test_hl_refuses_negative_sample_counts():
+    # n_samples = -5 used to return a defect of 0.0 from no sample
+    with pytest.raises(ValueError, match="^n_samples must not be negative, got -5"):
+        fl.hl_fiber_probe((0, 1, 1), n_samples=-5)
+    with pytest.raises(ValueError, match="^n_samples must not be negative"):
+        fl.sample_hl_fiber((0, 1, 1), -1, np.random.default_rng(0))
 
 
 # ------------------------------------------------------- verify-all goldens
 
 @pytest.fixture(scope="module")
 def seed0_run():
-    """verify_all at seed 0, and the loops whose coordinates it computed."""
+    """verify_all at seed 0, the loops whose coordinates it computed, and a
+    count of the (check, kernel) calls of the batched numeric kernels."""
     calls = []
+    kernels = Counter()
+    running = [None]
     inner = pairing._loop_coordinates
+
+    def counted(name, fn):
+        return lambda *a, **k: kernels.update([(running[0], name)]) or fn(*a, **k)
+
+    def tagged(check_id, fn):
+        return lambda cfg: running.__setitem__(0, check_id) or fn(cfg)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairing, "_loop_coordinates",
                    lambda *a: calls.append(a) or inner(*a))
+        mp.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        mp.setattr(covering, "_newton_polish",
+                   counted("newton", covering._newton_polish))
+        mp.setattr(verify, "CHECKS",
+                   [(*row[:4], tagged(row[0], row[4])) for row in verify.CHECKS])
         report = verify.verify_all(verify.VerifyConfig(seed=0))
-    return report, calls
+    return report, calls, kernels
+
+
+def test_numeric_checks_make_one_batched_kernel_call(seed0_run):
+    report, _, kernels = seed0_run
+    assert report.passed
+    assert kernels[("c09-pairing-matrix", "eigvals")] == 1
+    assert kernels[("c10-covering-counts", "newton")] == 1
+    assert kernels[("c11-harvey-lawson", "svd")] == 1
 
 
 def test_c09_computes_each_loop_once(seed0_run):
-    # six loops (three per chart) serve the 24 (loop, form) pairs of c09
-    _, calls = seed0_run
-    assert len(calls) == 6
-    assert sorted(a[:3] for a in calls) == sorted(C09_LOOPS)
+    # one call holding six loops (three per chart) serves the 24 (loop,
+    # form) pairs of c09
+    _, calls, _ = seed0_run
+    assert len(calls) == 1
+    assert sorted(calls[0][0]) == sorted(C09_LOOPS)
 
 
 def test_verify_all_root_rows_golden(seed0_run):
