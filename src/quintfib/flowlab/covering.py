@@ -28,9 +28,9 @@ point at a time: one stacked grid for all points lifted the peak memory of
 `verify-all`); one Newton polish then serves the seeds of every row,
 each seed with its own row's R1, R2 and Newton tolerance (a step whose 2x2
 Jacobian is singular falls back to least squares, seed by seed).  The
-constructive pass, the dedupe and the lift run row by row.  Every row's
-roots are bit for bit those of the row alone; `covering_roots` is the
-one-row call.
+constructive pass, the dedupe and the lift run row by row, and each row's
+roots come back as one array.  Every row's roots are bit for bit those of
+the row alone; `covering_roots` is the one-row call, as a list of tuples.
 
 The grid holds the same samples as a uniform 5 GRID_N x 5 GRID_N grid of
 theta over the whole torus: that grid's e^{5 i theta} repeats every GRID_N
@@ -169,11 +169,12 @@ def _reduced_roots(R1, R2, verify_tol):
 
 
 def _lift(u):
-    """The 25 theta phases ((u1 + 2 pi m1) / 5, (u2 + 2 pi m2) / 5) of each root."""
+    """The 25 theta phases ((u1 + 2 pi m1) / 5, (u2 + 2 pi m2) / 5) of each
+    root, as (25 n, 2)."""
     m = 2.0 * np.pi * np.arange(5)
     shifts = np.stack(np.meshgrid(m, m, indexing="ij"), axis=-1)
     theta = ((np.reshape(u, (-1, 1, 1, 2)) + shifts) / 5.0) % (2.0 * np.pi)
-    return list(map(tuple, theta.reshape(-1, 2).tolist()))
+    return theta.reshape(-1, 2)
 
 
 def _tolerances(R1, R2, tol):
@@ -187,8 +188,9 @@ def covering_roots_batch(points, tols):
     """All torus solutions over each fattened-interior or boundary point.
 
     `points` holds (r1, r2) rows and `tols` one tolerance per row; returns
-    one list of (theta1, theta2) roots per row.  Both passes run for every
-    row, the grid pass as one batch.
+    one (n, 2) array of (theta1, theta2) roots per row, which holds a batch's
+    roots in far less memory than tuples.  Both passes run for every row,
+    the grid pass as one batch.
     """
     r = np.asarray(points, dtype=float).reshape(-1, 2)
     tols = np.asarray(tols, dtype=float).reshape(-1)
@@ -207,8 +209,10 @@ def covering_roots_batch(points, tols):
 
 
 def covering_roots(r1, r2, tol):
-    """All torus solutions over one point: one row of `covering_roots_batch`."""
-    return covering_roots_batch([(r1, r2)], [tol])[0]
+    """All torus solutions over one point, as a list of (theta1, theta2)
+    tuples: one row of `covering_roots_batch`."""
+    roots, = covering_roots_batch([(r1, r2)], [tol])
+    return list(map(tuple, roots.tolist()))
 
 
 def covering_stratum(r1, r2, tol):

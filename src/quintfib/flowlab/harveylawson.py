@@ -20,10 +20,12 @@ and the two free angles sweep the orbit.  The parameters are drawn one
 sample at a time, so the random stream is fixed by the seed alone; the
 probe then works on arrays.  The sample points and the +-FRAME_H shifted
 parameter rows of every tangent frame are each evaluated as one array, the
-symplectic pairings are `np.vecdot`s over all frames, the volumes one
-`np.linalg.det` of the (K, 3, 3) frame stack, and the ranks one
-`np.linalg.svd` of the stacked Jacobians.  Frame norms keep the rounding of
-`np.linalg.norm` on a single vector, sqrt(re . re + im . im).
+symplectic pairings are stacked (1, 3) by (3, 1) matmuls over all frames,
+the volumes one `np.linalg.det` of the (K, 3, 3) frame stack, and the ranks
+one `np.linalg.svd` of the stacked Jacobians.  Such a matmul goes through
+the BLAS dot that `np.vdot` uses, so every pairing has vdot's bits, and
+frame norms keep the rounding of `np.linalg.norm` on a single vector,
+sqrt(re . re + im . im).
 """
 
 from dataclasses import dataclass
@@ -131,7 +133,8 @@ def _tangent_frames(c, params):
 
 def hl_jacobian_rank(z):
     """Rank of the real differential of the defining map at each point of
-    z, an array of shape (..., 3); one singular-value call serves them all."""
+    z, an array of shape (..., 3); one singular-value call serves them all.
+    A single point, shape (3,), gets an int, a stack an integer array."""
     z = np.asarray(z, dtype=complex)
     z1, z2, z3 = np.moveaxis(z, -1, 0)
     jac = np.zeros(z.shape[:-1] + (3, 6))
@@ -144,7 +147,8 @@ def hl_jacobian_rank(z):
     jac[..., 2, 4], jac[..., 2, 5] = -2 * z3.real, -2 * z3.imag
     sv = np.linalg.svd(jac, compute_uv=False)
     scale = np.where(sv[..., 0] > 0, sv[..., 0], 1.0)
-    return np.sum(sv > RANK_TOL * scale[..., None], axis=-1)
+    ranks = np.sum(sv > RANK_TOL * scale[..., None], axis=-1)
+    return int(ranks) if z.ndim == 1 else ranks
 
 
 @dataclass(frozen=True)
@@ -155,10 +159,17 @@ class HLProbeResult:
     generic_ranks: tuple
 
 
+def _dots(a, b):
+    """a_n . b_n for the vectors along the last axis, with np.vdot's bits
+    (conjugate a to get vdot): a (1, n) by (n, 1) matmul uses vdot's BLAS
+    dot."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _norms(v):
     """Euclidean norms of the complex vectors along the last axis, rounded as
     np.linalg.norm rounds a single vector: sqrt(re . re + im . im)."""
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))
 
 
 def hl_fiber_probe(c, n_samples, seed=0):
@@ -181,7 +192,7 @@ def hl_fiber_probe(c, n_samples, seed=0):
     norms = _norms(frames)
     defects = []
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        om = np.abs(np.imag(np.vecdot(frames[:, a], frames[:, b])))
+        om = np.abs(np.imag(_dots(np.conj(frames[:, a]), frames[:, b])))
         nonzero = (norms[:, a] > 0) & (norms[:, b] > 0)
         defects.append(om[nonzero] / (norms[nonzero, a] * norms[nonzero, b]))
     vol = np.linalg.det(np.swapaxes(frames, 1, 2))

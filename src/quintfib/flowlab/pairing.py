@@ -8,13 +8,15 @@ a circle of that radius, and z_i rides along as the small root of the
 defining quintic.
 
 The quintic's coefficients along a loop do not involve z_i, so all of them
-are built as arrays, and the roots at every step of every loop of a call
-come from one batched eigenvalue call on the companion matrices.  z_i is
-then tracked by continuation, on all loops at once: the smallest root at
-the first step, and at each later step (closing back onto the first) the
-root nearest the previous one.  Each step is certified: the tracked root
-moves less than STEP_FRACTION of its distance to the nearest other root, so
-the nearest root is the continuation and no root jump can go unnoticed.
+are built as arrays, and the roots at every step of a loop come from one
+eigenvalue call on its companion matrices; a loop's companion stack is
+freed before the next one is built, so only one loop's stack is held at a
+time.  z_i is then tracked by continuation, on all loops at once: the
+smallest root at the first step, and at each later step (closing back onto
+the first) the root nearest the previous one.  Each step is certified: the
+tracked root moves less than STEP_FRACTION of its distance to the nearest
+other root, so the nearest root is the continuation and no root jump can go
+unnoticed.
 The chart is certified too: along the loop |z_i| stays below the least
 modulus of the other coordinates.  An uncertified step, a loop that does
 not close and a loop outside its chart each raise ArithmeticError naming
@@ -66,26 +68,28 @@ def _track_small_roots(eigs, loops):
         prev = eigs[at, rows[s - 1], idx[:, s - 1]]
         idx[:, s] = np.abs(eigs[:, rows[s]] - prev[:, None]).argmin(axis=1)
     track = eigs[at[:, None], rows, idx]
-    gaps = np.abs(eigs[:, rows] - track[..., None])
-    gaps[at[:, None], np.arange(n + 1), idx] = np.inf
-    ratios = np.abs(np.diff(track, axis=1)) / gaps.min(axis=2)[:, 1:]
-    for loop, r, first, last in zip(loops, ratios, idx[:, 0], idx[:, n]):
+    worst = np.empty(n_loops)
+    for m, (loop, e, t, ix) in enumerate(zip(loops, eigs, track, idx)):
+        gaps = np.abs(e[rows] - t[:, None])
+        gaps[np.arange(n + 1), ix] = np.inf
+        r = np.abs(np.diff(t)) / gaps.min(axis=1)[1:]
         bad = np.flatnonzero(~(r < STEP_FRACTION))
         if bad.size:
             raise ArithmeticError(
                 f"loop {loop}: root continuation uncertified at step "
                 f"{bad[0] + 1}: the tracked root moved {r[bad[0]]:.2e} of its "
                 f"gap to the nearest other root")
-        if last != first:
+        if ix[n] != ix[0]:
             raise ArithmeticError(
                 f"loop {loop}: the tracked root does not close up around the loop")
-    return track[:, :n], ratios.max(axis=1)
+        worst[m] = r.max()
+    return track[:, :n], worst
 
 
 def _companions(others, psi):
     """Companion matrices of z_i^5 - 5 psi (prod others) z_i + (sum others^5),
-    one per row of `others`; built apart so the stack is freed once its
-    eigenvalues are taken."""
+    one per row of `others`; built apart so each loop's stack is freed once
+    its eigenvalues are taken."""
     companion = np.zeros(others.shape[:-1] + (5, 5), dtype=complex)
     companion[..., 0, 3] = 5.0 * psi * np.prod(others, axis=-1)
     companion[..., 0, 4] = -np.sum(others ** 5, axis=-1)
@@ -95,25 +99,27 @@ def _companions(others, psi):
 
 def _loop_coordinates(loops, psi):
     """(L, N_STEPS, 5) coordinates along each (i, j, k) loop, and their worst
-    step ratios; one eigenvalue call serves every loop.
+    step ratios; one eigenvalue call per loop fills one array of roots.
 
     Each loop must stay in its chart: |z_i| below the least modulus of the
     other coordinates at every step, or ArithmeticError names the margin.
     """
     n_loops = len(loops)
     z = np.zeros((n_loops, N_STEPS, 5), dtype=complex)
+    eigs = np.empty_like(z)
+    least = np.empty((n_loops, N_STEPS))  # least modulus of the others
     phis = np.linspace(0.0, 2.0 * np.pi, N_STEPS, endpoint=False)
     for n, (i, j, k) in enumerate(loops):
         z[n, :, j - 1] = 1.0
         for t, sp in enumerate(sorted(set(range(1, 6)) - {i, j, k})):
             z[n, :, sp - 1] = RADIUS * np.exp(1j * (0.4 + 0.9 * t))
         z[n, :, k - 1] = RADIUS * np.exp(1j * phis)
-    rest = np.array([[m for m in range(5) if m != i - 1] for i, _, _ in loops])
-    others = np.take_along_axis(z, rest[:, None, :], axis=2)
-    track, worst = _track_small_roots(
-        np.linalg.eigvals(_companions(others, psi)), loops)
+        others = np.delete(z[n], i - 1, axis=1)
+        least[n] = np.abs(others).min(axis=1)
+        eigs[n] = np.linalg.eigvals(_companions(others, psi))
+    track, worst = _track_small_roots(eigs, loops)
     z[np.arange(n_loops), :, [i - 1 for i, _, _ in loops]] = track
-    margins = np.min(np.abs(others).min(axis=2) - np.abs(track), axis=1)
+    margins = np.min(least - np.abs(track), axis=1)
     for (i, j, k), margin in zip(loops, margins):
         if not margin > 0:
             raise ArithmeticError(

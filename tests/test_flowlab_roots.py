@@ -420,6 +420,14 @@ def test_hl_axis_samples_have_rank_drop():
         assert fl.hl_jacobian_rank(z) < 3
 
 
+def test_hl_jacobian_rank_of_a_point_is_an_int():
+    point = np.array([0.6 + 0.2j, 0.5 - 0.1j, 0.4 + 0.3j])
+    rank = fl.hl_jacobian_rank(point)
+    assert type(rank) is int and rank == 3
+    ranks = fl.hl_jacobian_rank(np.stack([point, 1.3 * np.eye(3)[0]]))
+    assert ranks.shape == (2,) and ranks.tolist() == [3, 1]
+
+
 def test_hl_fiber_samples_satisfy_constraints():
     rng = np.random.default_rng(9)
     c = (0.2, 0.8, -0.3)
@@ -533,14 +541,16 @@ def test_hl_refuses_negative_sample_counts():
 @pytest.fixture(scope="module")
 def seed0_run():
     """verify_all at seed 0, the loops whose coordinates it computed, and a
-    count of the (check, kernel) calls of the batched numeric kernels."""
+    count of the (check, kernel, shape of the first argument) calls of the
+    batched numeric kernels."""
     calls = []
     kernels = Counter()
     running = [None]
     inner = pairing._loop_coordinates
 
     def counted(name, fn):
-        return lambda *a, **k: kernels.update([(running[0], name)]) or fn(*a, **k)
+        return lambda *a, **k: kernels.update(
+            [(running[0], name, np.shape(a[0]))]) or fn(*a, **k)
 
     def tagged(check_id, fn):
         return lambda cfg: running.__setitem__(0, check_id) or fn(cfg)
@@ -558,12 +568,19 @@ def seed0_run():
     return report, calls, kernels
 
 
-def test_numeric_checks_make_one_batched_kernel_call(seed0_run):
+def test_numeric_checks_batch_their_kernel_calls(seed0_run):
+    # c09 takes one loop's companion stack per eigvals call, so only one
+    # loop's stack is held at a time; c10 and c11 make one call in all
     report, _, kernels = seed0_run
     assert report.passed
-    assert kernels[("c09-pairing-matrix", "eigvals")] == 1
-    assert kernels[("c10-covering-counts", "newton")] == 1
-    assert kernels[("c11-harvey-lawson", "svd")] == 1
+
+    def calls(check, name):
+        return {shape: n for (c, k, shape), n in kernels.items()
+                if (c, k) == (check, name)}
+    assert calls("c09-pairing-matrix", "eigvals") == {
+        (pairing.N_STEPS, 5, 5): len(C09_LOOPS)}
+    assert sum(calls("c10-covering-counts", "newton").values()) == 1
+    assert sum(calls("c11-harvey-lawson", "svd").values()) == 1
 
 
 def test_c09_computes_each_loop_once(seed0_run):
