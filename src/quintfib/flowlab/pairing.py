@@ -7,20 +7,14 @@ frozen at a common radius with generic phases, the k-th coordinate sweeps
 a circle of that radius, and z_i rides along as the small root of the
 defining quintic.
 
-The quintic's coefficients along a loop do not involve z_i, so all of them
-are built as arrays, and the roots at every step of a loop come from one
-eigenvalue call on its companion matrices; a loop's companion stack is
-freed before the next one is built, so only one loop's stack is held at a
-time.  z_i is then tracked by continuation, on all loops at once: the
-smallest root at the first step, and at each later step (closing back onto
-the first) the root nearest the previous one.  Each step is certified: the
-tracked root moves less than STEP_FRACTION of its distance to the nearest
-other root, so the nearest root is the continuation and no root jump can go
-unnoticed.
-The chart is certified too: along the loop |z_i| stays below the least
-modulus of the other coordinates.  An uncertified step, a loop that does
-not close and a loop outside its chart each raise ArithmeticError naming
-the loop.
+z_i is a root of z^5 - a z + b, where a = 5 psi (prod others) and
+b = sum others^5 are built as arrays, and is followed by Newton
+continuation on all loops at once: from b/a at the first step, then from
+the previous step's root.  Rouché's theorem certifies each step, closing
+back onto the first, from the tracked root alone, so no root jump goes
+unnoticed and the track closes; and along the loop |z_i| must stay below
+the least modulus of the other coordinates.  An uncertified step and a loop
+outside its chart each raise ArithmeticError naming the loop.
 
 Pairing against the logarithmic form d log(z_l / z_m) is the winding
 number of z_l / z_m around the loop, accumulated from phase increments.
@@ -35,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STEP_FRACTION = 0.25
+STEP_FRACTION = 0.25  # a step's most movement, as a share of the certified disk
 N_STEPS = 400  # loop steps
+NEWTON_TOL = 4 * np.finfo(float).eps  # relative Newton update at rounding level
+NEWTON_CAP = 20  # most Newton updates per step
 RADIUS = 0.75  # common modulus of the spectator and winding coordinates
 POLE_TOL = 1e-6  # least modulus of the form's coordinates along the loop
 
@@ -50,76 +46,76 @@ class PairingResult:
     min_coordinate: float
 
 
-def _track_small_roots(eigs, loops):
-    """Continue the smallest root through each loop's rows of eigs, closing it.
+def _continue_root(a, b, start):
+    """(L, N_STEPS) track of a root of z^5 - a z + b along the rows of a and
+    b, from `start` at the first step.  Each step runs Newton from the last
+    root on all rows until every update is at rounding level (NEWTON_CAP at
+    most)."""
+    track = np.empty_like(a)
+    w = start
+    for s in range(a.shape[1]):
+        a_s, b_s = a[:, s], b[:, s]
+        for _ in range(NEWTON_CAP):
+            w4 = (w * w) ** 2
+            dw = (w * (w4 - a_s) + b_s) / (5.0 * w4 - a_s)
+            w = w - dw
+            if np.all(np.abs(dw) <= NEWTON_TOL * np.abs(w)):
+                break
+        track[:, s] = w
+    return track
 
-    `eigs` is (L, N_STEPS, 5): the quintic's roots at each step of each of
-    the L `loops`, which name the loops in the errors.  Returns the tracked
-    root per loop and step, (L, N_STEPS), and each loop's worst step ratio
-    |step| / gap, where gap is the new root's distance to the nearest other
-    root of its row.
+
+def _certify(track, a, b, loops):
+    """Each loop's largest Rouché ratio; ArithmeticError names the loop and
+    its first step whose ratio is not below 1 (a NaN is not).
+
+    Step s = 1..N_STEPS moves the root to w = w_s from w_{s-1}, step N_STEPS
+    closing back onto step 0.  With p the step's polynomial and
+    R = |w_s - w_{s-1}| / STEP_FRACTION, on |h| = R
+        |p(w + h) - p'(w) h| <= |p(w)| + 10|w|^3 R^2 + 10|w|^2 R^3 + 5|w| R^4 + R^5.
+    The ratio is that bound over |p'(w)| R; below 1, Rouché's theorem leaves
+    p exactly one root in D(w, R), so no other root lies within
+    1/STEP_FRACTION steps, and at the closing step the track closes.
     """
-    n_loops, n = eigs.shape[:2]
-    rows = np.arange(n + 1) % n
-    at = np.arange(n_loops)
-    idx = np.empty((n_loops, n + 1), dtype=int)
-    idx[:, 0] = np.argmin(np.abs(eigs[:, 0]), axis=1)
-    for s in range(1, n + 1):
-        prev = eigs[at, rows[s - 1], idx[:, s - 1]]
-        idx[:, s] = np.abs(eigs[:, rows[s]] - prev[:, None]).argmin(axis=1)
-    track = eigs[at[:, None], rows, idx]
-    worst = np.empty(n_loops)
-    for m, (loop, e, t, ix) in enumerate(zip(loops, eigs, track, idx)):
-        gaps = np.abs(e[rows] - t[:, None])
-        gaps[np.arange(n + 1), ix] = np.inf
-        r = np.abs(np.diff(t)) / gaps.min(axis=1)[1:]
-        bad = np.flatnonzero(~(r < STEP_FRACTION))
+    w, a, b = (np.roll(x, -1, axis=1) for x in (track, a, b))
+    r = np.abs(w - track) / STEP_FRACTION
+    m = np.abs(w)
+    w4 = (w * w) ** 2
+    bound = r * r * (10 * m ** 3 + r * (10 * m * m + r * (5 * m + r)))
+    ratio = (np.abs(w * (w4 - a) + b) + bound) / (np.abs(5.0 * w4 - a) * r)
+    for loop, row in zip(loops, ratio):
+        bad = np.flatnonzero(~(row < 1.0))
         if bad.size:
             raise ArithmeticError(
                 f"loop {loop}: root continuation uncertified at step "
-                f"{bad[0] + 1}: the tracked root moved {r[bad[0]]:.2e} of its "
-                f"gap to the nearest other root")
-        if ix[n] != ix[0]:
-            raise ArithmeticError(
-                f"loop {loop}: the tracked root does not close up around the loop")
-        worst[m] = r.max()
-    return track[:, :n], worst
-
-
-def _companions(others, psi):
-    """Companion matrices of z_i^5 - 5 psi (prod others) z_i + (sum others^5),
-    one per row of `others`; built apart so each loop's stack is freed once
-    its eigenvalues are taken."""
-    companion = np.zeros(others.shape[:-1] + (5, 5), dtype=complex)
-    companion[..., 0, 3] = 5.0 * psi * np.prod(others, axis=-1)
-    companion[..., 0, 4] = -np.sum(others ** 5, axis=-1)
-    companion[..., np.arange(1, 5), np.arange(4)] = 1.0
-    return companion
+                f"{bad[0] + 1}: Rouché ratio {row[bad[0]]:.2e}, not below 1")
+    return ratio.max(axis=1)
 
 
 def _loop_coordinates(loops, psi):
-    """(L, N_STEPS, 5) coordinates along each (i, j, k) loop, and their worst
-    step ratios; one eigenvalue call per loop fills one array of roots.
+    """(L, N_STEPS, 5) coordinates along each (i, j, k) loop, and each loop's
+    largest Rouché ratio (`_certify`).
 
     Each loop must stay in its chart: |z_i| below the least modulus of the
     other coordinates at every step, or ArithmeticError names the margin.
     """
     n_loops = len(loops)
     z = np.zeros((n_loops, N_STEPS, 5), dtype=complex)
-    eigs = np.empty_like(z)
-    least = np.empty((n_loops, N_STEPS))  # least modulus of the others
     phis = np.linspace(0.0, 2.0 * np.pi, N_STEPS, endpoint=False)
     for n, (i, j, k) in enumerate(loops):
         z[n, :, j - 1] = 1.0
         for t, sp in enumerate(sorted(set(range(1, 6)) - {i, j, k})):
             z[n, :, sp - 1] = RADIUS * np.exp(1j * (0.4 + 0.9 * t))
         z[n, :, k - 1] = RADIUS * np.exp(1j * phis)
-        others = np.delete(z[n], i - 1, axis=1)
-        least[n] = np.abs(others).min(axis=1)
-        eigs[n] = np.linalg.eigvals(_companions(others, psi))
-    track, worst = _track_small_roots(eigs, loops)
-    z[np.arange(n_loops), :, [i - 1 for i, _, _ in loops]] = track
-    margins = np.min(least - np.abs(track), axis=1)
+    divisor = [i - 1 for i, _, _ in loops]
+    others = np.take_along_axis(z, np.array(
+        [[c for c in range(5) if c != i] for i in divisor])[:, None], axis=2)
+    a = 5.0 * psi * np.prod(others, axis=2)
+    b = np.sum(others ** 5, axis=2)
+    track = _continue_root(a, b, b[:, 0] / a[:, 0])
+    worst = _certify(track, a, b, loops)
+    z[np.arange(n_loops), :, divisor] = track
+    margins = np.min(np.abs(others).min(axis=2) - np.abs(track), axis=1)
     for (i, j, k), margin in zip(loops, margins):
         if not margin > 0:
             raise ArithmeticError(
@@ -165,8 +161,8 @@ def loop_pairings(loops, forms, psi):
             raise ValueError("loop indices must be distinct")
         if any(l == m for l, m in fs):
             raise ValueError("form indices must be distinct")
-    if not cmath.isfinite(psi):
-        raise ValueError(f"psi must be finite, got {psi}")
+    if not cmath.isfinite(psi) or psi == 0:
+        raise ValueError(f"psi must be finite and nonzero, got {psi}")
     if not loops:
         return []
     z, _ = _loop_coordinates(loops, psi)

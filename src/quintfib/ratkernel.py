@@ -163,6 +163,8 @@ def kernel_basis(m):
     cols - rank(m).
     """
     a = _as_object(m)
+    if len(_echelon(a)[1]) == a.shape[1]:  # full column rank: no kernel
+        return []
     return [np.array(v, dtype=object) for v in _integer_kernel(a.tolist(), a.shape[1])]
 
 

@@ -137,6 +137,7 @@ def test_verify_all_symbolic_only(capsys):
     ("flow", "--tol", "inf"),
     ("flow", "--psi", "nan"),
     ("pairing", "--loop", "1,2,3", "--form", "3,2", "--psi", "nan"),
+    ("pairing", "--loop", "1,2,3", "--form", "3,2", "--psi", "0"),
     ("verify-all", "--psi", "nan"),
     ("verify-all", "--seed", "-1"),
 ])

@@ -63,8 +63,10 @@ def test_pairing_forms_share_one_loop_computation(monkeypatch):
     assert len(calls) == 1 + len(forms)
 
 
-@pytest.mark.parametrize("psi", [float("nan"), float("inf"), complex(0, float("nan"))])
+@pytest.mark.parametrize("psi", [float("nan"), float("inf"), complex(0, float("nan")),
+                                 0.0])
 def test_pairing_and_verify_config_refuse_non_finite_psi(psi):
+    # at psi 0 the quintic has no small root: its five roots share one modulus
     with pytest.raises(ValueError, match="^psi must be finite"):
         fl.loop_pairing_detailed((1, 2, 3), [(3, 2)], psi=psi)
     if isinstance(psi, float):
@@ -110,10 +112,10 @@ C09_LOOPS = [(i, j, k) for (i, j) in ((1, 2), (5, 4))
 
 
 def test_pairing_continuation_certified_on_c09_loops():
-    # every c09 loop is tracked with a wide margin (worst step ratio 7.5e-4)
+    # every c09 loop is tracked with a wide margin (worst Rouché ratio 4.2e-7)
     _, worst = pairing._loop_coordinates(C09_LOOPS, psi=10.0)
     assert worst.shape == (6,)
-    assert np.all(worst < pairing.STEP_FRACTION)
+    assert np.all(worst < 1)
 
 
 def _c09_forms(loops):
@@ -139,25 +141,32 @@ def test_loop_batch_rows_equal_single_loops():
 
 
 # sha256 of repr(loop_pairings(C09_LOOPS, _c09_forms(C09_LOOPS), psi)),
-# computed from one-loop calls before the loops were batched and the chart
-# certified
+# computed once the small root was followed by Newton continuation
 PAIRING_DIGESTS = {
-    10.0: "ec575108f9e3acff2b6bc245341bde169fa3a18539ff1ce40f66d17073de716b",
-    2.0: "2a3bddc33240604f845f696c5b1853962a772b6695acb46b38a296066e231688",
-    0.9: "9622662eaf2e593de0796425c3627b5812094cf164242ccfb3280d4ecd842d34",
+    10.0: "9312f9a2941a036b5da563042bffe0e230a835d7f8aaff67b8ce8190847892f3",
+    2.0: "566b5529f33228ad4219082ea2a7e4e40403e08d433daf353c72cebe91ea743c",
+    0.9: "c4524088858c0e4d649e6622cff08cff8e9cef8e40fc97c7f6a0a86bbad61f60",
 }
+
+# the (value, residue) of each of c09's 24 (loop, form) pairs, row by row,
+# as the eigenvalue continuation gave them at psi 10, 2 and 0.9
+PAIRING_VALUES = ("-1 0.0, 1 0.0, 0 0.0, 0 0.0; -1 0.0, 0 0.0, 1 0.0, 0 0.0; "
+                  "-1 0.0, 0 0.0, 0 0.0, 1 0.0; 1 0.0, 0 0.0, 0 0.0, -1 0.0; "
+                  "0 0.0, 1 0.0, 0 0.0, -1 0.0; 0 0.0, 0 0.0, 1 0.0, -1 0.0")
 
 
 @pytest.mark.parametrize("psi", sorted(PAIRING_DIGESTS))
 def test_loops_inside_their_chart_keep_their_results(psi):
     res = fl.loop_pairings(C09_LOOPS, _c09_forms(C09_LOOPS), psi)
     assert hashlib.sha256(repr(res).encode()).hexdigest() == PAIRING_DIGESTS[psi]
+    assert "; ".join(", ".join(f"{r.value} {r.residue!r}" for r in row)
+                     for row in res) == PAIRING_VALUES
 
 
-@pytest.mark.parametrize("psi", [0.5, 0.0])
+@pytest.mark.parametrize("psi", [0.5, 0.7])
 def test_loops_outside_their_chart_raise(psi):
-    # below psi 0.7 the small root outgrows the spectators; at psi 0.5 the
-    # divisor column used to read 0 where -1 is wanted
+    # at psi 0.7 and below the small root outgrows the spectators; at psi
+    # 0.5 the divisor column used to read 0 where -1 is wanted
     with pytest.raises(ArithmeticError, match=(
             rf"^loop \(1, 2, 3\) outside chart U_1\^2 at psi = {psi}: "
             r"margin -0\.\d+")):
@@ -166,39 +175,98 @@ def test_loops_outside_their_chart_raise(psi):
         fl.loop_pairing_detailed((5, 4, 1), [(5, 4)], psi=psi)
 
 
-def _loop_roots(small, other):
-    """(n, 5) roots along a loop: two moving columns and three fixed far roots."""
-    n = len(small)
-    return np.column_stack([small, other, np.full(n, 5.0), np.full(n, 6j),
-                            np.full(n, -7.0)])
+def _tracks(loops, psi):
+    """Each loop's tracked root, (L, N_STEPS), with the coefficients a and b
+    of its quintic z^5 - a z + b, read back off the loop coordinates."""
+    z, _ = pairing._loop_coordinates(loops, psi)
+    divisor = [i - 1 for i, _, _ in loops]
+    others = np.stack([np.delete(zl, i, axis=1) for zl, i in zip(z, divisor)])
+    return (z[np.arange(len(loops)), :, divisor],
+            5.0 * psi * np.prod(others, axis=-1), np.sum(others ** 5, axis=-1))
 
 
-CIRCLE = np.exp(2j * np.pi * np.arange(64) / 64)
+def _eigvals_track(a, b):
+    """The continuation c09 used to run: every root from one eigenvalue call
+    on companion matrices, the smallest at the first step, then at each step
+    the root nearest the previous one."""
+    companion = np.zeros(a.shape + (5, 5), dtype=complex)
+    companion[..., 0, 3] = a
+    companion[..., 0, 4] = -b
+    companion[..., np.arange(1, 5), np.arange(4)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    at = np.arange(len(a))
+    track = np.empty_like(a)
+    track[:, 0] = roots[at, 0, np.abs(roots[:, 0]).argmin(axis=1)]
+    for s in range(1, a.shape[1]):
+        near = np.abs(roots[:, s] - track[:, s - 1, None]).argmin(axis=1)
+        track[:, s] = roots[at, s, near]
+    return track
+
+
+@pytest.mark.parametrize("psi", [10.0, 2.0, 0.9, 0.85, -10.0, 100.0])
+def test_continuation_agrees_with_the_eigenvalue_oracle(psi):
+    track, a, b = _tracks(C09_LOOPS, psi)
+    assert np.abs(track - _eigvals_track(a, b)).max() < 1e-15
+
+
+def test_rouche_certificate_holds_in_interval_arithmetic():
+    # psi 0.9 is c09's lowest pinned psi; its worst loop has the largest
+    # ratio that passes (0.18), so rounding could fake the certificate
+    # there first
+    iv = pytest.importorskip("mpmath").iv
+    psi = 0.9
+    z, worst = pairing._loop_coordinates(C09_LOOPS, psi)
+    n = int(np.argmax(worst))
+    i = C09_LOOPS[n][0] - 1
+    rows = [[iv.mpc(x.real, x.imag) for x in row] for row in z[n]]
+    ratios = []
+    for s in range(1, pairing.N_STEPS + 1):
+        row = rows[s % pairing.N_STEPS]
+        w, others = row[i], row[:i] + row[i + 1:]
+        a = 5 * iv.mpf(psi) * others[0] * others[1] * others[2] * others[3]
+        b = sum(x ** 5 for x in others)
+        r = abs(w - rows[s - 1][i]) / pairing.STEP_FRACTION
+        m = abs(w)
+        bound = (abs(w ** 5 - a * w + b) + 10 * m ** 3 * r ** 2
+                 + 10 * m ** 2 * r ** 3 + 5 * m * r ** 4 + r ** 5)
+        linear = abs(5 * w ** 4 - a) * r
+        assert bound.b < linear.a, f"step {s}"
+        ratios.append(float((bound / linear).b))
+    assert max(ratios) == pytest.approx(worst[n], rel=1e-9)
 
 
 def test_pairing_continuation_accepts_smooth_track():
-    eigs = _loop_roots(0.1 * CIRCLE, np.full(64, -2.0))
-    track, worst = pairing._track_small_roots(eigs[None], [(1, 2, 3)])
-    assert np.array_equal(track[0], eigs[:, 0])
-    assert worst[0] < pairing.STEP_FRACTION
+    track, a, b = _tracks(C09_LOOPS, 10.0)
+    _, worst = pairing._loop_coordinates(C09_LOOPS, 10.0)
+    assert np.array_equal(pairing._certify(track, a, b, C09_LOOPS), worst)
+    assert np.all(worst < 1)
 
 
 def test_pairing_continuation_rejects_root_jump():
-    eigs = _loop_roots(0.1 * CIRCLE, np.full(64, -2.0))
-    eigs[20, 0] = 1.5       # one step of 1.4, 3.5 away from the other roots
-    smooth = _loop_roots(0.1 * CIRCLE, np.full(64, -2.0))
-    with pytest.raises(ArithmeticError,
-                       match=r"^loop \(5, 4, 1\): .*uncertified at step 20"):
-        pairing._track_small_roots(np.stack([smooth, eigs]),
-                                   [(1, 2, 3), (5, 4, 1)])
+    loops = C09_LOOPS[:2]
+    track, a, b = _tracks(loops, 10.0)
+    # step 20 of the second loop moves onto the nearest other root of its
+    # quintic
+    roots = np.roots([1, 0, 0, 0, -a[1, 20], b[1, 20]])
+    track[1, 20] = roots[np.argsort(np.abs(roots - track[1, 20]))[1]]
+    with pytest.raises(ArithmeticError, match=(
+            r"^loop \(1, 2, 4\): root continuation uncertified at step 20: "
+            r"Rouché ratio")):
+        pairing._certify(track, a, b, loops)
 
 
 def test_pairing_continuation_rejects_unclosed_loop():
-    # a small pair turning half way round swaps places: every step is
-    # certified, but the tracked root ends on the other one
-    half = 0.1 * np.sqrt(CIRCLE)
-    with pytest.raises(ArithmeticError, match=r"^loop \(1, 2, 3\): .*close up"):
-        pairing._track_small_roots(_loop_roots(half, -half)[None], [(1, 2, 3)])
+    # a large root goes as a^(1/4), and a winds once around the loop, so
+    # continued from a large root every step is certified but the track
+    # ends on the next large root: the closing step fails
+    loops = C09_LOOPS[:1]
+    _, a, b = _tracks(loops, 10.0)
+    roots = np.roots([1, 0, 0, 0, -a[0, 0], b[0, 0]])
+    track = pairing._continue_root(a, b, roots[np.argmax(np.abs(roots))][None])
+    with pytest.raises(ArithmeticError, match=(
+            rf"^loop \(1, 2, 3\): root continuation uncertified at step "
+            rf"{pairing.N_STEPS}: ")):
+        pairing._certify(track, a, b, loops)
 
 
 # ------------------------------------------------------------ covering counts
@@ -569,16 +637,15 @@ def seed0_run():
 
 
 def test_numeric_checks_batch_their_kernel_calls(seed0_run):
-    # c09 takes one loop's companion stack per eigvals call, so only one
-    # loop's stack is held at a time; c10 and c11 make one call in all
+    # c09 follows its roots by Newton and finds no eigenvalue; c10 and c11
+    # make one call in all
     report, _, kernels = seed0_run
     assert report.passed
 
     def calls(check, name):
         return {shape: n for (c, k, shape), n in kernels.items()
                 if (c, k) == (check, name)}
-    assert calls("c09-pairing-matrix", "eigvals") == {
-        (pairing.N_STEPS, 5, 5): len(C09_LOOPS)}
+    assert calls("c09-pairing-matrix", "eigvals") == {}
     assert sum(calls("c10-covering-counts", "newton").values()) == 1
     assert sum(calls("c11-harvey-lawson", "svd").values()) == 1
 

@@ -1,6 +1,10 @@
-"""Every top-level import in the library is used by the module that makes it."""
+"""Every top-level import in the library is used by the module that makes
+it, and the command line loads no test-only dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quintfib"
@@ -45,3 +49,16 @@ def test_detector_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import gcd, lcm\n"
                      "__all__ = ['lcm']\nprint(os.sep)\n")
     assert _unused_imports(tree) == {"gcd": 2}
+
+
+def test_cli_imports_no_test_dependency():
+    # numpy is the only runtime dependency; scipy, sympy, mpmath and
+    # hypothesis serve the tests alone
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, quintfib.cli; print(*sorted("
+         "{m.partition('.')[0] for m in sys.modules}"
+         " & {'scipy', 'sympy', 'mpmath', 'hypothesis'}))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert loaded == []
