@@ -5,13 +5,15 @@ Matrices are numpy object arrays, or lists of rows, of Python ints
 path.  Entries that are not integers are refused through `as_int` rather
 than truncated; integral fractions, numpy ints and floats pass.
 
-Two eliminations, each with one job:
+One elimination, `_eliminate`, a forward elimination on sparse integer rows
+{column: nonzero int} by unimodular row operations, serves every result.
+A dense matrix is converted once on entry; `rank` also takes a matrix as
+its list of such rows, the form in which `sheafcoh` holds its Cech
+differentials.
 
-- `_echelon`, a fraction-free forward elimination on sparse integer rows
-  {column: nonzero int}, serves `rank` and `det`.  A dense matrix is
-  converted once on entry; `rank` also takes a matrix as its list of such
-  rows, the form in which `sheafcoh` holds its Cech differentials.
-- `row_hermite_form`, with unimodular integer row operations, serves every
+- `rank` is its pivot count, and `det` the product of its pivots, signed
+  by the parity of the pivot row order.
+- `row_hermite_form` is its echelon form made canonical, and serves every
   lattice-valued result: `kernel_basis` (the Hermite basis of the integer
   kernel), `inverse` (of a unimodular matrix), `saturate` and
   `sublattice_index`.
@@ -59,24 +61,6 @@ def _as_object(m):
     return a
 
 
-def _combine(p, row, f, pivot_row):
-    """Primitive part of p*row - f*pivot_row, and the content divided out
-    (1 for a row that cancels to nothing).
-
-    Rows are sparse, {column: nonzero int}; only the columns of the two
-    rows are touched, and entries that cancel are dropped.
-    """
-    out = {j: p * x for j, x in row.items()}
-    for j, y in pivot_row.items():
-        x = out.get(j, 0) - f * y
-        if x:
-            out[j] = x
-        else:
-            del out[j]
-    g = gcd(*out.values()) or 1
-    return ({j: x // g for j, x in out.items()} if g > 1 else out), g
-
-
 def _odd(perm):
     """True when the permutation of range(len(perm)) is odd: n minus its
     number of cycles is odd."""
@@ -90,28 +74,38 @@ def _odd(perm):
     return (len(perm) - cycles) % 2 == 1
 
 
-def _echelon(m):
-    """Fraction-free forward elimination on sparse rows: (rows, pivots, (den, num)).
+def _subtract(row, q, pivot_row):
+    """row -= q * pivot_row on sparse rows {column: nonzero int}, in place:
+    only the pivot row's columns are touched, and entries that cancel are
+    dropped."""
+    for j, y in pivot_row.items():
+        x = row.get(j, 0) - q * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
-    `m` is a 2-d object array, converted once through `tolist()`, or a list
-    of sparse rows {column: entry}.  The rows that still lack a pivot are
-    grouped by their leading column, so the pivot search of a column sees
-    exactly the rows holding it.  Its pivot is the entry of smallest
-    absolute value, ties going to the lowest original row; every other row
-    of the group is replaced by `_combine` and joins the group of its new
-    leading column.  Fill-in lies right of the pivot column and in columns
-    where some input row has a nonzero, so only those columns are visited.
-    Every row is its Bareiss row or that row's primitive part, so entries
-    stay within Hadamard's bound instead of growing exponentially on dense
-    input.  Rows never move: the echelon rows are the pivot rows in pivot
-    order, and the sign of det comes from the parity of that row order.
-    For square nonsingular m, det(m) = den * (product of the pivots) // num,
-    and the division is exact.
-    """
-    rows = [{j: x if type(x) is int else as_int(x)
+
+def _sparse(rows):
+    """Rows, dense or {column: entry}, as fresh sparse rows {column: nonzero int}."""
+    return [{j: x if type(x) is int else as_int(x)
              for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
-            for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
-    num, den = 1, 1
+            for row in rows]
+
+
+def _eliminate(rows):
+    """Forward elimination of sparse integer rows by unimodular row
+    operations: (pivot rows, pivot columns, pivot row order).
+
+    The rows that still lack a pivot are grouped by their leading column, so
+    a column's pivot search sees exactly the rows holding it.  The group is
+    reduced by nearest-quotient Euclid steps against its row of smallest
+    absolute entry there (ties to the lowest row) until one row is left: the
+    pivot row.  A row whose entry cancels joins the group of its new leading
+    column.  Only row additions are made and rows are updated in place and
+    never move, so the sign of det comes from the parity of the pivot row
+    order.
+    """
     groups = {}
     for i, row in enumerate(rows):
         if row:
@@ -121,28 +115,31 @@ def _echelon(m):
         group = groups.pop(c, None)
         if group is None:
             continue
-        r = min(group, key=lambda i: (abs(rows[i][c]), i))
-        pivot_row, p = rows[r], rows[r][c]
-        for i in group:
-            if i == r:
-                continue
-            rows[i], g = _combine(p, rows[i], rows[i][c], pivot_row)
-            num *= p
-            den *= g
-            if rows[i]:
-                groups.setdefault(min(rows[i]), []).append(i)
-        order.append(r)
+        while len(group) > 1:
+            r = min(group, key=lambda i: (abs(rows[i][c]), i))
+            pivot_row = rows[r]
+            p, p2 = pivot_row[c], 2 * pivot_row[c]
+            rest = [r]
+            for i in group:
+                if i == r:
+                    continue
+                row = rows[i]
+                _subtract(row, (2 * row[c] + p) // p2, pivot_row)  # |remainder| <= |p|/2
+                if c in row:
+                    rest.append(i)
+                elif row:
+                    groups.setdefault(min(row), []).append(i)
+            group = rest
+        order.append(group[0])
         pivots.append(c)
-    if len(order) == len(rows) and _odd(order):
-        num = -num
-    return [rows[r] for r in order], tuple(pivots), (den, num)
+    return [rows[r] for r in order], pivots, order
 
 
 def rank(m):
     """Exact rank of an integer matrix, or of its list of sparse rows
     {column: entry}."""
     sparse = isinstance(m, list) and m and isinstance(m[0], dict)
-    return len(_echelon(m if sparse else _as_object(m))[1])
+    return len(_eliminate(_sparse(m if sparse else _as_object(m).tolist()))[1])
 
 
 def det(m):
@@ -150,10 +147,11 @@ def det(m):
     a = _as_object(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("determinant of a non-square matrix")
-    rows, pivots, (den, num) = _echelon(a)
+    rows, pivots, order = _eliminate(_sparse(a.tolist()))
     if len(pivots) < a.shape[0]:
         return 0
-    return den * prod(row[c] for row, c in zip(rows, pivots)) // num
+    d = prod(row[c] for row, c in zip(rows, pivots))
+    return -d if _odd(order) else d
 
 
 def kernel_basis(m):
@@ -163,7 +161,7 @@ def kernel_basis(m):
     cols - rank(m).
     """
     a = _as_object(m)
-    if len(_echelon(a)[1]) == a.shape[1]:  # full column rank: no kernel
+    if len(_eliminate(_sparse(a.tolist()))[1]) == a.shape[1]:  # full column rank
         return []
     return [np.array(v, dtype=object) for v in _integer_kernel(a.tolist(), a.shape[1])]
 
@@ -298,46 +296,27 @@ def row_hermite_form(rows):
 
     Pivots are positive, entries above each pivot lie in [0, pivot); the
     result is the canonical basis of the row lattice (zero rows dropped).
-    A column is cleared below its pivot by repeated division, with the
-    nearest quotient, by the row of smallest absolute entry there; row
-    operations touch only the columns from the pivot on.
+    It is `_eliminate`'s echelon form with each pivot row made positive and
+    the rows above it reduced by it.
     """
-    a = [[as_int(x) for x in row] for row in rows]
-    if not a:
+    rows = list(rows)
+    if not rows:
         return []
-    nrows, ncols = len(a), len(a[0])
-    if any(len(row) != ncols for row in a):
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
         raise ValueError("rows of unequal length")
-    r = 0
-    for c in range(ncols):  # rows r.. are zero left of column c
-        if r == nrows:
-            break
-        while True:
-            nz = [i for i in range(r, nrows) if a[i][c]]
-            if not nz:
-                break
-            best = min(nz, key=lambda i: abs(a[i][c]))
-            a[r], a[best] = a[best], a[r]
-            p, tail = a[r][c], a[r][c:]
-            done = True
-            for i in range(r + 1, nrows):
-                if a[i][c]:
-                    q = (2 * a[i][c] + p) // (2 * p)  # nearest: |remainder| <= |p|/2
-                    a[i][c:] = [x - q * y for x, y in zip(a[i][c:], tail)]
-                    done = done and not a[i][c]
-            if done:
-                break
-        if not a[r][c]:
-            continue
-        if a[r][c] < 0:
-            a[r][c:] = [-x for x in a[r][c:]]
-        p, tail = a[r][c], a[r][c:]
-        for i in range(r):
-            q = a[i][c] // p
+    h, pivots, _ = _eliminate(_sparse(rows))
+    for row, c in zip(h, pivots):
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
+    for k in reversed(range(len(h))):  # the rows below k are reduced already
+        row = h[k]
+        for below, c in zip(h[k + 1:], pivots[k + 1:]):
+            q = row.get(c, 0) // below[c]
             if q:
-                a[i][c:] = [x - q * y for x, y in zip(a[i][c:], tail)]
-        r += 1
-    return a[:r]
+                _subtract(row, q, below)
+    return [[row.get(j, 0) for j in range(n)] for row in h]
 
 
 def _integer_kernel(rows, n):

@@ -193,18 +193,18 @@ def test_differential_triplets_are_pinned():
 
 
 def test_K3_elimination_touches_only_nonzeros(monkeypatch):
-    """The elimination reads only the nonzeros of the two rows it combines:
-    over a whole K3 rank that stays below ten times the differential's
-    nonzero count, where a dense elimination reads 2 x 280 entries per
-    combination (44,800 for the unrelabeled complex)."""
-    combine = rk._combine
+    """The elimination reads only the nonzeros of the two rows of each row
+    update: over a whole K3 rank that stays below ten times the
+    differential's nonzero count, where a dense elimination reads 2 x 280
+    entries per update (44,800 for the unrelabeled complex)."""
+    subtract = rk._subtract
     touched = []
 
-    def counted(p, row, f, pivot_row):
+    def counted(row, q, pivot_row):
         touched.append(len(row) + len(pivot_row))
-        return combine(p, row, f, pivot_row)
+        return subtract(row, q, pivot_row)
 
-    monkeypatch.setattr(rk, "_combine", counted)
+    monkeypatch.setattr(rk, "_subtract", counted)
     for rel in (None, sc.random_relabeling(np.random.default_rng(2024))):
         touched.clear()
         assert sc.K3_cohomology(rel) == (160, 0)
