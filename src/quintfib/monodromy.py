@@ -270,7 +270,10 @@ def leg_loop_at(leg, basepoint):
 
 
 def leg_monodromy(leg, basepoint=None, orientation=1):
-    """Monodromy around a leg, expressed in the basepoint chart basis."""
+    """Monodromy around a leg, expressed in the basepoint chart basis;
+    orientation is 1 (positive) or -1 (reversed), ValueError otherwise."""
+    if orientation not in (1, -1):
+        raise ValueError(f"orientation must be 1 or -1, got {orientation!r}")
     if basepoint is None:
         comp = INDEX_SET - leg.pair - {leg.apex}
         basepoint = ChartId(max(comp), max(leg.pair))

@@ -90,6 +90,15 @@ def test_leg_loop_reversed():
     assert _eq(op.matrix, [[1, 5, 0], [0, 1, 0], [0, 0, 1]])
 
 
+@pytest.mark.parametrize("orientation", [0, 2, -2, 0.5])
+def test_leg_orientation_is_plus_or_minus_one(orientation):
+    # 0 used to return the forward matrix labelled (-) with sign -1, and 2
+    # was taken as 1
+    leg = GraphEdge(frozenset({2, 4}), 3)
+    with pytest.raises(ValueError, match="orientation must be 1 or -1"):
+        mono.leg_monodromy(leg, orientation=orientation)
+
+
 def test_monodromy_along_trivial_loop():
     op = mono.monodromy_along(ChartPath((ChartId(5, 4),)))
     assert _eq(op.matrix, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

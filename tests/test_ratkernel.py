@@ -445,3 +445,71 @@ def test_saturate_dense_matches_smith_reference():
         assert sum(1 for i in range(min(d.shape)) if d[i, i] != 0) == r
         want = rk.row_hermite_form([list(rinv[i]) for i in range(r)])
         assert [list(v) for v in rk.saturate(m.tolist())] == want
+
+
+# -- the Hermite form against an oracle that shares no code with it --
+
+def _in_row_lattice(sympy, basis, vectors):
+    """True when every vector is an integer combination of the basis rows.
+
+    With sympy's Smith decomposition S = U B V (U, V unimodular), x B = v
+    has an integer solution x exactly when y S = v V has one for y = x U^-1.
+    """
+    from sympy.matrices.normalforms import smith_normal_decomp
+    if not basis:
+        return not any(x for v in vectors for x in v)
+    b = sympy.Matrix(basis)
+    s, u, v_ = smith_normal_decomp(b, domain=sympy.ZZ)
+    assert u * b * v_ == s
+    diag = [s[i, i] for i in range(min(s.shape))]
+    for vec in vectors:
+        w = sympy.Matrix([list(vec)]) * v_
+        for j in range(b.cols):
+            d = diag[j] if j < len(diag) else 0
+            if (w[j] % d if d else w[j]) != 0:
+                return False
+    return True
+
+
+def _random_unimodular(rng, n):
+    """A product of seeded elementary integer row operations."""
+    u = np.eye(n, dtype=int).astype(object)
+    for _ in range(3 * n):
+        i, j = rng.integers(0, n, 2)
+        if i != j:
+            u[i] = u[i] + int(rng.integers(-3, 4)) * u[j]
+        else:
+            u[i] = -u[i]
+    return u
+
+
+def _hermite_probes(rng):
+    """Seeded integer matrices: general ones up to 6 x 8, rank-deficient ones
+    (later rows combine earlier ones), and the wide [M^T | I] shapes that
+    kernel_basis and saturate reduce."""
+    for _ in range(30):
+        rows, cols = (int(x) for x in rng.integers(1, 7, 2) + (0, 2))
+        m = rng.integers(-9, 10, (rows, cols)).astype(object)
+        if rng.integers(2) and rows > 1:
+            k = int(rng.integers(1, rows))
+            for i in range(k, rows):
+                m[i] = sum(int(c) * m[j] for j, c in enumerate(rng.integers(-2, 3, k)))
+        yield m
+        yield np.hstack([m.T, np.eye(cols, dtype=int).astype(object)])
+
+
+def test_hermite_form_spans_the_lattice_and_ignores_row_operations():
+    """row_hermite_form(M) has Hermite shape, spans M's row lattice (each
+    side's rows are integer combinations of the other's, by sympy), and is
+    unchanged by a unimodular U on the left."""
+    _, sympy = _oracle()
+    rng = np.random.default_rng(22)
+    for m in _hermite_probes(rng):
+        rows = [[int(x) for x in row] for row in m]
+        h = rk.row_hermite_form(rows)
+        assert _is_hermite(h)
+        assert all(type(x) is int for row in h for x in row)
+        assert _in_row_lattice(sympy, h, rows)
+        assert _in_row_lattice(sympy, rows, h)
+        u = _random_unimodular(rng, len(rows))
+        assert rk.row_hermite_form((u @ m).tolist()) == h
