@@ -4,6 +4,8 @@ import pytest
 
 from quintfib import cli, verify
 
+import contract
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -166,17 +168,10 @@ def test_comma_lists_of_the_wrong_length_are_rejected(capsys, argv, flag):
         run_cli(capsys, *argv)
 
 
-def _without_runtimes(report):
-    payload = report.as_dict()
-    for row in payload["checks"]:
-        del row["runtime_s"]
-    return json.dumps(payload, indent=2)
-
-
 def test_verify_report_json_is_stable_without_runtimes():
     cfg = verify.VerifyConfig(seed=0, skip="numeric")
-    a = _without_runtimes(verify.verify_all(cfg))
-    b = _without_runtimes(verify.verify_all(cfg))
+    a = contract.report_text(verify.verify_all(cfg))
+    b = contract.report_text(verify.verify_all(cfg))
     assert a == b
 
 
