@@ -2,37 +2,66 @@
 
 The contract is the `verify-all` JSON report minus its `runtime_s` fields,
 at seeds 0-3 in each of the three modes (all checks, `--skip numeric`,
-`--skip symbolic`), and the stdout of the README's command-line examples.
-Each case is one text file under tests/goldens/; `tests/test_contract.py`
-compares against them, and `python tests/regen_goldens.py` rewrites them.
+`--skip symbolic`), the human `verify-all` table at seed 0 without its
+timing column, the stdout of the README's command-line examples in both
+output forms, and the stdout of the demos.  Each case is one text file
+under tests/goldens/; `tests/test_contract.py` compares against them, and
+`python tests/regen_goldens.py` rewrites them.
 """
 
 import contextlib
 import io
 import json
+import re
+import runpy
 from pathlib import Path
 
 from quintfib import cli, verify
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 SEEDS = (0, 1, 2, 3)
 SKIPS = ("", "numeric", "symbolic")
 REPORT_CONFIGS = [verify.VerifyConfig(seed=seed, skip=skip)
                   for seed in SEEDS for skip in SKIPS]
 
-# the README's command-line examples, by golden file name
+# the human verify-all table of this report, by golden file name
+TABLES = {"verify-all-seed0.txt": "verify-all-seed0.json"}
+
+# the README's command-line examples, each in both output forms, by golden
+# file name
 CLI_EXAMPLES = {
     "cli-graph.json": ["graph", "--format", "json"],
+    "cli-graph.txt": ["graph"],
     "cli-monodromy.txt": ["monodromy", "--leg", "2,4,3", "--basepoint", "5,4"],
+    "cli-monodromy.json": ["monodromy", "--leg", "2,4,3", "--basepoint", "5,4",
+                           "--format", "json"],
     "cli-census.txt": ["census", "--fibration", "expected"],
+    "cli-census.json": ["census", "--fibration", "expected", "--format", "json"],
     "cli-euler.txt": ["euler", "--fibration", "expected"],
+    "cli-euler.json": ["euler", "--fibration", "expected", "--format", "json"],
     "cli-spectral-quintic.txt": ["spectral", "--fibration", "quintic"],
+    "cli-spectral-quintic.json": ["spectral", "--fibration", "quintic",
+                                  "--format", "json"],
+    "cli-spectral-mirror.txt": ["spectral", "--fibration", "mirror"],
+    "cli-spectral-mirror.json": ["spectral", "--fibration", "mirror",
+                                 "--format", "json"],
     "cli-spectral-explain-K3.txt": ["spectral", "--explain", "K3"],
+    "cli-spectral-explain-K3.json": ["spectral", "--explain", "K3",
+                                     "--format", "json"],
     "cli-toric.json": ["toric", "--report", "json"],
+    "cli-toric.txt": ["toric"],
     "cli-pairing.txt": ["pairing", "--loop", "1,2,3", "--form", "3,2"],
+    "cli-pairing.json": ["pairing", "--loop", "1,2,3", "--form", "3,2",
+                         "--format", "json"],
     "cli-covering.txt": ["covering", "--r1", "1.0", "--r2", "1.0"],
+    "cli-covering.json": ["covering", "--r1", "1.0", "--r2", "1.0",
+                          "--format", "json"],
 }
+
+# the demos, by golden file name
+DEMO_SCRIPTS = {f"demo-{p.stem}.txt": p for p in sorted(DEMOS.glob("*.py"))}
 
 
 def report_name(config):
@@ -49,12 +78,25 @@ def report_text(report):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def table_text(report):
+    """The human `verify-all` table without its `(...s)` timing column."""
+    return re.sub(r"  \(\d+\.\d\ds\)$", "", report.render_table(), flags=re.M) + "\n"
+
+
 def cli_text(argv):
     """Exit code and stdout of one in-process CLI run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
     return f"$ quintfib {' '.join(argv)}\n# exit {code}\n{out.getvalue()}"
+
+
+def demo_text(path):
+    """Stdout of one demo, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
 
 
 def build_reports():
@@ -65,5 +107,7 @@ def build_reports():
 def texts(reports):
     """{golden file name: text} for every case, from the built reports."""
     out = {name: report_text(r) for name, r in reports.items()}
+    out.update((name, table_text(reports[src])) for name, src in TABLES.items())
     out.update((name, cli_text(argv)) for name, argv in CLI_EXAMPLES.items())
+    out.update((name, demo_text(path)) for name, path in DEMO_SCRIPTS.items())
     return out

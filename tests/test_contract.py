@@ -25,13 +25,25 @@ def test_verify_report_matches_golden(reports, name):
     _check(name, contract.report_text(reports[name]))
 
 
+@pytest.mark.parametrize("name", sorted(contract.TABLES))
+def test_verify_table_matches_golden(reports, name):
+    _check(name, contract.table_text(reports[contract.TABLES[name]]))
+
+
 @pytest.mark.parametrize("name", sorted(contract.CLI_EXAMPLES))
 def test_cli_example_matches_golden(name):
     _check(name, contract.cli_text(contract.CLI_EXAMPLES[name]))
 
 
+@pytest.mark.parametrize("name", sorted(contract.DEMO_SCRIPTS))
+def test_demo_matches_golden(name):
+    _check(name, contract.demo_text(contract.DEMO_SCRIPTS[name]))
+
+
 def test_every_golden_is_a_case():
-    cases = {contract.report_name(c) for c in contract.REPORT_CONFIGS} | set(contract.CLI_EXAMPLES)
+    cases = ({contract.report_name(c) for c in contract.REPORT_CONFIGS}
+             | set(contract.TABLES) | set(contract.CLI_EXAMPLES)
+             | set(contract.DEMO_SCRIPTS))
     assert {p.name for p in contract.GOLDENS.iterdir()} == cases
 
 
