@@ -15,7 +15,7 @@ from quintfib import ratkernel, sheafcoh
 cx = sheafcoh.build_K3()
 h0, h1 = cx.cohomology_dims()
 print(f"kernel sheaf of the top direct image: C0 = {cx.c0}, C1 = {cx.c1}")
-print(f"  rank of the differential = {ratkernel.rank(cx.differential)}")
+print(f"  rank of the differential = {ratkernel.rank(cx.rows)}")
 print(f"  h0 = {h0}, h1 = {h1}")
 
 rep = sheafcoh.surjectivity_check_pijk()

@@ -4,9 +4,9 @@ The direct-image sheaves of the torus fibration restrict to constructible
 sheaves supported on the discriminant graph.  For the top one the kernel
 sheaf K3 has stalks
 
-    24-dimensional at each triple barycenter  (sum-zero part of Q^25),
-    4-dimensional at each pair barycenter    (sum-zero part of Q^5),
-    4-dimensional on each leg                (sum-zero part of Q^5),
+    24-dimensional at each triple barycenter  (sum-zero part of Z^25),
+    4-dimensional at each pair barycenter    (sum-zero part of Z^5),
+    4-dimensional on each leg                (sum-zero part of Z^5),
 
 and its Cech complex on the graph is C^0 (dim 280) -> C^1 (dim 120), held
 as the 120 sparse rows of its differential (720 nonzeros under the
@@ -26,7 +26,7 @@ dimensions from the dual invariants of the leg and vertex monodromies, and
 the boundary residues of their generating 1-cycle are sums of chart
 expansions (`monodromy.expand`) of its incident coefficients.
 
-Everything in this module is exact rational linear algebra.
+Everything in this module is exact integer linear algebra (`ratkernel`).
 """
 
 from dataclasses import dataclass
@@ -40,39 +40,16 @@ _VERTICES, _LEGS = map(tuple, enumerate_graph())
 _TRIPLES = tuple(tuple(sorted(v.indices)) for v in _VERTICES if v.kind == "triple")
 _PAIRS = tuple(tuple(sorted(v.indices)) for v in _VERTICES if v.kind == "pair")
 
-
-def leg_roles(triple):
-    """apex -> index-role map at a sorted triple (i, j, k).
-
-    Role 'l' reads the first index of x_{lm}, role 'm' the second, role 'n'
-    the antidiagonal class n = -l-m (mod 5).
-    """
-    i, j, k = triple
-    return {k: "l", i: "m", j: "n"}
+# stalk dimensions at a triple barycenter, at a pair barycenter and on a leg
+# of the kernel sheaves of the top (K3) and the middle (K2) direct image
+K3_STALKS = (24, 4, 4)
+K2_STALKS = (8, 0, 4)
 
 
-@dataclass(frozen=True)
-class ConstructibleSheafSpec:
-    """Stalk dimensions of a constructible sheaf on the graph strata.
-
-    Only the kernel sheaf of the top direct image carries explicit
-    restriction maps (`triple_restriction`, `pair_restriction`).
-    """
-
-    name: str
-    edge_dim: int
-    pair_dim: int
-    triple_dim: int
-
-    def c0(self):
-        return len(_TRIPLES) * self.triple_dim + len(_PAIRS) * self.pair_dim
-
-    def c1(self):
-        return len(_LEGS) * self.edge_dim
-
-
-K3_SPEC = ConstructibleSheafSpec("K3", edge_dim=4, pair_dim=4, triple_dim=24)
-K2_SPEC = ConstructibleSheafSpec("K2", edge_dim=4, pair_dim=0, triple_dim=8)
+def _cech_dims(stalks):
+    """(c0, c1) of the Cech complex of a sheaf with these stalk dimensions."""
+    triple, pair, leg = stalks
+    return len(_TRIPLES) * triple + len(_PAIRS) * pair, len(_LEGS) * leg
 
 
 @dataclass(frozen=True)
@@ -84,10 +61,14 @@ class Relabeling:
     forces n -> unit*n - alpha - beta, so the index rule is preserved.
     `pair_leg_perms` maps (sorted pair, apex) to a permutation of 0..4
     applied between the pair stalk components and the leg components.
+    A triple or (pair, apex) that is not listed keeps its labels.
     """
 
     triple_affine: dict
     pair_leg_perms: dict
+
+
+_IDENTITY = Relabeling({}, {})
 
 
 def random_relabeling(rng):
@@ -103,61 +84,39 @@ def random_relabeling(rng):
     return Relabeling(tri, perms)
 
 
-def _triple_labels(triple, relabeling):
-    """(l, m) -> ambient index functions for the three roles at a triple."""
-    unit, alpha, beta = (1, 0, 0)
-    if relabeling is not None and triple in relabeling.triple_affine:
-        unit, alpha, beta = relabeling.triple_affine[triple]
+def _leg_labels(triple, apex, relabeling):
+    """Leg component of each generator x_{lm} of a sorted triple's stalk,
+    (l, m) in row-major order.
 
-    def lab(role, l, m):
-        if role == "l":
-            return (unit * l + alpha) % 5
-        if role == "m":
-            return (unit * m + beta) % 5
-        n = (-l - m) % 5
-        return (unit * n - alpha - beta) % 5
-
-    return lab
-
-
-def _sum_zero_rows(labels, zero_label):
-    """Restriction between sum-zero coordinates: 4 sparse rows over
-    len(labels) columns.
-
-    Column s is e_{labels[s]} - e_{zero_label}, the image of generator s
-    after the dropped 0-th generator's substitution, on components 1..4;
-    row t - 1 holds component t as {column: entry}, nonzeros only.
+    The apex-k, apex-i and apex-j legs of (i, j, k) read x_{lm} through the
+    functionals l, m and n = -l-m, i.e. (a, b) = (1, 0), (0, 1), (-1, -1)
+    applied to the relabeled (unit*l + alpha, unit*m + beta).
     """
+    i, j, k = triple
+    a, b = {k: (1, 0), i: (0, 1), j: (-1, -1)}[apex]
+    unit, alpha, beta = relabeling.triple_affine.get(triple, (1, 0, 0))
+    return [(a * (unit * l + alpha) + b * (unit * m + beta)) % 5
+            for l in range(5) for m in range(5)]
+
+
+def _restriction(labels):
+    """Restriction from a stalk to a leg stalk between sum-zero
+    coordinates: 4 sparse rows over len(labels) - 1 columns.
+
+    Generator s goes to leg component labels[s].  Generator 0 is dropped
+    (it is minus the sum of the rest), so column s - 1 is
+    e_{labels[s]} - e_{labels[0]} on components 1..4; row t - 1 holds
+    component t as {column: entry}, nonzeros only.
+    """
+    zero = labels[0]
     rows = [{} for _ in range(4)]
-    for s, a in enumerate(labels):
-        if a != zero_label:
+    for s, a in enumerate(labels[1:]):
+        if a != zero:
             if a:
                 rows[a - 1][s] = 1
-            if zero_label:
-                rows[zero_label - 1][s] = -1
+            if zero:
+                rows[zero - 1][s] = -1
     return rows
-
-
-def triple_restriction(triple, apex, relabeling):
-    """Nonzeros of the 4x24 restriction from a triple stalk to an incident
-    leg stalk, as 4 sparse rows.
-
-    Columns run over (l, m) != (0, 0) in row-major order; the implicit
-    x_{00} = -(sum) substitution contributes the correction column-wise.
-    """
-    role = leg_roles(triple)[apex]
-    lab = _triple_labels(triple, relabeling)
-    labels = [lab(role, l, m) for l in range(5) for m in range(5) if (l, m) != (0, 0)]
-    return _sum_zero_rows(labels, lab(role, 0, 0))
-
-
-def pair_restriction(pair, apex, relabeling):
-    """Nonzeros of the 4x4 restriction from a pair stalk to an incident leg
-    stalk, as 4 sparse rows."""
-    perm = tuple(range(5))
-    if relabeling is not None and (pair, apex) in relabeling.pair_leg_perms:
-        perm = relabeling.pair_leg_perms[(pair, apex)]
-    return _sum_zero_rows(perm[1:], perm[0])
 
 
 @dataclass
@@ -165,7 +124,7 @@ class CechComplex:
     """C^0 -> C^1 for the sheaf on the graph.
 
     The differential is held as its c1 sparse rows, {C^0 column: nonzero
-    int}; its dense matrix and triplets are derived from them.
+    int}; its triplets are derived from them.
     """
 
     c0: int
@@ -174,13 +133,6 @@ class CechComplex:
     @property
     def c1(self):
         return len(self.rows)
-
-    @property
-    def differential(self):
-        d = ratkernel.zeros(self.c1, self.c0)
-        for i, j, v in self.sparse_triplets():
-            d[i, j] = v
-        return d
 
     def cohomology_dims(self):
         r = ratkernel.rank(self.rows)
@@ -197,9 +149,12 @@ def build_K3(relabeling=None):
     The differential on a leg is (restriction from the pair barycenter)
     minus (restriction from the triple barycenter); legs are oriented from
     the triple to the pair end.  Its 120 sparse rows are assembled directly
-    from the restrictions' nonzeros, four per leg.
+    from the restrictions' nonzeros, four per leg: the triple stalk's
+    generators x_{lm} in row-major order, the pair stalk's through the
+    relabeling's permutation.  No relabeling keeps the canonical labels.
     """
-    t_dim, p_dim = K3_SPEC.triple_dim, K3_SPEC.pair_dim
+    relabeling = relabeling or _IDENTITY
+    t_dim, p_dim, _ = K3_STALKS
     tri_offset = {t: t_dim * i for i, t in enumerate(_TRIPLES)}
     pair_offset = {p: t_dim * len(_TRIPLES) + p_dim * i for i, p in enumerate(_PAIRS)}
     rows = []
@@ -207,12 +162,13 @@ def build_K3(relabeling=None):
         pair = tuple(sorted(leg.pair))
         triple = tuple(sorted(leg.pair | {leg.apex}))
         ct, cp = tri_offset[triple], pair_offset[pair]
-        for t_row, p_row in zip(triple_restriction(triple, leg.apex, relabeling),
-                                pair_restriction(pair, leg.apex, relabeling)):
+        perm = relabeling.pair_leg_perms.get((pair, leg.apex), (0, 1, 2, 3, 4))
+        for t_row, p_row in zip(_restriction(_leg_labels(triple, leg.apex, relabeling)),
+                                _restriction(perm)):
             row = {ct + s: -v for s, v in t_row.items()}
             row.update((cp + s, v) for s, v in p_row.items())
             rows.append(row)
-    return CechComplex(K3_SPEC.c0(), rows)
+    return CechComplex(_cech_dims(K3_STALKS)[0], rows)
 
 
 def K3_cohomology(relabeling=None):
@@ -238,16 +194,13 @@ def surjectivity_check_pijk():
     leg stalks has rank 12, i.e. is surjective.
     """
     triple = (1, 2, 3)
-    lab = _triple_labels(triple, None)
     i, j, k = triple
-    roles = [("l", k), ("m", i), ("n", j)]
+    apexes = (k, i, j)  # the legs that read l, m and n
+    labels = [_leg_labels(triple, apex, _IDENTITY) for apex in apexes]
     amb = ratkernel.zeros(15, 25)
-    col = 0
-    for l in range(5):
-        for m in range(5):
-            for r_idx, (role, _) in enumerate(roles):
-                amb[5 * r_idx + lab(role, l, m), col] = 1
-            col += 1
+    for r, leg_labels in enumerate(labels):
+        for col, a in enumerate(leg_labels):
+            amb[5 * r + a, col] = 1
     rank_amb = ratkernel.rank(amb)
     # the image must satisfy (sum of block a) == (sum of block b) == (sum of block c)
     functionals = ratkernel.zeros(2, 15)
@@ -260,11 +213,10 @@ def surjectivity_check_pijk():
                       for r in range(2) for c in range(25))
     characterized = annihilates and rank_amb == 13
     # restricted map on sum-zero coordinates
-    restricted = [row for _, apex in roles
-                  for row in triple_restriction(triple, apex, None)]
+    restricted = [row for leg_labels in labels for row in _restriction(leg_labels)]
     rank_ker = ratkernel.rank(restricted)
-    x00 = tuple(int(amb[5 * r_idx + lab(role, 0, 0), 0] == 1)
-                for r_idx, (role, _) in enumerate(roles))
+    x00 = tuple(int(amb[5 * r + leg_labels[0], 0] == 1)
+                for r, leg_labels in enumerate(labels))
     return SurjectivityReport(rank_amb, rank_ker, characterized,
                               x00, rank_ker == 12)
 
@@ -288,8 +240,7 @@ class K2Report:
 
 
 def K2_dimension_count():
-    c0 = K2_SPEC.c0()
-    c1 = K2_SPEC.c1()
+    c0, c1 = _cech_dims(K2_STALKS)
     chi = c0 - c1
     h0 = 0  # stated input, not derived here
     h1 = h0 - chi
@@ -304,14 +255,13 @@ class E2Table:
     """
 
     entries: tuple
-    fibration: str
 
     def entry(self, p, q):
         return self.entries[q][p]
 
     def display_rows(self):
         """Rows printed top-down from fiber degree 3 to 0."""
-        return tuple(tuple(self.entries[q]) for q in (3, 2, 1, 0))
+        return tuple(self.entries[q] for q in (3, 2, 1, 0))
 
     def antidiagonal_sum(self, s):
         return sum(self.entries[q][p] for q in range(4) for p in range(4)
@@ -326,43 +276,24 @@ class E2Table:
                    for q in range(4) for p in range(4))
 
 
-def quintic_components():
-    """Betti-number rows of the four direct-image sheaves on the quintic side.
-
-    The top row is computed from the kernel-sheaf cohomology (h0 = 160 + 1
-    for the constant part, h3 = 1); the middle rows consume the
-    dimension-count result (h1 = 41) and the intersection-chain inputs
-    h1 = h2 = 1 for the first direct image.
-    """
-    h0_k3, h1_k3 = K3_cohomology()
-    k2 = K2_dimension_count()
-    return {
-        "h_R0": (1, 0, 0, 1),
-        "h_R1": (0, 1, 1, 0),
-        "h_R2": (0, k2.h1_R2, 1, 0),
-        "h_R3": (h0_k3 + 1, h1_k3, 0, 1),
-    }
-
-
-def mirror_components():
-    """Betti-number rows on the mirror side: both middle systems are the
-    rank-3 local system with full monodromy, the ends are constant."""
-    return {
-        "h_R0": (1, 0, 0, 1),
-        "h_R1": (0, 1, 1, 0),
-        "h_R2": (0, 1, 1, 0),
-        "h_R3": (1, 0, 0, 1),
-    }
-
-
 def assemble_E2(fibration):
-    """Assemble an E2 table from its per-sheaf Betti rows."""
-    if fibration not in ("quintic", "mirror"):
+    """The E2 table of the quintic or the mirror fibration.
+
+    On the quintic side the top row is computed from the kernel-sheaf
+    cohomology (h0 = 160 + 1 for the constant part, h3 = 1); the middle rows
+    consume the dimension-count result (h1 = 41) and the intersection-chain
+    inputs h1 = h2 = 1 for the first direct image.  On the mirror side both
+    middle systems are the rank-3 local system with full monodromy, and the
+    ends are constant.
+    """
+    if fibration == "mirror":
+        return E2Table(((1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)))
+    if fibration != "quintic":
         raise ValueError(f"unknown fibration {fibration!r}")
-    components = quintic_components() if fibration == "quintic" \
-        else mirror_components()
-    entries = tuple(tuple(components[f"h_R{q}"]) for q in range(4))
-    return E2Table(entries, fibration)
+    h0_k3, h1_k3 = K3_cohomology()
+    return E2Table(((1, 0, 0, 1), (0, 1, 1, 0),
+                    (0, K2_dimension_count().h1_R2, 1, 0),
+                    (h0_k3 + 1, h1_k3, 0, 1)))
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,88 @@ from quintfib import sheafcoh as sc
 from quintfib.basecomplex import enumerate_graph
 
 
+def _dense(cx):
+    """The differential as a dense matrix, from its triplets."""
+    d = rk.zeros(cx.c1, cx.c0)
+    for r, c, v in cx.sparse_triplets():
+        d[r, c] = v
+    return d
+
+
+def _reference_leg_roles(triple):
+    """apex -> index-role map at a sorted triple (i, j, k)."""
+    i, j, k = triple
+    return {k: "l", i: "m", j: "n"}
+
+
+def _reference_triple_labels(triple, relabeling):
+    """(l, m) -> ambient index functions for the three roles at a triple,
+    dispatched on the role name, with the n role's -alpha-beta shift
+    written out."""
+    unit, alpha, beta = (1, 0, 0)
+    if relabeling is not None and triple in relabeling.triple_affine:
+        unit, alpha, beta = relabeling.triple_affine[triple]
+
+    def lab(role, l, m):
+        if role == "l":
+            return (unit * l + alpha) % 5
+        if role == "m":
+            return (unit * m + beta) % 5
+        n = (-l - m) % 5
+        return (unit * n - alpha - beta) % 5
+
+    return lab
+
+
+def _reference_sum_zero_rows(labels, zero_label):
+    """Restriction between sum-zero coordinates: column s is
+    e_{labels[s]} - e_{zero_label} on components 1..4."""
+    rows = [{} for _ in range(4)]
+    for s, a in enumerate(labels):
+        if a != zero_label:
+            if a:
+                rows[a - 1][s] = 1
+            if zero_label:
+                rows[zero_label - 1][s] = -1
+    return rows
+
+
+def _reference_K3_rows(relabeling):
+    """The K3 differential's rows assembled leg by leg from the role-dispatch
+    labels and the pair permutations."""
+    tri_offset = {t: 24 * i for i, t in enumerate(sc._TRIPLES)}
+    pair_offset = {p: 24 * len(sc._TRIPLES) + 4 * i for i, p in enumerate(sc._PAIRS)}
+    rows = []
+    for leg in sc._LEGS:
+        pair = tuple(sorted(leg.pair))
+        triple = tuple(sorted(leg.pair | {leg.apex}))
+        role = _reference_leg_roles(triple)[leg.apex]
+        lab = _reference_triple_labels(triple, relabeling)
+        labels = [lab(role, l, m) for l in range(5) for m in range(5) if (l, m) != (0, 0)]
+        perm = tuple(range(5))
+        if relabeling is not None and (pair, leg.apex) in relabeling.pair_leg_perms:
+            perm = relabeling.pair_leg_perms[(pair, leg.apex)]
+        for t_row, p_row in zip(_reference_sum_zero_rows(labels, lab(role, 0, 0)),
+                                _reference_sum_zero_rows(perm[1:], perm[0])):
+            row = {tri_offset[triple] + s: -v for s, v in t_row.items()}
+            row.update((pair_offset[pair] + s, v) for s, v in p_row.items())
+            rows.append(row)
+    return rows
+
+
 def test_cech_dimensions():
     cx = sc.build_K3()
     assert (cx.c0, cx.c1) == (280, 120)
 
 
 def test_sheaf_specs_pin_stalk_dimensions():
-    assert (sc.K3_SPEC.edge_dim, sc.K3_SPEC.pair_dim, sc.K3_SPEC.triple_dim) \
-        == (4, 4, 24)
-    assert (sc.K2_SPEC.edge_dim, sc.K2_SPEC.pair_dim, sc.K2_SPEC.triple_dim) \
-        == (4, 0, 8)
-    assert (sc.K3_SPEC.c0(), sc.K3_SPEC.c1()) == (280, 120)
-    assert (sc.K2_SPEC.c0(), sc.K2_SPEC.c1()) == (80, 120)
+    # (triple, pair, leg) stalk dimensions
+    assert sc.K3_STALKS == (24, 4, 4)
+    assert sc.K2_STALKS == (8, 0, 4)
+    assert sc._cech_dims(sc.K3_STALKS) == (280, 120)
+    assert sc._cech_dims(sc.K2_STALKS) == (80, 120)
     cx = sc.build_K3()
-    assert cx.c0 == sc.K3_SPEC.c0() and cx.c1 == sc.K3_SPEC.c1()
+    assert (cx.c0, cx.c1) == sc._cech_dims(sc.K3_STALKS)
 
 
 def test_kernel_sheaf_cohomology():
@@ -38,13 +106,14 @@ def test_rank_of_differential():
     rng = np.random.default_rng(7)
     for rel in [None] + [sc.random_relabeling(rng) for _ in range(5)]:
         cx = sc.build_K3(rel)
-        assert rk.rank(cx.rows) == rk.rank(cx.differential) == 120
-        assert rk.rank(cx.differential.T.copy()) == 120
+        dense = _dense(cx)
+        assert rk.rank(cx.rows) == rk.rank(dense) == 120
+        assert rk.rank(dense.T.copy()) == 120
 
 
 def test_kernel_dimension_matches_kernel_basis():
     cx = sc.build_K3()
-    assert len(rk.kernel_basis(cx.differential)) == 160
+    assert len(rk.kernel_basis(_dense(cx))) == 160
 
 
 def test_surjectivity_ranks():
@@ -69,24 +138,42 @@ def test_relabeling_invariance():
         assert sc.K3_cohomology(rel) == (160, 0)
 
 
+def _role_labels(triple, relabeling):
+    """The l, m and n labels of a sorted triple (i, j, k): those of its
+    apex-k, apex-i and apex-j legs."""
+    i, j, k = triple
+    return [sc._leg_labels(triple, apex, relabeling) for apex in (k, i, j)]
+
+
 def test_index_rule_enforced_by_labels():
-    lab = sc._triple_labels((1, 2, 3), None)
-    for l in range(5):
-        for m in range(5):
-            n = lab("n", l, m)
-            assert (lab("l", l, m) + lab("m", l, m) + n) % 5 == 0
+    l_lab, m_lab, n_lab = _role_labels((1, 2, 3), sc._IDENTITY)
+    for s in range(25):
+        assert (l_lab[s] + m_lab[s] + n_lab[s]) % 5 == 0
 
 
 def test_relabeled_labels_keep_index_rule():
     rng = np.random.default_rng(3)
     rel = sc.random_relabeling(rng)
     for triple, (unit, alpha, beta) in rel.triple_affine.items():
-        lab = sc._triple_labels(triple, rel)
-        base = sc._triple_labels(triple, None)
-        for l in range(5):
-            for m in range(5):
-                assert lab("l", l, m) == (unit * base("l", l, m) + alpha) % 5
-                assert (lab("l", l, m) + lab("m", l, m) + lab("n", l, m)) % 5 == 0
+        l_lab, m_lab, n_lab = _role_labels(triple, rel)
+        base, _, _ = _role_labels(triple, sc._IDENTITY)
+        for s in range(25):
+            assert l_lab[s] == (unit * base[s] + alpha) % 5
+            assert (l_lab[s] + m_lab[s] + n_lab[s]) % 5 == 0
+
+
+def test_labels_match_the_role_dispatch_reference():
+    """The affine label formula against the role-dispatch reference: equal
+    labels on every leg of every triple, and equal K3 rows, plain and under
+    200 seeded relabelings."""
+    rng = np.random.default_rng(23)
+    for rel in [None] + [sc.random_relabeling(rng) for _ in range(200)]:
+        for triple in sc._TRIPLES:
+            lab = _reference_triple_labels(triple, rel)
+            for apex, role in _reference_leg_roles(triple).items():
+                assert sc._leg_labels(triple, apex, rel or sc._IDENTITY) == \
+                    [lab(role, l, m) for l in range(5) for m in range(5)]
+        assert sc.build_K3(rel).rows == _reference_K3_rows(rel)
 
 
 def test_K2_counts():
@@ -173,7 +260,11 @@ def test_sparse_triplets_roundtrip():
     dense = rk.zeros(cx.c1, cx.c0)
     for r, c, v in trips:
         dense[r, c] = v
-    assert (np.asarray(dense) == np.asarray(cx.differential)).all()
+    from_rows = rk.zeros(cx.c1, cx.c0)
+    for r, row in enumerate(cx.rows):
+        for c, v in row.items():
+            from_rows[r, c] = v
+    assert (np.asarray(dense) == np.asarray(from_rows)).all()
 
 
 def test_differential_triplets_are_pinned():
@@ -216,6 +307,7 @@ def test_h0_sections_satisfy_all_edge_constraints():
     """Independent spot check that kernel vectors really are sections:
     plugging one into every leg's two restrictions gives matching values."""
     cx = sc.build_K3()
-    vec = rk.kernel_basis(cx.differential)[0]
-    prod = cx.differential @ vec
+    dense = _dense(cx)
+    vec = rk.kernel_basis(dense)[0]
+    prod = dense @ vec
     assert all(x == 0 for x in prod)
