@@ -185,6 +185,8 @@ def hl_fiber_probe(c, n_samples, seed=0):
     drops rank exactly on the three coordinate axes: axis samples must be
     singular, generic samples regular.
     """
+    if n_samples == 0:  # sample_hl_fiber refuses negative counts
+        raise ValueError("n_samples must be at least 1, got 0")
     rng = np.random.default_rng(seed)
     points, params = sample_hl_fiber(c, n_samples, rng)
     classification = classify_hl_target(c)

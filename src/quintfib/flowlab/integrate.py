@@ -540,8 +540,8 @@ def transport_fiber(fiber, psi, n_samples, seed, tol=1e-10, n_probes=12):
     flow's Lagrangian property holds for the metric that defines the
     gradient, which is why the two are paired.
     """
-    if n_samples < 0:
-        raise ValueError("the sample count must not be negative")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if n_probes < 1:
         raise ValueError(f"n_probes must be at least 1, got {n_probes}")
     cfg = FlowConfig(psi=psi, tol=tol, metric="fubini-study")

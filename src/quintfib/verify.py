@@ -34,8 +34,8 @@ class VerifyConfig:
     skip: str = ""  # '', 'numeric' or 'symbolic'
 
     def __post_init__(self):
-        if self.samples < 0:
-            raise ValueError("the sample count must not be negative")
+        if self.samples < 1:
+            raise ValueError(f"the sample count must be at least 1, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"the seed must not be negative, got {self.seed}")
         if not (isfinite(self.psi) and self.psi != 0):

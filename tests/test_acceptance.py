@@ -79,10 +79,10 @@ def test_criterion_07_golden_computed_strings(seed):
     assert ok == (seed != 1)
 
 
-def test_criterion_07_with_no_samples_passes_vacuously():
-    cfg = verify.VerifyConfig(psi=10.0, samples=0, seed=0)
-    _, computed, ok, _ = verify.check_flow_conservation(cfg)
-    assert (computed, ok) == ("im 0.0e+00, f 0.0e+00, dist 0.0e+00, guarded 0", True)
+def test_criterion_07_refuses_no_samples():
+    # with no sample flowed c07 would pass on drifts of 0 from no flow
+    with pytest.raises(ValueError, match="^the sample count must be at least 1, got 0"):
+        verify.VerifyConfig(psi=10.0, samples=0, seed=0)
 
 
 def test_criterion_08_gradient_forms():

@@ -128,7 +128,9 @@ def test_verify_all_symbolic_only(capsys):
 @pytest.mark.parametrize("argv", [
     ("flow", "--psi", "0"),
     ("flow", "--samples", "-3"),
+    ("flow", "--samples", "0"),
     ("verify-all", "--samples", "-1"),
+    ("verify-all", "--samples", "0"),
     ("verify-all", "--psi", "0"),
     ("covering", "--r1", "nan", "--r2", "1"),
     ("covering", "--r1", "inf", "--r2", "1"),

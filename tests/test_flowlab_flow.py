@@ -170,10 +170,11 @@ def test_transport_refuses_fewer_than_one_probe(n_probes):
         fl.transport_fiber(fiber, PSI, n_samples=16, seed=0, n_probes=n_probes)
 
 
-def test_transport_accepts_no_samples():
+def test_transport_refuses_no_samples():
+    # with no sample flowed the defect would read 0.0 untested
     fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
-    res = fl.transport_fiber(fiber, PSI, n_samples=0, seed=0)
-    assert res.points.shape == (0, 4) and res.lagrangian_defect == 0.0
+    with pytest.raises(ValueError, match="^n_samples must be at least 1, got 0"):
+        fl.transport_fiber(fiber, PSI, n_samples=0, seed=0)
 
 
 def test_transport_rejects_bad_faces():

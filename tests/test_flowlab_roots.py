@@ -596,6 +596,12 @@ def test_hl_refuses_bad_targets(c):
         fl.sample_hl_fiber(c, 8, np.random.default_rng(0))
 
 
+def test_hl_probe_refuses_no_samples():
+    # n_samples = 0 used to return a defect of 0.0 from no sample
+    with pytest.raises(ValueError, match="^n_samples must be at least 1, got 0"):
+        fl.hl_fiber_probe((0, 1, 1), n_samples=0)
+
+
 def test_hl_refuses_negative_sample_counts():
     # n_samples = -5 used to return a defect of 0.0 from no sample
     with pytest.raises(ValueError, match="^n_samples must not be negative, got -5"):
