@@ -182,13 +182,12 @@ def path_product(path):
     return m
 
 
-def monodromy_along(path, label=None):
+def monodromy_along(path):
     """Monodromy operator of a closed chart path."""
     if not path.closed:
         raise ValueError(f"chart path is not closed: starts at {path.charts[0]}, "
                          f"ends at {path.charts[-1]}")
-    m = path_product(path)
-    return MonodromyOperator(m, path.charts[0], label or f"loop {path}")
+    return MonodromyOperator(path_product(path), path.charts[0], f"loop {path}")
 
 
 def _is_even(seq):
@@ -280,10 +279,11 @@ def leg_monodromy(leg, basepoint=None, orientation=1):
     path = leg_loop_at(leg, basepoint)
     if orientation < 0:
         path = path.reversed()
+    # the loop path is closed by construction
     i, j = sorted(leg.pair)
     sign = "+" if orientation > 0 else "-"
-    op = monodromy_along(path, label=f"T_{i}{j}^{leg.apex} ({sign})")
-    return MonodromyOperator(op.matrix, op.basepoint, op.label,
+    return MonodromyOperator(path_product(path), path.charts[0],
+                             f"T_{i}{j}^{leg.apex} ({sign})",
                              1 if orientation > 0 else -1)
 
 
