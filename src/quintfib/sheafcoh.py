@@ -195,8 +195,8 @@ def surjectivity_check_pijk():
     """
     triple = (1, 2, 3)
     i, j, k = triple
-    apexes = (k, i, j)  # the legs that read l, m and n
-    labels = [_leg_labels(triple, apex, _IDENTITY) for apex in apexes]
+    # the labels of the legs that read l, m and n
+    labels = [_leg_labels(triple, apex, _IDENTITY) for apex in (k, i, j)]
     amb = ratkernel.zeros(15, 25)
     for r, leg_labels in enumerate(labels):
         for col, a in enumerate(leg_labels):
