@@ -4,7 +4,8 @@ The contract is the `verify-all` JSON report minus its `runtime_s` fields,
 at seeds 0-3 in each of the three modes (all checks, `--skip numeric`,
 `--skip symbolic`), the human `verify-all` table at seed 0 without its
 timing column, the stdout of the README's command-line examples in both
-output forms, and the stdout of the demos.  Each case is one text file
+output forms, the stdout and the CSV of a small seeded `flow` run, and the
+stdout of the demos.  Each case is one text file
 under tests/goldens/; `tests/test_contract.py` compares against them, and
 `python tests/regen_goldens.py` rewrites them.
 """
@@ -14,6 +15,7 @@ import io
 import json
 import re
 import runpy
+import tempfile
 from pathlib import Path
 
 from quintfib import cli, verify
@@ -60,6 +62,11 @@ CLI_EXAMPLES = {
                           "--format", "json"],
 }
 
+# a small seeded `flow` run, which writes its cloud to --out; its stdout
+# and its CSV are one golden file each
+FLOW_ARGV = ["flow", "--samples", "16", "--seed", "0", "--out", "cloud.csv"]
+FLOW_GOLDENS = ("cli-flow.txt", "cli-flow.csv")
+
 # the demos, by golden file name
 DEMO_SCRIPTS = {f"demo-{p.stem}.txt": p for p in sorted(DEMOS.glob("*.py"))}
 
@@ -91,6 +98,15 @@ def cli_text(argv):
     return f"$ quintfib {' '.join(argv)}\n# exit {code}\n{out.getvalue()}"
 
 
+def flow_texts():
+    """{golden file name: text} of the `flow` run: its exit code and stdout,
+    and the CSV it writes, with --out pointed into a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / FLOW_ARGV[-1]
+        text = cli_text(FLOW_ARGV[:-1] + [str(out)]).replace(str(out), FLOW_ARGV[-1])
+        return dict(zip(FLOW_GOLDENS, (text, out.read_text())))
+
+
 def demo_text(path):
     """Stdout of one demo, run in process."""
     out = io.StringIO()
@@ -109,5 +125,6 @@ def texts(reports):
     out = {name: report_text(r) for name, r in reports.items()}
     out.update((name, table_text(reports[src])) for name, src in TABLES.items())
     out.update((name, cli_text(argv)) for name, argv in CLI_EXAMPLES.items())
+    out.update(flow_texts())
     out.update((name, demo_text(path)) for name, path in DEMO_SCRIPTS.items())
     return out

@@ -35,6 +35,11 @@ def test_cli_example_matches_golden(name):
     _check(name, contract.cli_text(contract.CLI_EXAMPLES[name]))
 
 
+def test_flow_matches_golden():
+    for name, text in contract.flow_texts().items():
+        _check(name, text)
+
+
 @pytest.mark.parametrize("name", sorted(contract.DEMO_SCRIPTS))
 def test_demo_matches_golden(name):
     _check(name, contract.demo_text(contract.DEMO_SCRIPTS[name]))
@@ -43,6 +48,7 @@ def test_demo_matches_golden(name):
 def test_every_golden_is_a_case():
     cases = ({contract.report_name(c) for c in contract.REPORT_CONFIGS}
              | set(contract.TABLES) | set(contract.CLI_EXAMPLES)
+             | set(contract.FLOW_GOLDENS)
              | set(contract.DEMO_SCRIPTS))
     assert {p.name for p in contract.GOLDENS.iterdir()} == cases
 
