@@ -24,6 +24,7 @@ results.
 All functions are pure and re-entrant; results are bit-identical across runs.
 """
 
+from bisect import bisect_left
 from math import gcd, inf, prod
 
 import numpy as np
@@ -306,6 +307,15 @@ def row_hermite_form(rows):
     if any(len(row) != n for row in rows):
         raise ValueError("rows of unequal length")
     h, pivots, _ = _eliminate(_sparse(rows))
+    _back_reduce(h, pivots)
+    return [[row.get(j, 0) for j in range(n)] for row in h]
+
+
+def _back_reduce(h, pivots):
+    """Make echelon rows Hermite, in place: each pivot positive, and each
+    row reduced by the reduced rows below it.  A row is reduced by the rows
+    below it alone, so a tail of the rows is reduced exactly as within the
+    whole form."""
     for row, c in zip(h, pivots):
         if row[c] < 0:
             for j in row:
@@ -316,7 +326,6 @@ def row_hermite_form(rows):
             q = row.get(c, 0) // below[c]
             if q:
                 _subtract(row, q, below)
-    return [[row.get(j, 0) for j in range(n)] for row in h]
 
 
 def _integer_kernel(rows, n):
@@ -324,10 +333,16 @@ def _integer_kernel(rows, n):
 
     Row-reducing [rows^T | I_n] is unimodular, so the identity parts of the
     reduced rows whose first part vanishes are a basis of that lattice.
+    Those rows are the echelon form's tail, the rows pivoting past the
+    first part, and only they are back-reduced.
     """
     m = len(rows)
     aug = [[r[i] for r in rows] + [int(i == j) for j in range(n)] for i in range(n)]
-    return [row[m:] for row in row_hermite_form(aug) if not any(row[:m])]
+    h, pivots, _ = _eliminate(_sparse(aug))
+    tail = bisect_left(pivots, m)
+    h, pivots = h[tail:], pivots[tail:]
+    _back_reduce(h, pivots)
+    return [[row.get(j, 0) for j in range(m, m + n)] for row in h]
 
 
 def saturate(vectors):

@@ -513,3 +513,21 @@ def test_hermite_form_spans_the_lattice_and_ignores_row_operations():
         assert _in_row_lattice(sympy, rows, h)
         u = _random_unimodular(rng, len(rows))
         assert rk.row_hermite_form((u @ m).tolist()) == h
+
+
+def test_integer_kernel_is_the_tail_of_the_augmented_hermite_form():
+    """_integer_kernel back-reduces only the rows of the echelon form of
+    [rows^T | I] that pivot past the first block; they equal the identity
+    parts of those rows of the whole Hermite form, on random lattices of
+    every shape and rank deficit, zero rows and the empty family included."""
+    rng = np.random.default_rng(24)
+    shapes = [(int(rng.integers(0, 6)), int(rng.integers(1, 7))) for _ in range(200)]
+    for m, n in shapes:
+        rows = rng.integers(-9, 10, (m, n))
+        if m > 1 and rng.random() < 0.5:  # a dependent row
+            rows[-1] = rng.integers(-2, 3) * rows[0] + rng.integers(-2, 3) * rows[1]
+        rows = rows.tolist()
+        aug = [[r[i] for r in rows] + [int(i == j) for j in range(n)]
+               for i in range(n)]
+        want = [row[m:] for row in rk.row_hermite_form(aug) if not any(row[:m])]
+        assert rk._integer_kernel(rows, n) == want, (m, n, rows)
