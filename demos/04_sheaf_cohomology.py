@@ -10,7 +10,7 @@ spectral tables, whose alternating sums reproduce the Euler numbers.
 
 import numpy as np
 
-from quintfib import ratkernel, sheafcoh
+from quintfib import monodromy, ratkernel, sheafcoh
 
 cx = sheafcoh.build_K3()
 h0, h1 = cx.cohomology_dims()
@@ -32,7 +32,7 @@ k2 = sheafcoh.K2_dimension_count()
 print(f"\nmiddle kernel sheaf: c0 = {k2.c0}, c1 = {k2.c1}, chi = {k2.chi}, "
       f"h1 = {k2.h1}; middle direct image h1 = {k2.h1_R2}")
 
-ic = sheafcoh.ic_chain_dims()
+ic = sheafcoh.ic_chain_dims(monodromy.atlas())
 print(f"\nallowed chain dims {ic.dims()}, chi = {ic.chi}")
 print("boundary residues of the generating 1-cycle:")
 for r in sheafcoh.check_cycle_L()[:3]:

@@ -34,7 +34,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from . import ratkernel
-from .basecomplex import INDEX_SET, edges_at
+from .basecomplex import INDEX_SET, edges_at, enumerate_graph
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,13 @@ class MonodromyOperator:
         return f"{self.label} @ {self.basepoint}: {self.matrix.tolist()}"
 
 
-def path_product(path):
-    """Product of step transitions along a chart path (last step leftmost)."""
+def path_product(path, step=None):
+    """Product of step transitions along a chart path (last step leftmost);
+    `step(a, b)` gives the transition of each step, `transition` by default."""
+    step = step or transition
     m = ratkernel.identity(3)
     for a, b in zip(path.charts, path.charts[1:]):
-        m = transition(a, b) @ m
+        m = step(a, b) @ m
     return m
 
 
@@ -271,6 +273,12 @@ def leg_loop_at(leg, basepoint):
 def leg_monodromy(leg, basepoint=None, orientation=1):
     """Monodromy around a leg, expressed in the basepoint chart basis;
     orientation is 1 (positive) or -1 (reversed), ValueError otherwise."""
+    return _leg_operator(leg, basepoint, orientation, transition)
+
+
+def _leg_operator(leg, basepoint, orientation, step):
+    """`leg_monodromy`, with the loop multiplied out through `step(a, b)`:
+    `transition` itself, or an :class:`Atlas`'s table of it."""
     if orientation not in (1, -1):
         raise ValueError(f"orientation must be 1 or -1, got {orientation!r}")
     if basepoint is None:
@@ -282,7 +290,7 @@ def leg_monodromy(leg, basepoint=None, orientation=1):
     # the loop path is closed by construction
     i, j = sorted(leg.pair)
     sign = "+" if orientation > 0 else "-"
-    return MonodromyOperator(path_product(path), path.charts[0],
+    return MonodromyOperator(path_product(path, step), path.charts[0],
                              f"T_{i}{j}^{leg.apex} ({sign})",
                              1 if orientation > 0 else -1)
 
@@ -300,8 +308,53 @@ def vertex_monodromies(vertex):
     and their product is the identity; callers interested in the vanishing
     sublattice feed them to :func:`vanishing_filtration`.
     """
+    return _vertex_operators(vertex, transition)
+
+
+def _vertex_operators(vertex, step):
     basepoint = vertex_basepoint(vertex)
-    return [leg_monodromy(leg, basepoint) for leg in edges_at(vertex)]
+    return [_leg_operator(leg, basepoint, 1, step) for leg in edges_at(vertex)]
+
+
+@dataclass(frozen=True)
+class Atlas:
+    """The exact chart data of the fibration, computed once by :func:`atlas`.
+
+    `transitions` maps each of the 120 legal ordered chart pairs (a, b),
+    a != b, to `transition(a, b)`.  `legs` maps each of the 30 legs to its
+    `leg_monodromy` at the default basepoint, and `vertices` maps each of
+    the 20 graph vertices to its `vertex_monodromies` triple.  The
+    operators are the loop products of `leg_monodromy` read off
+    `transitions`, so holding an atlas computes no transition twice.  It is
+    a value passed to its readers, never cached.
+    """
+
+    transitions: dict
+    legs: dict
+    vertices: dict
+
+    def leg_monodromy(self, leg, basepoint, orientation):
+        """`leg_monodromy(leg, basepoint, orientation)` from this atlas's
+        transitions."""
+        return _leg_operator(leg, basepoint, orientation,
+                             lambda a, b: self.transitions[a, b])
+
+
+def atlas():
+    """The :class:`Atlas`: every legal transition, each leg's operator at
+    its default basepoint and each vertex's three leg operators at its
+    :func:`vertex_basepoint`, in chart, leg and vertex enumeration order."""
+    charts = all_charts()
+    transitions = {(a, b): transition(a, b) for a in charts for b in charts
+                   if a != b and _legal_step(a, b)}
+
+    def step(a, b):
+        return transitions[a, b]
+
+    vertices, legs = enumerate_graph()
+    return Atlas(transitions,
+                 {leg: _leg_operator(leg, None, 1, step) for leg in legs},
+                 {v: tuple(_vertex_operators(v, step)) for v in vertices})
 
 
 def in_basis(op, symbols):

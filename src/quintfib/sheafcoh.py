@@ -290,7 +290,13 @@ def assemble_E2(fibration):
         return E2Table(((1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)))
     if fibration != "quintic":
         raise ValueError(f"unknown fibration {fibration!r}")
-    h0_k3, h1_k3 = K3_cohomology()
+    return quintic_E2(K3_cohomology())
+
+
+def quintic_E2(k3_dims):
+    """The quintic's E2 table from the (h0, h1) of the unrelabeled K3
+    kernel sheaf, for a caller that holds them already."""
+    h0_k3, h1_k3 = k3_dims
     return E2Table(((1, 0, 0, 1), (0, 1, 1, 0),
                     (0, K2_dimension_count().h1_R2, 1, 0),
                     (h0_k3 + 1, h1_k3, 0, 1)))
@@ -318,8 +324,9 @@ class ICChainData:
         return (self.c0, self.c1, self.c2, self.c3)
 
 
-def ic_chain_dims():
-    """Chain dimensions (30, 60, 60, 30) of the allowed complex.
+def ic_chain_dims(atlas):
+    """Chain dimensions (30, 60, 60, 30) of the allowed complex, with the
+    leg and vertex monodromies read from a `monodromy.atlas()`.
 
     0-simplices: the five main vertices and the five opposite-face
     barycenters, full rank-3 coefficients.  1-simplices: the twenty segments
@@ -327,10 +334,8 @@ def ic_chain_dims():
     one fan per leg with leg-invariant coefficients.  3-chains: one fan per
     graph vertex with coefficients invariant under its monodromy group.
     """
-    c2 = sum(len(monodromy.dual_invariants([monodromy.leg_monodromy(leg)]))
-             for leg in _LEGS)
-    c3 = sum(len(monodromy.dual_invariants(monodromy.vertex_monodromies(v)))
-             for v in _VERTICES)
+    c2 = sum(len(monodromy.dual_invariants([op])) for op in atlas.legs.values())
+    c3 = sum(len(monodromy.dual_invariants(ops)) for ops in atlas.vertices.values())
     return ICChainData(10 * 3, 20 * 3, c2, c3)
 
 

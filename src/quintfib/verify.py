@@ -7,6 +7,8 @@ battery and returns a report that renders as a table or as byte-stable JSON
 
 Checks are tagged `symbolic` (exact integer/rational results) or `numeric`
 (flow, pairings, root counting), and either tag can be skipped wholesale.
+The symbolic checks share one `ExactData` per run: the chart atlas of
+`monodromy.atlas()` and the unrelabeled K3 Cech complex with its ranks.
 """
 
 import time
@@ -100,6 +102,24 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class ExactData:
+    """The exact data that the symbolic checks share: the chart atlas (the
+    legal transitions and the leg and vertex operators), the unrelabeled
+    K3 Cech complex and its (h0, h1)."""
+
+    atlas: monodromy.Atlas
+    k3: sheafcoh.CechComplex
+    k3_dims: tuple
+
+
+def exact_data():
+    """One run's `ExactData`: the atlas, and the K3 complex built and
+    ranked once."""
+    k3 = sheafcoh.build_K3()
+    return ExactData(monodromy.atlas(), k3, k3.cohomology_dims())
+
+
 def _fmt(value):
     if isinstance(value, np.ndarray):
         return str(value.tolist())
@@ -129,36 +149,34 @@ GOLDEN_E2_QUINTIC = ((161, 0, 0, 1), (0, 41, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1))
 GOLDEN_E2_MIRROR = ((1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1))
 
 
-def check_monodromy_goldens(cfg):
+def check_monodromy_goldens(cfg, exact):
+    atlas = exact.atlas
     got = []
     ok = True
     for a, b, golden in GOLDEN_STEPS:
-        m = monodromy.transition(ChartId(*a), ChartId(*b))
+        m = atlas.transitions[ChartId(*a), ChartId(*b)]
         ok &= m.tolist() == golden
         got.append(m.tolist())
     leg = GraphEdge(frozenset({2, 4}), 3)
     bp = ChartId(5, 4)
-    fwd = monodromy.leg_monodromy(leg, basepoint=bp)
-    rev = monodromy.leg_monodromy(leg, basepoint=bp, orientation=-1)
+    fwd = atlas.leg_monodromy(leg, bp, 1)
+    rev = atlas.leg_monodromy(leg, bp, -1)
     ok &= fwd.matrix.tolist() == GOLDEN_LEG_LOOP
     ok &= rev.matrix.tolist() == GOLDEN_LEG_LOOP_REV
     for indices, goldens in (({2, 3, 4}, GOLDEN_TRIPLE_VERTEX),
                              ({2, 4}, GOLDEN_PAIR_VERTEX)):
         vertex = GraphVertex(frozenset(indices))
-        # vertex_monodromies returns one operator per leg, in edges_at order
-        for leg, op in zip(basecomplex.edges_at(vertex),
-                           monodromy.vertex_monodromies(vertex)):
+        # a vertex holds one operator per leg, in edges_at order
+        for leg, op in zip(basecomplex.edges_at(vertex), atlas.vertices[vertex]):
             ok &= op.matrix.tolist() == goldens[leg.apex]
     return ("all golden matrices", "match" if ok else "mismatch", ok, "")
 
 
-def check_vertex_battery(cfg):
-    verts, _ = basecomplex.enumerate_graph()
+def check_vertex_battery(cfg, exact):
     eye = ratkernel.identity(3)
     ok = True
     detail = []
-    for v in verts:
-        ops = monodromy.vertex_monodromies(v)
+    for v, ops in exact.atlas.vertices.items():
         for a in ops:
             for b in ops:
                 if (np.asarray(a.matrix @ b.matrix)
@@ -180,7 +198,7 @@ def check_vertex_battery(cfg):
             "verified" if ok else "violated", ok, "; ".join(detail))
 
 
-def check_euler_ledgers(cfg):
+def check_euler_ledgers(cfg, exact):
     exp = fibercensus.euler_ledger("expected")
     mir = fibercensus.euler_ledger("mirror")
     g = fibercensus.singular_surface((1, 2, 3)).genus
@@ -189,11 +207,11 @@ def check_euler_ledgers(cfg):
     return ("(-200, 0, 6, 0)", _fmt(got), got == (-200, 0, 6, 0), "")
 
 
-def check_sheaf_cohomology(cfg):
-    cx = sheafcoh.build_K3()
-    h0, h1 = cx.cohomology_dims()
+def check_sheaf_cohomology(cfg, exact):
+    cx = exact.k3
+    h0, h1 = exact.k3_dims
     k2 = sheafcoh.K2_dimension_count()
-    ic = sheafcoh.ic_chain_dims()
+    ic = sheafcoh.ic_chain_dims(exact.atlas)
     residues_ok = all(r.vanishes for r in sheafcoh.check_cycle_L())
     got = (cx.c0, cx.c1, h0, h1, k2.c0, k2.c1, k2.chi, k2.h1_R2,
            ic.dims(), ic.chi, residues_ok)
@@ -201,8 +219,8 @@ def check_sheaf_cohomology(cfg):
     return (_fmt(want), _fmt(got), got == want, "")
 
 
-def check_e2_tables(cfg):
-    q = sheafcoh.assemble_E2("quintic")
+def check_e2_tables(cfg, exact):
+    q = sheafcoh.quintic_E2(exact.k3_dims)
     m = sheafcoh.assemble_E2("mirror")
     got = (q.display_rows(), m.display_rows(), q.antidiagonal_sum(3),
            m.antidiagonal_sum(3), q.alternating_sum(), m.alternating_sum())
@@ -210,7 +228,7 @@ def check_e2_tables(cfg):
     return (_fmt(want), _fmt(got), got == want, "")
 
 
-def check_toric(cfg):
+def check_toric(cfg, exact):
     pts = toriccrepant.enumerate_crepant_rays()
     cl = toriccrepant.classify_rays()
     fan = toriccrepant.triangulate_dilated_triangle()
@@ -336,24 +354,18 @@ def check_harvey_lawson(cfg):
             ok, "")
 
 
-def check_property_suite(cfg):
+def check_property_suite(cfg, exact):
     rng = np.random.default_rng(cfg.seed + 3)
     ok = True
     detail = []
     # transition determinants +-1 over every legal ordered chart pair
-    charts = monodromy.all_charts()
-    for a in charts:
-        for b in charts:
-            if a == b or not (a.divisor == b.divisor or a.dominant == b.dominant):
-                continue
-            d = ratkernel.det(monodromy.transition(a, b))
-            if abs(d) != 1:
-                ok = False
-                detail.append(f"det {a}->{b} = {d}")
+    for (a, b), t in exact.atlas.transitions.items():
+        d = ratkernel.det(t)
+        if abs(d) != 1:
+            ok = False
+            detail.append(f"det {a}->{b} = {d}")
     # every leg is the standard shear in its oriented frame
-    _, legs = basecomplex.enumerate_graph()
-    for leg in legs:
-        op = monodromy.leg_monodromy(leg)
+    for leg, op in exact.atlas.legs.items():
         m = monodromy.in_basis(op, monodromy.standard_shear_basis(
             leg, op.basepoint.divisor))
         if m.tolist() != GOLDEN_LEG_LOOP:
@@ -368,7 +380,7 @@ def check_property_suite(cfg):
     # central symmetry: pointwise for the mirror table; the quintic page is
     # genuinely asymmetric (161 against 1), its abutted Betti numbers are
     # what satisfy the palindrome
-    q = sheafcoh.assemble_E2("quintic")
+    q = sheafcoh.quintic_E2(exact.k3_dims)
     m = sheafcoh.assemble_E2("mirror")
     if not m.centrally_symmetric():
         ok = False
@@ -424,8 +436,15 @@ CHECKS = [
 
 
 def verify_all(config):
-    """Run every acceptance check; failures are recorded, never raised."""
+    """Run every acceptance check; failures are recorded, never raised.
+
+    A numeric check is called as fn(config), a symbolic one as
+    fn(config, exact) with the run's `ExactData`, which the first symbolic
+    check to run builds within its own timing and failure handling; a run
+    without symbolic checks builds none.
+    """
     checks = []
+    exact = None
     for check_id, criterion, kind, label, fn in CHECKS:
         if config.skip and kind == config.skip:
             checks.append(CheckResult(
@@ -436,7 +455,12 @@ def verify_all(config):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                expected, computed, ok, detail = fn(config)
+                if kind == "numeric":
+                    expected, computed, ok, detail = fn(config)
+                else:
+                    if exact is None:
+                        exact = exact_data()
+                    expected, computed, ok, detail = fn(config, exact)
         except Exception as err:  # a crash is a failure, not an abort
             expected, computed, ok, detail = "-", "-", False, f"error: {err!r}"
         dt = time.perf_counter() - t0

@@ -9,14 +9,21 @@ import time
 
 import pytest
 
-from quintfib import verify
+from quintfib import monodromy, verify
 
 CFG = verify.VerifyConfig(psi=10.0, samples=100, seed=0)
 
 
-def _run(check_fn, n, label, budget_s):
+@pytest.fixture(scope="module")
+def exact():
+    """The exact data that verify_all passes to its symbolic checks."""
+    return verify.exact_data()
+
+
+def _run(check_fn, n, label, budget_s, *extra):
+    """Run a check on CFG; a symbolic check also takes the exact data."""
     t0 = time.time()
-    expected, computed, ok, detail = check_fn(CFG)
+    expected, computed, ok, detail = check_fn(CFG, *extra)
     dt = time.time() - t0
     status = "PASS" if ok else "FAIL"
     print(f"criterion {n:2d} [{status}] {label}: expected {expected}, "
@@ -25,34 +32,34 @@ def _run(check_fn, n, label, budget_s):
     assert dt < budget_s, f"criterion {n} exceeded its {budget_s}s budget: {dt:.1f}s"
 
 
-def test_criterion_01_monodromy_golden_set():
+def test_criterion_01_monodromy_golden_set(exact):
     _run(verify.check_monodromy_goldens, 1,
-         "transition and monodromy matrices reproduced exactly", 1.0)
+         "transition and monodromy matrices reproduced exactly", 1.0, exact)
 
 
-def test_criterion_02_vertex_triples():
+def test_criterion_02_vertex_triples(exact):
     _run(verify.check_vertex_battery, 2,
-         "20 vertices: commuting triples, product Id, vanishing ranks", 1.0)
+         "20 vertices: commuting triples, product Id, vanishing ranks", 1.0, exact)
 
 
-def test_criterion_03_euler_ledger():
+def test_criterion_03_euler_ledger(exact):
     _run(verify.check_euler_ledgers, 3,
-         "Euler ledgers -200/0 and genera 6/0", 1.0)
+         "Euler ledgers -200/0 and genera 6/0", 1.0, exact)
 
 
-def test_criterion_04_sheaf_cohomology():
+def test_criterion_04_sheaf_cohomology(exact):
     _run(verify.check_sheaf_cohomology, 4,
-         "kernel-sheaf dims/cohomology, chain dims, boundary residues", 10.0)
+         "kernel-sheaf dims/cohomology, chain dims, boundary residues", 10.0, exact)
 
 
-def test_criterion_05_spectral_tables():
+def test_criterion_05_spectral_tables(exact):
     _run(verify.check_e2_tables, 5,
-         "both spectral tables with their derived sums", 1.0)
+         "both spectral tables with their derived sums", 1.0, exact)
 
 
-def test_criterion_06_toric():
+def test_criterion_06_toric(exact):
     _run(verify.check_toric, 6,
-         "lattice points, crepancy, divisors, Hodge vector", 1.0)
+         "lattice points, crepancy, divisors, Hodge vector", 1.0, exact)
 
 
 def test_criterion_07_flow_conservation():
@@ -105,10 +112,10 @@ def test_criterion_11_harvey_lawson():
          "calibration defect < 1e-6 and the three-axis rank-drop locus", 30.0)
 
 
-def test_criterion_12_property_suite():
+def test_criterion_12_property_suite(exact):
     _run(verify.check_property_suite, 12,
          "determinants, shear conjugacy, relabelings, symmetry, saturation",
-         30.0)
+         30.0, exact)
 
 
 def test_full_report_passes(reports):
@@ -149,3 +156,19 @@ def test_numeric_checks_across_psi(psi):
     if "c09-pairing-matrix" in PSI_FAILURES[psi]:
         assert rows["c09-pairing-matrix"].detail.startswith(
             f"error: ArithmeticError('loop (1, 2, 3) outside chart U_1^2 at psi = {psi}")
+
+
+def test_a_run_computes_each_transition_once(monkeypatch):
+    # the symbolic checks read one atlas; a run without them builds none
+    calls = []
+    inner, build = monodromy.transition, monodromy.atlas
+    monkeypatch.setattr(monodromy, "transition",
+                        lambda a, b: calls.append((a, b)) or inner(a, b))
+    monkeypatch.setattr(monodromy, "atlas",
+                        lambda: calls.append("atlas") or build())
+    assert verify.verify_all(verify.VerifyConfig(seed=0, skip="numeric")).passed
+    assert calls[0] == "atlas"
+    assert len(calls) == 121 and len(set(calls[1:])) == 120
+    calls.clear()
+    verify.verify_all(verify.VerifyConfig(seed=0, samples=1, skip="symbolic"))
+    assert calls == []

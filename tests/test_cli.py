@@ -195,7 +195,7 @@ def test_verify_injected_corruption_fails_with_diff(monkeypatch):
     checks = list(verify.CHECKS)
     check_id, criterion, kind, label, _ = checks[2]
     checks[2] = (check_id, criterion, kind, label,
-                 lambda cfg: ("(-200, 0, 6, 0)", (-100, 0, 6, 0), False, ""))
+                 lambda cfg, exact: ("(-200, 0, 6, 0)", (-100, 0, 6, 0), False, ""))
     monkeypatch.setattr(verify, "CHECKS", checks)
     report = verify.verify_all(verify.VerifyConfig(seed=0, skip="numeric"))
     bad = [c for c in report.checks if c.status == "fail"]
@@ -214,7 +214,7 @@ def test_verify_exit_code_reflects_failure(monkeypatch, capsys):
     checks = list(verify.CHECKS)
     check_id, criterion, kind, label, _ = checks[2]
     checks[2] = (check_id, criterion, kind, label,
-                 lambda cfg: ("(-200, 0, 6, 0)", (-100, 0, 6, 0), False, ""))
+                 lambda cfg, exact: ("(-200, 0, 6, 0)", (-100, 0, 6, 0), False, ""))
     monkeypatch.setattr(verify, "CHECKS", checks)
     code, _ = run_cli(capsys, "verify-all", "--skip", "numeric")
     assert code == 1

@@ -627,7 +627,7 @@ def seed0_run():
             [(running[0], name, np.shape(a[0]))]) or fn(*a, **k)
 
     def tagged(check_id, fn):
-        return lambda cfg: running.__setitem__(0, check_id) or fn(cfg)
+        return lambda *a: running.__setitem__(0, check_id) or fn(*a)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairing, "_loop_coordinates",

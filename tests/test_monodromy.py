@@ -364,3 +364,58 @@ def test_expand_satisfies_the_relations_in_every_chart():
                 for k in set(range(1, 6)) - {m, a}:
                     total = g(m, a, chart) + g(a, k, chart) + g(k, m, chart)
                     assert total.tolist() == [0, 0, 0]
+
+
+# ------------------------------------------------------------------- atlas
+
+def _same_operator(a, b):
+    return (a.matrix.tolist() == b.matrix.tolist() and a.basepoint == b.basepoint
+            and a.label == b.label and a.sign == b.sign)
+
+
+def test_atlas_transitions_are_the_legal_transitions():
+    atlas = mono.atlas()
+    charts = mono.all_charts()
+    legal = [(a, b) for a in charts for b in charts
+             if a != b and (a.divisor == b.divisor or a.dominant == b.dominant)]
+    assert list(atlas.transitions) == legal
+    assert len(legal) == 120
+    for (a, b), t in atlas.transitions.items():
+        assert t.tolist() == mono.transition(a, b).tolist()
+
+
+def test_atlas_operators_are_leg_and_vertex_monodromies():
+    atlas = mono.atlas()
+    vertices, legs = enumerate_graph()
+    assert list(atlas.legs) == legs
+    for leg, op in atlas.legs.items():
+        assert _same_operator(op, mono.leg_monodromy(leg))
+    assert list(atlas.vertices) == vertices
+    for v, ops in atlas.vertices.items():
+        want = mono.vertex_monodromies(v)
+        assert len(ops) == len(want) == 3
+        assert all(_same_operator(a, b) for a, b in zip(ops, want))
+
+
+def test_atlas_leg_monodromy_at_every_basepoint_and_orientation():
+    atlas = mono.atlas()
+    _, legs = enumerate_graph()
+    for leg in legs:
+        for bp in mono.all_charts():
+            for o in (1, -1):
+                assert _same_operator(atlas.leg_monodromy(leg, bp, o),
+                                      mono.leg_monodromy(leg, bp, o))
+    with pytest.raises(ValueError, match="orientation must be 1 or -1"):
+        atlas.leg_monodromy(legs[0], None, 0)
+
+
+def test_atlas_computes_each_transition_once(monkeypatch):
+    calls = []
+    inner = mono.transition
+    monkeypatch.setattr(mono, "transition", lambda a, b: calls.append((a, b)) or inner(a, b))
+    atlas = mono.atlas()
+    assert calls == list(atlas.transitions)
+    # its operators read the table, not the function
+    _, legs = enumerate_graph()
+    atlas.leg_monodromy(legs[0], ChartId(1, 2), -1)
+    assert len(calls) == 120

@@ -186,7 +186,7 @@ def test_K2_counts():
 
 
 def test_ic_chain_dims():
-    ic = sc.ic_chain_dims()
+    ic = sc.ic_chain_dims(mono.atlas())
     assert ic.dims() == (30, 60, 60, 30)
     assert ic.chi == 0
     # each leg contributes 2 to c2; the vertex counts behind c3 are
