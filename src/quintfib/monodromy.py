@@ -30,6 +30,7 @@ orientation, and reversing a loop inverts its operator.
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -316,18 +317,12 @@ def _vertex_operators(vertex, step):
     return [_leg_operator(leg, basepoint, 1, step) for leg in edges_at(vertex)]
 
 
-@dataclass(frozen=True)
-class Atlas:
-    """The exact chart data of the fibration, computed once by :func:`atlas`.
-
-    `transitions` maps each of the 120 legal ordered chart pairs (a, b),
-    a != b, to `transition(a, b)`.  `legs` maps each of the 30 legs to its
-    `leg_monodromy` at the default basepoint, and `vertices` maps each of
-    the 20 graph vertices to its `vertex_monodromies` triple.  The
-    operators are the loop products of `leg_monodromy` read off
-    `transitions`, so holding an atlas computes no transition twice.  It is
-    a value passed to its readers, never cached.
-    """
+class Atlas(NamedTuple):  # immutable, and built at import for a tenth of a dataclass
+    """The exact chart data, built by :func:`atlas` and passed to its
+    readers, never cached: `transitions[a, b]` is `transition(a, b)` for
+    each of the 120 legal ordered pairs a != b, `legs[leg]` the leg's
+    `leg_monodromy` at its default basepoint and `vertices[v]` the
+    `vertex_monodromies` triple, all multiplied out from `transitions`."""
 
     transitions: dict
     legs: dict
@@ -341,9 +336,7 @@ class Atlas:
 
 
 def atlas():
-    """The :class:`Atlas`: every legal transition, each leg's operator at
-    its default basepoint and each vertex's three leg operators at its
-    :func:`vertex_basepoint`, in chart, leg and vertex enumeration order."""
+    """The :class:`Atlas`, in chart, leg and vertex enumeration order."""
     charts = all_charts()
     transitions = {(a, b): transition(a, b) for a in charts for b in charts
                    if a != b and _legal_step(a, b)}

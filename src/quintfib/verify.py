@@ -15,6 +15,7 @@ import time
 from math import isfinite
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +103,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ExactData:
+class ExactData(NamedTuple):  # as monodromy.Atlas, not a dataclass
     """The exact data that the symbolic checks share: the chart atlas (the
     legal transitions and the leg and vertex operators), the unrelabeled
     K3 Cech complex and its (h0, h1)."""
