@@ -317,7 +317,7 @@ def _vertex_operators(vertex, step):
     return [_leg_operator(leg, basepoint, 1, step) for leg in edges_at(vertex)]
 
 
-class Atlas(NamedTuple):  # immutable, and built at import for a tenth of a dataclass
+class Atlas(NamedTuple):  # immutable, and a tenth of a dataclass's import cost
     """The exact chart data, built by :func:`atlas` and passed to its
     readers, never cached: `transitions[a, b]` is `transition(a, b)` for
     each of the 120 legal ordered pairs a != b, `legs[leg]` the leg's

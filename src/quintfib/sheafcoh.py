@@ -293,10 +293,10 @@ def assemble_E2(fibration):
     return quintic_E2(K3_cohomology())
 
 
-def quintic_E2(k3_dims):
+def quintic_E2(k3_cohomology):
     """The quintic's E2 table from the (h0, h1) of the unrelabeled K3
     kernel sheaf, for a caller that holds them already."""
-    h0_k3, h1_k3 = k3_dims
+    h0_k3, h1_k3 = k3_cohomology
     return E2Table(((1, 0, 0, 1), (0, 1, 1, 0),
                     (0, K2_dimension_count().h1_R2, 1, 0),
                     (h0_k3 + 1, h1_k3, 0, 1)))

@@ -1,14 +1,15 @@
 """The full verification suite: every headline number as a machine check.
 
-Each check computes a quantity from scratch through the library modules and
-compares it with its frozen expected value; `verify_all` runs the whole
-battery and returns a report that renders as a table or as byte-stable JSON
-(timings excluded from the stability contract).
+Each check computes a quantity through the library modules and compares it
+with its frozen expected value; `verify_all` runs the whole battery and
+returns a report that renders as a table or as byte-stable JSON (timings
+excluded from the stability contract).
 
 Checks are tagged `symbolic` (exact integer/rational results) or `numeric`
 (flow, pairings, root counting), and either tag can be skipped wholesale.
 The symbolic checks share one `ExactData` per run: the chart atlas of
-`monodromy.atlas()` and the unrelabeled K3 Cech complex with its ranks.
+`monodromy.atlas()` and the sizes and ranks of the unrelabeled K3 Cech
+complex.
 """
 
 import time
@@ -103,21 +104,22 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class ExactData(NamedTuple):  # as monodromy.Atlas, not a dataclass
+class ExactData(NamedTuple):  # not a dataclass, for its import cost (see Atlas)
     """The exact data that the symbolic checks share: the chart atlas (the
-    legal transitions and the leg and vertex operators), the unrelabeled
-    K3 Cech complex and its (h0, h1)."""
+    legal transitions and the leg and vertex operators), and the (c0, c1)
+    and (h0, h1) of the unrelabeled K3 Cech complex.  The complex itself
+    is not kept: the run holds this through the numeric checks."""
 
     atlas: monodromy.Atlas
-    k3: sheafcoh.CechComplex
-    k3_dims: tuple
+    k3_chains: tuple
+    k3_cohomology: tuple
 
 
 def exact_data():
     """One run's `ExactData`: the atlas, and the K3 complex built and
     ranked once."""
     k3 = sheafcoh.build_K3()
-    return ExactData(monodromy.atlas(), k3, k3.cohomology_dims())
+    return ExactData(monodromy.atlas(), (k3.c0, k3.c1), k3.cohomology_dims())
 
 
 def _fmt(value):
@@ -208,19 +210,19 @@ def check_euler_ledgers(cfg, exact):
 
 
 def check_sheaf_cohomology(cfg, exact):
-    cx = exact.k3
-    h0, h1 = exact.k3_dims
+    c0, c1 = exact.k3_chains
+    h0, h1 = exact.k3_cohomology
     k2 = sheafcoh.K2_dimension_count()
     ic = sheafcoh.ic_chain_dims(exact.atlas)
     residues_ok = all(r.vanishes for r in sheafcoh.check_cycle_L())
-    got = (cx.c0, cx.c1, h0, h1, k2.c0, k2.c1, k2.chi, k2.h1_R2,
+    got = (c0, c1, h0, h1, k2.c0, k2.c1, k2.chi, k2.h1_R2,
            ic.dims(), ic.chi, residues_ok)
     want = (280, 120, 160, 0, 80, 120, -40, 41, (30, 60, 60, 30), 0, True)
     return (_fmt(want), _fmt(got), got == want, "")
 
 
 def check_e2_tables(cfg, exact):
-    q = sheafcoh.quintic_E2(exact.k3_dims)
+    q = sheafcoh.quintic_E2(exact.k3_cohomology)
     m = sheafcoh.assemble_E2("mirror")
     got = (q.display_rows(), m.display_rows(), q.antidiagonal_sum(3),
            m.antidiagonal_sum(3), q.alternating_sum(), m.alternating_sum())
@@ -380,7 +382,7 @@ def check_property_suite(cfg, exact):
     # central symmetry: pointwise for the mirror table; the quintic page is
     # genuinely asymmetric (161 against 1), its abutted Betti numbers are
     # what satisfy the palindrome
-    q = sheafcoh.quintic_E2(exact.k3_dims)
+    q = sheafcoh.quintic_E2(exact.k3_cohomology)
     m = sheafcoh.assemble_E2("mirror")
     if not m.centrally_symmetric():
         ok = False
