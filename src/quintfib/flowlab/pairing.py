@@ -49,8 +49,8 @@ class PairingResult:
 def _continue_root(a, b, start):
     """(L, N_STEPS) track of a root of z^5 - a z + b along the rows of a and
     b, from `start` at the first step.  Each step runs Newton from the last
-    root on all rows until every update is at rounding level (NEWTON_CAP at
-    most)."""
+    root on all rows until every update is at rounding level, which a NaN
+    update never is (NEWTON_CAP at most)."""
     track = np.empty_like(a)
     w = start
     for s in range(a.shape[1]):
@@ -59,7 +59,7 @@ def _continue_root(a, b, start):
             w4 = (w * w) ** 2
             dw = (w * (w4 - a_s) + b_s) / (5.0 * w4 - a_s)
             w = w - dw
-            if np.all(np.abs(dw) <= NEWTON_TOL * np.abs(w)):
+            if np.count_nonzero(np.abs(dw) <= NEWTON_TOL * np.abs(w)) == w.size:
                 break
         track[:, s] = w
     return track

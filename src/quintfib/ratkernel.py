@@ -7,6 +7,8 @@ than truncated; integral fractions, numpy ints and floats pass.
 
 One elimination, `_eliminate`, a forward elimination on sparse integer rows
 {column: nonzero int} by unimodular row operations, serves every result.
+Its pivot row in a column has the least absolute entry there, ties going
+to the sparsest row and then the lowest (Markowitz's tie-break).
 A dense matrix is converted once on entry; `rank` also takes a matrix as
 its list of such rows, the form in which `sheafcoh` holds its Cech
 differentials.
@@ -101,23 +103,24 @@ def _eliminate(rows):
     The rows that still lack a pivot are grouped by their leading column, so
     a column's pivot search sees exactly the rows holding it.  The group is
     reduced by nearest-quotient Euclid steps against its row of smallest
-    absolute entry there (ties to the lowest row) until one row is left: the
-    pivot row.  A row whose entry cancels joins the group of its new leading
-    column.  Only row additions are made and rows are updated in place and
-    never move, so the sign of det comes from the parity of the pivot row
-    order.
+    absolute entry there until one row is left: the pivot row.  Ties go to
+    the row of fewest nonzeros, whose subtraction touches fewest entries,
+    then to the lowest row.  A row whose entry cancels joins the group of
+    its new leading column.  Only row additions are made and rows are
+    updated in place and never move, so the sign of det comes from the
+    parity of the pivot row order.
     """
     groups = {}
     for i, row in enumerate(rows):
         if row:
             groups.setdefault(min(row), []).append(i)
     order, pivots = [], []
-    for c in sorted({j for row in rows for j in row}):
+    for c in sorted(set().union(*rows)):
         group = groups.pop(c, None)
         if group is None:
             continue
         while len(group) > 1:
-            r = min(group, key=lambda i: (abs(rows[i][c]), i))
+            r = min(group, key=lambda i: (abs(rows[i][c]), len(rows[i]), i))
             pivot_row = rows[r]
             p, p2 = pivot_row[c], 2 * pivot_row[c]
             rest = [r]
