@@ -245,6 +245,26 @@ def _sparse_wide(st):
     return matrices()
 
 
+def _unit_columns(st, square=False):
+    """Sparse +-1 matrices up to 8 x 16 whose leading columns each hold
+    several unit entries, in rows of different lengths: the ties on the
+    least absolute entry that the pivot search breaks by row length, then
+    by row.  Row i also holds column i, so square ones are often regular."""
+
+    @st.composite
+    def matrices(draw):
+        rows = draw(st.integers(2, 8))
+        cols = rows if square else draw(st.integers(rows + 1, 16))
+        m = rk.zeros(rows, cols)
+        for i in range(rows):
+            lead = draw(st.integers(0, i // 2))
+            for j in {lead, i} | draw(st.sets(st.integers(lead + 1, cols - 1))):
+                m[i, j] = draw(st.sampled_from([1, -1]))
+        return m
+
+    return matrices()
+
+
 def _permuted_triangular(st):
     """Square P @ U with P a signed permutation and U upper triangular with a
     nonzero diagonal, or U = I: the pivots sit in permuted rows, so the
@@ -334,31 +354,48 @@ def test_rank_and_kernel_match_sympy():
 
 
 def test_sparse_wide_rank_and_kernel_match_sympy():
-    """The kernel's own shape: rank against sympy, and the integer kernel
-    basis against sympy's rational null space."""
+    """The kernel's own shape and wide +-1 matrices with tied pivots: rank
+    against sympy, the integer kernel basis against sympy's rational null
+    space, and the Hermite form of the +-1 ones spans their row lattice."""
     hyp, sympy = _oracle()
+    st = hyp.strategies
 
     @_settings(hyp, 20)
-    @hyp.given(_sparse_wide(hyp.strategies))
+    @hyp.given(_sparse_wide(st))
     def check(m):
         assert rk.rank(m) == _rank(sympy, _sym(sympy, m))
         _check_kernel(sympy, m)
 
+    @_settings(hyp, 40)
+    @hyp.given(_unit_columns(st))
+    def check_unit(m):
+        assert rk.rank(m) == _rank(sympy, _sym(sympy, m))
+        _check_kernel(sympy, m)
+        rows = m.tolist()
+        h = rk.row_hermite_form(rows)
+        assert _is_hermite(h) and len(h) == rk.rank(m)
+        assert _in_row_lattice(sympy, h, rows) and _in_row_lattice(sympy, rows, h)
+
     check()
+    check_unit()
 
 
 def test_det_and_inverse_match_sympy():
     hyp, sympy = _oracle()
     st = hyp.strategies
 
-    @_settings(hyp, 60)
-    @hyp.given(st.one_of(_matrices(st, square=True), _permuted_triangular(st)))
+    @_settings(hyp, 80)
+    @hyp.given(st.one_of(_matrices(st, square=True), _permuted_triangular(st),
+                         _unit_columns(st, square=True)))
     def check(m):
         d = rk.det(m)
         assert type(d) is int and d == _sym(sympy, m).det()
         if abs(d) != 1:  # singular or not unimodular
             with pytest.raises(ValueError, match="not unimodular"):
                 rk.inverse(m)
+        else:
+            assert rk.inverse(m).tolist() == [[int(x) for x in row]
+                                              for row in _sym(sympy, m).inv().tolist()]
 
     @_settings(hyp, 60)
     @hyp.given(_unimodular(st))
