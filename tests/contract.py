@@ -6,8 +6,9 @@ at seeds 0-3 in each of the three modes (all checks, `--skip numeric`,
 timing column, the stdout of the README's command-line examples in both
 output forms, the stdout and the CSV of a small seeded `flow` run, and the
 stdout of the demos.  Each case is one text file
-under tests/goldens/; `tests/test_contract.py` compares against them, and
-`python tests/regen_goldens.py` rewrites them.
+under tests/goldens/; `tests/test_contract.py` compares against them byte
+for byte, line ends included, and `python tests/regen_goldens.py` rewrites
+them.
 """
 
 import contextlib
@@ -100,11 +101,12 @@ def cli_text(argv):
 
 def flow_texts():
     """{golden file name: text} of the `flow` run: its exit code and stdout,
-    and the CSV it writes, with --out pointed into a scratch directory."""
+    and the CSV it writes, with --out pointed into a scratch directory.  The
+    CSV is read as its bytes, so its CRLF line ends are part of the text."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / FLOW_ARGV[-1]
         text = cli_text(FLOW_ARGV[:-1] + [str(out)]).replace(str(out), FLOW_ARGV[-1])
-        return dict(zip(FLOW_GOLDENS, (text, out.read_text())))
+        return dict(zip(FLOW_GOLDENS, (text, out.read_bytes().decode())))
 
 
 def demo_text(path):

@@ -21,8 +21,8 @@ def main():
             print(f"removed {stale.name}")
     for name, text in sorted(new.items()):
         path = contract.GOLDENS / name
-        if not path.exists() or path.read_text() != text:
-            path.write_text(text)
+        if not path.exists() or path.read_bytes() != text.encode():
+            path.write_bytes(text.encode())
             print(f"wrote {name}")
 
 

@@ -13,9 +13,9 @@ import contract
 
 
 def _check(name, text):
-    want = (contract.GOLDENS / name).read_text()
-    diff = "".join(difflib.unified_diff(
-        want.splitlines(keepends=True), text.splitlines(keepends=True),
+    want = (contract.GOLDENS / name).read_bytes().decode()  # line ends as stored
+    diff = "".join(difflib.unified_diff(  # a CR shows as \r
+        *(t.replace("\r", "\\r").splitlines(keepends=True) for t in (want, text)),
         f"goldens/{name}", "current"))
     assert text == want, f"contract changed:\n{diff}"
 
