@@ -4,8 +4,9 @@ The contract is the `verify-all` JSON report minus its `runtime_s` fields,
 at seeds 0-3 in each of the three modes (all checks, `--skip numeric`,
 `--skip symbolic`), the human `verify-all` table at seed 0 without its
 timing column, the stdout of the README's command-line examples in both
-output forms, the stdout and the CSV of a small seeded `flow` run, and the
-stdout of the demos.  Each case is one text file
+output forms, the stdout and the CSV of a small seeded `flow` run, the
+stdout of the demos, and the covering counts of a seeded uniform sample of
+face points.  Each case is one text file
 under tests/goldens/; `tests/test_contract.py` compares against them byte
 for byte, line ends included, and `python tests/regen_goldens.py` rewrites
 them.
@@ -17,9 +18,12 @@ import json
 import re
 import runpy
 import tempfile
+import warnings
 from pathlib import Path
 
-from quintfib import cli, verify
+import numpy as np
+
+from quintfib import cli, flowlab, verify
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -72,6 +76,12 @@ FLOW_GOLDENS = ("cli-flow.txt", "cli-flow.csv")
 DEMO_SCRIPTS = {f"demo-{p.stem}.txt": p for p in sorted(DEMOS.glob("*.py"))}
 
 
+# covering_count over a seeded uniform sample of face points, at c10's two
+# tolerances and a coarse one
+COVERING_GOLDEN = "covering-counts.txt"
+COVERING_TOLS = (1e-9, 5e-10, 1e-6)
+
+
 def report_name(config):
     mode = f"-skip-{config.skip}" if config.skip else ""
     return f"verify-all-seed{config.seed}{mode}.json"
@@ -117,6 +127,19 @@ def demo_text(path):
     return out.getvalue()
 
 
+def covering_text():
+    """One line per point of 400 seeded uniform points of [0.6, 1.3]^2: r1, r2
+    and its covering count at each of COVERING_TOLS."""
+    points = np.random.default_rng(2026).uniform(0.6, 1.3, (400, 2))
+    lines = ["# r1 r2 count at tol " + " ".join(map(str, COVERING_TOLS))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the points outside warn
+        for r1, r2 in points.tolist():
+            counts = [flowlab.covering_count(r1, r2, tol) for tol in COVERING_TOLS]
+            lines.append(" ".join(map(repr, [r1, r2, *counts])))
+    return "\n".join(lines) + "\n"
+
+
 def build_reports():
     """{golden file name: report} for every report configuration."""
     return {report_name(cfg): verify.verify_all(cfg) for cfg in REPORT_CONFIGS}
@@ -129,4 +152,5 @@ def texts(reports):
     out.update((name, cli_text(argv)) for name, argv in CLI_EXAMPLES.items())
     out.update(flow_texts())
     out.update((name, demo_text(path)) for name, path in DEMO_SCRIPTS.items())
+    out[COVERING_GOLDEN] = covering_text()
     return out

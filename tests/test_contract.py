@@ -45,11 +45,15 @@ def test_demo_matches_golden(name):
     _check(name, contract.demo_text(contract.DEMO_SCRIPTS[name]))
 
 
+def test_covering_counts_match_golden():
+    _check(contract.COVERING_GOLDEN, contract.covering_text())
+
+
 def test_every_golden_is_a_case():
     cases = ({contract.report_name(c) for c in contract.REPORT_CONFIGS}
              | set(contract.TABLES) | set(contract.CLI_EXAMPLES)
              | set(contract.FLOW_GOLDENS)
-             | set(contract.DEMO_SCRIPTS))
+             | set(contract.DEMO_SCRIPTS) | {contract.COVERING_GOLDEN})
     assert {p.name for p in contract.GOLDENS.iterdir()} == cases
 
 
