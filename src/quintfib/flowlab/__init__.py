@@ -17,8 +17,7 @@ from .integrate import (FlowDiagnostics, TorusFiber, TransportResult,
                         distances_to_quintic, flow, flow_batch,
                         newton_project_to_quintic, transport_fiber)
 from .pairing import PairingResult, loop_pairing_detailed, loop_pairings
-from .covering import (covering_count, covering_roots, covering_roots_batch,
-                       covering_stratum)
+from .covering import covering_count, covering_roots, covering_stratum
 from .harveylawson import (HLProbeResult, classify_hl_target, hl_fiber_probe,
                            hl_map, hl_jacobian_rank, sample_hl_fiber)
 
@@ -31,8 +30,7 @@ __all__ = [
     "circle_collapse_winding", "distance_to_quintic", "distances_to_quintic",
     "flow", "flow_batch", "newton_project_to_quintic", "transport_fiber",
     "PairingResult", "loop_pairing_detailed", "loop_pairings",
-    "covering_count", "covering_roots", "covering_roots_batch",
-    "covering_stratum",
+    "covering_count", "covering_roots", "covering_stratum",
     "HLProbeResult", "classify_hl_target", "hl_fiber_probe", "hl_map",
     "hl_jacobian_rank", "sample_hl_fiber",
 ]

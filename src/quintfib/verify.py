@@ -42,6 +42,8 @@ class VerifyConfig:
             raise ValueError(f"the sample count must be at least 1, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"the seed must not be negative, got {self.seed}")
+        if self.skip not in ("", "numeric", "symbolic"):
+            raise ValueError(f"skip must be '', 'numeric' or 'symbolic', got {self.skip!r}")
         if not (isfinite(self.psi) and self.psi != 0):
             raise ValueError(f"psi must be finite and nonzero, got {self.psi}")
 
@@ -122,12 +124,6 @@ def exact_data():
     return ExactData(monodromy.atlas(), (k3.c0, k3.c1), k3.cohomology_dims())
 
 
-def _fmt(value):
-    if isinstance(value, np.ndarray):
-        return str(value.tolist())
-    return str(value)
-
-
 # golden matrices of the transition/monodromy battery
 GOLDEN_STEPS = [
     ((5, 4), (5, 2), [[1, -1, 0], [0, -1, 1], [0, -1, 0]]),
@@ -206,7 +202,7 @@ def check_euler_ledgers(cfg, exact):
     g = fibercensus.singular_surface((1, 2, 3)).genus
     gq = fibercensus.singular_surface((1, 2, 3), quotient=True).genus
     got = (exp, mir, g, gq)
-    return ("(-200, 0, 6, 0)", _fmt(got), got == (-200, 0, 6, 0), "")
+    return ("(-200, 0, 6, 0)", got, got == (-200, 0, 6, 0), "")
 
 
 def check_sheaf_cohomology(cfg, exact):
@@ -218,7 +214,7 @@ def check_sheaf_cohomology(cfg, exact):
     got = (c0, c1, h0, h1, k2.c0, k2.c1, k2.chi, k2.h1_R2,
            ic.dims(), ic.chi, residues_ok)
     want = (280, 120, 160, 0, 80, 120, -40, 41, (30, 60, 60, 30), 0, True)
-    return (_fmt(want), _fmt(got), got == want, "")
+    return (want, got, got == want, "")
 
 
 def check_e2_tables(cfg, exact):
@@ -227,7 +223,7 @@ def check_e2_tables(cfg, exact):
     got = (q.display_rows(), m.display_rows(), q.antidiagonal_sum(3),
            m.antidiagonal_sum(3), q.alternating_sum(), m.alternating_sum())
     want = (GOLDEN_E2_QUINTIC, GOLDEN_E2_MIRROR, 204, 4, -200, 0)
-    return (_fmt(want), _fmt(got), got == want, "")
+    return (want, got, got == want, "")
 
 
 def check_toric(cfg, exact):
@@ -242,7 +238,7 @@ def check_toric(cfg, exact):
            all(c.is_unimodular() for c in fan.cones),
            dc.total, hodge, chi, chi + fibercensus.euler_ledger("expected"))
     want = (21, 4, 6, True, True, 100, (1, 0, 101, 4, 101, 0, 1), 200, 0)
-    return (_fmt(want), _fmt(got), got == want, "")
+    return (want, got, got == want, "")
 
 
 def check_flow_conservation(cfg):
@@ -323,14 +319,8 @@ def check_covering_counts(cfg):
     detail = []
     interior, edge = covering_sample_points(cfg.seed)
     vertices = [(1.0, 0.0), (0.0, 1.0)]
-    # one batch over every (point, tol) row off the vertices; the vertex
-    # fibers are circles, counted by their stratum
-    roots = flowlab.covering_roots_batch(
-        [p for p in interior + edge for _ in range(2)],
-        [1e-9, 5e-10] * len(interior + edge))
-    counts = [len(r) for r in roots] + [
-        flowlab.covering_count(r1, r2, tol=tol)
-        for r1, r2 in vertices for tol in (1e-9, 5e-10)]
+    counts = [flowlab.covering_count(r1, r2, tol=tol)
+              for r1, r2 in interior + edge + vertices for tol in (1e-9, 5e-10)]
     wants = [50] * len(interior) + [25] * len(edge) + [5] * len(vertices)
     for (r1, r2), n1, n2, want in zip(interior + edge + vertices, counts[::2],
                                       counts[1::2], wants):
@@ -470,6 +460,6 @@ def verify_all(config):
         if not ok and not detail:
             detail = f"expected {expected}, got {computed}"
         checks.append(CheckResult(
-            check_id, criterion, kind, label, _fmt(expected), _fmt(computed),
+            check_id, criterion, kind, label, str(expected), str(computed),
             status, detail, dt))
     return VerificationReport(config, checks)

@@ -183,6 +183,13 @@ def test_verify_report_schema_and_config_keys():
     assert list(payload["config"]) == ["psi", "samples", "seed", "skip"]
 
 
+@pytest.mark.parametrize("skip", ["numerics", "Numeric", "all", None])
+def test_verify_config_refuses_unknown_skip(skip):
+    # "numerics" used to run all 12 checks and write itself into the report
+    with pytest.raises(ValueError, match="^skip must be '', 'numeric' or 'symbolic'"):
+        verify.VerifyConfig(seed=0, skip=skip)
+
+
 def test_verify_all_json_is_the_reports_dict(monkeypatch, capsys):
     report = verify.verify_all(verify.VerifyConfig(seed=0, skip="numeric"))
     monkeypatch.setattr(verify, "verify_all", lambda cfg: report)

@@ -80,7 +80,7 @@ def test_covering_refuses_bad_tolerances(tol):
     used to classify it as outside, since every comparison with NaN fails."""
     for call in (lambda: fl.covering_count(1.0, 1.0, tol=tol),
                  lambda: fl.covering_stratum(1.0, 1.0, tol),
-                 lambda: fl.covering_roots_batch([(1.0, 1.0)], [tol])):
+                 lambda: fl.covering_roots(1.0, 1.0, tol)):
         with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
             call()
 
@@ -332,46 +332,6 @@ def _torus_distances(a, b):
     return np.hypot(d[..., 0], d[..., 1])
 
 
-def _separate_passes(r1, r2, tol=1e-9):
-    """The grid pass (deduped) and the constructive pass, each on its own,
-    lifted from u = 5 theta to the torus."""
-    R1, R2 = r1 ** 5, r2 ** 5
-    newton_tol, verify_tol, dedupe_tol = covering._tolerances(R1, R2, tol)
-    grid, = covering._grid_roots(np.array([R1]), np.array([R2]),
-                                 np.array([newton_tol]))
-    grid = covering._dedupe(grid, 5.0 * dedupe_tol)
-    return (covering._lift(grid),
-            covering._lift(covering._reduced_roots(R1, R2, verify_tol)),
-            dedupe_tol)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_covering_passes_agree_on_c10_interior(seed):
-    interior, _ = verify.covering_sample_points(seed)
-    for r1, r2 in interior:
-        grid, reduced, dedupe_tol = _separate_passes(r1, r2)
-        assert len(grid) == 50
-        assert len(reduced) == 50
-        close = _torus_distances(reduced, grid) <= dedupe_tol
-        # one to one: every constructive root has exactly one grid partner
-        assert np.all(close.sum(axis=0) == 1)
-        assert np.all(close.sum(axis=1) == 1)
-
-
-def test_covering_edge_counts_rest_on_constructive_pass():
-    _, edge = verify.covering_sample_points(0)
-    for r1, r2 in edge:
-        _, reduced, dedupe_tol = _separate_passes(r1, r2)
-        assert len(covering._dedupe(reduced, dedupe_tol)) == 25
-    # known disagreement: the roots are tangential here and the grid pass
-    # sees none of them
-    r1, r2 = edge[1]
-    assert (round(r1, 3), round(r2, 3)) == (0.86, 0.881)
-    grid, _, _ = _separate_passes(r1, r2)
-    assert len(grid) == 0
-    assert fl.covering_count(r1, r2) == 25
-
-
 def _theta_grid_sign_changes(R1, R2, n=400):
     """Sign-change cells of a uniform n x n theta grid over the whole torus,
     sampling e^{5 i theta} directly."""
@@ -386,47 +346,85 @@ def _theta_grid_sign_changes(R1, R2, n=400):
         & any_corner(g.imag <= 0) & any_corner(g.imag >= 0)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_period_grid_holds_the_theta_grids_samples(seed):
-    # the one-period grid in u = 5 theta is not a smaller grid: the full
-    # 400 x 400 theta grid's seed cells are 25 tiles of its seed cells.  The
-    # edge points are left out: their roots are tangential, and there the
-    # theta grid's tiles disagree among themselves by rounding
-    assert 5 * covering.GRID_N == 400
+def _fsolve_roots(r1, r2, n=400):
+    """Torus roots found by scipy's fsolve in theta, seeded at the centre of
+    every sign-change cell of the n x n theta grid and deduplicated at 1e-6:
+    a search that shares nothing with the closed form."""
+    optimize = pytest.importorskip("scipy.optimize")
+    R1, R2 = r1 ** 5, r2 ** 5
+
+    def f(t):
+        g = R1 * np.exp(5j * t[0]) + R2 * np.exp(5j * t[1]) + 1.0
+        return [g.real, g.imag]
+
+    def jac(t):
+        e1, e2 = 5j * R1 * np.exp(5j * t[0]), 5j * R2 * np.exp(5j * t[1])
+        return [[e1.real, e2.real], [e1.imag, e2.imag]]
+
+    h = 2.0 * np.pi / n
+    found = []
+    for cell in np.argwhere(_theta_grid_sign_changes(R1, R2, n)):
+        t, _, ier, _ = optimize.fsolve(f, (cell + 0.5) * h, fprime=jac,
+                                       xtol=1e-13, full_output=True)
+        if ier == 1 and np.hypot(*f(t)) < 1e-10:
+            t = t % (2.0 * np.pi)
+            if not found or _torus_distances([t], found).min() > 1e-6:
+                found.append(t)
+    return np.array(found).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_covering_passes_agree_on_c10_interior(seed):
+    # the closed form against a grid-seeded search, one to one
     interior, _ = verify.covering_sample_points(seed)
     for r1, r2 in interior:
+        searched = _fsolve_roots(r1, r2)
+        closed = fl.covering_roots(r1, r2, 1e-9)
+        assert len(searched) == len(closed) == 50
+        close = _torus_distances(closed, searched) <= 1e-6
+        assert np.all(close.sum(axis=0) == 1)
+        assert np.all(close.sum(axis=1) == 1)
+
+
+def test_covering_edge_counts_rest_on_constructive_pass():
+    # over a boundary curve the closed form's two u-roots coincide in one
+    # tangential root, lifted to 25 phases
+    _, edge = verify.covering_sample_points(0)
+    for r1, r2 in edge:
         R1, R2 = r1 ** 5, r2 ** 5
-        reduced = covering._sign_changes(R1, R2)
-        assert reduced.any()
-        assert np.array_equal(_theta_grid_sign_changes(R1, R2),
-                              np.tile(reduced, (5, 5)))
+        _, verify_tol, dedupe_tol = covering._tolerances(R1, R2, 1e-9)
+        u = covering._dedupe(covering._reduced_roots(R1, R2, verify_tol),
+                             5.0 * dedupe_tol)
+        assert len(u) == 1
+        assert fl.covering_count(r1, r2) == 25
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_covering_batch_rows_equal_single_rows(seed, monkeypatch):
-    interior, edge = verify.covering_sample_points(seed)
-    points = [p for p in interior + edge for _ in range(2)]
-    tols = [1e-9, 5e-10] * len(interior + edge)
-    singular = []
-    inner = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq",
-                        lambda *a, **k: singular.append(1) or inner(*a, **k))
-    batch = fl.covering_roots_batch(points, tols)
-    assert len(singular) == 2
-    for (r1, r2), tol, roots in zip(points, tols, batch):
-        singular.clear()
-        alone = fl.covering_roots(r1, r2, tol)
-        assert np.array(roots).tobytes() == np.array(alone).tobytes()
-        # a Newton step with a singular Jacobian falls back to lstsq once
-        # per tolerance, at the edge point (0.97, 0.676)
-        assert len(singular) == (1 if (r1, r2) == edge[2] else 0)
-    assert (round(edge[2][0], 3), round(edge[2][1], 3)) == (0.97, 0.676)
+# face points within 1e-6 of each of the three boundary curves, on both sides
+NEAR_BOUNDARY_OFFSETS = np.linspace(-1e-6, 1e-6, 9)
 
 
-def test_covering_batch_refuses_mismatched_rows():
-    with pytest.raises(ValueError, match="one tolerance per point"):
-        fl.covering_roots_batch([(1.0, 1.0)], [1e-9, 5e-10])
-    assert fl.covering_roots_batch([], []) == []
+def _near_boundary_points(n=25):
+    points = []
+    for t in np.linspace(0.3, 0.97, n):  # r1^5 + r2^5 = 1
+        points += [(t, (1.0 - t ** 5) ** 0.2 + d) for d in NEAR_BOUNDARY_OFFSETS]
+    for t in np.linspace(0.2, 1.5, n):  # r1^5 = r2^5 + 1
+        points += [((t ** 5 + 1.0) ** 0.2 + d, t) for d in NEAR_BOUNDARY_OFFSETS]
+    for t in np.linspace(0.2, 1.5, n):  # r2^5 = r1^5 + 1
+        points += [(t, (t ** 5 + 1.0) ** 0.2 + d) for d in NEAR_BOUNDARY_OFFSETS]
+    return [(float(r1), float(r2)) for r1, r2 in points]
+
+
+def test_covering_count_never_exceeds_50_near_the_boundary():
+    # a period holds at most two u-roots, so no point has more than 50; the
+    # union with the grid pass used to count up to 225 roots in this band
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the outside points warn
+        counts = {(r1, r2, tol): fl.covering_count(r1, r2, tol)
+                  for r1, r2 in _near_boundary_points()
+                  for tol in (1e-9, 5e-10, 1e-6)}
+    assert len(counts) == 3 * 3 * 25 * len(NEAR_BOUNDARY_OFFSETS)
+    assert {key: n for key, n in counts.items() if n > 50} == {}
+    assert set(counts.values()) <= {0, 25, 50}
 
 
 def test_covering_roots_respect_phase_translation():
@@ -634,8 +632,8 @@ def seed0_run():
                    lambda *a: calls.append(a) or inner(*a))
         mp.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
         mp.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        mp.setattr(covering, "_newton_polish",
-                   counted("newton", covering._newton_polish))
+        mp.setattr(covering, "_reduced_roots",
+                   counted("closed form", covering._reduced_roots))
         mp.setattr(verify, "CHECKS",
                    [(*row[:4], tagged(row[0], row[4])) for row in verify.CHECKS])
         report = verify.verify_all(verify.VerifyConfig(seed=0))
@@ -643,8 +641,9 @@ def seed0_run():
 
 
 def test_numeric_checks_batch_their_kernel_calls(seed0_run):
-    # c09 follows its roots by Newton and finds no eigenvalue; c10 and c11
-    # make one call in all
+    # c09 follows its roots by Newton and finds no eigenvalue; c10 solves
+    # the closed form once for each of its 50 (point, tol) rows off the two
+    # vertices; c11 makes one call in all
     report, _, kernels = seed0_run
     assert report.passed
 
@@ -652,7 +651,7 @@ def test_numeric_checks_batch_their_kernel_calls(seed0_run):
         return {shape: n for (c, k, shape), n in kernels.items()
                 if (c, k) == (check, name)}
     assert calls("c09-pairing-matrix", "eigvals") == {}
-    assert sum(calls("c10-covering-counts", "newton").values()) == 1
+    assert calls("c10-covering-counts", "closed form") == {(): 50}
     assert sum(calls("c11-harvey-lawson", "svd").values()) == 1
 
 
