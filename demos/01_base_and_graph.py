@@ -10,6 +10,7 @@ strata are classified by three quintic inequalities in face coordinates.
 import numpy as np
 
 from quintfib import basecomplex as bc
+from quintfib import flowlab as fl
 
 vertices, edges = bc.enumerate_graph()
 print(f"graph: {len(vertices)} vertices, {len(edges)} legs")
@@ -27,7 +28,7 @@ for r1, r2 in ((1.0, 1.0), (2 ** -0.2, 2 ** -0.2), (1.0, 0.0), (0.5, 0.5)):
     print(f"  ({r1:.3f}, {r2:.3f}) -> {bc.classify_fattened(r1, r2).value}")
 
 print("\nmoment images (weights |z_k|^2 / sum):")
-print("  coordinate point  ->", bc.moment_image([1, 0, 0, 0, 0]))
-print("  symmetric point   ->", bc.moment_image([1, 1, 1, 1, 1]))
+print("  coordinate point  ->", fl.moment_image([1, 0, 0, 0, 0]))
+print("  symmetric point   ->", fl.moment_image([1, 1, 1, 1, 1]))
 z = np.array([1.0, 1.0j, -1.0, 1.0, 0.0])
-print("  face barycenter   ->", bc.moment_image(z))
+print("  face barycenter   ->", fl.moment_image(z))

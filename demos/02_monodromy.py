@@ -12,27 +12,33 @@ from quintfib.basecomplex import GraphEdge, GraphVertex
 from quintfib import monodromy as mono
 from quintfib.monodromy import ChartId, ChartPath
 
+
+def rows(m):
+    """An operator's rows, printed as lists."""
+    return [list(r) for r in m]
+
+
 print("single chart steps (columns = old basis in the new basis):")
 for a, b in (((5, 4), (5, 2)), ((5, 2), (1, 2)), ((1, 2), (1, 4)), ((1, 4), (5, 4))):
     m = mono.transition(ChartId(*a), ChartId(*b))
-    print(f"  U_{a[0]}^{a[1]} -> U_{b[0]}^{b[1]}: {m.tolist()}")
+    print(f"  U_{a[0]}^{a[1]} -> U_{b[0]}^{b[1]}: {rows(m)}")
 
 leg = GraphEdge(frozenset({2, 4}), 3)
 op = mono.leg_monodromy(leg, basepoint=ChartId(5, 4))
-print(f"\nloop around {leg!r} at U_5^4: {op.matrix.tolist()}")
+print(f"\nloop around {leg!r} at U_5^4: {rows(op.matrix)}")
 rev = mono.leg_monodromy(leg, basepoint=ChartId(5, 4), orientation=-1)
-print(f"reversed orientation:          {rev.matrix.tolist()}")
+print(f"reversed orientation:          {rows(rev.matrix)}")
 
 detour = ChartPath((ChartId(5, 4), ChartId(5, 1), ChartId(5, 2),
                     ChartId(1, 2), ChartId(1, 4), ChartId(5, 4)))
-print(f"subdivided loop, same class:   {mono.monodromy_along(detour).matrix.tolist()}")
+print(f"subdivided loop, same class:   {rows(mono.monodromy_along(detour).matrix)}")
 
 for label in ({2, 3, 4}, {2, 4}):
     v = GraphVertex(frozenset(label))
     ops = mono.vertex_monodromies(v)
     print(f"\noperators around {v!r} in basis {[repr(s) for s in ops[0].basis]}:")
     for o in ops:
-        print(f"  {o.label}: {o.matrix.tolist()}")
+        print(f"  {o.label}: {rows(o.matrix)}")
     w = mono.vanishing_filtration(ops)
     print(f"  vanishing sublattice rank {w.rank}: "
           f"{[repr(n) if n else list(b) for n, b in zip(w.names, w.basis)]}")
@@ -40,4 +46,4 @@ for label in ({2, 3, 4}, {2, 4}):
 pv = GraphVertex(frozenset({2, 4}))
 c = mono.mirror_dual_conjugator(pv)
 print(f"\nmirror duality at {pv!r}: the triple at its complementary vertex is")
-print(f"conjugate to the dual triple via the unimodular matrix {c.tolist()}")
+print(f"conjugate to the dual triple via the unimodular matrix {rows(c)}")

@@ -22,8 +22,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
-import numpy as np
-
 INDEX_SET = frozenset({1, 2, 3, 4, 5})
 
 
@@ -148,30 +146,6 @@ def classify_fattened(r1, r2, tol=1e-9):
     if any(abs(e) <= tol for e in exprs) and all(e >= -tol for e in exprs):
         return FattenedStratum.EDGE1
     return FattenedStratum.OUTSIDE
-
-
-def standard_anchors():
-    """Five anchor points in R^4 in general position: e1..e4 and the origin."""
-    anchors = np.zeros((5, 4))
-    for k in range(4):
-        anchors[k, k] = 1.0
-    return anchors
-
-
-def moment_image(z):
-    """Image of a homogeneous 5-tuple under the moment map.
-
-    The weights are |z_k|^2 / sum |z_i|^2, so the image is the convex
-    combination of the standard anchor points with those weights.
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (5,):
-        raise ValueError("expected a homogeneous 5-tuple")
-    w = np.abs(z) ** 2
-    total = w.sum()
-    if total == 0.0:
-        raise ValueError("moment image of the zero vector is undefined")
-    return (w / total) @ standard_anchors()
 
 
 def graph_json():

@@ -14,7 +14,9 @@ One subcommand per module plus `verify-all`:
     quintfib covering --r1 1.0 --r2 1.0
     quintfib verify-all [--skip numeric|symbolic] [--format json] [--out PATH]
 
-Exit code of `verify-all` is zero exactly when every check passes.
+Exit code of `verify-all` is zero exactly when every check passes.  The
+exact subcommands run on plain Python ints; `flow`, `pairing`, `covering`
+and `verify-all` import the numeric layer (and numpy) when they run.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import csv
 import json
 import sys
 
-from . import basecomplex, fibercensus, flowlab, sheafcoh, toriccrepant, verify
+from . import basecomplex, fibercensus, sheafcoh, toriccrepant
 from .basecomplex import GraphEdge
 from .monodromy import ChartId, leg_monodromy
 
@@ -69,7 +71,7 @@ def cmd_monodromy(args):
         "leg": [i, j, k],
         "basepoint": [op.basepoint.divisor, op.basepoint.dominant],
         "basis": [repr(s) for s in op.basis],
-        "matrix": [[int(x) for x in row] for row in op.matrix],
+        "matrix": [list(row) for row in op.matrix],
         "orientation": op.sign,
     }
     _emit(args, payload, lambda: f"{op.label} in basis {payload['basis']}:\n"
@@ -148,6 +150,7 @@ def cmd_toric(args):
 
 
 def cmd_flow(args):
+    from . import flowlab
     radii = {i: 1.0 for i in range(1, 6) if i != args.face}
     fiber = flowlab.TorusFiber(frozenset({args.face}), radii)
     res = flowlab.transport_fiber(fiber, args.psi, args.samples, tol=args.tol,
@@ -175,6 +178,7 @@ def cmd_flow(args):
 
 
 def cmd_pairing(args):
+    from . import flowlab
     loop = _ints(args.loop, 3, "--loop")
     form = _ints(args.form, 2, "--form")
     res, = flowlab.loop_pairing_detailed(loop, [form], psi=args.psi)
@@ -188,6 +192,7 @@ def cmd_pairing(args):
 
 
 def cmd_covering(args):
+    from . import flowlab
     n = flowlab.covering_count(args.r1, args.r2, tol=args.tol)
     stratum = flowlab.covering_stratum(args.r1, args.r2, args.tol).value
     payload = {"r1": args.r1, "r2": args.r2, "stratum": stratum,
@@ -198,6 +203,7 @@ def cmd_covering(args):
 
 
 def cmd_verify_all(args):
+    from . import verify
     cfg = verify.VerifyConfig(psi=args.psi, samples=args.samples,
                               seed=args.seed, skip=args.skip or "")
     report = verify.verify_all(cfg)

@@ -8,8 +8,8 @@ probes: loop/form pairings, covering counts over the fattened
 discriminant, and the explicit special-Lagrangian fibers in C^3.
 """
 
-from .points import (AffinePoint, PoleError, eval_s, random_x_infinity_point,
-                     s_gradient)
+from .points import (AffinePoint, PoleError, eval_s, moment_image,
+                     random_x_infinity_point, s_gradient)
 from .gradient import (FlowConfig, SigmaGuardError, closed_form_V_D4,
                        finite_difference_gradient, grad_V)
 from .integrate import (FlowDiagnostics, TorusFiber, TransportResult,
@@ -22,8 +22,8 @@ from .harveylawson import (HLProbeResult, classify_hl_target, hl_fiber_probe,
                            hl_map, hl_jacobian_rank, sample_hl_fiber)
 
 __all__ = [
-    "AffinePoint", "PoleError", "eval_s", "random_x_infinity_point",
-    "s_gradient",
+    "AffinePoint", "PoleError", "eval_s", "moment_image",
+    "random_x_infinity_point", "s_gradient",
     "FlowConfig", "SigmaGuardError", "closed_form_V_D4",
     "finite_difference_gradient", "grad_V",
     "FlowDiagnostics", "TorusFiber", "TransportResult",

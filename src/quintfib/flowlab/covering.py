@@ -90,10 +90,9 @@ def _lift(u):
 
 
 def _tolerances(R1, R2, tol):
-    """(newton_tol, verify_tol, dedupe_tol), scaled with the equation's size."""
+    """(verify_tol, dedupe_tol), scaled with the equation's size."""
     scale = R1 + R2 + 1.0
-    newton_tol = max(1e-12, 10.0 * tol * scale)
-    return newton_tol, 1e-7 * scale, max(1e-6, 2.0 * np.sqrt(newton_tol))
+    return 1e-7 * scale, max(1e-6, 2.0 * np.sqrt(max(1e-12, 10.0 * tol * scale)))
 
 
 def covering_roots(r1, r2, tol):
@@ -101,7 +100,7 @@ def covering_roots(r1, r2, tol):
     a list of (theta1, theta2) tuples."""
     _check_tol(tol)
     R1, R2 = float(r1) ** 5, float(r2) ** 5
-    _, verify_tol, dedupe_tol = _tolerances(R1, R2, tol)
+    verify_tol, dedupe_tol = _tolerances(R1, R2, tol)
     roots = _lift(_dedupe(_reduced_roots(R1, R2, verify_tol), 5.0 * dedupe_tol))
     return list(map(tuple, roots.tolist()))
 

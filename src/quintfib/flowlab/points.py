@@ -3,7 +3,8 @@
 Chart c sets the homogeneous coordinate z_c to 1; the remaining four
 coordinates, in ascending index order, are the chart coordinates.  The
 meromorphic ratio s = (prod z_k) / (sum z_k^5) is degree-(5,5) homogeneous,
-so its value is chart independent wherever defined.
+so its value is chart independent wherever defined.  The moment map sends
+a homogeneous 5-tuple onto the base simplex.
 """
 
 import cmath
@@ -44,6 +45,30 @@ class AffinePoint:
 
     def array(self):
         return np.array(self.coords, dtype=complex)
+
+
+def standard_anchors():
+    """Five anchor points in R^4 in general position: e1..e4 and the origin."""
+    anchors = np.zeros((5, 4))
+    for k in range(4):
+        anchors[k, k] = 1.0
+    return anchors
+
+
+def moment_image(z):
+    """Image of a homogeneous 5-tuple under the moment map.
+
+    The weights are |z_k|^2 / sum |z_i|^2, so the image is the convex
+    combination of the standard anchor points with those weights.
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (5,):
+        raise ValueError("expected a homogeneous 5-tuple")
+    w = np.abs(z) ** 2
+    total = w.sum()
+    if total == 0.0:
+        raise ValueError("moment image of the zero vector is undefined")
+    return (w / total) @ standard_anchors()
 
 
 def _chart_rows(z, chart):

@@ -20,7 +20,8 @@ read off this solution, and the tests hold it to the relations in all 20
 charts.  The symbols are deliberately never globalized into a single
 lattice: the global relations are inconsistent, and that inconsistency is
 precisely the monodromy picked up around the legs of the discriminant
-graph.
+graph.  Coordinate vectors are int tuples and operators 3x3 tuples of int
+tuples (rows), multiplied by `ratkernel.matmul3`.
 
 Orientation convention: the loop around a leg with pair {i, j} and apex k is
 traversed as U_m^j -> U_m^i -> U_l^i -> U_l^j -> U_m^j where (i, j, k, l, m)
@@ -31,8 +32,6 @@ orientation, and reversing a loop inverts its operator.
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import NamedTuple
-
-import numpy as np
 
 from . import ratkernel
 from .basecomplex import INDEX_SET, edges_at, enumerate_graph
@@ -104,7 +103,7 @@ def expand(symbol, chart):
     uppers = sorted(INDEX_SET - {chart.divisor, chart.dominant})
     upper = _corner(symbol.upper, chart.dominant, uppers)
     base = _corner(symbol.base, chart.dominant, uppers)
-    return np.array([a - m for a, m in zip(upper, base)], dtype=object)
+    return tuple(a - m for a, m in zip(upper, base))
 
 
 def _legal_step(a, b):
@@ -122,8 +121,7 @@ def transition(from_chart, to_chart):
         raise ValueError(
             f"no single-step transition {from_chart} -> {to_chart}: "
             "charts share neither divisor nor dominant index")
-    cols = [expand(sym, to_chart) for sym in from_chart.basis]
-    return np.stack(cols, axis=1)
+    return tuple(zip(*(expand(sym, to_chart) for sym in from_chart.basis)))
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ class ChartPath:
 class MonodromyOperator:
     """Integer operator on H_1 of the fiber, attached to a based loop."""
 
-    matrix: np.ndarray
+    matrix: tuple
     basepoint: ChartId
     label: str
     sign: int = 1
@@ -168,20 +166,23 @@ class MonodromyOperator:
     def dual(self):
         """Operator induced on the dual lattice (inverse transpose)."""
         inv = ratkernel.inverse(self.matrix)
-        return MonodromyOperator(inv.T.copy(), self.basepoint,
+        return MonodromyOperator(tuple(zip(*inv)), self.basepoint,
                                  self.label + " (dual)", self.sign)
 
     def __repr__(self):
-        return f"{self.label} @ {self.basepoint}: {self.matrix.tolist()}"
+        return f"{self.label} @ {self.basepoint}: {[list(r) for r in self.matrix]}"
+
+
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def path_product(path, step=None):
     """Product of step transitions along a chart path (last step leftmost);
     `step(a, b)` gives the transition of each step, `transition` by default."""
     step = step or transition
-    m = ratkernel.identity(3)
+    m = IDENTITY
     for a, b in zip(path.charts, path.charts[1:]):
-        m = step(a, b) @ m
+        m = ratkernel.matmul3(step(a, b), m)
     return m
 
 
@@ -357,8 +358,8 @@ def in_basis(op, symbols):
     chart form a unimodular basis B; returns B^{-1} M B as an integer
     matrix, and ValueError (from `ratkernel.inverse`) for any other B.
     """
-    b = np.stack([expand(s, op.basepoint) for s in symbols], axis=1)
-    return ratkernel.inverse(b) @ op.matrix @ b
+    b = tuple(zip(*(expand(s, op.basepoint) for s in symbols)))
+    return ratkernel.matmul3(ratkernel.matmul3(ratkernel.inverse(b), op.matrix), b)
 
 
 def standard_shear_basis(leg, base_divisor):
@@ -391,14 +392,12 @@ def vanishing_filtration(ops):
     basepoint = ops[0].basepoint
     if any(o.basepoint != basepoint for o in ops):
         raise ValueError("operators must share a basepoint basis")
-    eye = ratkernel.identity(3)
     cols = []
     for o in ops:
-        d = o.matrix - eye
-        for c in range(3):
-            col = d[:, c]
-            if any(x != 0 for x in col):
-                cols.append([int(x) for x in col])
+        for c, col in enumerate(zip(*o.matrix)):
+            d = [x - (r == c) for r, x in enumerate(col)]  # column c of T - I
+            if any(d):
+                cols.append(d)
     basis = ratkernel.saturate(cols)
     chart_basis = basepoint.basis
     names = []
@@ -409,8 +408,7 @@ def vanishing_filtration(ops):
             t, s = nz[0]
             name = SignedSymbol(int(s), chart_basis[t])
         names.append(name)
-    return VanishingFiltration(tuple(tuple(int(x) for x in v) for v in basis),
-                               tuple(names), basepoint)
+    return VanishingFiltration(tuple(basis), tuple(names), basepoint)
 
 
 def dual_invariants(ops):
@@ -422,8 +420,9 @@ def dual_invariants(ops):
     """
     if not ops:
         raise ValueError("need at least one operator")
-    eye = ratkernel.identity(3)
-    stacked = np.concatenate([o.matrix.T - eye for o in ops], axis=0)
+    # row r of T^T - I is column r of T - I
+    stacked = [[x - (r == c) for c, x in enumerate(col)]
+               for o in ops for r, col in enumerate(zip(*o.matrix))]
     return ratkernel.kernel_basis(stacked)
 
 
@@ -446,17 +445,18 @@ def mirror_dual_conjugator(pair_vertex):
     mirror_vertex = pair_vertex.mirror()
     a_ops = vertex_monodromies(mirror_vertex)
     b_ops = [o.dual() for o in vertex_monodromies(pair_vertex)]
-    # C A - B C is linear in the row-major entries of C: kron(I, A^T) - kron(B, I)
-    eye = ratkernel.identity(3)
-    rows = np.concatenate([np.kron(eye, a.matrix.T) - np.kron(b.matrix, eye)
-                           for a, b in zip(a_ops, b_ops)])
+    # C A - B C is linear in the row-major entries of C: kron(I, A^T) - kron(B, I),
+    # whose row (p, q) holds A[t][q] [p == s] - B[p][s] [q == t] at column (s, t)
+    rows = [[(p == s) * a.matrix[t][q] - (q == t) * b.matrix[p][s]
+             for s in range(3) for t in range(3)]
+            for a, b in zip(a_ops, b_ops) for p in range(3) for q in range(3)]
     gens = ratkernel.kernel_basis(rows)
     if not gens:
         return None
     for coeffs in iter_product(CONJUGATOR_SEARCH, repeat=len(gens)):
         if any(coeffs):
             vec = [sum(c * g[t] for c, g in zip(coeffs, gens)) for t in range(9)]
-            m = ratkernel.imat([vec[0:3], vec[3:6], vec[6:9]])
+            m = (tuple(vec[0:3]), tuple(vec[3:6]), tuple(vec[6:9]))
             if abs(ratkernel.det(m)) == 1:
                 return m
     return None

@@ -1,9 +1,13 @@
 """Exact linear algebra over Z.
 
-Matrices are numpy object arrays, or lists of rows, of Python ints
-(arbitrary precision); no floating point and no fraction enters any code
-path.  Entries that are not integers are refused through `as_int` rather
-than truncated; integral fractions, numpy ints and floats pass.
+A matrix is a sequence of rows of Python ints (arbitrary precision): the
+exact layers hold theirs as tuples of int tuples, and the results here are
+tuples too.  A 2-d numpy array is read through its shape and `tolist()`, so
+this module imports no numpy; only `imat` and `smith_normal_form`, which
+return object arrays for callers that index and multiply them, import it
+when called.  No floating point and no fraction enters any code path.
+Entries that are not integers are refused through `as_int` rather than
+truncated; integral fractions, numpy ints and floats pass.
 
 One elimination, `_eliminate`, a forward elimination on sparse integer rows
 {column: nonzero int} by unimodular row operations, serves every result.
@@ -29,8 +33,6 @@ All functions are pure and re-entrant; results are bit-identical across runs.
 from bisect import bisect_left
 from math import gcd, inf, prod
 
-import numpy as np
-
 
 def as_int(x):
     """x as a Python int; ValueError, not truncation, unless x is integral
@@ -42,26 +44,40 @@ def as_int(x):
 
 
 def imat(rows):
-    """Object-dtype matrix with exact int entries from nested iterables."""
+    """Object-dtype numpy matrix with exact int entries from nested iterables."""
+    import numpy as np  # for callers that assign its rows and multiply it
+
     a = np.array([[as_int(x) for x in row] for row in rows], dtype=object)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array of entries")
     return a
 
 
-def identity(n):
-    return np.eye(n, dtype=int).astype(object)
+def matmul3(a, b):
+    """The product a b of two 3x3 integer matrices given as rows, as a tuple
+    of int tuples.  It is written out: a zip/map product takes several
+    times as long as numpy's object `@`, and this one less."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return ((a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+             a0 * b2 + a1 * b5 + a2 * b8),
+            (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
+             a3 * b2 + a4 * b5 + a5 * b8),
+            (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+             a6 * b2 + a7 * b5 + a8 * b8))
 
 
-def zeros(r, c):
-    return np.full((r, c), 0, dtype=object)
-
-
-def _as_object(m):
-    a = np.asarray(m, dtype=object)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix (2-d array)")
-    return a
+def _dense(m):
+    """(rows, column count) of a dense matrix: its rows as given, or a numpy
+    array's rows through its `tolist()`."""
+    if hasattr(m, "tolist"):
+        if len(m.shape) != 2:
+            raise ValueError("expected a matrix (2-d array)")
+        return m.tolist(), m.shape[1]
+    rows = list(m)
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("expected a matrix: one or more rows of equal length")
+    return rows, len(rows[0])
 
 
 def _odd(perm):
@@ -143,16 +159,16 @@ def rank(m):
     """Exact rank of an integer matrix, or of its list of sparse rows
     {column: entry}."""
     sparse = isinstance(m, list) and m and isinstance(m[0], dict)
-    return len(_eliminate(_sparse(m if sparse else _as_object(m).tolist()))[1])
+    return len(_eliminate(_sparse(m if sparse else _dense(m)[0]))[1])
 
 
 def det(m):
     """Exact determinant of a square integer matrix, as a Python int."""
-    a = _as_object(m)
-    if a.shape[0] != a.shape[1]:
+    rows, n = _dense(m)
+    if len(rows) != n:
         raise ValueError("determinant of a non-square matrix")
-    rows, pivots, order = _eliminate(_sparse(a.tolist()))
-    if len(pivots) < a.shape[0]:
+    rows, pivots, order = _eliminate(_sparse(rows))
+    if len(pivots) < n:
         return 0
     d = prod(row[c] for row, c in zip(rows, pivots))
     return -d if _odd(order) else d
@@ -161,31 +177,29 @@ def det(m):
 def kernel_basis(m):
     """Hermite basis of the integer kernel {v in Z^n : m v = 0}.
 
-    Returns a list of object arrays of ints; its length is always
-    cols - rank(m).
+    Returns a list of int tuples; its length is always cols - rank(m).
     """
-    a = _as_object(m)
-    if len(_eliminate(_sparse(a.tolist()))[1]) == a.shape[1]:  # full column rank
+    rows, n = _dense(m)
+    if len(_eliminate(_sparse(rows))[1]) == n:  # full column rank
         return []
-    return [np.array(v, dtype=object) for v in _integer_kernel(a.tolist(), a.shape[1])]
+    return [tuple(v) for v in _integer_kernel(rows, n)]
 
 
 def inverse(m):
-    """Inverse of a unimodular integer matrix.
+    """Inverse of a unimodular integer matrix, as a tuple of int tuples.
 
     The Hermite form of [M | I] is [H | U] = U [M | I] with U unimodular;
     its left block H is I exactly when M is unimodular, and then U is the
     inverse.  ValueError for every other matrix.
     """
-    a = _as_object(m)
-    n, nc = a.shape
-    if n != nc:
+    rows, n = _dense(m)
+    if len(rows) != n:
         raise ValueError("inverse of a non-square matrix")
-    h = row_hermite_form([row + [int(i == j) for j in range(n)]
-                          for i, row in enumerate(a.tolist())])
-    if [row[:n] for row in h] != identity(n).tolist():
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    h = row_hermite_form([[*row, *unit] for row, unit in zip(rows, eye)])
+    if [row[:n] for row in h] != eye:
         raise ValueError("matrix is not unimodular")
-    return np.array([row[n:] for row in h], dtype=object).reshape(n, n)
+    return tuple(tuple(row[n:]) for row in h)
 
 
 def is_primitive(v):
@@ -196,87 +210,75 @@ def is_primitive(v):
 def smith_normal_form(m):
     """Smith normal form of an integer matrix.
 
-    Returns (D, L, Rinv) with D = L @ m @ R diagonal, L and R unimodular,
-    and Rinv = R^{-1} (tracked directly, so L @ m = D @ Rinv).  Diagonal
-    entries are nonnegative with each dividing the next.
+    Returns (D, L, Rinv) as numpy object arrays, with D = L @ m @ R
+    diagonal, L and R unimodular, and Rinv = R^{-1} (tracked directly, so
+    L @ m = D @ Rinv).  Diagonal entries are nonnegative with each dividing
+    the next.  The pivot at step t is the first entry of least absolute
+    value in the trailing block (row-major order); floor quotients clear
+    its column, then its row, and a row holding an entry it does not divide
+    is added to the pivot row.  The work is done on lists of rows: once
+    step t is done, row t and column t of the block are zero apart from the
+    pivot, so a column operation or swap touches the rows from t on only.
     """
-    a = _as_object(m).copy()
-    rows, cols = a.shape
-    for i in range(rows):
-        for j in range(cols):
-            a[i, j] = as_int(a[i, j])
-    L = identity(rows)
-    Rinv = identity(cols)
+    import numpy as np  # the result is indexed and multiplied as arrays
 
-    def row_op(i, j, q):
-        # row_i -= q * row_j, mirrored on L
-        a[i] = a[i] - q * a[j]
-        L[i] = L[i] - q * L[j]
-
-    def col_op(j, i, q):
-        # col_j -= q * col_i  (A <- A E); Rinv <- E^{-1} Rinv is a row op
-        a[:, j] = a[:, j] - q * a[:, i]
-        Rinv[i] = Rinv[i] + q * Rinv[j]
-
-    def swap_rows(i, j):
-        a[[i, j]] = a[[j, i]]
-        L[[i, j]] = L[[j, i]]
-
-    def swap_cols(i, j):
-        a[:, [i, j]] = a[:, [j, i]]
-        Rinv[[i, j]] = Rinv[[j, i]]
-
-    def negate_row(i):
-        a[i] = -a[i]
-        L[i] = -L[i]
-
+    rows, cols = _dense(m)
+    a = [[as_int(x) for x in row] for row in rows]
+    n = len(a)
+    left = [[int(i == j) for j in range(n)] for i in range(n)]
+    rinv = [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
-    while t < min(rows, cols):
-        # find smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, rows):
+    while t < min(n, cols):
+        best, least = None, 0
+        for i in range(t, n):
+            row = a[i]
             for j in range(t, cols):
-                if a[i, j] != 0 and (best is None
-                                     or abs(a[i, j]) < abs(a[best[0], best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+            if least == 1:  # no later entry is strictly smaller
+                break
         if best is None:
             break
         bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
+            a[t], a[bi] = a[bi], a[t]
+            left[t], left[bi] = left[bi], left[t]
         if bj != t:
-            swap_cols(t, bj)
-        if a[t, t] < 0:
-            negate_row(t)
+            for row in a[t:]:
+                row[t], row[bj] = row[bj], row[t]
+            rinv[t], rinv[bj] = rinv[bj], rinv[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
+        p, pivot_row, pivot_left = a[t][t], a[t], left[t]
         dirty = False
-        for i in range(t + 1, rows):
-            if a[i, t] != 0:
-                q = a[i, t] // a[t, t]
-                row_op(i, t, q)
-                if a[i, t] != 0:
-                    dirty = True
+        for i in range(t + 1, n):
+            if a[i][t]:
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
+                left[i] = [x - q * y for x, y in zip(left[i], pivot_left)]
+                dirty = dirty or a[i][t] != 0
         for j in range(t + 1, cols):
-            if a[t, j] != 0:
-                q = a[t, j] // a[t, t]
-                col_op(j, t, q)
-                if a[t, j] != 0:
-                    dirty = True
+            if pivot_row[j]:
+                q = pivot_row[j] // p
+                for row in a[t:]:
+                    row[j] -= q * row[t]
+                rinv[t] = [x + q * y for x, y in zip(rinv[t], rinv[j])]
+                dirty = dirty or pivot_row[j] != 0
         if dirty:
             continue
-        # divisibility: a[t,t] must divide the rest of the block
-        witness = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i, j] % a[t, t] != 0:
-                    witness = i
-                    break
-            if witness is not None:
-                break
-        if witness is not None:
-            row_op(t, witness, -1)  # fold offending row in, redo the block
+        # divisibility: the pivot must divide the rest of the block
+        witness = next((i for i in range(t + 1, n)
+                        if any(x % p for x in a[i][t + 1:])), None)
+        if witness is not None:  # fold the offending row in, redo the block
+            a[t] = [x + y for x, y in zip(a[t], a[witness])]
+            left[t] = [x + y for x, y in zip(left[t], left[witness])]
             continue
         t += 1
-    return a, L, Rinv
+    return (np.array(a, dtype=object).reshape(n, cols),
+            np.array(left, dtype=object).reshape(n, n),
+            np.array(rinv, dtype=object).reshape(cols, cols))
 
 
 def sublattice_index(gens):
@@ -289,7 +291,7 @@ def sublattice_index(gens):
     gens = list(gens)
     if not gens:
         return None
-    h = row_hermite_form(imat(gens))
+    h = row_hermite_form(gens)
     if len(h) < len(gens[0]):
         return None
     return prod(next(x for x in row if x) for row in h)
@@ -363,5 +365,4 @@ def saturate(vectors):
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ValueError("vectors of unequal length")
-    basis = _integer_kernel(_integer_kernel(vectors, n), n)
-    return [np.array(row, dtype=object) for row in basis]
+    return [tuple(row) for row in _integer_kernel(_integer_kernel(vectors, n), n)]

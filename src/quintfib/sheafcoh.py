@@ -192,27 +192,22 @@ def surjectivity_check_pijk():
     i, j, k = triple
     # the labels of the legs that read l, m and n
     labels = [_leg_labels(triple, apex, _IDENTITY) for apex in (k, i, j)]
-    amb = ratkernel.zeros(15, 25)
+    amb = [[0] * 25 for _ in range(15)]
     for r, leg_labels in enumerate(labels):
         for col, a in enumerate(leg_labels):
-            amb[5 * r + a, col] = 1
+            amb[5 * r + a][col] = 1
     rank_amb = ratkernel.rank(amb)
     # the image must satisfy (sum of block a) == (sum of block b) == (sum of block c)
-    functionals = ratkernel.zeros(2, 15)
-    for t in range(5):
-        functionals[0, t] = 1
-        functionals[0, 5 + t] = -1
-        functionals[1, 5 + t] = 1
-        functionals[1, 10 + t] = -1
-    annihilates = all((functionals @ amb)[r, c] == 0
-                      for r in range(2) for c in range(25))
+    functionals = ([1] * 5 + [-1] * 5 + [0] * 5, [0] * 5 + [1] * 5 + [-1] * 5)
+    annihilates = all(sum(f * x for f, x in zip(functional, col)) == 0
+                      for functional in functionals for col in zip(*amb))
     characterized = annihilates and rank_amb == 13
     # restricted map on sum-zero coordinates
     restricted = [{} for _ in range(12)]
     for r, leg_labels in enumerate(labels):
         _restriction(leg_labels, restricted[4 * r:4 * r + 4], 0, 1)
     rank_ker = ratkernel.rank(restricted)
-    x00 = tuple(int(amb[5 * r + leg_labels[0], 0] == 1)
+    x00 = tuple(int(amb[5 * r + leg_labels[0]][0] == 1)
                 for r, leg_labels in enumerate(labels))
     return SurjectivityReport(rank_amb, rank_ker, characterized,
                               x00, rank_ker == 12)
@@ -378,8 +373,8 @@ def check_cycle_L():
             else:
                 label = "P_{%s}" % "".join(str(i) for i in others)
                 symbols = [monodromy.CycleSymbol(v, i) for i in others]
-            residue = sum(sign * monodromy.expand(sym, chart) for sym in symbols)
-            reports.append(BoundaryResidue(label, tuple(int(x) for x in residue)))
+            terms = zip(*(monodromy.expand(sym, chart) for sym in symbols))
+            reports.append(BoundaryResidue(label, tuple(sign * sum(t) for t in terms)))
     return reports
 
 

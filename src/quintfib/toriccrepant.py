@@ -20,8 +20,6 @@ integer chart w -> (5 w_1, 5 w_1 + 5 w_2, w_1 + w_2 + w_3).
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import ratkernel
 
 
@@ -157,9 +155,9 @@ def _inside(cone, other):
     linear) is the sum p of other's charted generators; the point is inside
     exactly when every coordinate of G^{-1} p is positive.
     """
-    cols = np.array([dual_lattice_coords(g) for g in cone.generators], dtype=object).T
-    p = np.sum([dual_lattice_coords(g) for g in other.generators], axis=0, dtype=object)
-    return all(x > 0 for x in ratkernel.inverse(cols) @ p)
+    g = tuple(zip(*(dual_lattice_coords(v) for v in cone.generators)))
+    p = [sum(x) for x in zip(*(dual_lattice_coords(v) for v in other.generators))]
+    return all(sum(x * y for x, y in zip(row, p)) > 0 for row in ratkernel.inverse(g))
 
 
 def coverage_report(fan):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quintfib import basecomplex as bc
+from quintfib.flowlab.points import moment_image, standard_anchors
 
 
 def test_vertex_and_edge_counts():
@@ -101,26 +102,26 @@ def test_mirror_maps_pairs_onto_triples():
 
 
 def test_moment_image_vertex():
-    img = bc.moment_image([1, 0, 0, 0, 0])
-    assert np.allclose(img, bc.standard_anchors()[0])
+    img = moment_image([1, 0, 0, 0, 0])
+    assert np.allclose(img, standard_anchors()[0])
 
 
 def test_moment_image_barycenter():
-    img = bc.moment_image([1, 1, 1, 1, 1])
-    assert np.allclose(img, bc.standard_anchors().mean(axis=0))
+    img = moment_image([1, 1, 1, 1, 1])
+    assert np.allclose(img, standard_anchors().mean(axis=0))
 
 
 def test_moment_image_face_barycenter():
-    img = bc.moment_image([1, 1, 1, 1, 0])
-    assert np.allclose(img, bc.standard_anchors()[:4].mean(axis=0))
+    img = moment_image([1, 1, 1, 1, 0])
+    assert np.allclose(img, standard_anchors()[:4].mean(axis=0))
 
 
 def test_moment_image_weights():
     rng = np.random.default_rng(1)
-    anchors = bc.standard_anchors()
+    anchors = standard_anchors()
     for _ in range(100):
         z = rng.normal(size=5) + 1j * rng.normal(size=5)
-        img = bc.moment_image(z)
+        img = moment_image(z)
         w = np.abs(z) ** 2
         w /= w.sum()
         assert abs(w.sum() - 1.0) < 1e-12
@@ -129,7 +130,7 @@ def test_moment_image_weights():
 
 def test_moment_image_zero_rejected():
     with pytest.raises(ValueError):
-        bc.moment_image([0, 0, 0, 0, 0])
+        moment_image([0, 0, 0, 0, 0])
 
 
 def test_graph_json_stable():

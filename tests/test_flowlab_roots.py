@@ -392,7 +392,7 @@ def test_covering_edge_counts_rest_on_constructive_pass():
     _, edge = verify.covering_sample_points(0)
     for r1, r2 in edge:
         R1, R2 = r1 ** 5, r2 ** 5
-        _, verify_tol, dedupe_tol = covering._tolerances(R1, R2, 1e-9)
+        verify_tol, dedupe_tol = covering._tolerances(R1, R2, 1e-9)
         u = covering._dedupe(covering._reduced_roots(R1, R2, verify_tol),
                              5.0 * dedupe_tol)
         assert len(u) == 1

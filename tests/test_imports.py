@@ -1,7 +1,9 @@
 """Every top-level import in the library is used by the module that makes
-it, and the command line loads no test-only dependency."""
+it, the command line loads no test-only dependency, and its exact
+subcommands load no numpy."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -51,14 +53,57 @@ def test_detector_flags_an_unused_import():
     assert _unused_imports(tree) == {"gcd": 2}
 
 
-def test_cli_imports_no_test_dependency():
-    # numpy is the only runtime dependency; scipy, sympy, mpmath and
-    # hypothesis serve the tests alone
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_imports_no_test_dependency():
+    # numpy is the numeric layer's runtime dependency; scipy, sympy, mpmath
+    # and hypothesis serve the tests alone
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, quintfib.cli; print(*sorted("
          "{m.partition('.')[0] for m in sys.modules}"
          " & {'scipy', 'sympy', 'mpmath', 'hypothesis'}))"],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
+        env=_env(), capture_output=True, text=True, check=True).stdout.split()
     assert loaded == []
+
+
+EXACT_SUBCOMMANDS = [["graph"], ["monodromy", "--leg", "2,4,3"], ["census"],
+                     ["euler"], ["spectral"], ["spectral", "--explain", "K3"],
+                     ["toric"]]
+COVERING_ARGV = ["covering", "--r1", "1.0", "--r2", "1.0"]
+
+# in one fresh interpreter: import the CLI, run each exact subcommand and
+# note whether numpy is loaded after it, then run `covering`, which imports
+# the numeric layer on demand, and report its exit code and stdout
+_LAZY_SCRIPT = """
+import contextlib, io, json, sys
+from quintfib import cli
+seen = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    seen[" ".join(argv)] = "numpy" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(json.loads(sys.argv[2]))
+print(json.dumps({"numpy": seen, "code": code, "stdout": out.getvalue(),
+                  "numpy after covering": "numpy" in sys.modules}))
+"""
+
+
+def test_exact_subcommands_load_no_numpy():
+    """`import quintfib.cli` and the exact subcommands run on Python ints
+    alone; `covering` still loads the numeric layer and prints its golden."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCRIPT, json.dumps(EXACT_SUBCOMMANDS),
+         json.dumps(COVERING_ARGV)],
+        env=_env(), capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    assert got["numpy"] == {"import": False,
+                            **{" ".join(argv): False for argv in EXACT_SUBCOMMANDS}}
+    golden = (SRC.parents[1] / "tests" / "goldens" / "cli-covering.txt").read_text()
+    assert (f"$ quintfib {' '.join(COVERING_ARGV)}\n# exit {got['code']}\n"
+            f"{got['stdout']}") == golden
+    assert got["numpy after covering"]

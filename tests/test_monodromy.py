@@ -8,7 +8,12 @@ from quintfib.monodromy import ChartId, ChartPath, CycleSymbol
 
 
 def _eq(m, rows):
-    return m.tolist() == rows
+    return [list(r) for r in m] == rows
+
+
+def _array(m):
+    """An operator's rows as a numpy object array, for matrix arithmetic."""
+    return np.array(m, dtype=object)
 
 
 # ---------------------------------------------------------------- transitions
@@ -51,7 +56,7 @@ def test_transition_inverse_consistency():
     for a, b in (((5, 4), (5, 2)), ((5, 2), (1, 2)), ((3, 1), (3, 5))):
         fwd = mono.transition(ChartId(*a), ChartId(*b))
         bwd = mono.transition(ChartId(*b), ChartId(*a))
-        assert (np.asarray(fwd @ bwd) == np.asarray(rk.identity(3))).all()
+        assert rk.matmul3(fwd, bwd) == mono.IDENTITY
 
 
 def test_transition_determinants_are_units():
@@ -66,14 +71,14 @@ def test_transition_determinants_are_units():
 def test_within_family_composition_is_path_independent():
     # dominant family: U_5^1 -> U_3^1 equals the detour through U_2^1
     direct = mono.transition(ChartId(5, 1), ChartId(3, 1))
-    via = mono.transition(ChartId(2, 1), ChartId(3, 1)) @ \
-        mono.transition(ChartId(5, 1), ChartId(2, 1))
-    assert (np.asarray(direct) == np.asarray(via)).all()
+    via = rk.matmul3(mono.transition(ChartId(2, 1), ChartId(3, 1)),
+                     mono.transition(ChartId(5, 1), ChartId(2, 1)))
+    assert direct == via
     # divisor family likewise
     direct = mono.transition(ChartId(5, 1), ChartId(5, 3))
-    via = mono.transition(ChartId(5, 2), ChartId(5, 3)) @ \
-        mono.transition(ChartId(5, 1), ChartId(5, 2))
-    assert (np.asarray(direct) == np.asarray(via)).all()
+    via = rk.matmul3(mono.transition(ChartId(5, 2), ChartId(5, 3)),
+                     mono.transition(ChartId(5, 1), ChartId(5, 2)))
+    assert direct == via
 
 
 # ----------------------------------------------------------------- monodromy
@@ -129,14 +134,14 @@ def test_rotated_loop_is_conjugate_value_at_its_basepoint():
     op12 = mono.leg_monodromy(leg, basepoint=ChartId(1, 2))
     c = mono.path_product(ChartPath((ChartId(5, 4), ChartId(5, 2), ChartId(1, 2))))
     cinv = rk.inverse(c)
-    back = cinv @ op12.matrix @ c
+    back = rk.matmul3(rk.matmul3(cinv, op12.matrix), c)
     want = mono.leg_monodromy(leg, basepoint=ChartId(5, 4)).matrix
-    assert (np.asarray(back) == np.asarray(want)).all()
+    assert back == want
 
 
 def test_vertex_monodromies_triple_golden():
     ops = mono.vertex_monodromies(GraphVertex(frozenset({2, 3, 4})))
-    mats = [op.matrix.tolist() for op in ops]
+    mats = [[list(r) for r in op.matrix] for op in ops]
     assert mats == [
         [[1, 0, 5], [0, 1, 0], [0, 0, 1]],    # around the apex-2 leg
         [[1, -5, 0], [0, 1, 0], [0, 0, 1]],   # around the apex-3 leg
@@ -146,7 +151,7 @@ def test_vertex_monodromies_triple_golden():
 
 def test_vertex_monodromies_pair_golden():
     ops = mono.vertex_monodromies(GraphVertex(frozenset({2, 4})))
-    mats = [op.matrix.tolist() for op in ops]
+    mats = [[list(r) for r in op.matrix] for op in ops]
     assert mats == [
         [[1, 0, 0], [0, 1, 0], [0, 5, 1]],
         [[1, -5, 0], [0, 1, 0], [0, 0, 1]],
@@ -156,19 +161,17 @@ def test_vertex_monodromies_pair_golden():
 
 def test_all_vertices_commute_product_identity_ranks():
     verts, _ = enumerate_graph()
-    eye = np.asarray(rk.identity(3))
     for v in verts:
         ops = mono.vertex_monodromies(v)
         assert len(ops) == 3
         for a in ops:
             assert rk.det(a.matrix) == 1
             for b in ops:
-                assert (np.asarray(a.matrix @ b.matrix)
-                        == np.asarray(b.matrix @ a.matrix)).all()
-        prod = rk.identity(3)
+                assert rk.matmul3(a.matrix, b.matrix) == rk.matmul3(b.matrix, a.matrix)
+        prod = mono.IDENTITY
         for op in ops:
-            prod = op.matrix @ prod
-        assert (np.asarray(prod) == eye).all()
+            prod = rk.matmul3(op.matrix, prod)
+        assert prod == mono.IDENTITY
         w = mono.vanishing_filtration(ops)
         assert w.rank == (1 if v.kind == "triple" else 2)
 
@@ -199,10 +202,10 @@ def test_every_leg_is_the_standard_shear():
 def test_leg_conjugacy_class_over_all_basepoints():
     # integer conjugacy invariants: unipotent, rank-one, entry gcd 5
     leg = GraphEdge(frozenset({1, 3}), 5)
-    eye = rk.identity(3)
+    eye = np.eye(3, dtype=int)
     for chart in mono.all_charts():
         m = mono.leg_monodromy(leg, basepoint=chart).matrix
-        n = m - eye
+        n = _array(m) - eye
         sq = n @ n
         assert all(x == 0 for x in np.asarray(sq).ravel())
         assert rk.rank(n) == 1
@@ -215,8 +218,8 @@ def test_basepoint_change_is_conjugation():
     a = mono.leg_monodromy(leg, basepoint=ChartId(5, 4))
     b = mono.leg_monodromy(leg, basepoint=ChartId(3, 2))
     # some connecting product conjugates one into the other: same invariants
-    da, _, _ = rk.smith_normal_form(a.matrix - rk.identity(3))
-    db, _, _ = rk.smith_normal_form(b.matrix - rk.identity(3))
+    da, _, _ = rk.smith_normal_form(_array(a.matrix) - np.eye(3, dtype=int))
+    db, _, _ = rk.smith_normal_form(_array(b.matrix) - np.eye(3, dtype=int))
     assert [da[i, i] for i in range(3)] == [db[i, i] for i in range(3)]
 
 
@@ -239,7 +242,7 @@ def test_local_system_reproduces_vertex_triple():
     m = mono.path_product(path)
     assert _eq(m, [[1, -5, 0], [0, 1, 0], [0, 0, 1]])
     triple = mono.vertex_monodromies(GraphVertex(frozenset({2, 3, 4})))
-    assert _eq(triple[1].matrix, m.tolist())
+    assert triple[1].matrix == m
 
 
 def test_dual_system_is_inverse_transpose():
@@ -254,7 +257,7 @@ def test_dual_system_is_inverse_transpose():
 def test_dual_of_a_non_unimodular_operator_is_refused():
     """The inverse of diag(2, 1, 1) holds 1/2: the dual refuses it rather
     than truncating it to 0."""
-    op = mono.MonodromyOperator(rk.imat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    op = mono.MonodromyOperator(((2, 0, 0), (0, 1, 0), (0, 0, 1)),
                                 ChartId(1, 2), "diag(2, 1, 1)")
     with pytest.raises(ValueError, match="not unimodular"):
         op.dual()
@@ -273,8 +276,7 @@ def test_mirror_pullback_conjugate_to_dual():
         a_ops = mono.vertex_monodromies(pv.mirror())
         b_ops = [o.dual() for o in mono.vertex_monodromies(pv)]
         for a, b in zip(a_ops, b_ops):
-            got = c @ a.matrix @ cinv
-            assert (np.asarray(got) == np.asarray(b.matrix)).all()
+            assert rk.matmul3(rk.matmul3(c, a.matrix), cinv) == b.matrix
 
 
 def test_dual_invariant_dimensions():
@@ -293,12 +295,12 @@ def test_dual_invariants_match_the_inverse_transpose_stack():
     families = [[mono.leg_monodromy(leg)] for leg in legs]
     families += [mono.vertex_monodromies(v) for v in verts]
     assert len(families) == 50
-    eye = rk.identity(3)
+    eye = np.eye(3, dtype=int)
     for ops in families:
-        stacked = np.concatenate([o.dual().matrix - eye for o in ops], axis=0)
+        stacked = np.concatenate([_array(o.dual().matrix) - eye for o in ops], axis=0)
         want = rk.kernel_basis(stacked)
         got = mono.dual_invariants(ops)
-        assert [v.tolist() for v in got] == [v.tolist() for v in want]
+        assert got == want
 
 
 def test_expand_relations_consistency():
@@ -338,12 +340,12 @@ def test_expand_equals_the_rewriting_in_every_chart():
     pairs = [(s, c) for s in symbols for c in charts]
     assert len(pairs) == 400
     for s, c in pairs:
-        assert mono.expand(s, c).tolist() == _rewrite(s, c), (s, c)
+        assert list(mono.expand(s, c)) == _rewrite(s, c), (s, c)
 
 
 def test_expand_satisfies_the_relations_in_every_chart():
     def g(m, a, chart):
-        return mono.expand(CycleSymbol(m, a), chart)
+        return _array(mono.expand(CycleSymbol(m, a), chart))
 
     for chart in mono.all_charts():
         i = chart.divisor
@@ -369,7 +371,7 @@ def test_expand_satisfies_the_relations_in_every_chart():
 # ------------------------------------------------------------------- atlas
 
 def _same_operator(a, b):
-    return (a.matrix.tolist() == b.matrix.tolist() and a.basepoint == b.basepoint
+    return (a.matrix == b.matrix and a.basepoint == b.basepoint
             and a.label == b.label and a.sign == b.sign)
 
 
@@ -381,7 +383,20 @@ def test_atlas_transitions_are_the_legal_transitions():
     assert list(atlas.transitions) == legal
     assert len(legal) == 120
     for (a, b), t in atlas.transitions.items():
-        assert t.tolist() == mono.transition(a, b).tolist()
+        assert t == mono.transition(a, b)
+
+
+def test_operators_are_tuples_of_int_tuples():
+    """The exact chart data is plain Python ints: every transition and
+    operator of the atlas, and each dual, is three int tuples (its rows)."""
+    atlas = mono.atlas()
+    ops = list(atlas.legs.values()) + [o for t in atlas.vertices.values() for o in t]
+    mats = list(atlas.transitions.values()) + [o.matrix for o in ops]
+    mats += [o.dual().matrix for o in ops]
+    for m in mats:
+        assert type(m) is tuple and len(m) == 3
+        assert all(type(r) is tuple and len(r) == 3 for r in m)
+        assert all(type(x) is int for r in m for x in r)
 
 
 def test_atlas_operators_are_leg_and_vertex_monodromies():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -9,12 +10,22 @@ import pytest
 from quintfib import ratkernel as rk
 
 
+def _eye(n):
+    """The n x n identity as a numpy object array of Python ints."""
+    return np.eye(n, dtype=int).astype(object)
+
+
+def _zeros(rows, cols):
+    return np.zeros((rows, cols), dtype=object)
+
+
 def test_rank_identity():
-    assert rk.rank(rk.identity(3)) == 3
+    assert rk.rank(_eye(3)) == 3
+    assert rk.rank(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 3
 
 
 def test_rank_zero_matrix():
-    assert rk.rank(rk.zeros(4, 7)) == 0
+    assert rk.rank(_zeros(4, 7)) == 0
 
 
 def test_rank_transpose_invariance():
@@ -26,7 +37,7 @@ def test_rank_transpose_invariance():
 
 
 def test_kernel_of_identity_is_empty():
-    assert rk.kernel_basis(rk.identity(4)) == []
+    assert rk.kernel_basis(_eye(4)) == []
 
 
 def test_kernel_of_all_ones_row():
@@ -55,8 +66,8 @@ def test_kernel_vectors_annihilate():
 def test_inverse_of_small_matrices():
     m = rk.imat([[2, 1], [1, 1]])
     inv = rk.inverse(m)
-    assert inv.tolist() == [[1, -1], [-1, 2]]
-    assert {type(x) for x in inv.flat} == {int}
+    assert inv == ((1, -1), (-1, 2))
+    assert {type(x) for row in inv for x in row} == {int}
     for bad in ([[1, 2], [2, 4]], [[2, 0], [0, 1]]):  # singular, |det| = 2
         with pytest.raises(ValueError, match="not unimodular"):
             rk.inverse(rk.imat(bad))
@@ -64,7 +75,7 @@ def test_inverse_of_small_matrices():
 
 def test_det_small_cases():
     assert rk.det(rk.imat([[1, 2], [3, 4]])) == -2
-    d = rk.det(rk.identity(3))
+    d = rk.det(_eye(3))
     assert d == 1 and type(d) is int
     assert rk.det(rk.imat([[1, 2], [2, 4]])) == 0
 
@@ -118,6 +129,86 @@ def test_smith_normal_form_reconstruction():
             assert b_ % a_ == 0
 
 
+# sha256 of repr((D, L, Rinv)) as lists, captured before smith_normal_form
+# moved from object arrays to lists of rows; the last diagonal entry shows
+SMITH_GOLDEN = {
+    "4x4": ("5fd440d496758bdcc5356733bf93aa040b6a6b63cc94631bc3fde35779b5ccc1", 959),
+    "8x8": ("d8646775f094a06a84e9d427fa80a1cef9b452291c0e26837aa4ba6bcbcae155", 179341314),
+    "12x12": ("df9fcc805191df8eaed8b4ce57bb0aa23a391d9deafd70bba8fdd19a9581243f",
+              6038135853721),
+    "16x16": ("310f7e4741568e21b7f68c752a0979acf7099e45babc092a98f1447fd962783b",
+              1636675457895687426),
+    "20x20": ("1ef27167a46e76cd44ebddc5f859da487d29b4100d413fb434577512e5cef63c",
+              36205403143681986233103),
+    "20x20 singular": ("1d174896d8514410d2e76051fabde417ca4849dc06aa2024e5dcbbe3f5c553c3", 0),
+    "16x20": ("1ce4828eb7200f96204dfa11f5c75c4f6499be3a220e3fc9434f69cdf6f84aba", 1),
+}
+
+
+def _smith_probes():
+    """Seeded dense +-9 matrices of the benchmark's shapes: square 4 to 20,
+    a 20x20 with a repeated row and a wide 16x20."""
+    rng = np.random.default_rng(27)
+    out = {f"{n}x{n}": rk.imat(rng.integers(-9, 10, (n, n)).tolist())
+           for n in (4, 8, 12, 16, 20)}
+    singular = rk.imat(rng.integers(-9, 10, (20, 20)).tolist())
+    singular[19] = singular[0]
+    out["20x20 singular"] = singular
+    out["16x20"] = rk.imat(rng.integers(-9, 10, (16, 20)).tolist())
+    return out
+
+
+def test_smith_normal_form_is_pinned():
+    """The Smith triple is pinned entry for entry on dense matrices, and it
+    is three 2-d object arrays of Python ints, which the benchmark indexes
+    (d[i, i]) and multiplies (left @ m)."""
+    probes = _smith_probes()
+    assert list(probes) == list(SMITH_GOLDEN)
+    for name, m in probes.items():
+        d, left, rinv = rk.smith_normal_form(m)
+        rows, cols = m.shape
+        assert (d.shape, left.shape, rinv.shape) == ((rows, cols), (rows, rows), (cols, cols))
+        assert all(a.dtype == object for a in (d, left, rinv))
+        assert all(type(x) is int for a in (d, left, rinv) for x in a.flat)
+        text = repr((d.tolist(), left.tolist(), rinv.tolist()))
+        got = hashlib.sha256(text.encode()).hexdigest(), d[min(m.shape) - 1, min(m.shape) - 1]
+        assert got == SMITH_GOLDEN[name], name
+        assert ((left @ m) == (d @ rinv)).all()
+
+
+def test_imat_is_an_object_array_with_assignable_rows():
+    """imat returns the array the benchmark builds on: 2-d, object dtype,
+    Python int entries, rows that can be assigned, and .shape and .dot."""
+    m = rk.imat(np.arange(-4, 8).reshape(3, 4).tolist())
+    assert m.ndim == 2 and m.shape == (3, 4) and m.dtype == object
+    assert {type(x) for x in m.flat} == {int}
+    m[2] = m[0]
+    assert m.tolist() == [[-4, -3, -2, -1], [0, 1, 2, 3], [-4, -3, -2, -1]]
+    assert m.dot((1, 0, 0, 1)).tolist() == [-5, 3, -5]
+
+
+def test_matmul3_is_the_matrix_product():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        a, b = (rng.integers(-9, 10, (3, 3)).astype(object) for _ in range(2))
+        got = rk.matmul3(tuple(map(tuple, a.tolist())), b.tolist())
+        assert got == tuple(map(tuple, (a @ b).tolist()))
+        assert all(type(x) is int for row in got for x in row)
+
+
+def test_tuple_matrices_are_read_as_rows():
+    """The exact layers' tuple matrices work in every routine, and the
+    results are int tuples; an empty or ragged matrix is refused."""
+    m = ((2, 1, 0), (1, 1, 0), (0, 0, 1))
+    assert rk.rank(m) == 3 and rk.det(m) == 1
+    assert rk.inverse(m) == ((1, -1, 0), (-1, 2, 0), (0, 0, 1))
+    assert rk.kernel_basis(((1, 1, 1),)) == [(1, 0, -1), (0, 1, -1)]
+    assert rk.saturate([(2, 4, 6)]) == [(1, 2, 3)]
+    for bad in ((), ((1, 2), (3,))):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            rk.det(bad)
+
+
 def test_sublattice_index():
     assert rk.sublattice_index([[2, 0], [0, 3]]) == 6
     assert rk.sublattice_index([[1, 0]]) is None
@@ -156,7 +247,7 @@ def test_integer_routines_take_integral_fractions_and_numpy_ints():
     assert rk.is_primitive([two, three])
     m = np.array([[two, 1], [three, 2]], dtype=object)
     assert rk.rank(m) == 2 and rk.det(m) == 1
-    assert rk.inverse(m).tolist() == [[2, -1], [-3, 2]]
+    assert rk.inverse(m) == ((2, -1), (-3, 2))
 
 
 def test_hermite_rejects_rows_of_unequal_length():
@@ -231,7 +322,7 @@ def _sparse_wide(st):
     @st.composite
     def matrices(draw):
         rows, cols = draw(st.integers(10, 30)), draw(st.integers(40, 80))
-        m = rk.zeros(rows, cols)
+        m = _zeros(rows, cols)
         for i in range(rows):
             for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols // 10)):
                 m[i, j] = draw(st.integers(-9, 9))
@@ -255,7 +346,7 @@ def _unit_columns(st, square=False):
     def matrices(draw):
         rows = draw(st.integers(2, 8))
         cols = rows if square else draw(st.integers(rows + 1, 16))
-        m = rk.zeros(rows, cols)
+        m = _zeros(rows, cols)
         for i in range(rows):
             lead = draw(st.integers(0, i // 2))
             for j in {lead, i} | draw(st.sets(st.integers(lead + 1, cols - 1))):
@@ -275,13 +366,13 @@ def _permuted_triangular(st):
     def matrices(draw):
         n = draw(st.integers(1, 8))
         perm = draw(st.permutations(range(n)))
-        u = rk.identity(n)
+        u = _eye(n)
         if draw(st.booleans()):
             for i in range(n):
                 u[i, i] = draw(st.integers(-9, 9).filter(bool))
                 for j in range(i + 1, n):
                     u[i, j] = draw(st.integers(-9, 9))
-        m = rk.zeros(n, n)
+        m = _zeros(n, n)
         for i, k in enumerate(perm):
             m[i] = draw(st.sampled_from([1, -1])) * u[k]
         return m
@@ -296,7 +387,7 @@ def _unimodular(st):
     @st.composite
     def matrices(draw):
         n = draw(st.integers(0, 6))
-        m = rk.identity(n)
+        m = _eye(n)
         for _ in range(draw(st.integers(0, 12)) if n else 0):
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
             kind = draw(st.sampled_from(["add", "swap", "negate"]))
@@ -394,16 +485,15 @@ def test_det_and_inverse_match_sympy():
             with pytest.raises(ValueError, match="not unimodular"):
                 rk.inverse(m)
         else:
-            assert rk.inverse(m).tolist() == [[int(x) for x in row]
-                                              for row in _sym(sympy, m).inv().tolist()]
+            assert rk.inverse(m) == tuple(tuple(int(x) for x in row)
+                                          for row in _sym(sympy, m).inv().tolist())
 
     @_settings(hyp, 60)
     @hyp.given(_unimodular(st))
     def check_unimodular(m):
         assert abs(rk.det(m)) == 1
         inv = rk.inverse(m)
-        assert inv.shape == m.shape
-        assert inv.tolist() == [[int(x) for x in row] for row in _sym(sympy, m).inv().tolist()]
+        assert inv == tuple(tuple(int(x) for x in row) for row in _sym(sympy, m).inv().tolist())
 
     check()
     check_unimodular()
