@@ -129,8 +129,8 @@ def test_smith_normal_form_reconstruction():
             assert b_ % a_ == 0
 
 
-# sha256 of repr((D, L, Rinv)) as lists, captured before smith_normal_form
-# moved from object arrays to lists of rows; the last diagonal entry shows
+# sha256 of repr((D, L, Rinv)) as lists, and the last diagonal entry: any
+# change to smith_normal_form's pivots, quotients or operation order shows
 SMITH_GOLDEN = {
     "4x4": ("5fd440d496758bdcc5356733bf93aa040b6a6b63cc94631bc3fde35779b5ccc1", 959),
     "8x8": ("d8646775f094a06a84e9d427fa80a1cef9b452291c0e26837aa4ba6bcbcae155", 179341314),
