@@ -17,12 +17,12 @@ for kind in ("vertex", "edge", "interior"):
     print(f"  {kind:<9} {len(pts):>2}: {[repr(p) for p in pts]}")
 
 print("\ncrepancy of every ray:",
-      all(tc.crepancy_check(p.vector) for p in tc.enumerate_crepant_rays()))
+      all(tc.crepancy_check(p.coords) for p in tc.enumerate_crepant_rays()))
 
-fan = tc.triangulate_dilated_triangle()
-print(f"triangulation: {len(fan.cones)} unit cells, "
-      f"all unimodular: {all(c.is_unimodular() for c in fan.cones)}, "
-      f"overlaps: {tc.coverage_report(fan)['barycenter_overlaps']}")
+cones = tc.triangulate_dilated_triangle()
+print(f"triangulation: {len(cones)} unit cells, "
+      f"all unimodular: {all(c.is_unimodular() for c in cones)}, "
+      f"overlaps: {tc.coverage_report(cones)['barycenter_overlaps']}")
 
 dc = tc.divisor_census()
 print(f"\nexceptional divisors: {dc.curves} curves x {dc.per_curve} "

@@ -18,7 +18,6 @@ vertex of the complementary index set, swapping pair and triple barycenters.
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from math import inf
 
@@ -46,12 +45,6 @@ class GraphVertex:
     @property
     def kind(self):
         return "pair" if len(self.indices) == 2 else "triple"
-
-    @property
-    def barycentric(self):
-        """Exact barycentric coordinates in Delta (5-tuple of Fractions summing to 1)."""
-        w = Fraction(1, len(self.indices))
-        return tuple(w if i in self.indices else Fraction(0) for i in range(1, 6))
 
     def mirror(self):
         return GraphVertex(INDEX_SET - self.indices)
@@ -153,7 +146,8 @@ def graph_json():
     vertices, edges = enumerate_graph()
     vput = [{"name": repr(v), "kind": v.kind,
              "indices": sorted(v.indices),
-             "barycentric": [str(x) for x in v.barycentric]}
+             "barycentric": [f"1/{len(v.indices)}" if i in v.indices else "0"
+                             for i in range(1, 6)]}
             for v in vertices]
     eput = [{"name": repr(e), "pair": sorted(e.pair), "apex": e.apex,
              "endpoints": [repr(e.triple_vertex), repr(e.pair_vertex)]}

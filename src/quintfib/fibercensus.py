@@ -113,7 +113,7 @@ def census(fibration):
         ]
     if fibration == "mirror":
         return [row if row.fiber.name == "Smooth"
-                else replace(row, fiber=quotient_fiber(row.fiber))
+                else replace(row, fiber=quotient_fiber(row.fiber.name))
                 for row in census("expected")]
     vertices, edges = enumerate_graph()
     pairs = sum(1 for v in vertices if v.kind == "pair")
@@ -202,14 +202,14 @@ def singular_surface(indices, quotient=False):
 QUOTIENT_MAP = {"I5": "I", "II5x5": "II", "III5": "III"}
 
 
-def quotient_fiber(fiber_type):
-    """Image of an expected-fibration fiber type under the symmetry quotient.
+def quotient_fiber(name):
+    """Image of an expected-fibration fiber type, given by its name, under
+    the symmetry quotient.
 
     The group is the fiberwise Z_5^3 symmetry; each factor acts along a
     cycle direction, so I5 -> I, II_{5x5} -> II and III_5 -> III with the
     cataloged Euler numbers 0, +1, -1.
     """
-    name = fiber_type.name if isinstance(fiber_type, FiberType) else str(fiber_type)
     if name not in QUOTIENT_MAP:
         raise ValueError(f"no quotient rule for fiber type {name!r}")
     return FIBER_TYPES[QUOTIENT_MAP[name]]

@@ -1,8 +1,10 @@
 """Exact linear algebra over Z.
 
 A matrix is a sequence of rows of Python ints (arbitrary precision): the
-exact layers hold theirs as tuples of int tuples, and the results here are
-tuples too.  A 2-d numpy array is read through its shape and `tolist()`, so
+exact layers hold theirs as tuples of int tuples.  The matrix results here
+are rows of ints too: `inverse` returns a tuple of int tuples, `kernel_basis`
+and `saturate` lists of int tuples, and `row_hermite_form` a list of int
+lists.  A 2-d numpy array is read through its shape and `tolist()`, so
 this module imports no numpy; only `imat` and `smith_normal_form`, which
 return object arrays for callers that index and multiply them, import it
 when called.  No floating point and no fraction enters any code path.

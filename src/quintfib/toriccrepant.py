@@ -13,30 +13,17 @@ triangulation into 25 unit cells is unimodular and uses all of them.  Any
 unimodular triangulation gives the same divisor census (the count depends
 only on the ray set), so the standard one is chosen.
 
-All arithmetic is exact (Fractions / ints); N is coordinatized by the
-integer chart w -> (5 w_1, 5 w_1 + 5 w_2, w_1 + w_2 + w_3).
+N consists of the rational vectors (a, b, c)/5 with a + b + c divisible
+by 5.  Every point of N is held in the integer chart
+w -> (5 w_1, 5 w_1 + 5 w_2, w_1 + w_2 + w_3), the coordinates of w in the
+Z-basis (1, -1, 0)/5, (0, 1, -1)/5, (0, 0, 1) of N, so all arithmetic is
+over the integers.  The point (i, j, k)/5 of the triangle reads
+(i, i + j, 1) there.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ratkernel
-
-
-def dual_lattice_coords(w):
-    """Integer coordinates of a point of N in a fixed Z-basis.
-
-    N consists of the rational vectors (a, b, c)/5 with a + b + c divisible
-    by 5; the basis ((1,-1,0)/5, (0,1,-1)/5, (0,0,1)) identifies it with Z^3.
-    """
-    w = [Fraction(x) for x in w]
-    c1 = 5 * w[0]
-    c2 = 5 * (w[0] + w[1])
-    c3 = w[0] + w[1] + w[2]
-    coords = (c1, c2, c3)
-    if any(x.denominator != 1 for x in coords):
-        raise ValueError(f"{tuple(map(str, w))} is not a point of the dual lattice")
-    return tuple(int(x) for x in coords)
 
 
 @dataclass(frozen=True)
@@ -52,8 +39,9 @@ class LatticePoint:
             raise ValueError("triangle points have nonnegative i+j+k = 5")
 
     @property
-    def vector(self):
-        return (Fraction(self.i, 5), Fraction(self.j, 5), Fraction(self.k, 5))
+    def coords(self):
+        """The point in N's integer chart."""
+        return (self.i, self.i + self.j, 1)
 
     @property
     def classification(self):
@@ -70,23 +58,15 @@ class LatticePoint:
 
 @dataclass(frozen=True)
 class LatticeCone:
-    """Simplicial cone given by primitive generators in N."""
+    """Simplicial cone spanned by three points of the dilated triangle."""
 
     generators: tuple
 
     def determinant(self):
-        return ratkernel.det([dual_lattice_coords(g) for g in self.generators])
+        return ratkernel.det([g.coords for g in self.generators])
 
     def is_unimodular(self):
         return abs(self.determinant()) == 1
-
-
-@dataclass(frozen=True)
-class ResolutionFan:
-    """Subdivision of the dual cone into simplicial subcones."""
-
-    cones: tuple
-    rays: tuple
 
 
 def crepancy_check(ray):
@@ -94,13 +74,14 @@ def crepancy_check(ray):
 
     True exactly when ray = sum(lambda_i * e_i) with lambda_i >= 0 and
     sum(lambda_i) = 1; equivalently the dual weight functional takes the
-    value 1 on the ray.  In the basis e_1, e_2, e_3 the lambda_i are the
-    ray's own coordinates.
+    value 1 on the ray.  The ray is given in N's chart as (a, b, c), so
+    lambda = (a, b - a, 5c - b)/5 and sum(lambda) = c.
     """
-    lam = [Fraction(x) for x in ray]
-    if len(lam) != 3:
+    coords = [ratkernel.as_int(x) for x in ray]
+    if len(coords) != 3:
         raise ValueError("a ray of the dual cone has three coordinates")
-    return all(x >= 0 for x in lam) and sum(lam) == 1
+    a, b, c = coords
+    return c == 1 and 0 <= a <= b <= 5
 
 
 def enumerate_crepant_rays():
@@ -124,7 +105,8 @@ def classify_rays():
 
 
 def triangulate_dilated_triangle():
-    """Standard unimodular triangulation of the dilated triangle.
+    """Standard unimodular triangulation of the dilated triangle, as its
+    tuple of 25 cones.
 
     Upward cells {(i,j,k), (i-1,j+1,k), (i-1,j,k+1)} and downward cells
     {(i,j,k), (i+1,j-1,k), (i,j-1,k+1)} tile the triangle into 25 unit
@@ -136,14 +118,13 @@ def triangulate_dilated_triangle():
             up = (LatticePoint(a, b, 5 - a - b),
                   LatticePoint(a + 1, b, 4 - a - b),
                   LatticePoint(a, b + 1, 4 - a - b))
-            cones.append(LatticeCone(tuple(p.vector for p in up)))
+            cones.append(LatticeCone(up))
             if a + b <= 3:
                 down = (LatticePoint(a + 1, b, 4 - a - b),
                         LatticePoint(a, b + 1, 4 - a - b),
                         LatticePoint(a + 1, b + 1, 3 - a - b))
-                cones.append(LatticeCone(tuple(p.vector for p in down)))
-    rays = tuple(p.vector for p in enumerate_crepant_rays())
-    return ResolutionFan(tuple(cones), rays)
+                cones.append(LatticeCone(down))
+    return tuple(cones)
 
 
 def _inside(cone, other):
@@ -155,17 +136,17 @@ def _inside(cone, other):
     linear) is the sum p of other's charted generators; the point is inside
     exactly when every coordinate of G^{-1} p is positive.
     """
-    g = tuple(zip(*(dual_lattice_coords(v) for v in cone.generators)))
-    p = [sum(x) for x in zip(*(dual_lattice_coords(v) for v in other.generators))]
+    g = tuple(zip(*(v.coords for v in cone.generators)))
+    p = [sum(x) for x in zip(*(v.coords for v in other.generators))]
     return all(sum(x * y for x, y in zip(row, p)) > 0 for row in ratkernel.inverse(g))
 
 
-def coverage_report(fan):
-    """Cell count and pairwise interior disjointness of the triangulation."""
-    cells = len(fan.cones)
+def coverage_report(cones):
+    """Cell count and pairwise interior disjointness of a triangulation's cones."""
+    cells = len(cones)
     overlaps = 0
-    for idx, cone in enumerate(fan.cones):
-        for jdx, other in enumerate(fan.cones):
+    for idx, cone in enumerate(cones):
+        for jdx, other in enumerate(cones):
             if jdx != idx and _inside(other, cone):
                 overlaps += 1
     return {"cells": cells, "barycenter_overlaps": overlaps}
@@ -226,16 +207,16 @@ def quotient_lattice_index():
 
 def toric_json():
     classified = classify_rays()
-    fan = triangulate_dilated_triangle()
+    cones = triangulate_dilated_triangle()
     dc = divisor_census()
     return {
         "rays": [repr(p) for p in enumerate_crepant_rays()],
         "classification": {k: [repr(p) for p in v]
                            for k, v in sorted(classified.items())},
         "triangulation": {
-            "cells": len(fan.cones),
-            "all_unimodular": all(c.is_unimodular() for c in fan.cones),
-            "all_crepant": all(crepancy_check(p.vector)
+            "cells": len(cones),
+            "all_unimodular": all(c.is_unimodular() for c in cones),
+            "all_crepant": all(crepancy_check(p.coords)
                                for p in enumerate_crepant_rays()),
         },
         "divisor_census": {

@@ -169,27 +169,23 @@ def check_monodromy_goldens(cfg, exact):
 
 def check_vertex_battery(cfg, exact):
     mul = ratkernel.matmul3
-    ok = True
     detail = []
     for v, ops in exact.atlas.vertices.items():
         for a in ops:
             for b in ops:
                 if mul(a.matrix, b.matrix) != mul(b.matrix, a.matrix):
-                    ok = False
                     detail.append(f"{v}: noncommuting")
         prod = monodromy.IDENTITY
         for op in ops:
             prod = mul(op.matrix, prod)
         if prod != monodromy.IDENTITY:
-            ok = False
             detail.append(f"{v}: product != Id")
         want = 1 if v.kind == "triple" else 2
         got = monodromy.vanishing_filtration(ops).rank
         if got != want:
-            ok = False
             detail.append(f"{v}: W0 rank {got} != {want}")
     return ("20 commuting triples, product=Id, W0 ranks 1/2",
-            "verified" if ok else "violated", ok, "; ".join(detail))
+            "violated" if detail else "verified", not detail, "; ".join(detail))
 
 
 def check_euler_ledgers(cfg, exact):
@@ -225,13 +221,13 @@ def check_e2_tables(cfg, exact):
 def check_toric(cfg, exact):
     pts = toriccrepant.enumerate_crepant_rays()
     cl = toriccrepant.classify_rays()
-    fan = toriccrepant.triangulate_dilated_triangle()
+    cones = toriccrepant.triangulate_dilated_triangle()
     dc = toriccrepant.divisor_census()
     hodge = toriccrepant.mirror_hodge_summary()
     chi = toriccrepant.mirror_euler_number()
     got = (len(pts), len(cl["edge"]) // 3, len(cl["interior"]),
-           all(toriccrepant.crepancy_check(p.vector) for p in pts),
-           all(c.is_unimodular() for c in fan.cones),
+           all(toriccrepant.crepancy_check(p.coords) for p in pts),
+           all(c.is_unimodular() for c in cones),
            dc.total, hodge, chi, chi + fibercensus.euler_ledger("expected"))
     want = (21, 4, 6, True, True, 100, (1, 0, 101, 4, 101, 0, 1), 200, 0)
     return (want, got, got == want, "")
@@ -276,7 +272,6 @@ def check_gradient_forms(cfg):
 
 
 def check_pairing_matrix(cfg):
-    ok = True
     detail = []
     loops = [(i, j, k) for (i, j) in ((1, 2), (5, 4))
              for k in sorted(set(range(1, 6)) - {i, j})]
@@ -286,12 +281,11 @@ def check_pairing_matrix(cfg):
             l = res.form[0]
             want = -1 if l == i else (1 if l == k else 0)
             if res.value != want or res.residue >= 1e-6:
-                ok = False
                 detail.append(
                     f"<gamma_{i}{j}^{k}, alpha_{l}{j}> = {res.value}"
                     f" (want {want}, residue {res.residue:.1e})")
     return ("delta_kl with a -1 column, residues < 1e-6",
-            "verified" if ok else "violated", ok, "; ".join(detail))
+            "violated" if detail else "verified", not detail, "; ".join(detail))
 
 
 def covering_sample_points(seed):
@@ -311,7 +305,6 @@ def covering_sample_points(seed):
 
 
 def check_covering_counts(cfg):
-    ok = True
     detail = []
     interior, edge = covering_sample_points(cfg.seed)
     vertices = [(1.0, 0.0), (0.0, 1.0)]
@@ -321,10 +314,9 @@ def check_covering_counts(cfg):
     for (r1, r2), n1, n2, want in zip(interior + edge + vertices, counts[::2],
                                       counts[1::2], wants):
         if n1 != want or n2 != want:
-            ok = False
             detail.append(f"({r1:.3f},{r2:.3f}): {n1}/{n2} want {want}")
     return ("50/25/5 stable under tol halving",
-            "verified" if ok else "violated", ok, "; ".join(detail))
+            "violated" if detail else "verified", not detail, "; ".join(detail))
 
 
 def check_harvey_lawson(cfg):
@@ -344,26 +336,22 @@ def check_harvey_lawson(cfg):
 
 def check_property_suite(cfg, exact):
     rng = np.random.default_rng(cfg.seed + 3)
-    ok = True
     detail = []
     # transition determinants +-1 over every legal ordered chart pair
     for (a, b), t in exact.atlas.transitions.items():
         d = ratkernel.det(t)
         if abs(d) != 1:
-            ok = False
             detail.append(f"det {a}->{b} = {d}")
     # every leg is the standard shear in its oriented frame
     for leg, op in exact.atlas.legs.items():
         m = monodromy.in_basis(op, monodromy.standard_shear_basis(
             leg, op.basepoint.divisor))
         if m != GOLDEN_LEG_LOOP:
-            ok = False
             detail.append(f"{leg}: nonstandard shear")
     # kernel-sheaf cohomology is relabeling invariant
     for _ in range(20):
         rel = sheafcoh.random_relabeling(rng)
         if sheafcoh.K3_cohomology(rel) != (160, 0):
-            ok = False
             detail.append("relabeling changed K3 cohomology")
     # central symmetry: pointwise for the mirror table; the quintic page is
     # genuinely asymmetric (161 against 1), its abutted Betti numbers are
@@ -371,12 +359,10 @@ def check_property_suite(cfg, exact):
     q = sheafcoh.quintic_E2(exact.k3_cohomology)
     m = sheafcoh.assemble_E2("mirror")
     if not m.centrally_symmetric():
-        ok = False
         detail.append("mirror table asymmetric")
     betti = [sum(q.entry(p, k - p) for p in range(4) if 0 <= k - p <= 3)
              for k in range(7)]
     if betti != betti[::-1]:
-        ok = False
         detail.append(f"quintic abutted Betti not palindromic: {betti}")
     # saturation is idempotent and primitive on random lattices
     for _ in range(20):
@@ -385,13 +371,11 @@ def check_property_suite(cfg, exact):
         sat = ratkernel.saturate(vecs)
         again = ratkernel.saturate([list(v) for v in sat])
         if [list(v) for v in sat] != [list(v) for v in again]:
-            ok = False
             detail.append("saturation not idempotent")
         if not all(ratkernel.is_primitive(v) for v in sat):
-            ok = False
             detail.append("saturation output not primitive")
     return ("determinants, shears, relabelings, symmetry, saturation",
-            "verified" if ok else "violated", ok, "; ".join(detail))
+            "violated" if detail else "verified", not detail, "; ".join(detail))
 
 
 CHECKS = [

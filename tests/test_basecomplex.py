@@ -48,12 +48,12 @@ def test_graph_is_connected():
 
 
 def test_barycentric_coordinates_exact():
-    v = bc.GraphVertex(frozenset({2, 4}))
-    coords = v.barycentric
-    assert sum(coords) == 1
-    assert coords[1] == coords[3] == Fraction(1, 2)
-    w = bc.GraphVertex(frozenset({1, 2, 3}))
-    assert w.barycentric[:3] == (Fraction(1, 3),) * 3
+    for v in bc.graph_json()["vertices"]:
+        coords = [Fraction(x) for x in v["barycentric"]]
+        support = [i for i, x in enumerate(coords, 1) if x]
+        assert support == v["indices"]
+        assert sum(coords[i - 1] for i in support) == 1
+        assert {coords[i - 1] for i in support} == {Fraction(1, len(support))}
 
 
 @pytest.mark.parametrize("r1,r2,want", [

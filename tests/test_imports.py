@@ -1,6 +1,6 @@
 """Every top-level import in the library is used by the module that makes
 it, the command line loads no test-only dependency, and its exact
-subcommands load no numpy."""
+subcommands load neither numpy nor fractions."""
 
 import ast
 import json
@@ -75,34 +75,38 @@ EXACT_SUBCOMMANDS = [["graph"], ["monodromy", "--leg", "2,4,3"], ["census"],
 COVERING_ARGV = ["covering", "--r1", "1.0", "--r2", "1.0"]
 
 # in one fresh interpreter: import the CLI, run each exact subcommand and
-# note whether numpy is loaded after it, then run `covering`, which imports
-# the numeric layer on demand, and report its exit code and stdout
+# note whether numpy and fractions are loaded after it, then run
+# `covering`, which imports the numeric layer on demand, and report its
+# exit code and stdout
 _LAZY_SCRIPT = """
 import contextlib, io, json, sys
 from quintfib import cli
-seen = {"import": "numpy" in sys.modules}
+def loaded():
+    return [m for m in ("numpy", "fractions") if m in sys.modules]
+seen = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv)
-    seen[" ".join(argv)] = "numpy" in sys.modules
+    seen[" ".join(argv)] = loaded()
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(json.loads(sys.argv[2]))
-print(json.dumps({"numpy": seen, "code": code, "stdout": out.getvalue(),
+print(json.dumps({"loaded": seen, "code": code, "stdout": out.getvalue(),
                   "numpy after covering": "numpy" in sys.modules}))
 """
 
 
 def test_exact_subcommands_load_no_numpy():
     """`import quintfib.cli` and the exact subcommands run on Python ints
-    alone; `covering` still loads the numeric layer and prints its golden."""
+    alone, loading neither numpy nor fractions; `covering` still loads the
+    numeric layer and prints its golden."""
     proc = subprocess.run(
         [sys.executable, "-c", _LAZY_SCRIPT, json.dumps(EXACT_SUBCOMMANDS),
          json.dumps(COVERING_ARGV)],
         env=_env(), capture_output=True, text=True, check=True)
     got = json.loads(proc.stdout)
-    assert got["numpy"] == {"import": False,
-                            **{" ".join(argv): False for argv in EXACT_SUBCOMMANDS}}
+    assert got["loaded"] == {"import": [],
+                             **{" ".join(argv): [] for argv in EXACT_SUBCOMMANDS}}
     golden = (SRC.parents[1] / "tests" / "goldens" / "cli-covering.txt").read_text()
     assert (f"$ quintfib {' '.join(COVERING_ARGV)}\n# exit {got['code']}\n"
             f"{got['stdout']}") == golden

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,37 +16,70 @@ def test_ray_count_and_classification():
     assert len(cl["interior"]) == 6
 
 
+def _chart(w):
+    """N's integer chart w -> (5 w_1, 5 w_1 + 5 w_2, w_1 + w_2 + w_3),
+    computed over the rationals."""
+    c = (5 * w[0], 5 * (w[0] + w[1]), w[0] + w[1] + w[2])
+    assert all(x.denominator == 1 for x in c), f"{w} is not a point of N"
+    return tuple(int(x) for x in c)
+
+
 def test_crepancy_of_base_vectors():
-    assert tc.crepancy_check((1, 0, 0))
-    assert not tc.crepancy_check((1, 1, 0))
+    assert tc.crepancy_check((5, 5, 1))      # e_1
+    assert not tc.crepancy_check((5, 10, 2))  # e_1 + e_2
 
 
 def test_crepancy_interior_ray():
     v = (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5))
-    assert tc.crepancy_check(v)
+    assert _chart(v) == (1, 2, 1)
+    assert tc.crepancy_check((1, 2, 1))
+    with pytest.raises(ValueError, match="expected an integer"):
+        tc.crepancy_check(v)  # a ray is read in N's chart, never truncated
+    with pytest.raises(ValueError, match="three coordinates"):
+        tc.crepancy_check((1, 2))
+
+
+def test_crepancy_matches_the_rational_criterion():
+    # every chart point of a box around the triangle, mapped back to
+    # w = (a, b - a, 5c - b)/5 and checked against lambda = w directly
+    for a, b, c in product(range(-2, 8), range(-2, 13), range(-1, 3)):
+        w = (Fraction(a, 5), Fraction(b - a, 5), c - Fraction(b, 5))
+        assert _chart(w) == (a, b, c)
+        assert tc.crepancy_check((a, b, c)) == (min(w) >= 0 and sum(w) == 1)
 
 
 def test_all_enumerated_rays_crepant():
     for p in tc.enumerate_crepant_rays():
-        assert tc.crepancy_check(p.vector)
+        assert tc.crepancy_check(p.coords)
 
 
 def test_rays_live_in_dual_lattice():
     for p in tc.enumerate_crepant_rays():
-        tc.dual_lattice_coords(p.vector)
-    with pytest.raises(ValueError, match="not a point of the dual lattice"):
-        tc.dual_lattice_coords((Fraction(1, 5), 0, 0))
+        assert p.coords == _chart([Fraction(x, 5) for x in (p.i, p.j, p.k)])
 
 
 def test_triangulation_is_unimodular_cover():
-    fan = tc.triangulate_dilated_triangle()
-    assert len(fan.cones) == 25
-    assert all(c.is_unimodular() for c in fan.cones)
-    rep = tc.coverage_report(fan)
+    cones = tc.triangulate_dilated_triangle()
+    assert len(cones) == 25
+    assert all(c.is_unimodular() for c in cones)
+    rep = tc.coverage_report(cones)
     assert rep["cells"] == 25
     assert rep["barycenter_overlaps"] == 0
-    used = {g for c in fan.cones for g in c.generators}
+    used = {g for c in cones for g in c.generators}
     assert len(used) == 21
+
+
+def test_undivided_cone_has_the_quotient_index():
+    cone = tc.LatticeCone((tc.LatticePoint(5, 0, 0), tc.LatticePoint(0, 5, 0),
+                           tc.LatticePoint(0, 0, 5)))
+    assert abs(cone.determinant()) == 25 == tc.quotient_lattice_index()
+    assert not cone.is_unimodular()
+
+
+def test_coverage_report_counts_repeated_cells():
+    cones = tc.triangulate_dilated_triangle()
+    rep = tc.coverage_report(cones + cones)
+    assert rep == {"cells": 50, "barycenter_overlaps": 50}
 
 
 def test_divisor_census():
