@@ -10,7 +10,7 @@ rank 2 at pair barycenters.
 
 from quintfib.basecomplex import GraphEdge, GraphVertex
 from quintfib import monodromy as mono
-from quintfib.monodromy import ChartId, ChartPath
+from quintfib.monodromy import ChartId
 
 
 def rows(m):
@@ -29,8 +29,8 @@ print(f"\nloop around {leg!r} at U_5^4: {rows(op.matrix)}")
 rev = mono.leg_monodromy(leg, basepoint=ChartId(5, 4), orientation=-1)
 print(f"reversed orientation:          {rows(rev.matrix)}")
 
-detour = ChartPath((ChartId(5, 4), ChartId(5, 1), ChartId(5, 2),
-                    ChartId(1, 2), ChartId(1, 4), ChartId(5, 4)))
+detour = (ChartId(5, 4), ChartId(5, 1), ChartId(5, 2),
+          ChartId(1, 2), ChartId(1, 4), ChartId(5, 4))
 print(f"subdivided loop, same class:   {rows(mono.monodromy_along(detour).matrix)}")
 
 for label in ({2, 3, 4}, {2, 4}):

@@ -25,11 +25,11 @@ u-roots.  Over the interior the right-hand side lies strictly inside
 remain.  No search is needed, so none is made.
 
 Each u-root is checked against the equation at a tolerance scaled with the
-equation's size, the roots are deduplicated greedily in u (the first root
-of a cluster is kept) at five times the theta tolerance, since
-theta = u / 5 locally (so the two u-roots of a point close enough to a
-boundary curve merge into one), and only then is each kept root lifted to
-its 25 phases (u + 2 pi m) / 5.
+equation's size, the second u-root is dropped when it lies within five
+times the theta tolerance of the first, since theta = u / 5 locally (so
+the two u-roots of a point close enough to a boundary curve merge into
+one), and only then is each kept root lifted to its 25 phases
+(u + 2 pi m) / 5.
 """
 
 import warnings
@@ -47,19 +47,13 @@ def _check_tol(tol):
 
 
 def _dedupe(roots, tol):
-    """Greedy torus dedupe: keep a root unless it lies within tol of a kept one.
-
-    Each kept root drops the later roots near it in one array step; only
-    kept rows get distances, so memory stays linear in the candidates.
-    """
-    x = np.asarray(roots).reshape(-1, 2)
-    keep = np.ones(len(x), dtype=bool)
-    for n in range(len(x)):
-        if keep[n]:
-            d = np.abs(x[n + 1:] - x[n])
-            d = np.minimum(d, 2.0 * np.pi - d)
-            keep[n + 1:] &= np.hypot(d[:, 0], d[:, 1]) > tol
-    return x[keep]
+    """The (n, 2) u-roots of one point, n <= 2, with the second dropped when
+    it lies within tol of the first on the torus."""
+    if len(roots) < 2:
+        return roots
+    d = np.abs(roots[1] - roots[0])
+    d = np.minimum(d, 2.0 * np.pi - d)
+    return roots if np.hypot(d[0], d[1]) > tol else roots[:1]
 
 
 def _reduced_roots(R1, R2, verify_tol):

@@ -125,32 +125,6 @@ def transition(from_chart, to_chart):
 
 
 @dataclass(frozen=True)
-class ChartPath:
-    """Ordered chart sequence; consecutive charts must be a legal step."""
-
-    charts: tuple
-
-    def __post_init__(self):
-        charts = tuple(self.charts)
-        object.__setattr__(self, "charts", charts)
-        if len(charts) < 1:
-            raise ValueError("empty chart path")
-        for a, b in zip(charts, charts[1:]):
-            if not _legal_step(a, b):
-                raise ValueError(f"illegal step {a} -> {b} in chart path")
-
-    @property
-    def closed(self):
-        return self.charts[0] == self.charts[-1]
-
-    def reversed(self):
-        return ChartPath(tuple(reversed(self.charts)))
-
-    def __repr__(self):
-        return " -> ".join(repr(c) for c in self.charts)
-
-
-@dataclass(frozen=True)
 class MonodromyOperator:
     """Integer operator on H_1 of the fiber, attached to a based loop."""
 
@@ -176,22 +150,28 @@ class MonodromyOperator:
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def path_product(path, step=None):
-    """Product of step transitions along a chart path (last step leftmost);
-    `step(a, b)` gives the transition of each step, `transition` by default."""
+def path_product(charts, step=None):
+    """Product of step transitions along a chart path, a tuple of charts
+    (last step leftmost); `step(a, b)` gives the transition of each step,
+    `transition` by default, which refuses an illegal step."""
     step = step or transition
     m = IDENTITY
-    for a, b in zip(path.charts, path.charts[1:]):
+    for a, b in zip(charts, charts[1:]):
         m = ratkernel.matmul3(step(a, b), m)
     return m
 
 
-def monodromy_along(path):
-    """Monodromy operator of a closed chart path."""
-    if not path.closed:
-        raise ValueError(f"chart path is not closed: starts at {path.charts[0]}, "
-                         f"ends at {path.charts[-1]}")
-    return MonodromyOperator(path_product(path), path.charts[0], f"loop {path}")
+def monodromy_along(charts):
+    """Monodromy operator of a closed chart path, a tuple of charts that
+    starts and ends at the same chart; ValueError for an empty or open path,
+    and from `transition` for an illegal step."""
+    if not charts:
+        raise ValueError("empty chart path")
+    if charts[0] != charts[-1]:
+        raise ValueError(f"chart path is not closed: starts at {charts[0]}, "
+                         f"ends at {charts[-1]}")
+    return MonodromyOperator(path_product(charts), charts[0],
+                             "loop " + " -> ".join(map(repr, charts)))
 
 
 def _is_even(seq):
@@ -232,14 +212,9 @@ def standard_leg_loop(leg, base_divisor):
     return seq
 
 
-def _rotate_loop(seq, start):
-    r = seq.index(start)
-    rotated = seq[r:] + seq[:r]
-    return ChartPath(rotated + (rotated[0],))
-
-
 def leg_loop_at(leg, basepoint):
-    """Closed positively oriented path around a leg, based at `basepoint`.
+    """Closed positively oriented path around a leg, based at `basepoint`,
+    as a tuple of charts.
 
     The loop always lives on the four charts with divisors {l, m} and
     dominants {i, j}; the basepoint is joined to it by the canonical short
@@ -267,9 +242,8 @@ def leg_loop_at(leg, basepoint):
         j = max(d for d in loop_dominants if d != d0)
         start = ChartId(m, j)
         connection = (basepoint, ChartId(d0, j))
-    loop = _rotate_loop(seq, start)
-    charts = connection + loop.charts + tuple(reversed(connection))
-    return ChartPath(charts)
+    r = seq.index(start)
+    return connection + seq[r:] + seq[:r + 1] + connection[::-1]
 
 
 def leg_monodromy(leg, basepoint=None, orientation=1):
@@ -288,11 +262,10 @@ def _leg_operator(leg, basepoint, orientation, step):
         basepoint = ChartId(max(comp), max(leg.pair))
     path = leg_loop_at(leg, basepoint)
     if orientation < 0:
-        path = path.reversed()
-    # the loop path is closed by construction
+        path = path[::-1]
     i, j = sorted(leg.pair)
     sign = "+" if orientation > 0 else "-"
-    return MonodromyOperator(path_product(path, step), path.charts[0],
+    return MonodromyOperator(path_product(path, step), path[0],
                              f"T_{i}{j}^{leg.apex} ({sign})",
                              1 if orientation > 0 else -1)
 

@@ -127,29 +127,24 @@ def triangulate_dilated_triangle():
     return tuple(cones)
 
 
-def _inside(cone, other):
-    """Whether the barycenter of `other` lies strictly inside the triangle
-    of a unimodular cone.
-
-    In N's integer chart the cone's generators are the columns of a
-    unimodular matrix G, and three times the barycenter (the chart is
-    linear) is the sum p of other's charted generators; the point is inside
-    exactly when every coordinate of G^{-1} p is positive.
-    """
-    g = tuple(zip(*(v.coords for v in cone.generators)))
-    p = [sum(x) for x in zip(*(v.coords for v in other.generators))]
-    return all(sum(x * y for x, y in zip(row, p)) > 0 for row in ratkernel.inverse(g))
-
-
 def coverage_report(cones):
-    """Cell count and pairwise interior disjointness of a triangulation's cones."""
-    cells = len(cones)
-    overlaps = 0
-    for idx, cone in enumerate(cones):
-        for jdx, other in enumerate(cones):
-            if jdx != idx and _inside(other, cone):
-                overlaps += 1
-    return {"cells": cells, "barycenter_overlaps": overlaps}
+    """Cell count and pairwise interior disjointness of a triangulation's
+    unimodular cones.
+
+    In N's integer chart a cone's generators are the columns of a unimodular
+    matrix G, and three times a cell's barycenter (the chart is linear) is
+    the sum p of its charted generators; the barycenter lies strictly inside
+    another cone's triangle exactly when every coordinate of G^{-1} p is
+    positive.  Each G is inverted once, and every ordered pair of distinct
+    cells is counted.
+    """
+    charted = [[v.coords for v in c.generators] for c in cones]
+    inverses = [ratkernel.inverse(tuple(zip(*g))) for g in charted]
+    sums = [[sum(x) for x in zip(*g)] for g in charted]
+    overlaps = sum(all(sum(x * y for x, y in zip(row, p)) > 0 for row in inv)
+                   for i, inv in enumerate(inverses)
+                   for j, p in enumerate(sums) if i != j)
+    return {"cells": len(cones), "barycenter_overlaps": overlaps}
 
 
 @dataclass(frozen=True)

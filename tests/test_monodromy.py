@@ -4,7 +4,7 @@ import pytest
 from quintfib import ratkernel as rk
 from quintfib.basecomplex import GraphEdge, GraphVertex, enumerate_graph
 from quintfib import monodromy as mono
-from quintfib.monodromy import ChartId, ChartPath, CycleSymbol
+from quintfib.monodromy import ChartId, CycleSymbol
 
 
 def _eq(m, rows):
@@ -105,26 +105,45 @@ def test_leg_orientation_is_plus_or_minus_one(orientation):
 
 
 def test_monodromy_along_trivial_loop():
-    op = mono.monodromy_along(ChartPath((ChartId(5, 4),)))
+    op = mono.monodromy_along((ChartId(5, 4),))
     assert _eq(op.matrix, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_monodromy_along_requires_closed_path():
     with pytest.raises(ValueError, match="not closed"):
-        mono.monodromy_along(ChartPath((ChartId(5, 4), ChartId(5, 2))))
+        mono.monodromy_along((ChartId(5, 4), ChartId(5, 2)))
+
+
+def test_monodromy_along_refuses_an_empty_path():
+    with pytest.raises(ValueError, match="empty chart path"):
+        mono.monodromy_along(())
+
+
+def test_monodromy_along_refuses_an_illegal_step_in_transition():
+    # U_5^4 and U_1^2 share neither index; the step is refused where it is
+    # multiplied out, with both charts named
+    with pytest.raises(ValueError,
+                       match=r"no single-step transition U_5\^4 -> U_1\^2"):
+        mono.monodromy_along((ChartId(5, 4), ChartId(1, 2), ChartId(5, 4)))
+
+
+def test_monodromy_along_labels_the_loop():
+    op = mono.monodromy_along((ChartId(5, 4), ChartId(5, 2), ChartId(5, 4)))
+    assert op.label == "loop U_5^4 -> U_5^2 -> U_5^4"
+    assert op.basepoint == ChartId(5, 4)
 
 
 def test_explicit_golden_loop_path():
-    path = ChartPath((ChartId(5, 4), ChartId(5, 2), ChartId(1, 2),
-                      ChartId(1, 4), ChartId(5, 4)))
+    path = (ChartId(5, 4), ChartId(5, 2), ChartId(1, 2),
+            ChartId(1, 4), ChartId(5, 4))
     op = mono.monodromy_along(path)
     assert _eq(op.matrix, [[1, -5, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_subdivided_loop_same_monodromy():
     # insert a within-divisor detour; the homotopy class is unchanged
-    path = ChartPath((ChartId(5, 4), ChartId(5, 1), ChartId(5, 2),
-                      ChartId(1, 2), ChartId(1, 4), ChartId(5, 4)))
+    path = (ChartId(5, 4), ChartId(5, 1), ChartId(5, 2),
+            ChartId(1, 2), ChartId(1, 4), ChartId(5, 4))
     op = mono.monodromy_along(path)
     assert _eq(op.matrix, [[1, -5, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -132,7 +151,7 @@ def test_subdivided_loop_same_monodromy():
 def test_rotated_loop_is_conjugate_value_at_its_basepoint():
     leg = GraphEdge(frozenset({2, 4}), 3)
     op12 = mono.leg_monodromy(leg, basepoint=ChartId(1, 2))
-    c = mono.path_product(ChartPath((ChartId(5, 4), ChartId(5, 2), ChartId(1, 2))))
+    c = mono.path_product((ChartId(5, 4), ChartId(5, 2), ChartId(1, 2)))
     cinv = rk.inverse(c)
     back = rk.matmul3(rk.matmul3(cinv, op12.matrix), c)
     want = mono.leg_monodromy(leg, basepoint=ChartId(5, 4)).matrix
@@ -186,7 +205,7 @@ def test_vanishing_filtration_names():
 
 
 def test_vanishing_filtration_identity_rank_zero():
-    op = mono.monodromy_along(ChartPath((ChartId(5, 4),)))
+    op = mono.monodromy_along((ChartId(5, 4),))
     assert mono.vanishing_filtration([op]).rank == 0
 
 
@@ -243,6 +262,22 @@ def test_local_system_reproduces_vertex_triple():
     assert _eq(m, [[1, -5, 0], [0, 1, 0], [0, 0, 1]])
     triple = mono.vertex_monodromies(GraphVertex(frozenset({2, 3, 4})))
     assert triple[1].matrix == m
+
+
+def test_every_leg_loop_is_a_closed_tuple_of_legal_steps():
+    """Each of the 600 based leg loops is a tuple of charts that starts and
+    ends at its basepoint, and each consecutive pair shares the divisor or
+    the dominant index."""
+    _, legs = enumerate_graph()
+    loops = [(bp, mono.leg_loop_at(leg, bp))
+             for leg in legs for bp in mono.all_charts()]
+    assert len(loops) == 600
+    for bp, path in loops:
+        assert type(path) is tuple
+        assert all(type(c) is ChartId for c in path)
+        assert path[0] == path[-1] == bp
+        for a, b in zip(path, path[1:]):
+            assert a.divisor == b.divisor or a.dominant == b.dominant, (bp, path)
 
 
 def test_dual_system_is_inverse_transpose():

@@ -82,6 +82,16 @@ def test_coverage_report_counts_repeated_cells():
     assert rep == {"cells": 50, "barycenter_overlaps": 50}
 
 
+def test_coverage_report_inverts_each_cell_once(monkeypatch):
+    calls = []
+    inner = tc.ratkernel.inverse
+    monkeypatch.setattr(tc.ratkernel, "inverse",
+                        lambda m: calls.append(m) or inner(m))
+    rep = tc.coverage_report(tc.triangulate_dilated_triangle())
+    assert rep == {"cells": 25, "barycenter_overlaps": 0}
+    assert len(calls) == 25
+
+
 def test_divisor_census():
     dc = tc.divisor_census()
     assert dc.per_curve == 4
