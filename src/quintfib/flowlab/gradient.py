@@ -79,7 +79,7 @@ def _field_rows(x, cfg):
     """
     v, norm_sq, pole = _raw_gradient_rows(x, cfg.metric)
     guarded = pole | (norm_sq <= SIGMA_GUARD)
-    if not guarded.any():
+    if not np.count_nonzero(guarded):
         return v / norm_sq[:, None], norm_sq, guarded
     norm_sq = np.where(pole, 0.0, norm_sq)
     safe = np.where(guarded, 1.0, norm_sq)[:, None]

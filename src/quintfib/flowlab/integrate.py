@@ -18,14 +18,20 @@ state rows, with no copy; the RMS norm sums u1..u4 and then v1..v4.  Each
 row keeps its own time, step size, error norm and work counters (field
 evaluations, rejected steps), and every sum over stages runs in a fixed
 order, so a trajectory's bits do not depend on the rows batched with it.
-The steps work on the running rows alone, and the dense output of all
-accepted steps is built in one pass after the loop, from the stages the
-steps keep.  It returns the endpoint rows and one `FlowDiagnostics` of
-per-row arrays; `flow` is one row of it, with scalar diagnostics, and
-raises SigmaGuardError for a row that entered the guard zone.  The tests
-check the replica against scipy's solve_ivp.  A terminal event halts
-trajectories that enter the guard zone around the singular surface, where
-the field genuinely blows up and the continuation is out of scope.
+The steps work on the running rows alone.  Each stage enters every
+weighted sum that reads it (the later stages' inputs, the new state and
+the error estimate) as soon as it is known, in one multiply and one add.
+A step in which every running row is accepted, as every accepted step of
+a lone row is, records and keeps its own arrays, with no gather and no
+merge; only a step in which some row is rejected or stops gathers the
+accepted rows.  The dense output of all accepted steps is built in one
+pass after the loop, from the stages the steps keep.  It returns the
+endpoint rows and one `FlowDiagnostics` of per-row arrays; `flow` is one
+row of it, with scalar diagnostics, and raises SigmaGuardError for a row
+that entered the guard zone.  The tests check the replica against scipy's
+solve_ivp.  A terminal event halts trajectories that enter the guard zone
+around the singular surface, where the field genuinely blows up and the
+continuation is out of scope.
 
 The endpoint oracle is batched the same way: `distances_to_quintic` runs
 the Newton projection onto the smooth member on every row at once, each row
@@ -35,7 +41,7 @@ one batch and pairs every probe's tangents in one call of the Kahler form.
 """
 
 from dataclasses import dataclass, fields
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -73,6 +79,14 @@ P = (
     (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+# A step's weighted sums of its stages K[j], one row each: those that give
+# stages 1 to 5 (A), the new state (B) and the error estimate (E), with the
+# weights of K[j] in column j.  A stage enters its sums as soon as it is
+# known: STAGE_SUMS[j] holds the rows it enters, a slice, since K[1]'s zero
+# weights in B and E lie past its last A row, and its weights there.
+SUMS = np.array([a + (0,) * (7 - len(a)) for a in A[1:]] + [B + (0,), E])
+STAGE_SUMS = tuple((slice(r[0], r[-1] + 1), SUMS[r[0]:r[-1] + 1, j, None, None])
+                   for j, r in enumerate(np.flatnonzero(c).tolist() for c in SUMS.T))
 # the stages the dense output reads: P's row for K[1] is zero
 DENSE_STAGES = (0, 2, 3, 4, 5, 6)
 P_DENSE = tuple(P[j] for j in DENSE_STAGES)
@@ -82,7 +96,7 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
 EPS = np.finfo(float).eps
 N_CHECKPOINTS = 33  # drift checkpoints along each trajectory
-RMS_ORDER = [0, 2, 4, 6, 1, 3, 5, 7]  # u1..u4, v1..v4 in the interleaved state
+RMS_ORDER = np.array([0, 2, 4, 6, 1, 3, 5, 7])  # u1..u4, v1..v4 of the interleaved state
 # Newton projection: stop at |value| <= NEWTON_TOL (1 + max|x|^5)
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 60
@@ -129,14 +143,15 @@ def _combine(K, coeffs):
 def _rms(a):
     """RMS over the last axis of (N, 8) state rows, summed in the fixed
     order u1..u4, v1..v4 of the interleaved columns."""
-    return np.sqrt(np.add.accumulate((a * a)[:, RMS_ORDER], axis=1)[:, -1]) / 8 ** 0.5
+    sq = (a * a).take(RMS_ORDER, axis=1)
+    return np.sqrt(np.add.accumulate(sq, axis=1)[:, -1]) / 8 ** 0.5
 
 
 def _pow(a, e):
     """a ** e taken on Python floats: scipy raises float64 scalars to these
     powers with the C library's pow, which numpy's vector loop can miss by
-    one ulp."""
-    return np.array([x ** e for x in a.tolist()])
+    one ulp.  Like that pow, it gives inf for 0 ** e with e < 0."""
+    return np.array([x ** e if x or e > 0 else inf for x in a.tolist()])
 
 
 def _dense_coefficients(K):
@@ -192,24 +207,29 @@ def _integrate(y0, t_bound, cfg):
     scipy's nfev does.
 
     Each step works on the running rows' own arrays, indexed by `live`; a
-    row's results are written out when it stops.  The accepted steps keep
+    row's results are written out when it stops.  Each stage enters its
+    rows of SUMS in place as soon as it is known.  The accepted steps keep
     their start rows and the stages that the dense output reads; the dense
-    output is built from them after the loop.
+    output is built from them after the loop.  When every running row is
+    accepted, the step records its own arrays and they become the new
+    state as they are, without gathers or merges; otherwise the accepted
+    rows are gathered and merged into the state.
     """
     n = len(y0)
     d = 1.0 if t_bound > 0 else -1.0
     rtol, atol = max(cfg.tol, 100 * EPS), cfg.tol
     guard_level = 2.0 * gradient.SIGMA_GUARD  # the guard event's zero
+    clip = np.minimum if t_bound > 0 else np.maximum  # a step ends at t_bound or before
     state = np.full(n, RUNNING)  # RUNNING until the row stops
     guard_sq = np.zeros(n)
 
     def evaluate(ys):
         """V at the running rows' states ys, and |grad f|^2; a row whose
         evaluation enters the guard zone stops GUARDED."""
-        if not np.isfinite(ys).all():
+        if np.count_nonzero(np.isfinite(ys)) != ys.size:
             raise ValueError("coordinates must be finite")
         v, norm_sq, guarded = _field_rows(ys.view(complex), cfg)
-        if guarded.any():
+        if np.count_nonzero(guarded):
             hit = guarded & (state == RUNNING)
             state[hit] = GUARDED
             guard_sq[hit] = norm_sq[hit]
@@ -243,7 +263,7 @@ def _integrate(y0, t_bound, cfg):
     steps = []  # per accepted batch: rows, end times, start times, sizes, starts, dense stages
     while True:
         done = state != RUNNING
-        if done.any():
+        if np.count_nonzero(done):
             for dst, src in zip(out, (state, t, y, n_acc, n_evals, n_rej, guard_sq)):
                 dst[live[done]] = src[done]
             keep = ~done
@@ -255,54 +275,73 @@ def _integrate(y0, t_bound, cfg):
         min_step = 10 * np.abs(np.nextafter(t, d * np.inf) - t)
         h = h_abs
         small = h < min_step
-        if small.any():
+        if np.count_nonzero(small):
             # a step below the minimum is raised to it, unless it follows a
             # rejection: then the row underflows
             under = small & rejected
-            if under.any():
+            if np.count_nonzero(under):
                 state[under] = UNDERFLOW
                 continue
             h = np.where(small, min_step, h)
-        t_new = t + h * d
-        t_new = np.where(d * (t_new - t_bound) > 0, t_bound, t_new)
+        t_new = clip(t + h * d, t_bound)
         h = t_new - t
         hc = h[:, None]
+        # every sum adds its stages in index order, as scipy's dot products
+        # do; stage j + 1 is V at y + h (sum j), the last such point being
+        # the new state, and sum 6 is the error estimate
+        sums = f * STAGE_SUMS[0][1]
         K = [f]
-        for a in A[1:]:
-            K.append(evaluate(y + _combine(K, a) * hc)[0])
-        y_new = y + hc * _combine(K, B)
-        f_new, norm_sq = evaluate(y_new)
-        K.append(f_new)
+        for j, (rows, w) in enumerate(STAGE_SUMS[1:]):
+            y_new = y + sums[j] * hc
+            f_new, norm_sq = evaluate(y_new)
+            K.append(f_new)
+            acc = sums[rows]  # a view: the stage enters its sums in place
+            acc += f_new * w
         n_evals += 6
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err = _rms(_combine(K, E) * hc / scale)
+        err = _rms(sums[6] * hc / scale)
 
-        ok, zero = err < 1, err == 0
-        pw = SAFETY * _pow(np.where(zero, 1.0, err), ERROR_EXPONENT)
-        grow = np.where(zero, MAX_FACTOR, np.where(pw < MAX_FACTOR, pw, MAX_FACTOR))
-        grow = np.where(rejected & ~(grow < 1), 1.0, grow)
-        shrink = np.where(pw > MIN_FACTOR, pw, MIN_FACTOR)
-        h_abs = np.abs(h) * np.where(ok, grow, shrink)
+        # err = 0 gives pw = inf, so the step grows by MAX_FACTOR; np.fmin
+        # and np.fmax take the bound where pw is NaN, as the comparisons in
+        # scipy's min and max do
+        ok = err < 1
+        pw = SAFETY * _pow(err, ERROR_EXPONENT)
+        grow = np.fmin(pw, MAX_FACTOR)
+        if np.count_nonzero(rejected):
+            grow = np.where(rejected, np.fmin(grow, 1.0), grow)
+        h_abs = np.abs(h) * np.where(ok, grow, np.fmax(pw, MIN_FACTOR))
         rejected = ~ok
         n_rej += rejected
 
         # a row that entered the guard zone during the step stays where it was
         ok &= state == RUNNING
-        if not ok.any():
+        n_ok = np.count_nonzero(ok)
+        if not n_ok:
             continue
-        steps.append((live[ok], t_new[ok], t[ok], h[ok], y[ok],
-                      *(K[j][ok] for j in DENSE_STAGES)))
         g_new = norm_sq - guard_level
-        cross = np.flatnonzero(ok & (g >= 0) & (g_new <= 0))
+        cross = ok & (g >= 0) & (g_new <= 0)
+        n_cross = np.count_nonzero(cross)
         t_old, y_old = t, y
-        col = ok[:, None]
-        t, y = np.where(ok, t_new, t), np.where(col, y_new, y)
-        f, g = np.where(col, f_new, f), np.where(ok, g_new, g)
-        n_acc += ok
-        state[ok & (d * (t_new - t_bound) >= 0)] = REACHED
+        if n_ok == len(ok):
+            # every running row moves: the step's own arrays are recorded
+            # and kept, with no gather and no merge; a crossing below
+            # writes t in place, and t_new is recorded
+            steps.append((live, t_new, t, h, y, *(K[j] for j in DENSE_STAGES)))
+            t = t_new.copy() if n_cross else t_new
+            y, f, g = y_new, f_new, g_new
+            n_acc += 1
+            state[t_new == t_bound] = REACHED
+        else:
+            steps.append((live[ok], t_new[ok], t[ok], h[ok], y[ok],
+                          *(K[j][ok] for j in DENSE_STAGES)))
+            col = ok[:, None]
+            t, y = np.where(ok, t_new, t), np.where(col, y_new, y)
+            f, g = np.where(col, f_new, f), np.where(ok, g_new, g)
+            n_acc += ok
+            state[ok & (t_new == t_bound)] = REACHED
         # a row whose step crosses the guard level stops at the crossing,
         # bisected on the step's dense output down to adjacent floats
-        for k in cross:
+        for k in np.flatnonzero(cross) if n_cross else ():
             one = (t_old[k:k + 1], h[k:k + 1], y_old[k:k + 1],
                    _dense_coefficients([K[j][k:k + 1] for j in DENSE_STAGES]))
 
@@ -432,12 +471,14 @@ def _newton_rows(x, psi):
         val = _quintic(xa, psi)
         scale = 1.0 + np.abs(xa).max(axis=1) ** 5
         live = ~(np.abs(val) <= NEWTON_TOL * scale)
-        alive, xa, val = alive[live], xa[live], val[live]
-        if not alive.size:
+        n_live = np.count_nonzero(live)
+        if not n_live:
             break
+        if n_live < len(live):
+            alive, xa, val = alive[live], xa[live], val[live]
         g = _quintic_gradient(xa, psi)
         gn = _sum4(np.abs(g) ** 2)
-        if (gn == 0.0).any():
+        if np.count_nonzero(gn == 0.0):
             raise ArithmeticError("vanishing gradient in Newton projection")
         step = -val[:, None] * g.conj() / gn[:, None]
         x[alive] = xa + step

@@ -117,7 +117,7 @@ def _s_gradient_rows(x):
     """Partials of s on (N, 4) rows and the pole mask; rows at a pole get
     finite placeholders instead of an error."""
     num, den, others, pole = _s_parts(x)
-    if pole.any():
+    if np.count_nonzero(pole):
         den = np.where(pole, 1.0, den)
     return _ds(x, num, den, others), pole
 
@@ -125,7 +125,7 @@ def _s_gradient_rows(x):
 def _eval_s_rows(x):
     """s on (N, 4) rows; PoleError if any row sits at a pole."""
     num, den, _, pole = _s_parts(x)
-    if pole.any():
+    if np.count_nonzero(pole):
         k = int(np.argmax(pole))
         raise PoleError(f"pole of s at {x[k]}: denominator {den[k]}")
     return num / den

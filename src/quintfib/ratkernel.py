@@ -359,7 +359,10 @@ def saturate(vectors):
     span, Z^n intersected with that span: the integer kernel of the integer
     kernel.  It is returned in Hermite normal form, so the operation is
     literally idempotent.  Every basis vector of a saturated lattice is
-    automatically primitive.
+    automatically primitive.  The inner kernel is `kernel_basis`'s, which
+    at full column rank is empty after one elimination; the kernel of no
+    vectors is Z^n, the identity rows, so full-rank input never eliminates
+    the 2n-column [vectors^T | I].
     """
     vectors = [[as_int(x) for x in v] for v in vectors]
     if not vectors:
@@ -367,4 +370,4 @@ def saturate(vectors):
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ValueError("vectors of unequal length")
-    return [tuple(row) for row in _integer_kernel(_integer_kernel(vectors, n), n)]
+    return [tuple(row) for row in _integer_kernel(kernel_basis(vectors), n)]

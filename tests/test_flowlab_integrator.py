@@ -162,6 +162,38 @@ def _blowup_field(x, cfg):
     return v, norm_sq, guarded
 
 
+def test_each_stage_enters_exactly_the_sums_that_weigh_it():
+    # a zero weight left in a slice would add a signed zero to the sum
+    want = [a + (0,) * (7 - len(a)) for a in integrate.A[1:]]
+    want += [integrate.B + (0,), integrate.E]
+    assert integrate.SUMS.tolist() == [list(row) for row in want]
+    for j, (rows, w) in enumerate(integrate.STAGE_SUMS):
+        nonzero = np.flatnonzero(integrate.SUMS[:, j])
+        assert list(range(7))[rows] == nonzero.tolist()
+        assert w.ravel().tolist() == integrate.SUMS[nonzero, j].tolist()
+
+
+def test_a_zero_error_grows_the_step_by_the_largest_factor(monkeypatch):
+    # under a vanishing field every error estimate is 0, and each step is
+    # MAX_FACTOR times the one before, as in scipy's RK45
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def still(x, cfg):
+        return np.zeros_like(x), np.ones(len(x)), np.zeros(len(x), dtype=bool)
+
+    monkeypatch.setattr(integrate, "_field_rows", still)
+    x0 = np.array([[0.3, 1.0, 1j, 0.5]])
+    ends, diag = fl.flow_batch(x0, 1.0, fl.FlowConfig())
+    ref = solve_ivp(lambda t, y: np.zeros_like(y), (0.0, 1.0),
+                    np.concatenate([x0[0].real, x0[0].imag]), method="RK45",
+                    rtol=1e-10, atol=1e-10)
+    assert (diag.reason[0], diag.t_reached[0]) == ("reached_target", 1.0)
+    assert (diag.n_steps[0], diag.n_evals[0], diag.n_rejected[0]) == (
+        ref.t.size, ref.nfev, 0) == (8, 44, 0)
+    assert np.allclose(np.diff(ref.t)[1:-1] / np.diff(ref.t)[:-2], integrate.MAX_FACTOR)
+    assert np.array_equal(ends, x0)
+
+
 def _golden_batches():
     """(rows, time, config, guard, field) of each batch that the golden
     digests pin down: the oracle cases, one batch per (time, config, guard)
@@ -266,6 +298,18 @@ def test_guard_event_stops_the_flow(monkeypatch):
     assert (free.reason, free.n_steps) == ("reached_target", 3)
 
 
+def test_a_guard_crossing_keeps_the_recorded_step_whole(monkeypatch):
+    # a lone row records each accepted step's own arrays; the crossing then
+    # writes the row's end time in place, and the record of the step it
+    # ends still reads that step's end
+    monkeypatch.setattr(gradient, "SIGMA_GUARD", 6.6e-4)
+    y0 = GUARD_P0.array()[None].view(float)
+    state, t, _, _, _, (_, t1, (t_old, _, _, _)) = integrate._integrate(
+        y0, GUARD_T, GUARD_CFG)
+    assert state[0] == integrate.GUARD_HIT
+    assert t_old[-1] < t[0] < t1[-1]
+
+
 def test_guard_zone_raises_with_the_start_point(monkeypatch):
     monkeypatch.setattr(gradient, "SIGMA_GUARD", 1.4e-3)
     with pytest.raises(fl.SigmaGuardError) as info:
@@ -309,6 +353,20 @@ def test_a_row_is_bit_identical_alone_and_in_a_batch(monkeypatch):
     ends, diag = fl.flow_batch(_rows(points), fs.flow_target_time, fs)
     for k in (0, 3, 200, 511):
         _assert_row(fl.flow(points[k], fs.flow_target_time, fs), ends, diag, k)
+
+    # chart-flat rows at the sweep's psi 2 and 50: a lone row keeps each
+    # accepted step's arrays whole, while the batch merges the steps in
+    # which some of its rows are rejected
+    sweep = np.random.default_rng(30)
+    rejected = 0
+    for psi in (2.0, 50.0):
+        cfg = fl.FlowConfig(psi=psi)
+        points = [fl.random_x_infinity_point(sweep) for _ in range(32)]
+        ends, diag = fl.flow_batch(_rows(points), cfg.flow_target_time, cfg)
+        for k, p in enumerate(points):
+            _assert_row(fl.flow(p, cfg.flow_target_time, cfg), ends, diag, k)
+        rejected += np.count_nonzero(diag.n_rejected)
+    assert rejected > 0
 
     monkeypatch.setattr(gradient, "SIGMA_GUARD", 1.4e-3)
     ends, diag = fl.flow_batch(_rows([GUARD_P0] * 3), GUARD_T, GUARD_CFG)

@@ -574,6 +574,49 @@ def test_saturate_dense_matches_smith_reference():
         assert [list(v) for v in rk.saturate(m.tolist())] == want
 
 
+def _kernel_of_kernel(vectors):
+    """The saturation as the integer kernel of the integer kernel, the
+    reference for `saturate`'s full-rank return."""
+    n = len(vectors[0])
+    return [tuple(row) for row in rk._integer_kernel(rk._integer_kernel(vectors, n), n)]
+
+
+def test_saturate_of_full_rank_vectors_is_the_identity(monkeypatch):
+    eye = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    square = [[2, 0, 0], [0, 3, 0], [1, 1, 5]]
+    tall = square + [[4, -7, 9], [0, 0, 2]]
+    widths = []
+    eliminate = rk._eliminate
+
+    def spy(rows):
+        widths.append(max(j for row in rows for j in row) + 1)
+        return eliminate(rows)
+
+    for vectors in (square, tall):
+        assert _kernel_of_kernel(vectors) == eye
+        widths.clear()
+        with monkeypatch.context() as m:
+            m.setattr(rk, "_eliminate", spy)
+            assert rk.saturate(vectors) == eye
+        # the vectors' own rank elimination, then the identity's: no
+        # elimination of the 2n-column [vectors^T | I]
+        assert widths == [3, 3]
+
+
+def test_saturate_matches_the_kernel_of_the_kernel():
+    rng = np.random.default_rng(30)
+    full = rng.integers(-9, 10, (20, 20)).tolist()
+    tall = rng.integers(-9, 10, (24, 20)).tolist()
+    deficient = (rng.integers(-3, 4, (20, 14)) @ rng.integers(-3, 4, (14, 20))).tolist()
+    singular = rng.integers(-9, 10, (20, 20)).tolist()
+    singular[19] = [a - 2 * b for a, b in zip(singular[3], singular[11])]
+    wide = rng.integers(-9, 10, (6, 20)).tolist()
+    for m, r in ((full, 20), (tall, 20), (deficient, 14), (singular, 19), (wide, 6)):
+        assert rk.rank(m) == r
+        sat = rk.saturate(m)
+        assert len(sat) == r and sat == _kernel_of_kernel(m)
+
+
 # -- the Hermite form against an oracle that shares no code with it --
 
 def _in_row_lattice(sympy, basis, vectors):
