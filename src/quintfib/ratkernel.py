@@ -12,18 +12,22 @@ Entries that are not integers are refused through `as_int` rather than
 truncated; integral fractions, numpy ints and floats pass.
 
 One elimination, `_eliminate`, a forward elimination on sparse integer rows
-{column: nonzero int} by unimodular row operations, serves every result.
-Its pivot row in a column has the least absolute entry there, ties going
-to the sparsest row and then the lowest (Markowitz's tie-break).
-A dense matrix is converted once on entry; `rank` also takes a matrix as
-its list of such rows, the form in which `sheafcoh` holds its Cech
-differentials.
+{column: nonzero int} by unimodular row operations, serves every result
+but a certified rank.  Its pivot row in a column has the least absolute
+entry there, ties going to the sparsest row and then the lowest
+(Markowitz's tie-break).  A dense matrix is converted once on entry;
+`rank` also takes a matrix as its list of such rows, the form in which
+`sheafcoh` holds its Cech differentials.
 
-- `rank` is its pivot count, and `det` the product of its pivots, signed
-  by the parity of the pivot row order.
-- `row_hermite_form` is its echelon form made canonical, and serves every
-  lattice-valued result: `kernel_basis` (the Hermite basis of the integer
-  kernel), `inverse` (of a unimodular matrix), `saturate` and
+- `rank` is certified over GF(2) first: rows as bitsets of their odd
+  entries, reduced by XOR.  A GF(2) rank that reaches the row count, or a
+  dense matrix's column count, is the rank over Q, and no elimination
+  runs; otherwise the rank is `_eliminate`'s pivot count.
+- `det` is the product of `_eliminate`'s pivots, signed by the parity of
+  the pivot row order.
+- `row_hermite_form` is `_eliminate`'s echelon form made canonical, and
+  serves every lattice-valued result: `kernel_basis` (the Hermite basis of
+  the integer kernel), `inverse` (of a unimodular matrix), `saturate` and
   `sublattice_index`.
 
 Smith normal form is kept only as an independent reference for those
@@ -157,11 +161,47 @@ def _eliminate(rows):
     return [rows[r] for r in order], pivots, order
 
 
+def _gf2_rank(rows):
+    """Rank over GF(2) of integer rows, dense or {column: entry}.
+
+    Each row is held as the int whose bit j is set where entry j is odd,
+    and is reduced by XOR against the kept rows, keyed by leading bit.  The
+    same pass checks every entry as `_sparse` does, so a non-integer is
+    refused before any answer.
+    """
+    kept = {}
+    for row in rows:
+        b = 0
+        for j, x in (row.items() if isinstance(row, dict) else enumerate(row)):
+            if type(x) is not int:
+                x = as_int(x) if x else 0
+            if x & 1:
+                b |= 1 << j
+        while b:
+            top = b.bit_length()
+            pivot = kept.get(top)
+            if pivot is None:
+                kept[top] = b
+                break
+            b ^= pivot
+    return len(kept)
+
+
 def rank(m):
     """Exact rank of an integer matrix, or of its list of sparse rows
-    {column: entry}."""
+    {column: entry}.
+
+    An odd minor is a nonzero integer, so the rank over GF(2) is at most
+    the rank over Q, which is at most the row and the column count.  A
+    GF(2) rank that reaches either count is therefore the rank, and no
+    elimination over Z runs; otherwise `_eliminate` gives it.
+    """
     sparse = isinstance(m, list) and m and isinstance(m[0], dict)
-    return len(_eliminate(_sparse(m if sparse else _dense(m)[0]))[1])
+    rows, n = (m, None) if sparse else _dense(m)
+    r = _gf2_rank(rows)
+    if r == len(rows) or r == n:
+        return r
+    return len(_eliminate(_sparse(rows))[1])
 
 
 def det(m):
@@ -182,7 +222,7 @@ def kernel_basis(m):
     Returns a list of int tuples; its length is always cols - rank(m).
     """
     rows, n = _dense(m)
-    if len(_eliminate(_sparse(rows))[1]) == n:  # full column rank
+    if rows and rank(rows) == n:  # full column rank
         return []
     return [tuple(v) for v in _integer_kernel(rows, n)]
 

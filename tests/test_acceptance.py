@@ -158,6 +158,15 @@ def test_numeric_checks_across_psi(psi):
             f"error: ArithmeticError('loop (1, 2, 3) outside chart U_1^2 at psi = {psi}")
 
 
+@pytest.mark.parametrize("skip", ["", "symbolic"])
+def test_numeric_checks_refuse_the_conifold(skip):
+    # at psi = 1 the member has 125 nodes, which every numeric check
+    # used to pass over as if it were smooth
+    with pytest.raises(ValueError, match="^psi = 1.0 is the conifold psi\\^5 = 1"):
+        verify.VerifyConfig(psi=1.0, seed=0, skip=skip)
+    assert verify.VerifyConfig(psi=1.0, seed=0, skip="numeric").psi == 1.0
+
+
 def test_a_run_computes_each_transition_once(monkeypatch):
     # the symbolic checks read one atlas; a run without them builds none
     calls = []

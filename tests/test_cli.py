@@ -143,6 +143,7 @@ def test_verify_all_symbolic_only(capsys):
     ("pairing", "--loop", "1,2,3", "--form", "3,2", "--psi", "nan"),
     ("pairing", "--loop", "1,2,3", "--form", "3,2", "--psi", "0"),
     ("verify-all", "--psi", "nan"),
+    ("verify-all", "--psi", "1"),
     ("verify-all", "--seed", "-1"),
 ])
 def test_bad_sample_counts_and_psi_are_rejected(capsys, argv):

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from quintfib import flowlab as fl
 from quintfib.flowlab.gradient import _omega_rows
-from quintfib.flowlab.points import _chart_rows, _eval_s_rows
+from quintfib.flowlab.points import _chart_rows, _eval_s_rows, _quintic, _quintic_gradient
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -208,3 +210,26 @@ def test_chart_change_round_trip():
     x = np.array([[0.3 + 0.1j, 1.4, -0.5j, 0.8]])  # chart 2
     y = _chart_rows(np.insert(x, 1, 1.0, axis=1), 4)
     assert np.allclose(_chart_rows(np.insert(y, 3, 1.0, axis=1), 2), x)
+
+
+def test_conifold_nodes():
+    """At psi = 1, in chart 5, the rows (zeta^b1, ..., zeta^b4) with
+    b1 + ... + b4 = 0 (mod 5) are the 125 singular points of the quintic:
+    s and its gradient vanish there, and each is an ordinary double point,
+    with a 4x4 Hessian of |det| = 5^7.  The Hessian is the closed form
+    (20 x_i^3 on the diagonal, -5 psi times the other two coordinates off
+    it), held to central differences of the library's gradient."""
+    b = np.array([b for b in itertools.product(range(5), repeat=4) if sum(b) % 5 == 0])
+    x = np.exp(2j * np.pi / 5) ** b
+    assert len(x) == 125
+    assert np.abs(_quintic(x, 1.0)).max() < 1e-12
+    assert np.abs(_quintic_gradient(x, 1.0)).max() < 1e-12
+    h, eye = 1e-5, np.eye(4)
+    for row in x:
+        hess = np.array([[20 * row[i] ** 3 if i == j else
+                          -5 * np.prod(np.delete(row, [i, j])) for j in range(4)]
+                         for i in range(4)])
+        diff = np.array([_quintic_gradient(row + h * e, 1.0) - _quintic_gradient(row - h * e, 1.0)
+                         for e in eye]).T / (2 * h)
+        assert np.abs(diff - hess).max() < 1e-6
+        assert abs(abs(np.linalg.det(hess)) - 5 ** 7) < 1e-9 * 5 ** 7

@@ -227,11 +227,14 @@ def test_sublattice_index():
     lambda: rk.imat([[float("inf"), 1]]),
     lambda: rk.rank(np.array([[Fraction(1, 2), 1]], dtype=object)),
     lambda: rk.rank([{0: Fraction(1, 2)}]),
+    lambda: rk.rank([[1, Fraction(1, 2)]]),
+    lambda: rk.rank([{0: 1, 1: Fraction(1, 2)}]),
     lambda: rk.det(np.array([[Fraction(1, 2)]], dtype=object)),
     lambda: rk.kernel_basis(np.array([[Fraction(1, 2), 1]], dtype=object)),
     lambda: rk.inverse(np.array([[Fraction(1, 2)]], dtype=object)),
 ], ids=["imat", "hermite", "saturate", "index", "primitive", "smith", "nan", "inf",
-        "rank", "sparse-rank", "det", "kernel", "inverse"])
+        "rank", "sparse-rank", "rank-after-an-odd-entry", "sparse-rank-after-an-odd-entry",
+        "det", "kernel", "inverse"])
 def test_integer_routines_refuse_non_integers(call):
     with pytest.raises(ValueError, match="expected an integer"):
         call()
@@ -530,6 +533,82 @@ def test_dense_20x20_rank_and_det_match_sympy():
         assert rk.det(a) == dm.det()
 
 
+# -- rank's GF(2) certificate against the elimination --
+
+def _eliminated_rank(rows):
+    return len(rk._eliminate(rk._sparse(rows))[1])
+
+
+def _count_eliminations(monkeypatch):
+    calls = []
+    eliminate = rk._eliminate
+    monkeypatch.setattr(rk, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+    return calls
+
+
+def _sign_rows(rng, rows, cols, density):
+    """Dense rows with entries -1, 0 and 1, each nonzero with the given
+    probability."""
+    mask = rng.random((rows, cols)) < density
+    return (mask * rng.choice((-1, 1), (rows, cols))).tolist()
+
+
+def test_certified_rank_matches_the_elimination_on_sparse_sign_rows(monkeypatch):
+    """Random sparse +-1 matrices as sparse rows, half of them short of full
+    row rank (a row repeated with its sign flipped, or more rows than
+    columns): `rank` is the elimination's pivot count, and it eliminates
+    exactly when the GF(2) rank falls short of the row count."""
+    rng = np.random.default_rng(31)
+    calls = _count_eliminations(monkeypatch)
+    paths = {True: 0, False: 0}
+    for trial in range(200):
+        dense = _sign_rows(rng, int(rng.integers(1, 30)), int(rng.integers(1, 60)), 0.1)
+        if trial % 2:
+            i, j = rng.integers(0, len(dense), 2)
+            dense[i] = [-x for x in dense[j]]
+        rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        want = _eliminated_rank(rows)
+        calls.clear()
+        certified = rk._gf2_rank(rows) == len(rows)
+        assert rk.rank(rows) == want
+        assert bool(calls) != certified
+        paths[certified] += 1
+    assert min(paths.values()) > 20
+
+
+def test_certified_rank_matches_the_elimination_on_dense_matrices(monkeypatch):
+    """Dense +-1 matrices, wide and tall, and dense +-9 20x20 ones: a GF(2)
+    rank that reaches the row or the column count is the rank."""
+    rng = np.random.default_rng(32)
+    calls = _count_eliminations(monkeypatch)
+    mats = [_sign_rows(rng, r, c, 0.3) for r, c in ((8, 30), (30, 8), (12, 12)) * 20]
+    mats += [rng.integers(-9, 10, (20, 20)).tolist() for _ in range(40)]
+    by_columns = 0
+    for m in mats:
+        want = _eliminated_rank(m)
+        calls.clear()
+        gf2 = rk._gf2_rank(m)
+        assert rk.rank(m) == want
+        assert bool(calls) != (gf2 in (len(m), len(m[0])))
+        by_columns += gf2 == len(m[0]) < len(m)
+    assert by_columns
+
+
+@pytest.mark.parametrize("m, r", [
+    ([[2]], 1),
+    ([[1, 1], [1, -1]], 2),
+    ([[2, 0], [0, 3]], 2),
+    ([{0: 1, 1: 1}, {0: 1, 1: -1}], 2),
+    ([[1, 1], [1, 1]], 1),
+])
+def test_rank_eliminates_when_gf2_falls_short(monkeypatch, m, r):
+    """Full-rank matrices whose GF(2) rank is short, and a singular one:
+    the certificate cannot decide, so the elimination gives the rank."""
+    calls = _count_eliminations(monkeypatch)
+    assert rk.rank(m) == r
+    assert len(calls) == 1
+
+
 def _is_hermite(rows):
     """Row Hermite shape: leading entries positive in strictly increasing
     columns, entries above each leading entry in [0, leading entry)."""
@@ -592,15 +671,16 @@ def test_saturate_of_full_rank_vectors_is_the_identity(monkeypatch):
         widths.append(max(j for row in rows for j in row) + 1)
         return eliminate(rows)
 
-    for vectors in (square, tall):
+    # the vectors' own rank elimination, unless their rank is certified over
+    # GF(2) as the tall rows' is, then the identity's: no elimination of the
+    # 2n-column [vectors^T | I]
+    for vectors, want in ((square, [3, 3]), (tall, [3])):
         assert _kernel_of_kernel(vectors) == eye
         widths.clear()
         with monkeypatch.context() as m:
             m.setattr(rk, "_eliminate", spy)
             assert rk.saturate(vectors) == eye
-        # the vectors' own rank elimination, then the identity's: no
-        # elimination of the 2n-column [vectors^T | I]
-        assert widths == [3, 3]
+        assert widths == want
 
 
 def test_saturate_matches_the_kernel_of_the_kernel():

@@ -311,9 +311,10 @@ def test_differential_triplets_are_pinned():
 
 def test_K3_elimination_touches_only_nonzeros(monkeypatch):
     """The elimination reads only the nonzeros of the two rows of each row
-    update: over a whole K3 rank that stays below ten times the
-    differential's nonzero count, where a dense elimination reads 2 x 280
-    entries per update (44,800 for the unrelabeled complex)."""
+    update: over a whole K3 differential that stays below ten times its
+    nonzero count, where a dense elimination reads 2 x 280 entries per
+    update (44,800 for the unrelabeled complex).  `rank` certifies these
+    ranks over GF(2), so the elimination is called directly."""
     subtract = rk._subtract
     touched = []
 
@@ -323,10 +324,25 @@ def test_K3_elimination_touches_only_nonzeros(monkeypatch):
 
     monkeypatch.setattr(rk, "_subtract", counted)
     for rel in (None, sc.random_relabeling(np.random.default_rng(2024))):
+        cx = sc.build_K3(rel)
         touched.clear()
-        assert sc.K3_cohomology(rel) == (160, 0)
+        assert len(rk._eliminate(rk._sparse(cx.rows))[1]) == 120
         assert touched
-        assert sum(touched) < 10 * len(sc.build_K3(rel).sparse_triplets())
+        assert sum(touched) < 10 * len(cx.sparse_triplets())
+
+
+def test_K3_ranks_need_no_elimination(monkeypatch):
+    """The unrelabeled complex and 20 relabelings all reach rank 120 over
+    GF(2), so `rank` proves h1 = 0 with `_eliminate` never called."""
+
+    def refuse(rows):
+        raise AssertionError("the K3 rank eliminated over Z")
+
+    rng = np.random.default_rng(2024)
+    rels = [None] + [sc.random_relabeling(rng) for _ in range(20)]
+    monkeypatch.setattr(rk, "_eliminate", refuse)
+    for rel in rels:
+        assert sc.K3_cohomology(rel) == (160, 0)
 
 
 def test_h0_sections_satisfy_all_edge_constraints():
