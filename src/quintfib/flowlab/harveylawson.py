@@ -16,16 +16,12 @@ coordinate axes (detected here as rank drop of the differential).
 
 Fibers are sampled through the torus action: fixing |z1| determines the
 other moduli, the total phase is pinned by the imaginary-part constraint,
-and the two free angles sweep the orbit.  The parameters are drawn one
-sample at a time, so the random stream is fixed by the seed alone; the
-probe then works on arrays.  The sample points and the +-FRAME_H shifted
-parameter rows of every tangent frame are each evaluated as one array, the
-symplectic pairings are stacked (1, 3) by (3, 1) matmuls over all frames,
-the volumes one `np.linalg.det` of the (K, 3, 3) frame stack, and the ranks
-one `np.linalg.svd` of the stacked Jacobians.  Such a matmul goes through
-the BLAS dot that `np.vdot` uses, so every pairing has vdot's bits, and
-frame norms keep the rounding of `np.linalg.norm` on a single vector,
-sqrt(re . re + im . im).
+and the two free angles sweep the orbit.  The parameters are drawn in
+blocks, and the probe works on arrays: the sample points and the +-FRAME_H
+shifted parameter rows of every tangent frame are each evaluated as one
+array, the symplectic pairings and frame norms are reductions over all
+frames, the volumes one `np.linalg.det` of the (K, 3, 3) frame stack, and
+the ranks one `np.linalg.svd` of the stacked Jacobians.
 """
 
 from dataclasses import dataclass
@@ -70,8 +66,10 @@ def sample_hl_fiber(c, n_samples, rng):
 
     Returns the (n_samples, 3) points and their (n_samples, 4) parameter
     rows (rho1, theta1, theta2, branch), so callers can rebuild tangent
-    frames by perturbing them.  The parameters are drawn one sample at a
-    time; the points are evaluated as one array.
+    frames by perturbing them.  Each round draws rho1^2, both angles and
+    the branch of every missing sample as one block and keeps, in draw
+    order, the candidates with rho1 rho2 rho3 > |c1|; after 50 * n_samples
+    candidates the sampler gives up.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (3,) or not np.all(np.isfinite(c)):
@@ -79,24 +77,21 @@ def sample_hl_fiber(c, n_samples, rng):
     if n_samples < 0:
         raise ValueError(f"n_samples must not be negative, got {n_samples}")
     c1, c2, c3 = c.tolist()
-    params = []
-    tries = 0
-    while len(params) < n_samples and tries < 50 * n_samples:
-        tries += 1
-        rho1_sq = max(0.0, c2, c3) + RHO_MARGIN + rng.exponential(RHO_SPREAD)
+    blocks = [np.empty((0, 4))]
+    kept = tries = 0
+    while kept < n_samples and tries < 50 * n_samples:
+        k = min(n_samples - kept, 50 * n_samples - tries)
+        tries += k
+        rho1_sq = max(0.0, c2, c3) + RHO_MARGIN + rng.exponential(RHO_SPREAD, size=k)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(k, 2))
+        branch = rng.integers(2, size=k)
         rho1 = np.sqrt(rho1_sq)
-        rho2 = np.sqrt(rho1_sq - c2)
-        rho3 = np.sqrt(rho1_sq - c3)
-        m = rho1 * rho2 * rho3
-        if m <= abs(c1):
-            continue
-        branch = int(rng.integers(2))
-        theta1 = rng.uniform(0.0, 2.0 * np.pi)
-        theta2 = rng.uniform(0.0, 2.0 * np.pi)
-        params.append((rho1, theta1, theta2, branch))
-    if len(params) < n_samples:
+        ok = rho1 * np.sqrt(rho1_sq - c2) * np.sqrt(rho1_sq - c3) > abs(c1)
+        blocks.append(np.column_stack([rho1, theta, branch])[ok])
+        kept += int(np.count_nonzero(ok))
+    if kept < n_samples:
         raise RuntimeError("fiber sampler starved; target may be unreachable")
-    params = np.array(params, dtype=float).reshape(-1, 4)
+    params = np.concatenate(blocks)
     return _points_from_params(c, params[:, :3], params[:, 3]), params
 
 
@@ -105,9 +100,7 @@ def _points_from_params(c, p, branch):
     theta2) on the given branches."""
     c1, c2, c3 = (float(x) for x in c)
     rho1, theta1, theta2 = np.moveaxis(p, -1, 0)
-    # rho1^2 through libm's pow, as one sample at a time squared it: x * x
-    # and numpy's vector pow each round differently now and then
-    rho1_sq = np.reshape([r ** 2 for r in rho1.ravel().tolist()], rho1.shape)
+    rho1_sq = rho1 * rho1
     rho2 = np.sqrt(rho1_sq - c2)
     rho3 = np.sqrt(rho1_sq - c3)
     m = rho1 * rho2 * rho3
@@ -159,19 +152,6 @@ class HLProbeResult:
     generic_ranks: tuple
 
 
-def _dots(a, b):
-    """a_n . b_n for the vectors along the last axis, with np.vdot's bits
-    (conjugate a to get vdot): a (1, n) by (n, 1) matmul uses vdot's BLAS
-    dot."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _norms(v):
-    """Euclidean norms of the complex vectors along the last axis, rounded as
-    np.linalg.norm rounds a single vector: sqrt(re . re + im . im)."""
-    return np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))
-
-
 def hl_fiber_probe(c, n_samples, seed=0):
     """Special-Lagrangian defect and singularity classification of a fiber.
 
@@ -191,10 +171,10 @@ def hl_fiber_probe(c, n_samples, seed=0):
     points, params = sample_hl_fiber(c, n_samples, rng)
     classification = classify_hl_target(c)
     frames = _tangent_frames(c, params)  # (K, slot, 3)
-    norms = _norms(frames)
+    norms = np.linalg.norm(frames, axis=-1)
     defects = []
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        om = np.abs(np.imag(_dots(np.conj(frames[:, a]), frames[:, b])))
+        om = np.abs(np.imag(np.sum(np.conj(frames[:, a]) * frames[:, b], axis=-1)))
         nonzero = (norms[:, a] > 0) & (norms[:, b] > 0)
         defects.append(om[nonzero] / (norms[nonzero, a] * norms[nonzero, b]))
     vol = np.linalg.det(np.swapaxes(frames, 1, 2))

@@ -295,13 +295,19 @@ def check_pairing_matrix(cfg):
 
 
 def covering_sample_points(seed):
-    """c10's sample points: 20 seeded fattened-interior points and 5 edge points."""
+    """c10's sample points: 20 seeded fattened-interior points and 5 edge points.
+
+    Each round draws as many candidate pairs (r1, r2) in [0.7, 1.6]^2 as
+    interior points are missing, in one block, and keeps the Interior2 ones
+    in draw order.  A block holds the values that one pair per draw would
+    read, so the points are those of a pair-at-a-time sampler.
+    """
     rng = np.random.default_rng(seed + 2)
     interior = []
     while len(interior) < 20:
-        r1, r2 = rng.uniform(0.7, 1.6, 2)
-        if basecomplex.classify_fattened(r1, r2) == basecomplex.FattenedStratum.INTERIOR2:
-            interior.append((r1, r2))
+        pairs = rng.uniform(0.7, 1.6, size=(20 - len(interior), 2)).tolist()
+        interior += [(r1, r2) for r1, r2 in pairs if basecomplex.classify_fattened(
+            r1, r2) == basecomplex.FattenedStratum.INTERIOR2]
     edge = []
     for r1 in np.linspace(0.75, 0.97, 3):
         edge.append((r1, (1.0 - r1 ** 5) ** 0.2))        # r1^5 + r2^5 = 1

@@ -386,6 +386,15 @@ def test_covering_passes_agree_on_c10_interior(seed):
         assert np.all(close.sum(axis=1) == 1)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_covering_sample_points_are_distinct_interior_points(seed):
+    interior, _ = verify.covering_sample_points(seed)
+    assert len(interior) == len(set(interior)) == 20
+    for r1, r2 in interior:
+        assert 0.7 <= r1 <= 1.6 and 0.7 <= r2 <= 1.6
+        assert classify_fattened(r1, r2) == FattenedStratum.INTERIOR2
+
+
 def test_covering_edge_counts_rest_on_constructive_pass():
     # over a boundary curve the closed form's two u-roots coincide in one
     # tangential root, lifted to 25 phases
@@ -519,8 +528,8 @@ def _reference_point(c, rho1, theta1, theta2, branch):
 
 def _reference_probe(c, n_samples, seed):
     """hl_fiber_probe's sample points, defect and ranks computed one sample
-    at a time, with np.vdot, np.linalg.norm, np.linalg.det and one SVD per
-    point."""
+    at a time from the sampler's parameter rows, with np.vdot,
+    np.linalg.norm, np.linalg.det and one SVD per point."""
     points, params = fl.sample_hl_fiber(c, n_samples, np.random.default_rng(seed))
     h = harveylawson.FRAME_H
     ref_points = []
@@ -555,33 +564,62 @@ def _reference_probe(c, n_samples, seed):
         jac[2, 4:] = -2 * z3.real, -2 * z3.imag
         sv = np.linalg.svd(jac, compute_uv=False)
         ranks.append(int(np.sum(sv > harveylawson.RANK_TOL * (sv[0] or 1.0))))
-    same_points = points.tobytes() == np.array(ref_points).reshape(-1, 3).tobytes()
-    return same_points, float(defect), tuple(ranks[:3]), tuple(ranks[3:])
+    ref_points = np.array(ref_points).reshape(-1, 3)
+    return points, ref_points, float(defect), tuple(ranks[:3]), tuple(ranks[3:])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_hl_probe_equals_per_sample_reference(seed):
-    # (-0.3, 2, 0.5) at seed 2 holds a sample whose rho1^2 rounds one way
-    # through libm's pow and the other way as rho1 * rho1
+    # The points agree to rounding of their moduli (rho1 * rho1 against
+    # np.float64's rho1 ** 2).  Each pairing cancels O(1) terms to about
+    # 1e-10, so summing them in another order than np.vdot moves the defect
+    # by the rounding of those terms: 1e-15 absolute bounds it.
     for c, n in (((0, 1, 1), 64), ((0, 0, 0), 100), ((0.4, 1.0, 0.7), 32),
                  ((-0.3, 2.0, 0.5), 50)):
         res = fl.hl_fiber_probe(c, n_samples=n, seed=seed)
-        same_points, defect, axis_ranks, generic_ranks = _reference_probe(c, n, seed)
-        assert same_points
-        assert res.slag_defect == defect
+        points, ref_points, defect, axis_ranks, generic_ranks = _reference_probe(
+            c, n, seed)
+        np.testing.assert_allclose(points, ref_points, rtol=1e-15, atol=0.0)
+        assert abs(res.slag_defect - defect) <= 1e-15
         if c == (0, 0, 0):
             assert (res.axis_ranks, res.generic_ranks) == (axis_ranks, generic_ranks)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_hl_frame_norms_round_as_single_vectors(seed):
-    # np.linalg.norm(frames, axis=-1) sums |v|^2 in another order; the probe
-    # keeps the rounding of np.linalg.norm on each vector
-    _, params = fl.sample_hl_fiber((0, 1, 1), 64, np.random.default_rng(seed))
-    frames = harveylawson._tangent_frames((0, 1, 1), params)
-    norms = harveylawson._norms(frames)
-    assert norms.tobytes() == np.array(
-        [[np.linalg.norm(u) for u in frame] for frame in frames]).tobytes()
+class _CountingRng:
+    """A generator that counts the candidates sample_hl_fiber draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.candidates = 0
+
+    def exponential(self, scale, size=None):
+        self.candidates += 1 if size is None else size
+        return self.rng.exponential(scale, size=size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_hl_sampler_redraws_only_the_missing_samples():
+    # |z1 z2 z3| > 3 needs rho1^2 > 3^(2/3), about one candidate in six,
+    # so the sampler takes several rounds and must stop at 20 samples
+    c = (3.0, 0.0, 0.0)
+    rng = _CountingRng(4)
+    points, params = fl.sample_hl_fiber(c, 20, rng)
+    assert points.shape == (20, 3) and params.shape == (20, 4)
+    assert 20 < rng.candidates <= 50 * 20
+    assert np.all(params[:, 0] ** 3 > 3.0)
+    for z in points:
+        assert np.allclose(fl.hl_map(z), c, atol=1e-10)
+
+
+def test_hl_sampler_starves_at_the_cap():
+    # |z1 z2 z3| cannot reach 1e6 at |z1|^2 = 0.25 + Exp(1), so every
+    # candidate is rejected until 50 per sample have been drawn
+    rng = _CountingRng(0)
+    with pytest.raises(RuntimeError, match="^fiber sampler starved"):
+        fl.sample_hl_fiber((1e6, 0, 0), 8, rng)
+    assert rng.candidates == 50 * 8
 
 
 @pytest.mark.parametrize("c", [(float("nan"), 0, 0), (0, float("inf"), 1),

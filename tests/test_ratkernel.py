@@ -28,6 +28,16 @@ def test_rank_zero_matrix():
     assert rk.rank(_zeros(4, 7)) == 0
 
 
+def test_empty_matrices_have_rank_zero_and_a_full_kernel():
+    # an empty list is the empty sparse matrix; it used to be refused as a
+    # dense matrix with no rows
+    assert rk.rank([]) == 0
+    assert rk.rank(_zeros(0, 3)) == 0
+    assert rk.rank(_zeros(0, 0)) == 0
+    assert rk.kernel_basis(_zeros(0, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert rk.kernel_basis(_zeros(0, 0)) == []
+
+
 def test_rank_transpose_invariance():
     rng = np.random.default_rng(11)
     for _ in range(25):
