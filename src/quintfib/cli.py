@@ -289,8 +289,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--skip", choices=("numeric", "symbolic"), default=None)
-    p.add_argument("--format", choices=("human", "json"), default="human")
-    p.add_argument("--out", default=None)
+    add_common(p)
     p.set_defaults(fn=cmd_verify_all)
 
     return ap

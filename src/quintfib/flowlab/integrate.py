@@ -24,8 +24,8 @@ the error estimate) as soon as it is known, in one multiply and one add.
 A step in which every running row is accepted, as every accepted step of
 a lone row is, records and keeps its own arrays, with no gather and no
 merge; only a step in which some row is rejected or stops gathers the
-accepted rows.  The dense output of all accepted steps is built in one
-pass after the loop, from the stages the steps keep.  It returns the
+accepted rows.  The dense output of all accepted steps is built after the
+loop by the same walk over the stages the steps keep.  It returns the
 endpoint rows and one `FlowDiagnostics` of per-row arrays; `flow` is one
 row of it, with scalar diagnostics, and raises SigmaGuardError for a row
 that entered the guard zone.  The tests check the replica against scipy's
@@ -87,9 +87,9 @@ P = (
 SUMS = np.array([a + (0,) * (7 - len(a)) for a in A[1:]] + [B + (0,), E])
 STAGE_SUMS = tuple((slice(r[0], r[-1] + 1), SUMS[r[0]:r[-1] + 1, j, None, None])
                    for j, r in enumerate(np.flatnonzero(c).tolist() for c in SUMS.T))
-# the stages the dense output reads: P's row for K[1] is zero
+# the dense output's stages (P's row for K[1] is zero) and their weights
 DENSE_STAGES = (0, 2, 3, 4, 5, 6)
-P_DENSE = tuple(P[j] for j in DENSE_STAGES)
+P_DENSE = np.array([P[j] for j in DENSE_STAGES])[:, :, None, None]
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
@@ -131,15 +131,6 @@ class FlowDiagnostics:
     guard_sq: np.ndarray | float
 
 
-def _combine(K, coeffs):
-    """sum_j coeffs[j] K[j] in index order, skipping zero coefficients."""
-    acc = K[0] * coeffs[0]
-    for k, c in zip(K[1:], coeffs[1:]):
-        if c:
-            acc = acc + k * c
-    return acc
-
-
 def _rms(a):
     """RMS over the last axis of (N, 8) state rows, summed in the fixed
     order u1..u4, v1..v4 of the interleaved columns."""
@@ -155,9 +146,13 @@ def _pow(a, e):
 
 
 def _dense_coefficients(K):
-    """The dense output's (M, 4, 8) coefficients of steps whose stages
-    DENSE_STAGES are K."""
-    return np.stack([_combine(K, col) for col in zip(*P_DENSE)], axis=1)
+    """The dense output's (4, M, 8) coefficients of steps whose stages
+    DENSE_STAGES are K, summed in index order as a step sums SUMS."""
+    Q = K[0] * P_DENSE[0]
+    for k, w in zip(K[1:], P_DENSE[1:]):
+        acc = Q[1:]  # a view: the stage enters its sums in place
+        acc += k * w[1:]
+    return Q
 
 
 def _dense(seg, at, t):
@@ -168,8 +163,8 @@ def _dense(seg, at, t):
     x = ((t - t_old[at]) / h)[:, None]
     x2 = x * x
     x3 = x2 * x
-    return h[:, None] * (Q[at, 0] * x + Q[at, 1] * x2 + Q[at, 2] * x3
-                         + Q[at, 3] * (x3 * x)) + y_old[at]
+    return h[:, None] * (Q[0, at] * x + Q[1, at] * x2 + Q[2, at] * x3
+                         + Q[3, at] * (x3 * x)) + y_old[at]
 
 
 def _bisect(f, a, b):
@@ -209,11 +204,11 @@ def _integrate(y0, t_bound, cfg):
     Each step works on the running rows' own arrays, indexed by `live`; a
     row's results are written out when it stops.  Each stage enters its
     rows of SUMS in place as soon as it is known.  The accepted steps keep
-    their start rows and the stages that the dense output reads; the dense
-    output is built from them after the loop.  When every running row is
-    accepted, the step records its own arrays and they become the new
-    state as they are, without gathers or merges; otherwise the accepted
-    rows are gathered and merged into the state.
+    their start rows and the stages that the dense output reads, which
+    enter its P_DENSE sums after the loop as a step's enter SUMS.  When
+    every running row is accepted, the step records its own arrays and
+    they become the new state as they are, without gathers or merges;
+    otherwise the accepted rows are gathered and merged into the state.
     """
     n = len(y0)
     d = 1.0 if t_bound > 0 else -1.0

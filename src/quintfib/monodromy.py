@@ -354,12 +354,9 @@ class VanishingFiltration:
         return len(self.basis)
 
 
-def vanishing_filtration(ops):
-    """Saturation of the lattice spanned by all columns of (T - I).
-
-    Basis vectors matching +-(a chart basis symbol) are reported with their
-    symbolic names.
-    """
+def _vanishing_columns(ops):
+    """The nonzero columns of T - I over a family of operators; ValueError
+    for an empty family or one whose operators do not share a basepoint."""
     if not ops:
         raise ValueError("need at least one operator")
     basepoint = ops[0].basepoint
@@ -371,7 +368,17 @@ def vanishing_filtration(ops):
             d = [x - (r == c) for r, x in enumerate(col)]  # column c of T - I
             if any(d):
                 cols.append(d)
-    basis = ratkernel.saturate(cols)
+    return cols
+
+
+def vanishing_filtration(ops):
+    """Saturation of the lattice spanned by all columns of (T - I).
+
+    Basis vectors matching +-(a chart basis symbol) are reported with their
+    symbolic names.
+    """
+    basis = ratkernel.saturate(_vanishing_columns(ops))
+    basepoint = ops[0].basepoint
     chart_basis = basepoint.basis
     names = []
     for v in basis:
@@ -384,19 +391,10 @@ def vanishing_filtration(ops):
     return VanishingFiltration(tuple(basis), tuple(names), basepoint)
 
 
-def dual_invariants(ops):
-    """Hermite basis of the common fixed sublattice of a family of operators
-    acting on the dual lattice (inverse transpose): the simultaneous integer
-    kernel of T^{-T} - I.  The stack needs no inverse: T^{-T} - I =
-    -T^{-T} (T^T - I) with T^{-T} unimodular, so stacking T^T - I gives the
-    same row lattice, hence the same kernel basis.
-    """
-    if not ops:
-        raise ValueError("need at least one operator")
-    # row r of T^T - I is column r of T - I
-    stacked = [[x - (r == c) for c, x in enumerate(col)]
-               for o in ops for r, col in enumerate(zip(*o.matrix))]
-    return ratkernel.kernel_basis(stacked)
+def vanishing_rank(ops):
+    """Rank of the span of all columns of (T - I), that is
+    `vanishing_filtration(ops).rank`, with no lattice basis built."""
+    return ratkernel.rank(_vanishing_columns(ops))
 
 
 # coefficients in [-3, 3] on each generator of the conjugator solution space

@@ -189,14 +189,14 @@ def _gf2_rank(rows):
 
 def rank(m):
     """Exact rank of an integer matrix, or of its list of sparse rows
-    {column: entry}; an empty list is the empty sparse matrix, of rank 0.
+    {column: entry}; an empty list or tuple is the empty matrix, of rank 0.
 
     An odd minor is a nonzero integer, so the rank over GF(2) is at most
     the rank over Q, which is at most the row and the column count.  A
     GF(2) rank that reaches either count is therefore the rank, and no
     elimination over Z runs; otherwise `_eliminate` gives it.
     """
-    sparse = isinstance(m, list) and (not m or isinstance(m[0], dict))
+    sparse = isinstance(m, (list, tuple)) and (not m or isinstance(m[0], dict))
     rows, n = (m, None) if sparse else _dense(m)
     r = _gf2_rank(rows)
     if r == len(rows) or r == n:

@@ -325,9 +325,14 @@ def ic_chain_dims(atlas):
     joining a main vertex to a non-opposite facet barycenter.  2-chains:
     one fan per leg with leg-invariant coefficients.  3-chains: one fan per
     graph vertex with coefficients invariant under its monodromy group.
+
+    The coefficients are dual: T acts as T^{-T}, and T^{-T} - I =
+    -T^{-T} (T^T - I), T^{-T} unimodular, has the row lattice of T^T - I,
+    the columns of T - I, so the invariants of a family, the common kernel
+    of its T^{-T} - I, have dimension 3 - `monodromy.vanishing_rank`.
     """
-    c2 = sum(len(monodromy.dual_invariants([op])) for op in atlas.legs.values())
-    c3 = sum(len(monodromy.dual_invariants(ops)) for ops in atlas.vertices.values())
+    c2 = sum(3 - monodromy.vanishing_rank([op]) for op in atlas.legs.values())
+    c3 = sum(3 - monodromy.vanishing_rank(ops) for ops in atlas.vertices.values())
     return ICChainData(10 * 3, 20 * 3, c2, c3)
 
 

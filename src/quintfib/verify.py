@@ -187,7 +187,7 @@ def check_vertex_battery(cfg, exact):
         if prod != monodromy.IDENTITY:
             detail.append(f"{v}: product != Id")
         want = 1 if v.kind == "triple" else 2
-        got = monodromy.vanishing_filtration(ops).rank
+        got = monodromy.vanishing_rank(ops)
         if got != want:
             detail.append(f"{v}: W0 rank {got} != {want}")
     return ("20 commuting triples, product=Id, W0 ranks 1/2",

@@ -10,6 +10,12 @@ Seeded samplers draw in blocks: a draw from a generator (`rng.<method>(...)`
 or `default_rng(...).<method>(...)`) inside a loop or a comprehension must
 pass `size=`.  Each allowlist entry says why its function still draws one
 value at a time, and an entry the detector no longer flags fails as stale.
+
+A dimension is a rank: library code does not build a lattice basis only to
+count it, by `len()` of a `kernel_basis`, `saturate` or `row_hermite_form`
+call (or of a call of a library function that returns one) or by `.rank`
+read off a `vanishing_filtration(...)` call; it calls `ratkernel.rank` or
+`monodromy.vanishing_rank`.
 """
 
 import ast
@@ -34,6 +40,8 @@ SCALAR_DRAWS_ALLOWED = {
     ("verify.py", "check_property_suite"):
         "c12's stream, pinned with random_relabeling's; ROADMAP item 18",
 }
+
+LATTICE_BASES = {"kernel_basis", "saturate", "row_hermite_form"}
 
 
 def _called_name(call):
@@ -144,3 +152,81 @@ def test_detector_flags_scalar_draws_in_loops():
     assert _scalar_draws_in_loops(tree) == [
         ("f", 3, "uniform"), ("f", 6, "integers"), ("f", 7, "normal"),
         ("f", 8, "random")]
+
+
+def _basis_builders(trees):
+    """LATTICE_BASES and every function of the trees that returns a call of
+    one of them, as `dual_invariants` returned its `kernel_basis`."""
+    builders = set(LATTICE_BASES)
+    defs = [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    while True:
+        more = {d.name for d in defs if d.name not in builders
+                and any(isinstance(r, ast.Return) and isinstance(r.value, ast.Call)
+                        and _called_name(r.value) in builders for r in ast.walk(d))}
+        if not more:
+            return builders
+        builders |= more
+
+
+def _counted_bases(tree, builders):
+    """(function, line, what) of every `len()` of a call of one of the
+    builders and every `.rank` of a `vanishing_filtration` call; function
+    is the innermost enclosing def."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and _called_name(node) == "len"
+                and len(node.args) == 1 and isinstance(node.args[0], ast.Call)
+                and _called_name(node.args[0]) in builders):
+            found.add((function, node.lineno, f"len({_called_name(node.args[0])})"))
+        if (isinstance(node, ast.Attribute) and node.attr == "rank"
+                and isinstance(node.value, ast.Call)
+                and _called_name(node.value) == "vanishing_filtration"):
+            found.add((function, node.lineno, "vanishing_filtration.rank"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def _library_trees():
+    return {path.relative_to(SRC).as_posix():
+            ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.rglob("*.py"))}
+
+
+def test_dimensions_are_ranks():
+    trees = _library_trees()
+    builders = _basis_builders(trees.values())
+    hits = [f"{rel}:{line} {function}: {what}" for rel, tree in trees.items()
+            for function, line, what in _counted_bases(tree, builders)]
+    assert not hits, "lattice bases built only to be counted:\n" + "\n".join(hits)
+
+
+def test_detector_flags_counted_bases():
+    tree = ast.parse(
+        "def dual_invariants(ops):\n"
+        "    return ratkernel.kernel_basis(stack(ops))\n"
+        "\n"
+        "def ic_chain_dims(atlas):\n"
+        "    c2 = sum(len(monodromy.dual_invariants([op])) for op in legs)\n"
+        "    c3 = sum(len(dual_invariants(ops)) for ops in vertices)\n"
+        "    return len(saturate(vecs)) + len(rk.row_hermite_form(rows))\n"
+        "\n"
+        "def check_vertex_battery(cfg, exact):\n"
+        "    got = monodromy.vanishing_filtration(ops).rank\n"
+        "    w = vanishing_filtration(ops)\n"
+        "    gens = ratkernel.kernel_basis(rows)\n"
+        "    return w.rank, len(gens), len(w.basis), vanishing_rank(ops)\n")
+    builders = _basis_builders([tree])
+    assert builders == LATTICE_BASES | {"dual_invariants"}
+    assert _counted_bases(tree, builders) == [
+        ("check_vertex_battery", 10, "vanishing_filtration.rank"),
+        ("ic_chain_dims", 5, "len(dual_invariants)"),
+        ("ic_chain_dims", 6, "len(dual_invariants)"),
+        ("ic_chain_dims", 7, "len(row_hermite_form)"),
+        ("ic_chain_dims", 7, "len(saturate)")]

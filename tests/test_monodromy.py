@@ -315,17 +315,18 @@ def test_mirror_pullback_conjugate_to_dual():
 
 
 def test_dual_invariant_dimensions():
-    # invariants of the dual system: dim 1 at pair vertices, 2 at triples
+    # invariants of the dual system, of dimension 3 - rank W0: 1 at pair
+    # vertices, 2 at triples
     verts, _ = enumerate_graph()
     for v in verts:
         ops = mono.vertex_monodromies(v)
-        inv = mono.dual_invariants(ops)
-        assert len(inv) == (1 if v.kind == "pair" else 2)
+        assert 3 - mono.vanishing_rank(ops) == (1 if v.kind == "pair" else 2)
 
 
 def test_dual_invariants_match_the_inverse_transpose_stack():
-    # dual_invariants stacks T^T - I; the definition stacks T^{-T} - I,
-    # which has the same row space
+    # the dual invariants are the kernel of the stacked T^{-T} - I, whose
+    # rows span the lattice of the columns of T - I, so their dimension is
+    # 3 - vanishing_rank; and vanishing_rank is the saturated W0's rank
     verts, legs = enumerate_graph()
     families = [[mono.leg_monodromy(leg)] for leg in legs]
     families += [mono.vertex_monodromies(v) for v in verts]
@@ -333,9 +334,19 @@ def test_dual_invariants_match_the_inverse_transpose_stack():
     eye = np.eye(3, dtype=int)
     for ops in families:
         stacked = np.concatenate([_array(o.dual().matrix) - eye for o in ops], axis=0)
-        want = rk.kernel_basis(stacked)
-        got = mono.dual_invariants(ops)
-        assert got == want
+        rank = mono.vanishing_rank(ops)
+        assert 3 - rank == len(rk.kernel_basis(stacked))
+        assert rank == mono.vanishing_filtration(ops).rank
+
+
+def test_vanishing_rank_refuses_an_empty_family_and_mixed_basepoints():
+    leg = GraphEdge(frozenset({2, 4}), 3)
+    mixed = [mono.leg_monodromy(leg, ChartId(5, 4)),
+             mono.leg_monodromy(leg, ChartId(1, 4))]
+    with pytest.raises(ValueError, match="at least one operator"):
+        mono.vanishing_rank([])
+    with pytest.raises(ValueError, match="share a basepoint"):
+        mono.vanishing_rank(mixed)
 
 
 def test_expand_relations_consistency():

@@ -29,9 +29,10 @@ def test_rank_zero_matrix():
 
 
 def test_empty_matrices_have_rank_zero_and_a_full_kernel():
-    # an empty list is the empty sparse matrix; it used to be refused as a
-    # dense matrix with no rows
+    # an empty list or tuple is the empty sparse matrix; each used to be
+    # refused as a dense matrix with no rows
     assert rk.rank([]) == 0
+    assert rk.rank(()) == 0
     assert rk.rank(_zeros(0, 3)) == 0
     assert rk.rank(_zeros(0, 0)) == 0
     assert rk.kernel_basis(_zeros(0, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

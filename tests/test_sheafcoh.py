@@ -215,11 +215,11 @@ def test_ic_chain_dims():
     ic = sc.ic_chain_dims(mono.atlas())
     assert ic.dims() == (30, 60, 60, 30)
     assert ic.chi == 0
-    # each leg contributes 2 to c2; the vertex counts behind c3 are
-    # test_monodromy's test_dual_invariant_dimensions
+    # each leg's W0 has rank 1, so it contributes 2 to c2; the vertex
+    # counts behind c3 are test_monodromy's test_dual_invariant_dimensions
     _, legs = enumerate_graph()
     for leg in legs:
-        assert len(mono.dual_invariants([mono.leg_monodromy(leg)])) == 2
+        assert mono.vanishing_rank([mono.leg_monodromy(leg)]) == 1
 
 
 def test_cycle_L_boundary_vanishes():
