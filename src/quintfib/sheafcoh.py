@@ -72,12 +72,22 @@ _IDENTITY = Relabeling({}, {})
 
 
 def random_relabeling(rng):
-    """A random relabeling consistent with the antidiagonal index rule."""
-    # 1 + integers(4) draws the unit rng.choice([1, 2, 3, 4]) draws: seeded runs pin it
-    tri = {t: (1 + int(rng.integers(4)), int(rng.integers(5)), int(rng.integers(5)))
+    """A random relabeling consistent with the antidiagonal index rule.
+
+    `rng` is a `random.Random` or a numpy `Generator`: it is drawn only
+    through `choice` and `shuffle`, which both have.  A `Generator` gives
+    the stream that seeded runs pin: `choice` of the four units draws as
+    `1 + integers(4)`, `choice` of the five shifts as `integers(5)`, and a
+    shuffled `[0, ..., 4]` as `permutation(5)`.
+    """
+    tri = {t: (int(rng.choice((1, 2, 3, 4))), int(rng.choice(range(5))),
+               int(rng.choice(range(5))))
            for t in _TRIPLES}
-    perms = {(tuple(sorted(leg.pair)), leg.apex): tuple(rng.permutation(5).tolist())
-             for leg in _LEGS}
+    perms = {}
+    for leg in _LEGS:
+        perm = list(range(5))
+        rng.shuffle(perm)
+        perms[tuple(sorted(leg.pair)), leg.apex] = tuple(perm)
     return Relabeling(tri, perms)
 
 

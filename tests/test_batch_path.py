@@ -35,10 +35,11 @@ SCALAR_DRAWS_ALLOWED = {
         "meets the f-drift defect at a seed; it waits for the DOP853 "
         "integrator (ROADMAP item 2), then item 20",
     ("sheafcoh.py", "random_relabeling"):
-        "test_random_relabeling_keeps_its_draw_stream pins c12's stream; "
-        "ROADMAP item 18 redraws it",
+        "draws through choice and shuffle, which random.Random has without a "
+        "block draw; test_random_relabeling_keeps_its_draw_stream pins the "
+        "numpy stream",
     ("verify.py", "check_property_suite"):
-        "c12's stream, pinned with random_relabeling's; ROADMAP item 18",
+        "c12 draws from random.Random, which has no block draw",
 }
 
 LATTICE_BASES = {"kernel_basis", "saturate", "row_hermite_form"}

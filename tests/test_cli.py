@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from quintfib import cli, verify
+from quintfib import cli, fibercensus, verify
 
 import contract
 
@@ -44,6 +45,15 @@ def test_census_subcommand(capsys):
     payload = json.loads(out)
     counts = {r["fiber"]: r["count"] for r in payload["rows"]}
     assert counts["II5x5"] == 10 and counts["I5"] == 30
+
+
+def test_census_choices_are_the_fibrations():
+    # the parser spells the choices out, so that building it loads no module
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    fibration = next(a for a in sub.choices["census"]._actions
+                     if a.dest == "fibration")
+    assert fibration.choices == fibercensus.FIBRATIONS
 
 
 def test_euler_subcommand(capsys):

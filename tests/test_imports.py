@@ -1,6 +1,7 @@
 """Every top-level import in the library is used by the module that makes
-it, the command line loads no test-only dependency, and its exact
-subcommands load neither numpy nor fractions."""
+it, the command line loads no test-only dependency, importing it loads no
+library module, and its exact subcommands load only the modules they run
+and neither numpy nor fractions."""
 
 import ast
 import json
@@ -69,45 +70,61 @@ def test_cli_imports_no_test_dependency():
     assert loaded == []
 
 
-EXACT_SUBCOMMANDS = [["graph"], ["monodromy", "--leg", "2,4,3"], ["census"],
-                     ["euler"], ["spectral"], ["spectral", "--explain", "K3"],
-                     ["toric"]]
+# each exact subcommand with the library modules it loads, beyond the
+# package and the CLI
+_SHEAFCOH = {"basecomplex", "monodromy", "ratkernel", "sheafcoh"}
+EXACT_SUBCOMMANDS = [
+    (["graph"], {"basecomplex"}),
+    (["monodromy", "--leg", "2,4,3"], {"basecomplex", "monodromy", "ratkernel"}),
+    (["census"], {"basecomplex", "fibercensus"}),
+    (["euler"], {"basecomplex", "fibercensus"}),
+    (["spectral"], _SHEAFCOH),
+    (["spectral", "--explain", "K3"], _SHEAFCOH),
+    (["toric"], {"ratkernel", "toriccrepant"}),
+    (["verify-all", "--skip", "numeric"],
+     _SHEAFCOH | {"fibercensus", "toriccrepant", "verify"}),
+]
 COVERING_ARGV = ["covering", "--r1", "1.0", "--r2", "1.0"]
 
-# in one fresh interpreter: import the CLI, run each exact subcommand and
-# note whether numpy and fractions are loaded after it, then run
-# `covering`, which imports the numeric layer on demand, and report its
-# exit code and stdout
+# in a fresh interpreter: import the CLI and run one subcommand, and report
+# the library modules and which of numpy and fractions are loaded after the
+# import and after the run, with the exit code and stdout
 _LAZY_SCRIPT = """
 import contextlib, io, json, sys
-from quintfib import cli
 def loaded():
-    return [m for m in ("numpy", "fractions") if m in sys.modules]
-seen = {"import": loaded()}
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(argv)
-    seen[" ".join(argv)] = loaded()
+    return {"library": sorted(m.partition(".")[2] for m in sys.modules
+                              if m.startswith("quintfib.") and m != "quintfib.cli"),
+            "numeric": [m for m in ("numpy", "fractions") if m in sys.modules]}
+from quintfib import cli
+after_import = loaded()
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    code = cli.main(json.loads(sys.argv[2]))
-print(json.dumps({"loaded": seen, "code": code, "stdout": out.getvalue(),
-                  "numpy after covering": "numpy" in sys.modules}))
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"import": after_import, "run": loaded(), "code": code,
+                  "stdout": out.getvalue()}))
 """
 
 
 def test_exact_subcommands_load_no_numpy():
-    """`import quintfib.cli` and the exact subcommands run on Python ints
-    alone, loading neither numpy nor fractions; `covering` still loads the
-    numeric layer and prints its golden."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCRIPT, json.dumps(EXACT_SUBCOMMANDS),
-         json.dumps(COVERING_ARGV)],
-        env=_env(), capture_output=True, text=True, check=True)
-    got = json.loads(proc.stdout)
-    assert got["loaded"] == {"import": [],
-                             **{" ".join(argv): [] for argv in EXACT_SUBCOMMANDS}}
+    """`import quintfib.cli` loads no library module, and each exact
+    subcommand and `verify-all --skip numeric` load only the modules they
+    run, on Python ints alone: neither numpy nor fractions; `covering`
+    still loads the numeric layer and prints its golden."""
+    argvs = [argv for argv, _ in EXACT_SUBCOMMANDS] + [COVERING_ARGV]
+    procs = [subprocess.Popen([sys.executable, "-c", _LAZY_SCRIPT, json.dumps(argv)],
+                              env=_env(), stdout=subprocess.PIPE, text=True)
+             for argv in argvs]  # one interpreter each, run side by side
+    outs = [proc.communicate()[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * len(procs)
+    got = {" ".join(argv): json.loads(out) for argv, out in zip(argvs, outs)}
+    nothing = {"library": [], "numeric": []}
+    assert {name: run["import"] for name, run in got.items()} == dict.fromkeys(got, nothing)
+    for argv, modules in EXACT_SUBCOMMANDS:
+        run = got[" ".join(argv)]
+        assert (run["code"], run["run"]) == (
+            0, {"library": sorted(modules), "numeric": []}), argv
+    covering = got[" ".join(COVERING_ARGV)]
     golden = (SRC.parents[1] / "tests" / "goldens" / "cli-covering.txt").read_text()
-    assert (f"$ quintfib {' '.join(COVERING_ARGV)}\n# exit {got['code']}\n"
-            f"{got['stdout']}") == golden
-    assert got["numpy after covering"]
+    assert (f"$ quintfib {' '.join(COVERING_ARGV)}\n# exit {covering['code']}\n"
+            f"{covering['stdout']}") == golden
+    assert "numpy" in covering["run"]["numeric"]

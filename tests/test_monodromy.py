@@ -301,9 +301,11 @@ def test_dual_of_a_non_unimodular_operator_is_refused():
 def test_mirror_pullback_conjugate_to_dual():
     """The base involution carries the local system to its dual: a single
     unimodular matrix conjugates the mirror-vertex triple into the
-    inverse-transposes of the pair-vertex triple."""
-    for pair in ({2, 4}, {1, 2}, {3, 5}):
-        pv = GraphVertex(frozenset(pair))
+    inverse-transposes of the pair-vertex triple, at each of the 10 pair
+    vertices."""
+    pairs = [v for v in enumerate_graph()[0] if v.kind == "pair"]
+    assert len(pairs) == 10
+    for pv in pairs:
         c = mono.mirror_dual_conjugator(pv)
         assert c is not None
         assert abs(rk.det(c)) == 1
