@@ -28,8 +28,8 @@ Each u-root is checked against the equation at a tolerance scaled with the
 equation's size, the second u-root is dropped when it lies within five
 times the theta tolerance of the first, since theta = u / 5 locally (so
 the two u-roots of a point close enough to a boundary curve merge into
-one), and only then is each kept root lifted to its 25 phases
-(u + 2 pi m) / 5.
+one).  Each kept root stands for its 25 phases (u + 2 pi m) / 5, so
+covering_count counts 25 per kept root without building them.
 """
 
 import warnings
@@ -89,14 +89,13 @@ def _tolerances(R1, R2, tol):
     return 1e-7 * scale, max(1e-6, 2.0 * np.sqrt(max(1e-12, 10.0 * tol * scale)))
 
 
-def covering_roots(r1, r2, tol):
-    """All torus solutions over one fattened-interior or boundary point, as
-    a list of (theta1, theta2) tuples."""
+def _kept_roots(r1, r2, tol):
+    """The (n, 2) u-roots over one fattened-interior or boundary point that
+    survive `_dedupe`; each stands for the 25 torus solutions `_lift` gives."""
     _check_tol(tol)
     R1, R2 = float(r1) ** 5, float(r2) ** 5
     verify_tol, dedupe_tol = _tolerances(R1, R2, tol)
-    roots = _lift(_dedupe(_reduced_roots(R1, R2, verify_tol), 5.0 * dedupe_tol))
-    return list(map(tuple, roots.tolist()))
+    return _dedupe(_reduced_roots(R1, R2, verify_tol), 5.0 * dedupe_tol)
 
 
 def covering_stratum(r1, r2, tol):
@@ -119,4 +118,4 @@ def covering_count(r1, r2, tol=1e-9):
     if stratum == FattenedStratum.VERTEX0:
         # r1^5 e^{5 i theta} = -1 on the unit circle: five phases
         return 5
-    return len(covering_roots(r1, r2, tol=tol))
+    return 25 * len(_kept_roots(r1, r2, tol))

@@ -10,7 +10,11 @@ defining quintic.
 z_i is a root of z^5 - a z + b, where a = 5 psi (prod others) and
 b = sum others^5 are built as arrays, and is followed by Newton
 continuation on all loops at once: from b/a at the first step, then from
-the previous step's root.  Rouché's theorem certifies each step, closing
+the previous step's root.  The steps are solved together, as a fixed
+point: Newton on every step from b/a, then passes that solve again, each
+from its predecessor's root, only the steps whose predecessor's bits
+changed, until none does; the track is the step-by-step one, bit for bit.
+Rouché's theorem certifies each step, closing
 back onto the first, from the tracked root alone, so no root jump goes
 unnoticed and the track closes; and along the loop |z_i| must stay below
 the least modulus of the other coordinates.  An uncertified step and a loop
@@ -19,7 +23,7 @@ outside its chart each raise ArithmeticError naming the loop.
 Pairing against the logarithmic form d log(z_l / z_m) is the winding
 number of z_l / z_m around the loop, accumulated from phase increments.
 The loop's coordinates do not depend on the form, so a call computes each
-loop once and every form it is given reads the same coordinates.
+loop once, and all its (loop, form) pairs wind in one pass over them.
 `loop_pairings` takes many loops in one batch; `loop_pairing_detailed` is
 its one-loop call.
 """
@@ -46,23 +50,51 @@ class PairingResult:
     min_coordinate: float
 
 
+def _newton_steps(a, b, w):
+    """One continuation step per row of w: Newton on z^5 - a z + b from the
+    row, updating all of it until every update in it is at rounding level,
+    which a NaN update never is (NEWTON_CAP at most)."""
+    out = np.empty_like(w)
+    steps = np.arange(len(w))
+    for _ in range(NEWTON_CAP):
+        w4 = (w * w) ** 2
+        dw = (w * (w4 - a) + b) / (5.0 * w4 - a)
+        w = w - dw
+        done = np.all(np.abs(dw) <= NEWTON_TOL * np.abs(w), axis=1)
+        if np.count_nonzero(done):
+            out[steps[done]] = w[done]
+            keep = ~done
+            steps, w, a, b = steps[keep], w[keep], a[keep], b[keep]
+            if not steps.size:
+                return out
+    out[steps] = w
+    return out
+
+
 def _continue_root(a, b, start):
     """(L, N_STEPS) track of a root of z^5 - a z + b along the rows of a and
-    b, from `start` at the first step.  Each step runs Newton from the last
-    root on all rows until every update is at rounding level, which a NaN
-    update never is (NEWTON_CAP at most)."""
-    track = np.empty_like(a)
-    w = start
-    for s in range(a.shape[1]):
-        a_s, b_s = a[:, s], b[:, s]
-        for _ in range(NEWTON_CAP):
-            w4 = (w * w) ** 2
-            dw = (w * (w4 - a_s) + b_s) / (5.0 * w4 - a_s)
-            w = w - dw
-            if np.count_nonzero(np.abs(dw) <= NEWTON_TOL * np.abs(w)) == w.size:
-                break
-        track[:, s] = w
-    return track
+    b, from `start` at the first step and from the previous step's root at
+    every later one, each step solved by `_newton_steps` on all L rows.
+
+    All steps are solved at once as a fixed point: first each from b/a,
+    then, pass after pass, each step whose predecessor's root has other bits
+    than the start it was last solved from, until none has.  Pass k fixes
+    step k, and the continuation's recurrence has one solution, so the track
+    is the step-by-step one.  Bits are compared as uint64 words, since ==
+    equates +0 and -0 and never equates NaN."""
+    a, b = a.T, b.T  # step-major: one step's roots are a row
+    guess = b / a
+    guess[0] = start
+    track = _newton_steps(a, b, guess)
+    todo = np.arange(1, len(a))
+    while True:
+        moved = track[todo - 1].view(np.uint64) != guess[todo].view(np.uint64)
+        todo = todo[np.any(moved, axis=1)]
+        if not todo.size:
+            return track.T
+        guess[todo] = track[todo - 1]
+        track[todo] = _newton_steps(a[todo], b[todo], guess[todo])
+        todo = todo[todo < len(a) - 1] + 1
 
 
 def _certify(track, a, b, loops):
@@ -124,19 +156,30 @@ def _loop_coordinates(loops, psi):
     return z, worst
 
 
-def _winding(z, loop, form):
-    """PairingResult of d log(z_l / z_m) on the loop coordinates z."""
-    l, m = form
-    min_coord = np.min(np.abs(z[:, [l - 1, m - 1]]))
-    if min_coord < POLE_TOL:
+def _windings(z, loops, forms):
+    """Per loop, one PairingResult of d log(z_l / z_m) on its coordinates
+    z[n] for each form (l, m) of forms[n], all pairs in one pass.  The first
+    pair, in loop then form order, that passes within POLE_TOL of a pole of
+    its form raises ArithmeticError."""
+    pairs = [(n, tuple(f)) for n, fs in enumerate(forms) for f in fs]
+    k, l, m = np.array([(n, l - 1, m - 1) for n, (l, m) in pairs],
+                       dtype=int).reshape(-1, 3).T
+    zl, zm = z[k, :, l], z[k, :, m]
+    min_coord = np.minimum(np.abs(zl).min(axis=1), np.abs(zm).min(axis=1))
+    near = np.flatnonzero(min_coord < POLE_TOL)
+    if near.size:
         raise ArithmeticError(
-            f"loop passes within {min_coord:.2e} of a pole of the form")
-    ratio_args = np.angle(z[:, l - 1] / z[:, m - 1])
-    closed = np.unwrap(np.append(ratio_args, ratio_args[0]))
-    winding = (closed[-1] - closed[0]) / (2.0 * np.pi)
-    value = int(np.rint(winding))
-    return PairingResult(value, float(abs(winding - value)), loop,
-                         (l, m), float(min_coord))
+            f"loop passes within {min_coord[near[0]]:.2e} of a pole of the form")
+    ratio_args = np.angle(zl / zm)
+    closed = np.unwrap(np.concatenate([ratio_args, ratio_args[:, :1]], axis=1), axis=1)
+    winding = (closed[:, -1] - closed[:, 0]) / (2.0 * np.pi)
+    value = np.rint(winding)
+    residue = np.abs(winding - value)
+    results = [[] for _ in loops]
+    for (n, form), v, r, c in zip(pairs, value.tolist(), residue.tolist(),
+                                  min_coord.tolist()):
+        results[n].append(PairingResult(int(v), r, loops[n], form, c))
+    return results
 
 
 def loop_pairings(loops, forms, psi):
@@ -155,8 +198,9 @@ def loop_pairings(loops, forms, psi):
     for loop, fs in zip(loops, forms):
         indices = [*loop, *(x for f in fs for x in f)]
         if len(loop) != 3 or any(len(f) != 2 for f in fs) \
-                or not all(1 <= x <= 5 for x in indices):
-            raise ValueError("a loop takes three indices and a form two, each in 1..5")
+                or not all(type(x) is int and 1 <= x <= 5 for x in indices):
+            raise ValueError("a loop takes three indices and a form two, "
+                             "each an int in 1..5")
         if len(set(loop)) != 3:
             raise ValueError("loop indices must be distinct")
         if any(l == m for l, m in fs):
@@ -166,8 +210,7 @@ def loop_pairings(loops, forms, psi):
     if not loops:
         return []
     z, _ = _loop_coordinates(loops, psi)
-    return [[_winding(zl, loop, form) for form in fs]
-            for zl, loop, fs in zip(z, loops, forms)]
+    return _windings(z, loops, forms)
 
 
 def loop_pairing_detailed(loop, forms, psi=10.0):

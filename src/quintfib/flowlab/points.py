@@ -164,25 +164,39 @@ def _x_infinity_rows(rng, n):
     One homogeneous coordinate is set to zero, the others get moduli in
     [0.6, 1.4] and uniform phases; the largest coordinate normalizes the
     chart.  Samples too close to the singular surface (tiny gradient of s)
-    are drawn again.
+    are rejected, and RuntimeError follows MAX_TRIES rejections in a row.
+
+    The samples come in rounds.  A round draws the missing candidates, but
+    no more than the rejections left before MAX_TRIES, each by its nine
+    scalar draws (the zero index, then modulus and phase per coordinate);
+    charts them and tests them as arrays; and keeps the accepted ones in
+    draw order.  So the rows are those of drawing and testing one candidate
+    at a time, and the generator ends where that leaves it.
     """
     rows, charts = np.empty((n, 4), dtype=complex), np.empty(n, dtype=int)
-    for k in range(n):
-        for _ in range(MAX_TRIES):
-            zero_idx = int(rng.integers(1, 6))
-            z = np.zeros((1, 5), dtype=complex)
-            for i in range(1, 6):
-                if i == zero_idx:
-                    continue
-                r = rng.uniform(0.6, 1.4)
-                z[0, i - 1] = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            chart = int(np.argmax(np.abs(z))) + 1
-            x = _chart_rows(z, chart)
-            ds, pole = _s_gradient_rows(x)
-            if not pole[0] and _sum4(ds * ds.conj()).real[0] > GRAD_FLOOR:
-                rows[k], charts[k] = x[0], chart
-                break
-        else:
+    kept = rejected = 0
+    while kept < n:
+        m = min(n - kept, MAX_TRIES - rejected)
+        zeros, params = [], []
+        for _ in range(m):
+            zeros.append(int(rng.integers(1, 6)))
+            params.append([rng.uniform(lo, hi) for _ in range(4)
+                           for lo, hi in ((0.6, 1.4), (0.0, 2.0 * np.pi))])
+        params = np.array(params).reshape(m, 4, 2)
+        z = np.zeros((m, 5), dtype=complex)
+        others = [[i - 1 for i in coord_indices(zero)] for zero in zeros]
+        z[np.arange(m)[:, None], others] = params[..., 0] * np.exp(1j * params[..., 1])
+        chart = np.abs(z).argmax(axis=1) + 1
+        x = np.empty((m, 4), dtype=complex)
+        for c in set(chart.tolist()):
+            x[chart == c] = _chart_rows(z[chart == c], c)
+        ds, pole = _s_gradient_rows(x)
+        accepted = np.flatnonzero(~pole & (_sum4(ds * ds.conj()).real > GRAD_FLOOR))
+        rows[kept:kept + accepted.size] = x[accepted]
+        charts[kept:kept + accepted.size] = chart[accepted]
+        kept += accepted.size
+        rejected = m - 1 - int(accepted[-1]) if accepted.size else rejected + m
+        if rejected == MAX_TRIES:
             raise RuntimeError("failed to sample a smooth large-complex-limit point")
     return rows, charts
 

@@ -31,9 +31,10 @@ LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp,
 # (module, function): seeded draws of one value at a time in a loop
 SCALAR_DRAWS_ALLOWED = {
     ("flowlab/points.py", "_x_infinity_rows"):
-        "c07's starts: a block draw changes the stream, and so whether c07 "
-        "meets the f-drift defect at a seed; it waits for the DOP853 "
-        "integrator (ROADMAP item 2), then item 20",
+        "c07's starts: scalar draws keep the pinned stream, and the rounds "
+        "chart and test their candidates as arrays; a block draw changes "
+        "the stream, and so whether c07 meets the f-drift defect at a seed, "
+        "so it waits for the DOP853 integrator (ROADMAP item 2)",
     ("sheafcoh.py", "random_relabeling"):
         "draws through choice and shuffle, which random.Random has without a "
         "block draw; test_random_relabeling_keeps_its_draw_stream pins the "

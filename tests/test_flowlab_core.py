@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quintfib import flowlab as fl
+from quintfib.flowlab import points
 from quintfib.flowlab.gradient import _omega_rows
 from quintfib.flowlab.points import _chart_rows, _eval_s_rows, _quintic, _quintic_gradient
 
@@ -204,6 +205,84 @@ def test_im_s_stationary_along_V():
         hp = np.imag(fl.eval_s(fl.AffinePoint(p.chart, tuple(x + h * v))))
         hm = np.imag(fl.eval_s(fl.AffinePoint(p.chart, tuple(x - h * v))))
         assert abs((hp - hm) / (2 * h)) < 1e-5
+
+
+def _sequential_x_infinity_rows(rng, n):
+    """The start sampler one candidate at a time: draw, chart and test each
+    candidate as a one-row array, and draw again after a rejection."""
+    rows, charts = np.empty((n, 4), dtype=complex), np.empty(n, dtype=int)
+    for k in range(n):
+        for _ in range(points.MAX_TRIES):
+            zero_idx = int(rng.integers(1, 6))
+            z = np.zeros((1, 5), dtype=complex)
+            for i in range(1, 6):
+                if i == zero_idx:
+                    continue
+                r = rng.uniform(0.6, 1.4)
+                z[0, i - 1] = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            chart = int(np.argmax(np.abs(z))) + 1
+            x = _chart_rows(z, chart)
+            ds, pole = points._s_gradient_rows(x)
+            if not pole[0] and points._sum4(ds * ds.conj()).real[0] > points.GRAD_FLOOR:
+                rows[k], charts[k] = x[0], chart
+                break
+        else:
+            raise RuntimeError("failed to sample a smooth large-complex-limit point")
+    return rows, charts
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_x_infinity_rounds_are_the_sequential_sampler(seed, n):
+    # same rows and charts, and the generator left at the same draw
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows, charts = points._x_infinity_rows(ours, n)
+    want_rows, want_charts = _sequential_x_infinity_rows(theirs, n)
+    assert rows.tobytes() == want_rows.tobytes()
+    assert charts.tolist() == want_charts.tolist()
+    assert ours.random() == theirs.random()
+
+
+class _CountingGenerator:
+    """A generator that counts the candidates drawn: one `integers` call
+    (the zero index) each."""
+
+    def __init__(self, seed):
+        self.rng, self.candidates = np.random.default_rng(seed), 0
+
+    def integers(self, *args):
+        self.candidates += 1
+        return self.rng.integers(*args)
+
+    def uniform(self, *args):
+        return self.rng.uniform(*args)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_x_infinity_sampler_gives_up_after_max_tries(n, monkeypatch):
+    monkeypatch.setattr(points, "GRAD_FLOOR", np.inf)
+    rng = _CountingGenerator(0)
+    with pytest.raises(RuntimeError, match="failed to sample"):
+        points._x_infinity_rows(rng, n)
+    assert rng.candidates == points.MAX_TRIES
+
+
+@pytest.mark.parametrize("floor", [2.0, 6.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_x_infinity_rounds_follow_rare_acceptance(floor, seed, monkeypatch):
+    # about 3% and 1% of candidates pass these floors, so runs of
+    # rejections cross rounds, and some reach MAX_TRIES
+    monkeypatch.setattr(points, "GRAD_FLOOR", floor)
+    outcomes = []
+    for sampler in (points._x_infinity_rows, _sequential_x_infinity_rows):
+        rng = _CountingGenerator(seed)
+        try:
+            rows, charts = sampler(rng, 20)
+            outcome = (rows.tobytes(), charts.tolist())
+        except RuntimeError:
+            outcome = "raised"
+        outcomes.append((outcome, rng.candidates))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_chart_change_round_trip():

@@ -80,7 +80,7 @@ def test_covering_refuses_bad_tolerances(tol):
     used to classify it as outside, since every comparison with NaN fails."""
     for call in (lambda: fl.covering_count(1.0, 1.0, tol=tol),
                  lambda: fl.covering_stratum(1.0, 1.0, tol),
-                 lambda: fl.covering_roots(1.0, 1.0, tol)):
+                 lambda: covering._kept_roots(1.0, 1.0, tol)):
         with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
             call()
 
@@ -269,6 +269,56 @@ def test_pairing_continuation_rejects_unclosed_loop():
         pairing._certify(track, a, b, loops)
 
 
+def _sequential_track(a, b, start):
+    """The continuation one step at a time: at each step, Newton from the
+    last root on all rows until every update is at rounding level (at most
+    NEWTON_CAP updates)."""
+    track = np.empty_like(a)
+    w = start
+    for s in range(a.shape[1]):
+        a_s, b_s = a[:, s], b[:, s]
+        for _ in range(pairing.NEWTON_CAP):
+            w4 = (w * w) ** 2
+            dw = (w * (w4 - a_s) + b_s) / (5.0 * w4 - a_s)
+            w = w - dw
+            if np.count_nonzero(np.abs(dw) <= pairing.NEWTON_TOL * np.abs(w)) == w.size:
+                break
+        track[:, s] = w
+    return track
+
+
+@pytest.mark.parametrize("psi", [10.0, 2.0, 0.9, 0.8, 0.7, 0.5])
+def test_continuation_fixed_point_is_the_sequential_track(psi, monkeypatch):
+    # at psi 0.8 and below the b/a starts fall in another root's basin after
+    # about step 53, so the passes fix about one step each there
+    seen = []
+    inner = pairing._continue_root
+    monkeypatch.setattr(pairing, "_continue_root",
+                        lambda *args: seen.append(args) or inner(*args))
+    try:
+        pairing._loop_coordinates(C09_LOOPS, psi)
+    except ArithmeticError:
+        assert psi < 0.9
+    a, b, start = seen[0]
+    assert inner(a, b, start).tobytes() == _sequential_track(a, b, start).tobytes()
+
+
+def test_continuation_fixed_point_from_a_large_root():
+    _, a, b = _tracks(C09_LOOPS[:1], 10.0)
+    roots = np.roots([1, 0, 0, 0, -a[0, 0], b[0, 0]])
+    start = roots[np.argmax(np.abs(roots))][None]
+    assert (pairing._continue_root(a, b, start).tobytes()
+            == _sequential_track(a, b, start).tobytes())
+
+
+@pytest.mark.parametrize("loop, form", [((1.0, 2, 3), (3, 2)), ((1, 2, 3), (3.0, 2)),
+                                        ((True, 2, 3), (3, 2)), ((1, 2, 3), (3, True))])
+def test_pairing_refuses_indices_that_are_not_ints(loop, form):
+    # a float index used to fail inside numpy's indexing, and True passed as 1
+    with pytest.raises(ValueError, match="each an int in 1..5"):
+        fl.loop_pairing_detailed(loop, [form])
+
+
 # ------------------------------------------------------------ covering counts
 
 def test_covering_interior_point():
@@ -319,7 +369,7 @@ def test_covering_stable_under_tol_halving():
 
 
 def test_covering_roots_satisfy_equation():
-    roots = fl.covering_roots(1.0, 1.1, 1e-9)
+    roots = covering._lift(covering._kept_roots(1.0, 1.1, 1e-9))
     assert len(roots) == 50
     for t1, t2 in roots:
         val = 1.0 ** 5 * np.exp(5j * t1) + 1.1 ** 5 * np.exp(5j * t2) + 1.0
@@ -379,7 +429,7 @@ def test_covering_passes_agree_on_c10_interior(seed):
     interior, _ = verify.covering_sample_points(seed)
     for r1, r2 in interior:
         searched = _fsolve_roots(r1, r2)
-        closed = fl.covering_roots(r1, r2, 1e-9)
+        closed = covering._lift(covering._kept_roots(r1, r2, 1e-9))
         assert len(searched) == len(closed) == 50
         close = _torus_distances(closed, searched) <= 1e-6
         assert np.all(close.sum(axis=0) == 1)
@@ -438,7 +488,7 @@ def test_covering_count_never_exceeds_50_near_the_boundary():
 
 def test_covering_roots_respect_phase_translation():
     """The solution set is invariant under the order-5 phase translations."""
-    roots = fl.covering_roots(1.0, 1.0, 1e-9)
+    roots = covering._lift(covering._kept_roots(1.0, 1.0, 1e-9))
     shift = 2.0 * np.pi / 5.0
     def close(a, b):
         d = np.abs(np.asarray(a) - np.asarray(b))
