@@ -74,15 +74,6 @@ def _reduced_roots(R1, R2, verify_tol):
     return np.array(out).reshape(-1, 2)
 
 
-def _lift(u):
-    """The 25 theta phases ((u1 + 2 pi m1) / 5, (u2 + 2 pi m2) / 5) of each
-    root, as (25 n, 2)."""
-    m = 2.0 * np.pi * np.arange(5)
-    shifts = np.stack(np.meshgrid(m, m, indexing="ij"), axis=-1)
-    theta = ((np.reshape(u, (-1, 1, 1, 2)) + shifts) / 5.0) % (2.0 * np.pi)
-    return theta.reshape(-1, 2)
-
-
 def _tolerances(R1, R2, tol):
     """(verify_tol, dedupe_tol), scaled with the equation's size."""
     scale = R1 + R2 + 1.0
@@ -91,7 +82,8 @@ def _tolerances(R1, R2, tol):
 
 def _kept_roots(r1, r2, tol):
     """The (n, 2) u-roots over one fattened-interior or boundary point that
-    survive `_dedupe`; each stands for the 25 torus solutions `_lift` gives."""
+    survive `_dedupe`; each stands for the 25 torus solutions
+    theta = ((u1 + 2 pi m1) / 5, (u2 + 2 pi m2) / 5), m1, m2 in 0..4."""
     _check_tol(tol)
     R1, R2 = float(r1) ** 5, float(r2) ** 5
     verify_tol, dedupe_tol = _tolerances(R1, R2, tol)

@@ -15,7 +15,9 @@ the generator x_{lm} restricts to u_l on the apex-k leg, v_m on the apex-i
 leg and w_n on the apex-j leg with n = -l-m (mod 5).  The pair-barycenter
 restriction is the identity under canonical component labeling; cohomology
 is invariant under every relabeling consistent with the index rule, which
-is what justifies the convention (see `random_relabeling`).
+is what justifies the convention: a relabeling maps the columns of each of
+the ten 12x24 triple blocks (`triple_blocks`) unimodularly, so ten blocks
+of rank 12 prove rank 120 under every relabeling.
 
 Sum-zero stalks are coordinatized by dropping the 0-th component (it equals
 minus the sum of the rest).  The differential on a leg is the restriction
@@ -176,6 +178,34 @@ def build_K3(relabeling=None):
     return CechComplex(_cech_dims(K3_STALKS)[0], rows)
 
 
+def triple_blocks(rows):
+    """The triple-column blocks of a K3 differential's 120 rows, as
+    {sorted triple: its 12 sparse rows}, in `_TRIPLES` order.
+
+    A triple's block holds the four rows of each of its three legs, in
+    `_LEGS` order, restricted to the triple's 24 columns and renumbered
+    0..23; the pair columns are dropped.  A leg's rows touch no other
+    triple's columns, so the blocks are the differential restricted to
+    its 240 triple columns, block diagonal.  A row with a nonzero in
+    another triple's columns raises ValueError naming its leg.
+    """
+    t_dim, _, l_dim = K3_STALKS
+    if len(rows) != l_dim * len(_LEGS):
+        raise ValueError(f"expected {l_dim * len(_LEGS)} rows, got {len(rows)}")
+    width = t_dim * len(_TRIPLES)
+    blocks = {t: [] for t in _TRIPLES}
+    for n, leg in enumerate(_LEGS):
+        triple = tuple(sorted(leg.pair | {leg.apex}))
+        offset = t_dim * _TRIPLES.index(triple)
+        for row in rows[l_dim * n:l_dim * (n + 1)]:
+            block_row = {c - offset: x for c, x in row.items() if c < width}
+            if any(not 0 <= c < t_dim for c in block_row):
+                raise ValueError(f"leg {leg}: a row has a nonzero outside "
+                                 f"the columns of its triple {triple}")
+            blocks[triple].append(block_row)
+    return blocks
+
+
 def K3_cohomology(relabeling=None):
     """(h0, h1) of the kernel sheaf by exact rank."""
     return build_K3(relabeling).cohomology_dims()
@@ -196,7 +226,7 @@ def surjectivity_check_pijk():
     The ambient map sends x_{lm} to (u_l, v_m, w_n); its image is exactly
     the triples of vectors with equal component sums (rank 13), and the
     kernel-sheaf restriction of the sum-zero part onto the three sum-zero
-    leg stalks has rank 12, i.e. is surjective.
+    leg stalks (P_123's `triple_blocks` block) has rank 12: it is onto.
     """
     triple = (1, 2, 3)
     i, j, k = triple
@@ -212,11 +242,8 @@ def surjectivity_check_pijk():
     annihilates = all(sum(f * x for f, x in zip(functional, col)) == 0
                       for functional in functionals for col in zip(*amb))
     characterized = annihilates and rank_amb == 13
-    # restricted map on sum-zero coordinates
-    restricted = [{} for _ in range(12)]
-    for r, leg_labels in enumerate(labels):
-        _restriction(leg_labels, restricted[4 * r:4 * r + 4], 0, 1)
-    rank_ker = ratkernel.rank(restricted)
+    # restricted map on sum-zero coordinates: P_123's block of the complex
+    rank_ker = ratkernel.rank(triple_blocks(build_K3().rows)[triple])
     x00 = tuple(int(amb[5 * r + leg_labels[0]][0] == 1)
                 for r, leg_labels in enumerate(labels))
     return SurjectivityReport(rank_amb, rank_ker, characterized,

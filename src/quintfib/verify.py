@@ -8,12 +8,12 @@ excluded from the stability contract).
 Checks are tagged `symbolic` (exact integer/rational results) or `numeric`
 (flow, pairings, root counting), and either tag can be skipped wholesale.
 The symbolic checks share one `ExactData` per run: the chart atlas of
-`monodromy.atlas()` and the sizes and ranks of the unrelabeled K3 Cech
-complex.
+`monodromy.atlas()`, the sizes and ranks of the unrelabeled K3 Cech
+complex, and the ranks of its ten triple blocks.
 
 The numeric checks import numpy and the flow layer when they run, so a run
 that skips them loads neither; the symbolic checks run on Python ints, and
-c12 draws its relabelings and lattices from a seeded `random.Random`.
+c12 draws its saturation lattices from a seeded `random.Random`.
 """
 
 import random
@@ -114,20 +114,24 @@ class VerificationReport:
 
 class ExactData(NamedTuple):  # not a dataclass, for its import cost (see Atlas)
     """The exact data that the symbolic checks share: the chart atlas (the
-    legal transitions and the leg and vertex operators), and the (c0, c1)
-    and (h0, h1) of the unrelabeled K3 Cech complex.  The complex itself
-    is not kept: the run holds this through the numeric checks."""
+    legal transitions and the leg and vertex operators), the (c0, c1) and
+    (h0, h1) of the unrelabeled K3 Cech complex, and {sorted triple: rank}
+    of its ten triple blocks (`sheafcoh.triple_blocks`).  The complex
+    itself is not kept: the run holds this through the numeric checks."""
 
     atlas: monodromy.Atlas
     k3_chains: tuple
     k3_cohomology: tuple
+    k3_block_ranks: dict
 
 
 def exact_data():
     """One run's `ExactData`: the atlas, and the K3 complex built and
-    ranked once."""
+    ranked once, whole and by triple block."""
     k3 = sheafcoh.build_K3()
-    return ExactData(monodromy.atlas(), (k3.c0, k3.c1), k3.cohomology_dims())
+    blocks = sheafcoh.triple_blocks(k3.rows)
+    return ExactData(monodromy.atlas(), (k3.c0, k3.c1), k3.cohomology_dims(),
+                     {t: ratkernel.rank(b) for t, b in blocks.items()})
 
 
 # golden matrices of the transition/monodromy battery, as rows
@@ -358,7 +362,6 @@ def check_harvey_lawson(cfg):
 
 
 def check_property_suite(cfg, exact):
-    rng = random.Random(cfg.seed + 3)
     detail = []
     # transition determinants +-1 over every legal ordered chart pair
     for (a, b), t in exact.atlas.transitions.items():
@@ -371,11 +374,12 @@ def check_property_suite(cfg, exact):
             leg, op.basepoint.divisor))
         if m != GOLDEN_LEG_LOOP:
             detail.append(f"{leg}: nonstandard shear")
-    # kernel-sheaf cohomology is relabeling invariant
-    for _ in range(20):
-        rel = sheafcoh.random_relabeling(rng)
-        if sheafcoh.K3_cohomology(rel) != (160, 0):
-            detail.append("relabeling changed K3 cohomology")
+    # K3 cohomology is relabeling invariant: pair-leg permutations miss the
+    # ten triple blocks and an affine relabeling maps a block's columns
+    # unimodularly, so ten of rank 12 give rank 120 = c1 under every one
+    for triple, r in exact.k3_block_ranks.items():
+        if r != 12:
+            detail.append(f"K3 block of triple {triple} has rank {r} != 12")
     # central symmetry: pointwise for the mirror table; the quintic page is
     # genuinely asymmetric (161 against 1), its abutted Betti numbers are
     # what satisfy the palindrome
@@ -388,6 +392,7 @@ def check_property_suite(cfg, exact):
     if betti != betti[::-1]:
         detail.append(f"quintic abutted Betti not palindromic: {betti}")
     # saturation is idempotent and primitive on random lattices
+    rng = random.Random(cfg.seed + 3)
     for _ in range(20):
         vecs = [[rng.randint(-9, 9) for _ in range(4)]
                 for _ in range(rng.randint(1, 3))]

@@ -368,8 +368,17 @@ def test_covering_stable_under_tol_halving():
         assert a == b
 
 
+def _lift(u):
+    """The 25 theta phases ((u1 + 2 pi m1) / 5, (u2 + 2 pi m2) / 5) of each
+    u-root, as (25 n, 2)."""
+    m = 2.0 * np.pi * np.arange(5)
+    shifts = np.stack(np.meshgrid(m, m, indexing="ij"), axis=-1)
+    theta = ((np.reshape(u, (-1, 1, 1, 2)) + shifts) / 5.0) % (2.0 * np.pi)
+    return theta.reshape(-1, 2)
+
+
 def test_covering_roots_satisfy_equation():
-    roots = covering._lift(covering._kept_roots(1.0, 1.1, 1e-9))
+    roots = _lift(covering._kept_roots(1.0, 1.1, 1e-9))
     assert len(roots) == 50
     for t1, t2 in roots:
         val = 1.0 ** 5 * np.exp(5j * t1) + 1.1 ** 5 * np.exp(5j * t2) + 1.0
@@ -429,7 +438,7 @@ def test_covering_passes_agree_on_c10_interior(seed):
     interior, _ = verify.covering_sample_points(seed)
     for r1, r2 in interior:
         searched = _fsolve_roots(r1, r2)
-        closed = covering._lift(covering._kept_roots(r1, r2, 1e-9))
+        closed = _lift(covering._kept_roots(r1, r2, 1e-9))
         assert len(searched) == len(closed) == 50
         close = _torus_distances(closed, searched) <= 1e-6
         assert np.all(close.sum(axis=0) == 1)
@@ -488,7 +497,7 @@ def test_covering_count_never_exceeds_50_near_the_boundary():
 
 def test_covering_roots_respect_phase_translation():
     """The solution set is invariant under the order-5 phase translations."""
-    roots = covering._lift(covering._kept_roots(1.0, 1.0, 1e-9))
+    roots = _lift(covering._kept_roots(1.0, 1.0, 1e-9))
     shift = 2.0 * np.pi / 5.0
     def close(a, b):
         d = np.abs(np.asarray(a) - np.asarray(b))

@@ -1,10 +1,11 @@
 """The library holds what the program runs.
 
-A public top-level function or class of the library, and a public method
-or property of a library class, must be referred to from outside its own
-body by a library module, the CLI, a demo or a file under perfbench/
-(whose tracer names its targets by string); a name that only tests reach
-is a dead helper.  A defaulted parameter of a library
+A top-level function (public or private) or public class of the library,
+and a public method or property of a library class, must be referred to
+from outside its own body by a library module, the CLI, a demo or a file
+under perfbench/ (whose tracer names its targets by string); a name that
+only tests reach is a dead helper, and a private one belongs in the tests
+that use it.  A defaulted parameter of a library
 function, and a defaulted field of a library dataclass, must be passed by
 some call site in src/, demos/ or perfbench/: by keyword, by position or
 through `**`, in a call by the function's or the class's name; and when
@@ -20,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "quintfib"
 
-# (module, name): public names only tests reach
+# (module, name): names only tests reach
 NAMES_ALLOWED = {
     ("flowlab/harveylawson.py", "hl_map"):
         "test oracle: test_hl_fiber_samples_satisfy_constraints checks "
@@ -59,14 +60,14 @@ def _references(node, strings):
             yield n.value
 
 
-def _public_definitions(tree):
-    """(name, node) of each public top-level function or class, and
-    ("Class.method", node) of each public method or property of a
+def _definitions(tree):
+    """(name, node) of each top-level function and public top-level class,
+    and ("Class.method", node) of each public method or property of a
     top-level class."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for m in node.body:
@@ -75,9 +76,9 @@ def _public_definitions(tree):
 
 
 def unreached_names(library, programs):
-    """(module, name) of each public top-level function or class, and
-    (module, "Class.method") of each public method or property, that no tree
-    refers to outside the definition's own body.  A method counts as
+    """(module, name) of each top-level function and public top-level
+    class, and (module, "Class.method") of each public method or property,
+    that no tree refers to outside the definition's own body.  A method counts as
     reached by any reference to its bare name."""
     counts = {}
     for tree in library.values():
@@ -88,7 +89,7 @@ def unreached_names(library, programs):
             counts[name] = counts.get(name, 0) + 1
     found = []
     for rel, tree in library.items():
-        for name, node in _public_definitions(tree):
+        for name, node in _definitions(tree):
             own = sum(n == node.name for n in _references(node, strings=False))
             if counts.get(node.name, 0) == own:
                 found.append((rel, name))
@@ -180,7 +181,7 @@ def test_every_public_name_is_reached():
     stale = sorted(set(NAMES_ALLOWED) - found)
     assert not stale, f"allowlisted names that are reached now: {stale}"
     dead = sorted(found - set(NAMES_ALLOWED))
-    assert not dead, "public names no program reaches:\n" + "\n".join(
+    assert not dead, "names no program reaches:\n" + "\n".join(
         f"{rel} {name}" for rel, name in dead)
 
 
@@ -209,6 +210,12 @@ def test_detectors_flag_dead_names_and_unset_defaults():
         "    pass\n"
         "def _private(a=0):\n"
         "    pass\n"
+        "def _helper():\n"
+        "    return 0\n"
+        "def _recursive_helper(n):\n"
+        "    return _recursive_helper(n - 1)\n"
+        "class _Kind:\n"
+        "    pass\n"
         "class Box:\n"
         "    def get(self, key, default=None):\n"
         "        return Box()\n"
@@ -221,7 +228,7 @@ def test_detectors_flag_dead_names_and_unset_defaults():
         "    def size(self):\n"
         "        return 3\n"
         "    def _hidden(self):\n"
-        "        pass\n")}
+        "        return _helper()\n")}
     programs = [ast.parse(
         "used(1, 2)\n"
         "lib.recursive(3)\n"
@@ -229,10 +236,13 @@ def test_detectors_flag_dead_names_and_unset_defaults():
         "Box.make(**opts)\n"
         "print(Box().size)\n"
         "TARGETS = [(lib, 'traced')]\n")]
-    assert unreached_names(library, programs) == [("lib.py", "Box.again")]
+    assert unreached_names(library, programs) == [
+        ("lib.py", "Box.again"), ("lib.py", "_private"),
+        ("lib.py", "_recursive_helper")]
     assert unreached_names(library, []) == [
         ("lib.py", "Box"), ("lib.py", "Box.again"), ("lib.py", "Box.get"),
-        ("lib.py", "Box.make"), ("lib.py", "Box.size"), ("lib.py", "recursive"),
+        ("lib.py", "Box.make"), ("lib.py", "Box.size"), ("lib.py", "_private"),
+        ("lib.py", "_recursive_helper"), ("lib.py", "recursive"),
         ("lib.py", "traced"), ("lib.py", "used")]
     assert unset_defaults(library, programs) == [
         ("lib.py", "_private", "a"), ("lib.py", "recursive", "step"),

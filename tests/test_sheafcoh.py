@@ -7,7 +7,8 @@ import pytest
 from quintfib import monodromy as mono
 from quintfib import ratkernel as rk
 from quintfib import sheafcoh as sc
-from quintfib.basecomplex import enumerate_graph
+from quintfib import verify
+from quintfib.basecomplex import GraphEdge, enumerate_graph
 
 
 def _dense(cx):
@@ -204,6 +205,91 @@ def test_labels_match_the_role_dispatch_reference():
         assert sc.build_K3(rel).rows == _reference_K3_rows(rel)
 
 
+_AFFINE_MAPS = [(unit, alpha, beta) for unit in (1, 2, 3, 4)
+                for alpha in range(5) for beta in range(5)]
+
+
+def test_affine_relabeling_permutes_the_generators():
+    """Under each of the 100 affine maps (unit, alpha, beta), at every
+    triple and apex, the leg labels are the canonical ones composed with
+    the generator permutation (l, m) -> (unit*l + alpha, unit*m + beta):
+    a relabeling only permutes a triple's 25 generators, so on sum-zero
+    coordinates it changes the triple's block by a unimodular column map."""
+    for unit, alpha, beta in _AFFINE_MAPS:
+        perm = [5 * ((unit * l + alpha) % 5) + (unit * m + beta) % 5
+                for l in range(5) for m in range(5)]
+        assert sorted(perm) == list(range(25))
+        for triple in sc._TRIPLES:
+            rel = sc.Relabeling({triple: (unit, alpha, beta)}, {})
+            for apex in triple:
+                canonical = sc._leg_labels(triple, apex, sc._IDENTITY)
+                assert sc._leg_labels(triple, apex, rel) == [canonical[g] for g in perm]
+
+
+def test_every_affine_triple_block_has_rank_12():
+    """All 1,000 (triple, affine map) blocks have rank 12, by brute force:
+    what the permutation lemma proves for every relabeling from the ten
+    canonical blocks that c12 ranks."""
+    for affine in _AFFINE_MAPS:
+        rel = sc.Relabeling(dict.fromkeys(sc._TRIPLES, affine), {})
+        blocks = sc.triple_blocks(sc.build_K3(rel).rows)
+        assert list(blocks) == list(sc._TRIPLES)
+        assert [rk.rank(b) for b in blocks.values()] == [12] * 10
+
+
+def test_pair_leg_permutations_leave_the_triple_blocks():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        rel = sc.random_relabeling(rng)
+        affine_only = sc.Relabeling(rel.triple_affine, {})
+        assert sc.triple_blocks(sc.build_K3(rel).rows) == \
+            sc.triple_blocks(sc.build_K3(affine_only).rows)
+
+
+def test_triple_blocks_are_the_triple_columns():
+    """Shifted back to its triple's offset, each block row is its leg row's
+    part in the 240 triple columns, plain and relabeled."""
+    offsets = {t: 24 * i for i, t in enumerate(sc._TRIPLES)}
+    for rel in (None, sc.random_relabeling(np.random.default_rng(2024))):
+        rows = sc.build_K3(rel).rows
+        blocks = sc.triple_blocks(rows)
+        assert all(len(b) == 12 for b in blocks.values())
+        block_rows = {t: iter(b) for t, b in blocks.items()}
+        for n, leg in enumerate(sc._LEGS):
+            triple = tuple(sorted(leg.pair | {leg.apex}))
+            for row in rows[4 * n:4 * n + 4]:
+                shifted = {offsets[triple] + c: x
+                           for c, x in next(block_rows[triple]).items()}
+                assert shifted == {c: x for c, x in row.items() if c < 240}
+
+
+def test_triple_blocks_refuse_a_foreign_triple_entry():
+    rows = [dict(row) for row in sc.build_K3().rows]
+    assert sc._LEGS[1] == GraphEdge({1, 2}, 4)
+    rows[5][24 * 9 + 3] = 1  # a row of leg Gamma_12^4, in (3, 4, 5)'s columns
+    with pytest.raises(ValueError, match=r"leg Gamma_12\^4: .* \(1, 2, 4\)"):
+        sc.triple_blocks(rows)
+    with pytest.raises(ValueError, match="expected 120 rows, got 116"):
+        sc.triple_blocks(sc.build_K3().rows[:-4])
+
+
+def test_c12_names_a_rank_deficient_triple_block(monkeypatch):
+    """c12 asserts the ten block ranks that `exact_data` holds; a patched
+    `ExactData` with one block of rank 11 fails c12 alone, naming the
+    triple and the rank."""
+    cfg = verify.VerifyConfig(seed=0, skip="numeric")
+    exact = verify.exact_data()
+    assert exact.k3_block_ranks == dict.fromkeys(sc._TRIPLES, 12)
+    assert verify.check_property_suite(cfg, exact)[1:] == ("verified", True, "")
+    broken = exact._replace(
+        k3_block_ranks={**exact.k3_block_ranks, (2, 3, 5): 11})
+    monkeypatch.setattr(verify, "exact_data", lambda: broken)
+    checks = verify.verify_all(cfg).checks
+    assert [c.check_id for c in checks if c.status == "fail"] == ["c12-property-suite"]
+    assert checks[-1].computed == "violated"
+    assert checks[-1].detail == "K3 block of triple (2, 3, 5) has rank 11 != 12"
+
+
 def test_K2_counts():
     k2 = sc.K2_dimension_count()
     assert (k2.c0, k2.c1) == (80, 120)
@@ -335,7 +421,8 @@ def test_K3_elimination_touches_only_nonzeros(monkeypatch):
 
 def test_K3_ranks_need_no_elimination(monkeypatch):
     """The unrelabeled complex and 20 relabelings all reach rank 120 over
-    GF(2), so `rank` proves h1 = 0 with `_eliminate` never called."""
+    GF(2), and each of their ten triple blocks rank 12, so `rank` proves
+    h1 = 0 and the blocks' ranks with `_eliminate` never called."""
 
     def refuse(rows):
         raise AssertionError("the K3 rank eliminated over Z")
@@ -345,6 +432,8 @@ def test_K3_ranks_need_no_elimination(monkeypatch):
     monkeypatch.setattr(rk, "_eliminate", refuse)
     for rel in rels:
         assert sc.K3_cohomology(rel) == (160, 0)
+        blocks = sc.triple_blocks(sc.build_K3(rel).rows).values()
+        assert [rk.rank(b) for b in blocks] == [12] * 10
 
 
 def test_h0_sections_satisfy_all_edge_constraints():
