@@ -24,14 +24,25 @@ the error estimate) as soon as it is known, in one multiply and one add.
 A step in which every running row is accepted, as every accepted step of
 a lone row is, records and keeps its own arrays, with no gather and no
 merge; only a step in which some row is rejected or stops gathers the
-accepted rows.  The dense output of all accepted steps is built after the
-loop by the same walk over the stages the steps keep.  It returns the
-endpoint rows and one `FlowDiagnostics` of per-row arrays; `flow` is one
-row of it, with scalar diagnostics, and raises SigmaGuardError for a row
-that entered the guard zone.  The tests check the replica against scipy's
-solve_ivp.  A terminal event halts trajectories that enter the guard zone
-around the singular surface, where the field genuinely blows up and the
-continuation is out of scope.
+accepted rows.  It returns the endpoint rows and one `FlowDiagnostics` of
+per-row arrays; `flow` is one row of it, with scalar diagnostics, and
+raises SigmaGuardError for a row that entered the guard zone.  The tests
+check the replica against scipy's solve_ivp.  A terminal event halts
+trajectories that enter the guard zone around the singular surface, where
+the field genuinely blows up and the continuation is out of scope.
+
+The dense output of all accepted steps is built after the loop by the
+same walk over the stages that a step makes.  The recorded steps become
+one list per part (rows, times, sizes, start rows, each stage), and each
+part is joined, sorted by row and dropped in turn; each stage enters the
+quartic coefficients one coefficient row at a time and is let go, so the
+build holds the coefficients, one stage and one buffer beside the parts
+not yet read.  What the steps store still grows with rows times steps.
+The conservation drifts are read from the dense output at N_CHECKPOINTS
+times per row, in blocks of whole rows of at most CHECKPOINT_BLOCK
+checkpoints, so the checkpoint work held at once is one block's however
+large the batch; every checkpoint is read and reduced on its own row, so
+the blocks change no bit.
 
 The endpoint oracle is batched the same way: `distances_to_quintic` runs
 the Newton projection onto the smooth member on every row at once, each row
@@ -87,15 +98,19 @@ P = (
 SUMS = np.array([a + (0,) * (7 - len(a)) for a in A[1:]] + [B + (0,), E])
 STAGE_SUMS = tuple((slice(r[0], r[-1] + 1), SUMS[r[0]:r[-1] + 1, j, None, None])
                    for j, r in enumerate(np.flatnonzero(c).tolist() for c in SUMS.T))
-# the dense output's stages (P's row for K[1] is zero) and their weights
+# the dense output's stages (P's row for K[1] is zero) and their weights, as
+# Python floats, which scale a stage with no broadcast
 DENSE_STAGES = (0, 2, 3, 4, 5, 6)
-P_DENSE = np.array([P[j] for j in DENSE_STAGES])[:, :, None, None]
+P_DENSE = tuple(P[j] for j in DENSE_STAGES)
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 5
 EPS = np.finfo(float).eps
 N_CHECKPOINTS = 33  # drift checkpoints along each trajectory
+# most checkpoints whose drifts are read at once: about 256 KB per (points, 8)
+# array, and c07's 100 rows (3,300 points) stay one block
+CHECKPOINT_BLOCK = 4096
 RMS_ORDER = np.array([0, 2, 4, 6, 1, 3, 5, 7])  # u1..u4, v1..v4 of the interleaved state
 # Newton projection: stop at |value| <= NEWTON_TOL (1 + max|x|^5)
 NEWTON_TOL = 1e-14
@@ -145,13 +160,23 @@ def _pow(a, e):
     return np.array([x ** e if x or e > 0 else inf for x in a.tolist()])
 
 
-def _dense_coefficients(K):
-    """The dense output's (4, M, 8) coefficients of steps whose stages
-    DENSE_STAGES are K, summed in index order as a step sums SUMS."""
-    Q = K[0] * P_DENSE[0]
-    for k, w in zip(K[1:], P_DENSE[1:]):
-        acc = Q[1:]  # a view: the stage enters its sums in place
-        acc += k * w[1:]
+def _dense_coefficients(stages):
+    """The dense output's (4, M, 8) coefficients of steps whose (M, 8)
+    stages DENSE_STAGES come in order from the iterable `stages`, summed in
+    index order as a step sums SUMS.
+
+    Each later stage enters Q's rows 1 to 3 in place, one row at a time
+    through one (M, 8) buffer, and is let go before the next is drawn: fed
+    by a generator, as `_integrate` feeds it, the call holds one stage."""
+    stages = iter(stages)
+    k = next(stages)
+    Q, term = np.multiply.outer(P_DENSE[0], k), np.empty_like(k)
+    rows = tuple(Q[1:])  # views: the later stages enter Q's rows in place
+    for w in P_DENSE[1:]:
+        del k  # the stage has entered: let it go before the next is made
+        k = next(stages)
+        for q, p in zip(rows, w[1:]):  # P's first row weighs only K[0]
+            q += np.multiply(k, p, out=term)
     return Q
 
 
@@ -197,7 +222,8 @@ def _integrate(y0, t_bound, cfg):
     the end time and state row, the numbers of accepted steps, field
     evaluations and rejected steps, and the squared gradient norm at which
     a GUARDED row's field evaluation stopped; then the accepted steps'
-    dense output, as rows, end times and `_dense` segments, in step order.
+    dense output, as rows, end times and `_dense` segments, grouped by row
+    and in step order within a row.
     The count of evaluations leaves out the guard event's root search, as
     scipy's nfev does.
 
@@ -205,10 +231,11 @@ def _integrate(y0, t_bound, cfg):
     row's results are written out when it stops.  Each stage enters its
     rows of SUMS in place as soon as it is known.  The accepted steps keep
     their start rows and the stages that the dense output reads, which
-    enter its P_DENSE sums after the loop as a step's enter SUMS.  When
-    every running row is accepted, the step records its own arrays and
-    they become the new state as they are, without gathers or merges;
-    otherwise the accepted rows are gathered and merged into the state.
+    enter its P_DENSE sums after the loop as a step's enter SUMS, one part
+    of the record joined and dropped at a time.  When every running row is
+    accepted, the step records its own arrays and they become the new
+    state as they are, without gathers or merges; otherwise the accepted
+    rows are gathered and merged into the state.
     """
     n = len(y0)
     d = 1.0 if t_bound > 0 else -1.0
@@ -352,18 +379,26 @@ def _integrate(y0, t_bound, cfg):
     counts = (n_acc, n_evals, n_rej)
     if not steps:
         return state, t, y, counts, guard_sq, None
-    # the dense output of every accepted step at once, grouped by row
-    seg_rows = np.concatenate([s[0] for s in steps])
-    order = np.argsort(seg_rows, kind="stable")
-    t1, t_old, h, y_old, *K = (np.concatenate(part)[order] for part in list(zip(*steps))[1:])
+    # the dense output of every accepted step at once, grouped by row: the
+    # steps become one list per part, and each part is joined, sorted and
+    # dropped in turn, so that a joined part replaces its step arrays
+    parts = list(zip(*steps))[::-1]  # popped from the end, in step-record order
     steps.clear()
-    return state, t, y, counts, guard_sq, (seg_rows[order], t1,
-                                           (t_old, h, y_old, _dense_coefficients(K)))
+    seg_rows = np.concatenate(parts.pop())
+    order = np.argsort(seg_rows, kind="stable")
+
+    def joined():
+        return np.concatenate(parts.pop())[order]
+
+    t1, t_old, h, y_old = (joined() for _ in range(4))
+    Q = _dense_coefficients(joined() for _ in DENSE_STAGES)
+    return state, t, y, counts, guard_sq, (seg_rows[order], t1, (t_old, h, y_old, Q))
 
 
-def _checkpoint_drifts(s0, t_end, rows, steps, d):
-    """Largest Im(s) and f drifts at N_CHECKPOINTS equally spaced times on
-    [0, t_end] of each of `rows`, read from the dense output.
+def _checkpoint_drifts(s0, t_end, rows, steps, d, im, f):
+    """Write into im and f, at each of `rows`, the largest Im(s) and f
+    drifts at N_CHECKPOINTS equally spaced times on [0, t_end], read from
+    the dense output.
 
     The steps must be ordered by row and, within a row, by time, as
     `_integrate` returns them: then the keys row + 1j * (d * t1) ascend,
@@ -371,18 +406,27 @@ def _checkpoint_drifts(s0, t_end, rows, steps, d):
     part, and one sorted search finds the first step of a checkpoint's row
     that ends at or after it.  So, like scipy's OdeSolution, a time on a
     step boundary reads the earlier step's interpolant.
+
+    The keys are built once; the checkpoints are then read in blocks of
+    whole rows, at most CHECKPOINT_BLOCK of them at a time, so the work
+    held at once does not grow with the batch.  Every checkpoint is read
+    and reduced on its own row, so the blocks change no bit.
     """
     seg_rows, t1, seg = steps
-    # np.linspace(0, t_end, n) row by row, bit for bit
-    ts = np.arange(N_CHECKPOINTS) * (t_end[rows] / (N_CHECKPOINTS - 1))[:, None]
-    ts[:, -1] = t_end[rows]
-    which = np.searchsorted(seg_rows + 1j * (d * t1), rows[:, None] + 1j * (d * ts))
-    ys = _dense(seg, which.ravel(), ts.ravel())
-    s = _eval_s_rows(_complex_rows(ys)).reshape(ts.shape)
-    s0 = s0[rows][:, None]
-    im = np.max(np.abs(s.imag - s0.imag), axis=1, initial=0.0)
-    f = np.max(np.abs(s.real - s0.real - ts), axis=1, initial=0.0)
-    return im, f
+    keys = seg_rows + 1j * (d * t1)
+    per = CHECKPOINT_BLOCK // N_CHECKPOINTS  # whole rows a block holds
+    for start in range(0, len(rows), per):
+        block = rows[start:start + per]
+        # np.linspace(0, t_end, n) row by row, bit for bit
+        ts = np.arange(N_CHECKPOINTS) * (t_end[block] / (N_CHECKPOINTS - 1))[:, None]
+        ts[:, -1] = t_end[block]
+        which = np.searchsorted(keys, block[:, None] + 1j * (d * ts))
+        # the dense rows are let go as soon as s is read from them
+        s = _eval_s_rows(_complex_rows(_dense(seg, which.ravel(), ts.ravel())))
+        s = s.reshape(ts.shape)
+        s_start = s0[block][:, None]
+        im[block] = np.max(np.abs(s.imag - s_start.imag), axis=1, initial=0.0)
+        f[block] = np.max(np.abs(s.real - s_start.real - ts), axis=1, initial=0.0)
 
 
 def _as_rows(x, name):
@@ -426,7 +470,7 @@ def flow_batch(x0, t_target, cfg):
     rows = np.flatnonzero((state != GUARDED) & (n_acc > 0))
     if rows.size:
         d = 1.0 if t_target > 0 else -1.0
-        im[rows], f[rows] = _checkpoint_drifts(s0, t_end, rows, steps, d)
+        _checkpoint_drifts(s0, t_end, rows, steps, d, im, f)
     return _complex_rows(y_end), FlowDiagnostics(
         im, f, REASONS[state], t_end, n_acc + 1, n_evals, n_rej, guard_sq)
 

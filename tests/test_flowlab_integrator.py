@@ -3,6 +3,7 @@ RK45 as an independent oracle, the guard paths, the work counters, and batch
 independence."""
 
 import hashlib
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -264,6 +265,79 @@ GOLDEN = {
 
 def test_flows_match_their_golden_digests(monkeypatch):
     assert _digests(monkeypatch) == GOLDEN
+
+
+def test_one_row_drift_blocks_leave_the_golden_digests_unchanged(monkeypatch):
+    # every row its own block, among them the guard-hit, underflow and
+    # blow-up rows with their own end times
+    monkeypatch.setattr(integrate, "CHECKPOINT_BLOCK", integrate.N_CHECKPOINTS)
+    assert _digests(monkeypatch) == GOLDEN
+
+
+def _drift_blocks(monkeypatch):
+    """The sizes of the rows `_eval_s_rows` reads inside `flow_batch`: the
+    start rows, then one block of checkpoints per call."""
+    calls = []
+    eval_s_rows = integrate._eval_s_rows
+
+    def spy(x):
+        calls.append(len(x))
+        return eval_s_rows(x)
+
+    monkeypatch.setattr(integrate, "_eval_s_rows", spy)
+    return calls
+
+
+def _transport_bits(res):
+    return [np.asarray(getattr(res, f.name)).tobytes() for f in fields(res)]
+
+
+def test_transport_bits_do_not_depend_on_the_drift_blocks(monkeypatch):
+    fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
+    n_rows = 512 + 12 * fiber.angle_arity  # the samples and the shifted probes
+    calls = _drift_blocks(monkeypatch)
+    blocks = fl.transport_fiber(fiber, 10.0, n_samples=512, seed=12)
+    per = integrate.CHECKPOINT_BLOCK // integrate.N_CHECKPOINTS
+    assert calls[:2] == [n_rows, per * integrate.N_CHECKPOINTS] and len(calls) == 7
+    calls.clear()
+    monkeypatch.setattr(integrate, "CHECKPOINT_BLOCK", n_rows * integrate.N_CHECKPOINTS)
+    whole = fl.transport_fiber(fiber, 10.0, n_samples=512, seed=12)
+    assert calls[:2] == [n_rows, n_rows * integrate.N_CHECKPOINTS] and len(calls) == 3
+    assert _transport_bits(blocks) == _transport_bits(whole)
+
+
+def test_c07_reads_its_drifts_in_one_block(monkeypatch):
+    # a smaller block would add array calls to every verify-all run
+    from quintfib import verify
+    calls = _drift_blocks(monkeypatch)
+    verify.check_flow_conservation(verify.VerifyConfig(psi=10.0, samples=100, seed=0))
+    assert calls == [100, 100 * integrate.N_CHECKPOINTS]
+
+
+def test_checkpoint_drift_memory_does_not_grow_with_the_batch():
+    fiber = fl.TorusFiber(frozenset({5}), {i: 1.0 for i in range(1, 5)})
+    cfg = fl.FlowConfig(psi=10.0, metric="fubini-study")
+    x = fiber.rows(np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, (2048, 3)))
+    s0 = integrate._eval_s_rows(x)
+    _, t_end, _, _, _, steps = integrate._integrate(
+        np.array(x, dtype=complex, order="C").view(float), cfg.flow_target_time, cfg)
+
+    def peak(call):
+        """The traced peak of call() above what was held when it began."""
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+
+    im, f = np.zeros(len(x)), np.zeros(len(x))
+    small, large = (peak(lambda: integrate._checkpoint_drifts(
+        s0, t_end, np.arange(n), steps, 1.0, im, f)) for n in (512, 2048))
+    assert large <= 1.1 * small
+    # read all at once, its 18,084 checkpoints take about 5.5 MB
+    assert peak(lambda: fl.transport_fiber(fiber, 10.0, n_samples=512, seed=12)) < 3 * 2 ** 20
 
 
 def test_bisection_finds_brentqs_roots():
